@@ -11,6 +11,7 @@ evaluation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .constants import BOLTZMANN_K, HBAR
 from .material import MaterialParams, dispersion_parameters, stiffened_constants
-from .specfun import QuadratureSpec, erf, erfc, erfcx, hermite, integrate_1d
+from .specfun import erf, erfc, erfcx, hermite
 
 __all__ = [
     "CavityGeometry",
@@ -36,12 +37,7 @@ __all__ = [
     "characterize",
 ]
 
-_SQRT_PI = math.sqrt(math.pi)
-
-# Relative-error budget for the internal quadrature fallbacks (modes without
-# a closed form); the absolute floor is kept tiny so thin Gaussian tails are
-# still resolved to relative accuracy.
-_FALLBACK_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-280, max_depth=40)
+_PI_M14 = math.pi**-0.25  # pi^{-1/4} = psi_0(0), orthonormal Hermite functions
 
 
 @dataclass(frozen=True)
@@ -183,29 +179,33 @@ def mode_shape(mode: ModeIndex, alpha: float, beta: float) -> Callable:
     return u
 
 
-def _axis_deficit_closed(m: int, t: float) -> float:
-    # Fraction of one axis' modal energy lying beyond |z| = t, evaluated in
-    # the complementary form so strong trapping does not cancel digits.
-    if m == 0:
-        return erfc(t)
-    if m == 2:
-        if t == 0.0:
-            return 1.0
-        tail_poly = (t / _SQRT_PI) * (1.0 + 2.0 * t * t)
-        e = math.exp(-t * t)
-        return erfc(t) + tail_poly * e
-    raise ValueError(f"no closed form for in-plane number {m}")
+def _hermite_tail(m: int, t: float, psi0: float) -> float:
+    # sum_{k=1}^{m} sqrt(2/k) psi_k(t) psi_{k-1}(t) over the orthonormal
+    # Hermite functions psi_k = psi0 H_k / sqrt(2^k k!), built by their own
+    # three-term recurrence so no 2^k k! overflows.  With psi0 =
+    # pi^{-1/4} e^{-t^2/2} each term is e^{-t^2} H_k H_{k-1} / (sqrt(pi)
+    # 2^{k-1} k!), the step D_k - D_{k-1} of the per-axis deficit.
+    total, prev, cur = 0.0, 0.0, psi0
+    for k in range(1, m + 1):
+        a = math.sqrt(2.0 / k)
+        prev, cur = cur, a * t * cur - math.sqrt((k - 1) / k) * prev
+        total += a * cur * prev
+    return total
 
 
-def _axis_deficit_quadrature(m: int, t: float) -> float:
-    # Brute-force per-axis energy deficit for even in-plane numbers without
-    # a closed form.  Integrates e^{-z^2} H_m(z)^2 on the plate and on a
-    # 10-decay-length exterior band (truncation error ~ e^{-100} relative).
-    f = lambda z: np.exp(-z * z) * hermite(m, z) ** 2
-    z_out = t + 10.0 + 2.0 * math.sqrt(m + 1.0)
-    inner = integrate_1d(f, -t, t, _FALLBACK_QUAD) if t > 0 else 0.0
-    outer = 2.0 * integrate_1d(f, t, z_out, _FALLBACK_QUAD)
-    return outer / (inner + outer)
+def _axis_deficit(m: int, t: float) -> float:
+    # Fraction of one axis' modal energy beyond |z| = t: D_0 = erfc(t) plus
+    # the Hermite steps, which are all positive beyond the last zero of H_m,
+    # so strong trapping does not cancel digits.
+    return erfc(t) + _hermite_tail(m, t, _PI_M14 * math.exp(-0.5 * t * t))
+
+
+def _axis_energy_fraction(m: int, t: float) -> float:
+    # Fraction of one axis' modal energy on the plate, I_m(t) / (2^m m!
+    # sqrt(pi)) with I_m the integral of e^{-z^2} H_m(z)^2 over |z| <= t:
+    # I_k = 2k I_{k-1} - 2 e^{-t^2} H_k H_{k-1} from I_0 = sqrt(pi) erf(t),
+    # divided through by the norm so weak trapping does not cancel digits.
+    return erf(t) - _hermite_tail(m, t, _PI_M14 * math.exp(-0.5 * t * t))
 
 
 def _check_eta(eta_x: float, eta_y: float):
@@ -216,46 +216,42 @@ def _check_eta(eta_x: float, eta_y: float):
 def escape_probability(mode: ModeIndex, eta_x: float, eta_y: float) -> float:
     """Fraction of modal energy outside the finite plate, in [0, 1].
 
-    Closed forms cover (m, p) = (0, 0) and (2, 2); other even pairs fall
-    back to per-axis quadrature.  May underflow to exactly 0 for strong
-    trapping; use escape_probability_log10 in that regime.
+    Separable per axis: each axis' deficit D_m(t), t = sqrt(n) eta, follows
+    D_k = D_{k-1} + e^{-t^2} H_k(t) H_{k-1}(t) / (sqrt(pi) 2^{k-1} k!) from
+    D_0 = erfc(t), and chi = D_x + D_y - D_x D_y.  May underflow to exactly
+    0 for strong trapping; use escape_probability_log10 in that regime.
     """
     _check_eta(eta_x, eta_y)
-    tx = math.sqrt(mode.n) * eta_x
-    ty = math.sqrt(mode.n) * eta_y
-    if (mode.m, mode.p) in ((0, 0), (2, 2)):
-        dx = _axis_deficit_closed(mode.m, tx)
-        dy = _axis_deficit_closed(mode.p, ty)
-    elif mode.m % 2 == 0 and mode.p % 2 == 0:
-        dx = _axis_deficit_quadrature(mode.m, tx)
-        dy = _axis_deficit_quadrature(mode.p, ty)
-    else:
-        raise ValueError("escape probability is defined for even in-plane numbers only")
+    dx = _axis_deficit(mode.m, math.sqrt(mode.n) * eta_x)
+    dy = _axis_deficit(mode.p, math.sqrt(mode.n) * eta_y)
     chi = dx + dy - dx * dy
     return min(1.0, max(0.0, chi))
 
 
 def _log_axis_deficit(m: int, t: float) -> float:
     # ln of the per-axis deficit, stable for arbitrarily strong trapping.
+    # For t >= 2 it is -t^2 + ln(erfcx(t) + P_m(t)), where the polynomial
+    # P_m(t) = e^{t^2} (D_m - erfc) is the Hermite tail from psi0 = pi^{-1/4}.
+    # The tail is run from psi0 = pi^{-1/4} e^{-c} instead, with e^c the
+    # size (sqrt(2) t)^m / sqrt(m!) of its leading term, so that large m and
+    # t cannot overflow it; the factor e^{-2c} is taken back out of the log.
     if t < 2.0:
-        return math.log(_axis_deficit_closed(m, t))
-    s = erfcx(t)
-    if m == 2:
-        s += (t / _SQRT_PI) * (1.0 + 2.0 * t * t)
-    return math.log(s) - t * t
+        return math.log(_axis_deficit(m, t))
+    c = max(0.0, m * math.log(math.sqrt(2.0) * t) - 0.5 * math.lgamma(m + 1.0))
+    s = erfcx(t) * math.exp(-2.0 * c) + _hermite_tail(m, t, _PI_M14 * math.exp(-c))
+    return math.log(s) - t * t + 2.0 * c
 
 
 def escape_probability_log10(mode: ModeIndex, eta_x: float, eta_y: float) -> float:
     """log10 of the escape probability via complementary asymptotics.
 
-    Stays finite long after the linear-scale value underflows to zero.
-    Available for the closed-form families (m, p) = (0, 0) and (2, 2).
+    Stays finite long after the linear-scale value underflows to zero, for
+    every even (m, p): each axis' deficit is factored as
+    e^{-t^2} (erfcx(t) + P_m(t)) with P_m a polynomial in t.
     """
     _check_eta(eta_x, eta_y)
     if not (eta_x > 0 and eta_y > 0):
         raise ValueError("log-scale escape requires strictly positive trapping")
-    if (mode.m, mode.p) not in ((0, 0), (2, 2)):
-        raise ValueError("log-scale escape covers (m, p) = (0, 0) and (2, 2) only")
     lx = _log_axis_deficit(mode.m, math.sqrt(mode.n) * eta_x)
     ly = _log_axis_deficit(mode.p, math.sqrt(mode.n) * eta_y)
     hi, lo = max(lx, ly), min(lx, ly)
@@ -286,47 +282,35 @@ def mode_frequency(
     return math.sqrt(lead * bracket)
 
 
-def _axis_energy_integral(m: int, t: float) -> float:
-    # integral of e^{-z^2} H_m(z)^2 over |z| <= t, closed where possible
-    if m == 0:
-        return _SQRT_PI * erf(t)
-    if m == 2:
-        b = erf(t) - (t / _SQRT_PI) * (1.0 + 2.0 * t * t) * math.exp(-t * t)
-        return 8.0 * _SQRT_PI * b
-    return integrate_1d(
-        lambda z: np.exp(-z * z) * hermite(m, z) ** 2, -t, t, _FALLBACK_QUAD
-    )
-
-
 def effective_mass(
     mat: MaterialParams, geo: CavityGeometry, mode: ModeIndex, eta_x: float, eta_y: float
 ) -> tuple[float, float, float]:
     """Effective mode mass, flat-plate reference mass, and their ratio xi.
 
-    m_flat = 4 rho h0 L^2; xi_{n00} = (4/pi) eta_x eta_y n / (Erf Erf);
-    the (2, 2) family uses its own closed form (unit-amplitude convention),
-    and remaining even pairs integrate the mode shape numerically.
+    m_flat = 4 rho h0 L^2 and xi = (4/pi) eta_x eta_y n / (I_m I_p / pi),
+    where I_m(t) is the integral of e^{-z^2} H_m(z)^2 over |z| <= t =
+    sqrt(n) eta: I_k = 2k I_{k-1} - 2 e^{-t^2} H_k H_{k-1} from
+    I_0 = sqrt(pi) erf(t), so (0, 0) gives xi = (4/pi) eta_x eta_y n /
+    (Erf Erf).  Unit-amplitude convention: the mode shape is e^{-z^2/2}
+    H_m(z) along each axis, not normalised, so I_m -> 2^m m! sqrt(pi) for
+    strong trapping and xi falls by 2^m m! 2^p p!; xi(1, 60, 0) ~ 2.7e-99
+    at eta = 1 by design.  Raises ValueError when that mass integral is not
+    representable as a double.
     """
     if not (eta_x > 0 and eta_y > 0):
         raise ValueError("effective mass requires strictly positive trapping parameters")
     n = mode.n
-    tx = math.sqrt(n) * eta_x
-    ty = math.sqrt(n) * eta_y
+    # 2^m m! 2^p p!, exact as an integer product of 2, 4, ..., 2m
+    norm = math.prod(range(2, 2 * mode.m + 1, 2)) * math.prod(range(2, 2 * mode.p + 1, 2))
+    if norm > sys.float_info.max:
+        raise ValueError(
+            f"the unit-amplitude mass integral of in-plane numbers (m, p) = ({mode.m}, {mode.p})"
+            " exceeds the double range"
+        )
+    fx = _axis_energy_fraction(mode.m, math.sqrt(n) * eta_x)
+    fy = _axis_energy_fraction(mode.p, math.sqrt(n) * eta_y)
     m_flat = 4.0 * mat.rho * geo.h0 * geo.L**2
-    if (mode.m, mode.p) == (0, 0):
-        xi = (4.0 / math.pi) * eta_x * eta_y * n / (erf(tx) * erf(ty))
-    elif (mode.m, mode.p) == (2, 2) and abs(eta_x - eta_y) <= 1e-12 * eta_x:
-        b = erf(tx) - (tx / _SQRT_PI) * (1.0 + 2.0 * tx * tx) * math.exp(-tx * tx)
-        xi = n * eta_x * eta_y / (16.0 * math.pi * b * b)
-    elif mode.m % 2 == 0 and mode.p % 2 == 0:
-        # unit-amplitude mass integral, separable per axis; thickness
-        # averaging of sin^2 over 2*h0 contributes the factor h0
-        ix = _axis_energy_integral(mode.m, tx)
-        iy = _axis_energy_integral(mode.p, ty)
-        m_eff = mat.rho * geo.h0 * geo.L**2 * ix * iy / (n * eta_x * eta_y)
-        return m_eff, m_flat, m_flat / m_eff
-    else:
-        raise ValueError("effective mass is defined for even in-plane numbers only")
+    xi = (4.0 / math.pi) * eta_x * eta_y * n / (fx * fy * norm)
     return m_flat / xi, m_flat, xi
 
 

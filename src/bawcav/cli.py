@@ -27,7 +27,7 @@ from .cavity import (
     escape_probability_log10,
     trapping_parameters,
 )
-from .detection import MU_OPT_3SIGMA, overlap_factor, optimal_electrode, shunt_impedance
+from .detection import MU_OPT_3SIGMA, design_electrode, shunt_impedance
 from .material import MaterialFileError, bundled_material_path, load_material
 from .membrane import MembraneSpec, compare
 from .oracle import EigensolveConvergenceError
@@ -124,9 +124,7 @@ def _characterize_row(config: RunConfig, mode: ModeIndex) -> list:
     mat = config.material()
     geo = config.geometry()
     char = characterize(mat, geo, mode, config.temperature, eta_override=config.eta_override)
-    log10_chi = ""
-    if (mode.m, mode.p) in ((0, 0), (2, 2)):
-        log10_chi = escape_probability_log10(mode, char.eta_x, char.eta_y)
+    log10_chi = escape_probability_log10(mode, char.eta_x, char.eta_y)
     return [
         mode.n, mode.m, mode.p, char.eta_x, char.eta_y,
         char.omega / (2.0 * math.pi), char.chi_inv, log10_chi, char.xi,
@@ -212,11 +210,9 @@ def cmd_electrode(config: RunConfig, ns: list[int], mu_opt: float) -> int:
         else:
             alpha, beta = envelope_curvatures(mat, geo, n)
             eta = trapping_parameters(alpha, beta, geo.L)[0]
-        lt = optimal_electrode(geo, eta, n, mu_opt)
-        alpha_eff = eta**2 / (math.pi * geo.L**2)
-        mu = overlap_factor(ModeIndex(n), alpha_eff, alpha_eff, lt)
-        c0, z_closed, z_derived = shunt_impedance(mat, geo, eta, n, mu_opt)
-        rows.append([n, lt, mu, c0, z_closed, z_derived])
+        design = design_electrode(mat, geo, eta, n, mu_opt)
+        _, z_closed, _ = shunt_impedance(mat, geo, eta, n, mu_opt)
+        rows.append([n, design.L_tilde, design.mu, design.C0, z_closed, design.Z_shunt_mag])
     if config.output_format == "csv":
         _emit(config, _csv_text(ELECTRODE_COLUMNS, rows))
     else:

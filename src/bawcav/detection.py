@@ -13,12 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cavity import CavityGeometry, ModeIndex, effective_mass
 from .constants import HBAR
 from .material import MaterialParams
-from .specfun import QuadratureSpec, erf, erf_inv, hermite, integrate_1d
+from .specfun import erf, erf_inv, hermite
 
 __all__ = [
     "ElectrodeDesign",
@@ -33,9 +31,6 @@ __all__ = [
     "shunt_vs_motional",
     "design_electrode",
 ]
-
-_SQRT_PI = math.sqrt(math.pi)
-_FALLBACK_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-280, max_depth=40)
 
 # Default electrode coverage target: three envelope standard deviations per
 # axis, mu = erf(3/sqrt(2))^2.
@@ -92,33 +87,35 @@ def _omega_ref(mat: MaterialParams, geo: CavityGeometry, n: int) -> float:
     return (n * math.pi / (2.0 * geo.h0)) * math.sqrt(mat.c_bar_z / mat.rho)
 
 
-def _axis_overlap_integral(m: int, t: float) -> float:
-    # integral of e^{-z^2/2} H_m(z) over |z| <= t
-    if m == 0:
-        return math.sqrt(2.0 * math.pi) * erf(t / math.sqrt(2.0))
-    return integrate_1d(
-        lambda z: np.exp(-0.5 * z * z) * hermite(m, z), -t, t, _FALLBACK_QUAD
-    )
+def _axis_overlap(m: int, t: float) -> float:
+    # j_m = J_m / sqrt(2 pi) with J_m the integral of e^{-z^2/2} H_m(z) over
+    # |z| <= t, for even m: J_m = 2(m-1) J_{m-2} - 4 e^{-t^2/2} H_{m-1}(t)
+    # from j_0 = erf(t / sqrt(2))
+    j = erf(t / math.sqrt(2.0))
+    edge = 4.0 * math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    for k in range(2, m + 1, 2):
+        j = 2.0 * (k - 1) * j - edge * hermite(k - 1, t)
+    return j
 
 
 def overlap_factor(mode: ModeIndex, alpha: float, beta: float, L_tilde: float) -> float:
     """Electrode overlap factor mu for square electrodes of half-width L_tilde.
 
-    Closed form for the fundamental family: mu = Erf(sqrt(n) nu_x / sqrt(2))
-    * Erf(sqrt(n) nu_y / sqrt(2)) with nu = sqrt(pi * alpha) * L_tilde;
-    monotone in L_tilde and saturating at 1.  Other even in-plane numbers are
-    integrated numerically (their overlap can change sign at nodal lines).
+    Separable per axis: mu = j_m(sqrt(n) nu_x) j_p(sqrt(n) nu_y) with
+    nu = sqrt(pi * alpha) * L_tilde and j_m the integral of e^{-z^2/2}
+    H_m(z) over |z| <= t divided by sqrt(2 pi), from
+    J_m = 2(m-1) J_{m-2} - 4 e^{-t^2/2} H_{m-1}(t).  The fundamental family
+    gives mu = Erf(sqrt(n) nu_x / sqrt(2)) Erf(sqrt(n) nu_y / sqrt(2)),
+    monotone in L_tilde and saturating at 1; higher even in-plane numbers
+    use the unit-amplitude mode shape, and their overlap can change sign
+    at nodal lines.
     """
     if not (alpha > 0 and beta > 0 and L_tilde > 0):
         raise ValueError("alpha, beta and L_tilde must be positive")
     nu_x = math.sqrt(math.pi * alpha) * L_tilde
     nu_y = math.sqrt(math.pi * beta) * L_tilde
     rn = math.sqrt(mode.n)
-    if (mode.m, mode.p) == (0, 0):
-        return erf(rn * nu_x / math.sqrt(2.0)) * erf(rn * nu_y / math.sqrt(2.0))
-    jx = _axis_overlap_integral(mode.m, rn * nu_x)
-    jy = _axis_overlap_integral(mode.p, rn * nu_y)
-    return jx * jy / (2.0 * math.pi)
+    return _axis_overlap(mode.m, rn * nu_x) * _axis_overlap(mode.p, rn * nu_y)
 
 
 def optomech_displacement(char) -> OptomechReadout:

@@ -1,12 +1,12 @@
-"""Self-contained special functions and adaptive quadrature.
+"""Special functions and adaptive quadrature.
 
 Everything here is pure and reentrant: no caches, no global mutable state,
-safe for concurrent callers.  The error-function family is implemented from
-series / continued fractions rather than wrapping a runtime library, so that
-the quadrature routines below can serve as an independent check on it (and
-vice versa).  Documented accuracy: max relative error of ``erf`` is below
-1e-14 over the full double range (measured against 50-digit reference values
-during development; the test suite re-verifies against quadrature).
+safe for concurrent callers.  ``erf`` and ``erfc`` are input-checked
+wrappers of ``math.erf`` and ``math.erfc``; ``erfcx`` adds a continued
+fraction for the range where erfc underflows.  The quadrature
+routines below are independent of them, so the test suite uses
+``integrate_1d`` as the reference for erf, and the 2-D oracles use
+``integrate_2d`` as the reference for every closed form.
 """
 
 from __future__ import annotations
@@ -69,41 +69,6 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 # error-function family
 # ---------------------------------------------------------------------------
 
-def _erf_taylor(x: float) -> float:
-    # Alternating Maclaurin series; only used for |x| <= 0.5 where it
-    # converges in ~12 terms with no cancellation worth worrying about.
-    x2 = x * x
-    terms = []
-    t = abs(x)  # x^(2k+1) / k!
-    k = 0
-    while True:
-        terms.append(t / (2 * k + 1) if k % 2 == 0 else -t / (2 * k + 1))
-        k += 1
-        t *= x2 / k
-        if t <= 1e-18 * abs(x):
-            break
-    s = _TWO_OVER_SQRT_PI * math.fsum(terms)
-    return s if x >= 0 else -s
-
-
-def _erf_scaled_series(x: float) -> float:
-    # erf(x) = (2/sqrt(pi)) e^{-x^2} sum_k 2^k x^{2k+1} / (2k+1)!!
-    # All terms positive, so no cancellation at any x; used for 0.5 < x < 2.
-    x2 = x * x
-    terms = []
-    t = x
-    k = 0
-    while True:
-        terms.append(t)
-        t *= 2.0 * x2 / (2 * k + 3)
-        k += 1
-        if t < 1e-18 * terms[0] and k > x2:
-            break
-        if k > 500:  # unreachable for x < 6; defensive cap
-            break
-    return _TWO_OVER_SQRT_PI * math.exp(-x2) * math.fsum(terms)
-
-
 def _erfcx_cf(x: float) -> float:
     # Scaled complementary error function by Laplace continued fraction,
     # evaluated with the modified Lentz algorithm.  Reliable for x >= 2.
@@ -131,46 +96,32 @@ def _erfcx_cf(x: float) -> float:
 
 
 def erf(x: float) -> float:
-    """Error function, odd in x, range (-1, 1).
-
-    Hybrid evaluation: Maclaurin series for |x| <= 0.5, a positive-term
-    scaled series for 0.5 < |x| < 2, and 1 - erfc via continued fraction
-    beyond.  The last branch keeps erf monotone through the saturation
-    region and caps it at 1 from below.
-    """
+    """Error function, odd in x, range [-1, 1]; ``math.erf`` with finite input."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"erf requires finite input, got {x!r}")
-    ax = abs(x)
-    if ax <= 0.5:
-        return _erf_taylor(x)
-    if ax < 2.0:
-        v = _erf_scaled_series(ax)
-    else:
-        v = 1.0 - math.exp(-ax * ax) * _erfcx_cf(ax)
-    return v if x > 0 else -v
+    return math.erf(x)
 
 
 def erfc(x: float) -> float:
-    """Complementary error function 1 - erf(x), accurate for large x."""
+    """Complementary error function 1 - erf(x); ``math.erfc`` with finite input."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"erfc requires finite input, got {x!r}")
-    if x < 0.0:
-        return 2.0 - erfc(-x)
-    if x < 2.0:
-        return 1.0 - erf(x)
-    # e^{-x^2} underflows to 0 for x > ~27; that is the honest answer there.
-    return math.exp(-x * x) * _erfcx_cf(x)
+    return math.erfc(x)
 
 
 def erfcx(x: float) -> float:
-    """Scaled complementary error function e^{x^2} erfc(x) for x >= 0."""
+    """Scaled complementary error function e^{x^2} erfc(x) for x >= 0.
+
+    ``math.erfc`` below 2, where e^{x^2} cannot overflow; a continued
+    fraction beyond, where erfc itself underflows for x > ~27.
+    """
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"erfcx requires finite non-negative input, got {x!r}")
     if x < 2.0:
-        return math.exp(x * x) * (1.0 - erf(x))
+        return math.exp(x * x) * math.erfc(x)
     return _erfcx_cf(x)
 
 

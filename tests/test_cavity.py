@@ -20,12 +20,14 @@ from bawcav.cavity import (
     trapping_parameters,
     zpf,
 )
+from bawcav.cavity import _axis_deficit, _axis_energy_fraction
 from bawcav.constants import BOLTZMANN_K, HBAR
 from bawcav.material import bundled_material_path, load_material
-from bawcav.specfun import erf
+from bawcav.specfun import QuadratureSpec, erf, hermite, integrate_1d
 
 QUARTZ = load_material(bundled_material_path("quartz"))
 GEO = CavityGeometry(L=0.015, h0=5e-4, R=0.3)
+TIGHT = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300, max_depth=40)
 
 
 class TestGeometryAndModeIndex:
@@ -97,6 +99,20 @@ class TestModeShape:
         assert vals.shape == (2,)
 
 
+class TestHermiteRecurrences:
+    # per-axis energy fractions against direct quadrature of e^{-z^2} H_m^2,
+    # normalised by its whole-line integral 2^m m! sqrt(pi)
+    @pytest.mark.parametrize("m", range(0, 11, 2))
+    def test_against_quadrature(self, m):
+        energy = lambda z: np.exp(-z * z) * hermite(m, z) ** 2
+        norm = 2.0**m * math.factorial(m) * math.sqrt(math.pi)
+        for t in (1e-3, 0.3, 1.7, 4.0, 8.0):
+            deficit = 2.0 * integrate_1d(energy, t, t + 8.0, TIGHT) / norm
+            captured = integrate_1d(energy, -t, t, TIGHT) / norm
+            assert _axis_deficit(m, t) == pytest.approx(deficit, rel=1e-12)
+            assert _axis_energy_fraction(m, t) == pytest.approx(captured, rel=1e-12)
+
+
 class TestEscapeProbability:
     def test_unit_trapping_value(self):
         chi = escape_probability(ModeIndex(1), 1.0, 1.0)
@@ -138,9 +154,23 @@ class TestEscapeLog10:
         # dominated by the weaker axis: chi ~ erfc(6)
         assert lg == pytest.approx(math.log10(math.erfc(6.0)), abs=1e-6)
 
-    def test_unsupported_mode(self):
-        with pytest.raises(ValueError, match="log-scale"):
-            escape_probability_log10(ModeIndex(1, 4, 4), 2.0, 2.0)
+    def test_higher_order_matches_linear_scale(self):
+        mode = ModeIndex(1, 4, 4)
+        lin = escape_probability(mode, 2.0, 2.0)
+        assert escape_probability_log10(mode, 2.0, 2.0) == pytest.approx(math.log10(lin), abs=1e-12)
+
+    @pytest.mark.parametrize("eta", [1.0, 10.0])
+    def test_large_inplane_number_stays_finite(self, eta):
+        mode = ModeIndex(1, 200, 0)
+        lin = escape_probability(mode, eta, eta)
+        assert 0.0 < lin < 1.0
+        assert escape_probability_log10(mode, eta, eta) == pytest.approx(math.log10(lin), abs=1e-12)
+
+    def test_large_inplane_number_beyond_underflow(self):
+        # D_200(60) ~ 4e-1172 (40-digit quadrature of the tail); its
+        # polynomial factor e^{t^2} D_200(t) alone exceeds the double range
+        lg = escape_probability_log10(ModeIndex(1, 200, 0), 60.0, 60.0)
+        assert lg == pytest.approx(-1171.3618416031234, abs=1e-9)
 
 
 class TestModeFrequency:
@@ -188,6 +218,16 @@ class TestEffectiveMass:
     def test_mass_ratio_identity(self):
         m_eff, m_flat, xi = effective_mass(QUARTZ, GEO, ModeIndex(3), 2.2, 2.2)
         assert m_eff * xi == pytest.approx(m_flat, rel=1e-14)
+
+    def test_unit_amplitude_convention(self):
+        # the mass integral of e^{-z^2/2} H_m(z) carries 2^m m! sqrt(pi), so
+        # xi is tiny for large m; reference from 40-digit quadrature
+        _, _, xi = effective_mass(QUARTZ, GEO, ModeIndex(1, 60, 0), 1.0, 1.0)
+        assert xi == pytest.approx(2.7150505425784908e-99, rel=1e-12)
+
+    def test_unrepresentable_mass_integral_names_the_mode(self):
+        with pytest.raises(ValueError, match=r"\(m, p\) = \(200, 0\)"):
+            effective_mass(QUARTZ, GEO, ModeIndex(1, 200, 0), 1.0, 1.0)
 
     def test_mode_22_closed_form(self):
         eta, n = 1.7, 3

@@ -117,6 +117,12 @@ class TestElectrode:
             3 * 0.015 / (5.0804347690876461 * 7**0.5), rel=1e-6
         )
 
+    def test_electrode_wider_than_plate_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "electrode", "--eta", "0.01", "--n", "7")
+        assert code == 2
+        assert out == ""
+        assert "does not fit the plate" in err
+
 
 class TestMembraneCmd:
     def test_comparison_table(self, capsys):
@@ -209,6 +215,27 @@ class TestSweepModes:
         assert code == 0
         rows = out.strip().split("\n")[1:]
         assert all(r.split(",")[1] == "2" and r.split(",")[2] == "2" for r in rows)
+
+    def test_higher_order_strong_trapping(self, capsys):
+        # rows with sqrt(n) * eta up to 22.8, beyond the reach of 1-D quadrature
+        code, out, _ = run_cli(capsys, "sweep", "--n", "5", "--m", "4",
+                               "--eta-range", "9.6:10.2:0.06")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1 + 11
+
+    def test_log10_escape_for_every_even_mode(self, capsys):
+        code, out, _ = run_cli(capsys, "characterize", "--n", "3", "--m", "4", "--p", "6",
+                               "--eta", "20")
+        assert code == 0
+        row = dict(zip(*[l.split(",") for l in out.strip().split("\n")]))
+        assert float(row["chi_inv"]) == 0.0
+        assert -600 < float(row["log10_chi_inv"]) < -400
+
+    def test_unrepresentable_mass_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "characterize", "--n", "1", "--m", "200", "--eta", "1")
+        assert code == 2
+        assert out == ""
+        assert "(m, p) = (200, 0)" in err
 
     def test_odd_inplane_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--n", "1", "--m", "1", "--eta-range", "1:2:0.5")

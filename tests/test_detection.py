@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from bawcav.cavity import CavityGeometry, ModeIndex, characterize, zpf
@@ -16,8 +17,9 @@ from bawcav.detection import (
     shunt_impedance,
     shunt_vs_motional,
 )
+from bawcav.detection import _axis_overlap
 from bawcav.material import bundled_material_path, load_material
-from bawcav.specfun import erf
+from bawcav.specfun import QuadratureSpec, erf, hermite, integrate_1d
 
 QUARTZ = load_material(bundled_material_path("quartz"))
 VARIANT = load_material(bundled_material_path("quartz-piezo"))
@@ -29,6 +31,14 @@ ETA_1 = 5.0804347690876461
 
 
 class TestOverlapFactor:
+    @pytest.mark.parametrize("m", range(0, 11, 2))
+    def test_axis_recurrence_against_quadrature(self, m):
+        tight = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300, max_depth=40)
+        shape = lambda z: np.exp(-0.5 * z * z) * hermite(m, z)
+        for t in (1e-3, 0.3, 1.7, 4.0, 8.0):
+            ref = integrate_1d(shape, -t, t, tight) / math.sqrt(2.0 * math.pi)
+            assert _axis_overlap(m, t) == pytest.approx(ref, rel=1e-12)
+
     def test_three_sigma_coverage(self):
         # L_tilde chosen so nu = sqrt(pi alpha) L_tilde = 3 per axis
         lt = 3.0 / math.sqrt(math.pi * ALPHA_1)

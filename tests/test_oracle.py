@@ -27,6 +27,14 @@ QUARTZ = load_material(bundled_material_path("quartz"))
 GEO = CavityGeometry(L=0.015, h0=5e-4, R=0.3)
 
 
+# (mode, eta_x, eta_y) beyond the (0, 0) and (2, 2) families
+HIGHER_ORDER_CASES = [
+    (ModeIndex(1, 4, 0), 1.3, 1.1),
+    (ModeIndex(3, 0, 6), 1.7, 2.2),
+    (ModeIndex(3, 4, 4), 2.0, 1.6),
+]
+
+
 def geometry_for(eta: float, n: int, L: float = 0.015):
     alpha = eta**2 / (math.pi * L**2)
     return alpha, L
@@ -45,6 +53,14 @@ class TestMassOracle:
         alpha, L = geometry_for(eta, n)
         numeric = mass_integral_oracle(ModeIndex(n, 2, 2), alpha, alpha, L, QUARTZ.rho, GEO.h0)
         closed, _, _ = effective_mass(QUARTZ, GEO, ModeIndex(n, 2, 2), eta, eta)
+        assert numeric == pytest.approx(closed, rel=1e-8)
+
+    @pytest.mark.parametrize("mode,eta_x,eta_y", HIGHER_ORDER_CASES)
+    def test_higher_order_matches_recurrence(self, mode, eta_x, eta_y):
+        alpha = eta_x**2 / (math.pi * GEO.L**2)
+        beta = eta_y**2 / (math.pi * GEO.L**2)
+        numeric = mass_integral_oracle(mode, alpha, beta, GEO.L, QUARTZ.rho, GEO.h0)
+        closed, _, _ = effective_mass(QUARTZ, GEO, mode, eta_x, eta_y)
         assert numeric == pytest.approx(closed, rel=1e-8)
 
     def test_axis_swap_symmetry(self):
@@ -70,6 +86,14 @@ class TestEscapeOracle:
         closed = escape_probability(ModeIndex(n, 2, 2), eta, eta)
         assert numeric == pytest.approx(closed, rel=1e-8)
 
+    @pytest.mark.parametrize("mode,eta_x,eta_y", HIGHER_ORDER_CASES)
+    def test_higher_order_matches_recurrence(self, mode, eta_x, eta_y):
+        alpha = eta_x**2 / (math.pi * GEO.L**2)
+        beta = eta_y**2 / (math.pi * GEO.L**2)
+        numeric = escape_integral_oracle(mode, alpha, beta, GEO.L)
+        closed = escape_probability(mode, eta_x, eta_y)
+        assert numeric == pytest.approx(closed, rel=1e-8)
+
     def test_small_escape_keeps_relative_accuracy(self):
         eta, n = 3.1, 1  # chi ~ 2 erfc(3.1) ~ 2e-5
         alpha, L = geometry_for(eta, n)
@@ -91,6 +115,14 @@ class TestOverlapOracle:
         lt = 0.3 * L
         numeric = overlap_integral_oracle(ModeIndex(1), alpha, alpha, lt)
         closed = overlap_factor(ModeIndex(1), alpha, alpha, lt)
+        assert numeric == pytest.approx(closed, rel=1e-8)
+
+    def test_mode42_recurrence(self):
+        alpha, L = geometry_for(3.0, 1)
+        beta, _ = geometry_for(2.5, 1)
+        lt = 0.4 * L
+        numeric = overlap_integral_oracle(ModeIndex(1, 4, 2), alpha, beta, lt)
+        closed = overlap_factor(ModeIndex(1, 4, 2), alpha, beta, lt)
         assert numeric == pytest.approx(closed, rel=1e-8)
 
     def test_mode20_quadrature_path(self):
