@@ -343,14 +343,20 @@ def thermal_occupancy(omega: float, temperature: float) -> float:
 
     Strictly decreasing in omega; approaches kT/(hbar omega) - 1/2 in the
     classical limit.  Evaluated as exp(-x)/(-expm1(-x)) so neither large nor
-    small hbar*omega/kT overflows.
+    small hbar*omega/kT overflows; raises OverflowError when the occupancy
+    itself exceeds the double range.
     """
-    if not (temperature > 0):
-        raise ValueError(f"temperature must be positive, got {temperature!r}")
+    if not (temperature > 0 and math.isfinite(temperature)):
+        raise ValueError(f"temperature must be positive and finite, got {temperature!r}")
     if not (omega > 0):
         raise ValueError(f"omega must be positive, got {omega!r}")
     x = HBAR * omega / (BOLTZMANN_K * temperature)
-    return math.exp(-x) / (-math.expm1(-x))
+    occupancy = math.exp(-x) / (-math.expm1(-x))
+    if math.isinf(occupancy):
+        raise OverflowError(
+            f"thermal occupancy at hbar omega / kT = {x!r} exceeds the double range"
+        )
+    return occupancy
 
 
 def characterize(
@@ -378,7 +384,13 @@ def characterize(
     chi = escape_probability(mode, eta_x, eta_y)
     m_eff, m_flat, xi = effective_mass(mat, geo, mode, eta_x, eta_y)
     omega = mode_frequency(mat, geo, mode, leading_order=leading_order)
-    x = math.sqrt(HBAR / (2.0 * omega * m_eff))
+    x_sq = HBAR / (2.0 * omega * m_eff)
+    if x_sq < sys.float_info.min:
+        raise ValueError(
+            f"the squared zero-point spread of in-plane numbers (m, p) = ({mode.m}, {mode.p})"
+            " is below the normal double range"
+        )
+    x = math.sqrt(x_sq)
     p = math.sqrt(HBAR * omega * m_eff / 2.0)
     return ModeCharacterization(
         omega=omega,

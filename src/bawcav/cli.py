@@ -4,7 +4,8 @@ Subcommands: characterize | sweep | electrode | membrane | paper-report |
 oracle.  Numeric output is rendered with nine significant digits and '.'
 decimal separators regardless of locale, so identical inputs give
 byte-identical CSV/JSON.  Exit codes: 0 success, 1 failed report checks,
-2 validation or usage error, 3 numerical non-convergence.
+2 validation or usage error, 3 numerical failure (non-convergence, or a
+result outside the double range).
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ from .cavity import (
 from .detection import MU_OPT_3SIGMA, design_electrode, shunt_impedance
 from .material import MaterialFileError, bundled_material_path, load_material
 from .membrane import MembraneSpec, compare
-from .oracle import EigensolveConvergenceError
-from .specfun import QuadratureConvergenceError
 
 __all__ = ["main", "entry", "RunConfig"]
 
 JSON_SCHEMA_VERSION = 1
+MAX_GRID_POINTS = 1_000_000  # per --eta-range / --R-range
 
 SWEEP_COLUMNS = [
     "n", "m", "p", "eta", "chi_inv", "xi", "f_Hz", "m_eff_kg", "x_zpf_m", "p_zpf", "n_thermal",
@@ -146,12 +146,16 @@ def _parse_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"range must be start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"range parts must be finite, got {text!r}")
     if not step > 0:
         raise ValueError(f"range step must be positive, got {step!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    if count < 1:
+    steps = (stop - start) / step + 1e-9  # may overflow to +-inf
+    if steps < 0:
         raise ValueError(f"range {text!r} is empty")
-    return [start + i * step for i in range(count)]
+    if not steps < MAX_GRID_POINTS:
+        raise ValueError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
+    return [start + i * step for i in range(math.floor(steps) + 1)]
 
 
 def cmd_sweep(
@@ -240,10 +244,10 @@ def cmd_membrane(config: RunConfig, spec: MembraneSpec, mode: ModeIndex) -> int:
     return 0
 
 
-def _report_payload(results) -> dict:
+def _report_payload(command: str, results) -> dict:
     return {
         "schema_version": JSON_SCHEMA_VERSION,
-        "command": "paper-report",
+        "command": command,
         "criteria": [
             {
                 "id": r.cid,
@@ -266,12 +270,7 @@ def _report_payload(results) -> dict:
     }
 
 
-def cmd_paper_report(config: RunConfig, variant_path: Path | None) -> int:
-    results = report_mod.run_all(
-        material_path=config.material_file,
-        variant_path=variant_path,
-        geometry=config.geometry(),
-    )
+def _emit_report(config: RunConfig, command: str, results) -> int:
     if config.output_format == "csv":
         rows = []
         for r in results:
@@ -284,7 +283,7 @@ def cmd_paper_report(config: RunConfig, variant_path: Path | None) -> int:
             ["criterion", "name", "check", "measured", "expected", "tolerance", "status"], rows
         )
     else:
-        text = _json_text(_report_payload(results))
+        text = _json_text(_report_payload(command, results))
     _emit(config, text)
     if config.output_path != "-":
         for r in results:
@@ -292,18 +291,20 @@ def cmd_paper_report(config: RunConfig, variant_path: Path | None) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def cmd_paper_report(config: RunConfig, variant_path: Path | None) -> int:
+    results = report_mod.run_all(
+        material_path=config.material_file,
+        variant_path=variant_path,
+        geometry=config.geometry(),
+    )
+    return _emit_report(config, "paper-report", results)
+
+
 def cmd_oracle(config: RunConfig, n_sets: int) -> int:
     mat = config.material()
     geo = config.geometry()
-    checks = report_mod.criterion_8(mat, geo, n_sets=n_sets).rows
-    checks += report_mod.criterion_9(mat, geo).rows
-    ok = True
-    for row in checks:
-        status = "ok" if row.passed else "FAIL"
-        ok = ok and row.passed
-        print(f"{status:4s} {row.label}: measured={_fmt(row.measured)} "
-              f"expected={_fmt(row.expected)} ({row.tolerance})")
-    return 0 if ok else 1
+    results = [report_mod.criterion_8(mat, geo, n_sets=n_sets), report_mod.criterion_9(mat, geo)]
+    return _emit_report(config, "oracle", results)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -415,7 +416,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return cmd_oracle(config, args.sets)
         parser.error(f"unknown command {args.command!r}")
-    except (QuadratureConvergenceError, EigensolveConvergenceError) as exc:
+    except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (MaterialFileError, ValueError, OSError) as exc:

@@ -1,8 +1,10 @@
 """Independent brute-force validators for the closed-form mode figures.
 
-Quadrature oracles rebuild the Hermite-Gaussian mode shape from scratch and
-integrate it in two dimensions, so a defect in any closed form shows up as a
-disagreement here.  The trapped-mode eigenproblem is additionally solved by
+Quadrature oracles integrate ``cavity.mode_shape`` (``u`` for the electrode
+overlap, ``u**2`` for mass and escape) over the plate in two dimensions.
+The closed forms never evaluate that shape, so a disagreement here shows a
+defect in a closed form, or a mode shape that is not the one the closed
+forms describe.  The trapped-mode eigenproblem is additionally solved by
 finite differences to validate the envelope curvature and the harmonic level
 structure from the underlying wave equation rather than from its known
 solution.
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityGeometry, ModeIndex
+from .cavity import CavityGeometry, ModeIndex, mode_shape
 from .material import MaterialParams, dispersion_parameters, stiffened_constants
-from .specfun import QuadratureSpec, hermite, integrate_2d
+from .specfun import QuadratureSpec, integrate_2d
 
 __all__ = [
     "EigenSolveConfig",
@@ -86,19 +88,9 @@ class TrapEigenResult:
 
 
 def _mode_density(mode: ModeIndex, alpha: float, beta: float):
-    # u^2 with unit amplitude, evaluated without any closed-form shortcuts
-    ax = alpha * mode.n * math.pi
-    ay = beta * mode.n * math.pi
-    sx, sy = math.sqrt(ax), math.sqrt(ay)
-    m, p = mode.m, mode.p
-
-    def usq(x, y):
-        return (
-            np.exp(-ax * x * x) * hermite(m, sx * x) ** 2
-            * np.exp(-ay * y * y) * hermite(p, sy * y) ** 2
-        )
-
-    return usq
+    # u^2 of the unit-amplitude mode shape
+    u = mode_shape(mode, alpha, beta)
+    return lambda x, y: u(x, y) ** 2
 
 
 def mass_integral_oracle(
@@ -147,17 +139,7 @@ def overlap_integral_oracle(
     mu = (n sqrt(alpha beta) / 2) * integral of u over the electrode, the
     normalization under which full coverage of a fundamental mode gives 1.
     """
-    ax = alpha * mode.n * math.pi
-    ay = beta * mode.n * math.pi
-    sx, sy = math.sqrt(ax), math.sqrt(ay)
-    m, p = mode.m, mode.p
-
-    def u(x, y):
-        return (
-            np.exp(-0.5 * ax * x * x) * hermite(m, sx * x)
-            * np.exp(-0.5 * ay * y * y) * hermite(p, sy * y)
-        )
-
+    u = mode_shape(mode, alpha, beta)
     surf = integrate_2d(u, (-L_tilde, L_tilde), (-L_tilde, L_tilde), _ORACLE_QUAD)
     return 0.5 * mode.n * math.sqrt(alpha * beta) * surf
 

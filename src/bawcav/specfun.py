@@ -3,14 +3,18 @@
 Everything here is pure and reentrant: no caches, no global mutable state,
 safe for concurrent callers.  ``erf`` and ``erfc`` are input-checked
 wrappers of ``math.erf`` and ``math.erfc``; ``erfcx`` adds a continued
-fraction for the range where erfc underflows.  The quadrature
-routines below are independent of them, so the test suite uses
-``integrate_1d`` as the reference for erf, and the 2-D oracles use
-``integrate_2d`` as the reference for every closed form.
+fraction for the range where erfc underflows.
+
+One adaptive engine, tensor-product Boole refinement of boxes in any number
+of axes, sits behind both integrators.  It is independent of the functions
+above: ``integrate_1d`` stays as the test suite's reference for erf and the
+Hermite recurrences, and ``integrate_2d`` is the reference the oracles
+check every closed form against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -193,15 +197,94 @@ def hermite(k: int, x):
 
 
 # ---------------------------------------------------------------------------
-# adaptive quadrature (Boole-rule bisection, batched over panels)
+# adaptive quadrature (tensor-product Boole rule on bisected boxes)
 # ---------------------------------------------------------------------------
 
 _BOOLE_W = np.array([7.0, 32.0, 12.0, 32.0, 7.0]) / 90.0
+# Boole weights on a 9-node axis: column 0 covers the lower half, column 1
+# the upper; the middle node belongs to both.
+_HALVES_W = np.zeros((9, 2))
+_HALVES_W[:5, 0] = _BOOLE_W
+_HALVES_W[4:, 1] = _BOOLE_W
 
 
-def _check_finite(vals: np.ndarray):
+def _boole(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # contract every grid axis of vals (K, g, ..., g) with weights (g, c)
+    for _ in range(vals.ndim - 1):
+        vals = np.tensordot(vals, weights, axes=(1, 0))
+    return vals
+
+
+def _sample(f, lows: np.ndarray, width: np.ndarray, nodes: np.ndarray, mask: np.ndarray):
+    # f at lows + width * nodes (per axis) of every box, where mask is set;
+    # one batched call, values shaped (boxes, mask.sum())
+    k, d = lows.shape
+    grid = (k,) + mask.shape
+    coords = []
+    for axis in range(d):
+        c = lows[:, axis, None] + width[axis] * nodes
+        c = c.reshape((k,) + (1,) * axis + (len(nodes),) + (1,) * (d - 1 - axis))
+        coords.append(np.broadcast_to(c, grid)[:, mask].ravel())
+    vals = np.asarray(f(*coords), dtype=float).reshape(k, -1)
     if not np.all(np.isfinite(vals)):
         raise ValueError("integrand returned a non-finite value")
+    return vals
+
+
+def _integrate(f, lo, hi, spec: QuadratureSpec, name: str) -> float:
+    # Adaptive Boole refinement over the box lo..hi in d = len(lo) axes.
+    # Each box holds f on its 5^d grid; a sweep samples every pending box on
+    # its 9^d grid, whose 2^d sub-grids give the bisected (fine) estimate.
+    # Richardson |fine - coarse| / 63 bounds the error; boxes within their
+    # volume share of the tolerance are done, the rest split into their 2^d
+    # children.  Boxes of one sweep share one depth, hence one width.
+    lows = np.array([lo], dtype=float)
+    width = np.array(hi, dtype=float) - lows[0]
+    d = len(width)
+    total = float(np.prod(width))
+    corners = np.array(list(itertools.product((0, 1), repeat=d)))
+    new_nodes = np.ones((9,) * d, dtype=bool)
+    new_nodes[(slice(None, None, 2),) * d] = False
+
+    fv = _sample(f, lows, width, np.linspace(0.0, 1.0, 5), np.ones((5,) * d, dtype=bool))
+    coarse = total * _boole(fv.reshape((1,) + (5,) * d), _BOOLE_W).reshape(1)
+    done_vals: list[float] = []
+    done_errs: list[float] = []
+
+    for depth in range(spec.max_depth + 1):
+        k = len(lows)
+        allv = np.empty((k,) + (9,) * d)
+        allv[:, ~new_nodes] = fv.reshape(k, -1)
+        allv[:, new_nodes] = _sample(f, lows, width, np.linspace(0.0, 1.0, 9), new_nodes)
+        volume = float(np.prod(width))
+        children = _boole(allv, _HALVES_W).reshape(k, -1) * (volume / 2**d)
+        fine = children.sum(axis=1)
+        err = np.abs(fine - coarse) / 63.0
+
+        est_total = math.fsum(done_vals) + float(np.sum(fine))
+        tol = max(spec.abs_tol, spec.rel_tol * abs(est_total))
+        ok = err <= tol * (volume / total)
+
+        done_vals.extend(fine[ok].tolist())
+        done_errs.extend(err[ok].tolist())
+        if np.all(ok):
+            return math.fsum(done_vals)
+
+        bad = ~ok
+        if depth == spec.max_depth:
+            raise QuadratureConvergenceError(
+                f"{name} did not converge within depth {spec.max_depth}",
+                math.fsum(done_vals) + float(np.sum(fine[bad])),
+                math.fsum(done_errs) + float(np.sum(err[bad])),
+            )
+        width = 0.5 * width
+        lows = (lows[bad] + corners[:, None, :] * width).reshape(-1, d)
+        split = allv[bad]
+        fv = np.concatenate([
+            split[(slice(None),) + tuple(slice(4 * c, 4 * c + 5) for c in corner)]
+            for corner in corners
+        ])
+        coarse = children[bad].T.ravel()
 
 
 def integrate_1d(
@@ -222,66 +305,7 @@ def integrate_1d(
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
         raise ValueError(f"bad interval [{a!r}, {b!r}]")
-    total_len = b - a
-
-    lows = np.array([a])
-    highs = np.array([b])
-    depths = np.array([0])
-    xs = np.linspace(a, b, 5)
-    fv = np.asarray(f(xs), dtype=float).reshape(1, 5)
-    _check_finite(fv)
-    coarse = (highs - lows) * (fv @ _BOOLE_W)
-
-    done_vals: list[float] = []
-    done_errs: list[float] = []
-
-    for _ in range(spec.max_depth + 1):
-        K = len(lows)
-        h = highs - lows
-        # 4 new nodes per panel at odd eighths
-        offs = np.array([1.0, 3.0, 5.0, 7.0]) / 8.0
-        newx = (lows[:, None] + h[:, None] * offs[None, :]).ravel()
-        newf = np.asarray(f(newx), dtype=float).reshape(K, 4)
-        _check_finite(newf)
-        # child sample sets: even indices come from the parent 5-point grid
-        left = np.stack([fv[:, 0], newf[:, 0], fv[:, 1], newf[:, 1], fv[:, 2]], axis=1)
-        right = np.stack([fv[:, 2], newf[:, 2], fv[:, 3], newf[:, 3], fv[:, 4]], axis=1)
-        fine = 0.5 * h * ((left @ _BOOLE_W) + (right @ _BOOLE_W))
-        err = np.abs(fine - coarse) / 63.0
-
-        est_total = math.fsum(done_vals) + float(np.sum(fine))
-        tol = max(spec.abs_tol, spec.rel_tol * abs(est_total))
-        budget = tol * (h / total_len)
-        ok = err <= budget
-
-        done_vals.extend(fine[ok].tolist())
-        done_errs.extend(err[ok].tolist())
-        if np.all(ok):
-            return math.fsum(done_vals)
-
-        # split the panels that failed
-        bad = ~ok
-        mid = 0.5 * (lows[bad] + highs[bad])
-        nd = depths[bad] + 1
-        if np.any(nd > spec.max_depth):
-            best = math.fsum(done_vals) + float(np.sum(fine[bad]))
-            bound = math.fsum(done_errs) + float(np.sum(err[bad]))
-            raise QuadratureConvergenceError(
-                f"integrate_1d did not converge within depth {spec.max_depth}",
-                best,
-                bound,
-            )
-        lows = np.concatenate([lows[bad], mid])
-        highs = np.concatenate([mid, highs[bad]])
-        depths = np.concatenate([nd, nd])
-        fv = np.concatenate([left[bad], right[bad]])
-        coarse = np.concatenate(
-            [0.5 * h[bad] * (left[bad] @ _BOOLE_W), 0.5 * h[bad] * (right[bad] @ _BOOLE_W)]
-        )
-
-    raise QuadratureConvergenceError(  # pragma: no cover - loop bound is depth-checked
-        "integrate_1d did not converge", math.fsum(done_vals), math.fsum(done_errs)
-    )
+    return _integrate(f, (a,), (b,), spec, "integrate_1d")
 
 
 def integrate_2d(
@@ -303,82 +327,4 @@ def integrate_2d(
         raise ValueError(f"bad rectangle [{ax}, {bx}] x [{ay}, {by}]")
     if not all(math.isfinite(v) for v in (ax, bx, ay, by)):
         raise ValueError("rectangle bounds must be finite")
-    total_area = (bx - ax) * (by - ay)
-
-    # rectangle state: bounds (K,4), function values on 5x5 grids (K,5,5)
-    rect = np.array([[ax, bx, ay, by]])
-    depths = np.array([0])
-    gx = np.linspace(ax, bx, 5)
-    gy = np.linspace(ay, by, 5)
-    X, Y = np.meshgrid(gx, gy, indexing="ij")
-    fv = np.asarray(f(X.ravel(), Y.ravel()), dtype=float).reshape(1, 5, 5)
-    _check_finite(fv)
-
-    def coarse_of(r: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        area = (r[:, 1] - r[:, 0]) * (r[:, 3] - r[:, 2])
-        return area * np.einsum("i,kij,j->k", _BOOLE_W, vals, _BOOLE_W)
-
-    coarse = coarse_of(rect, fv)
-    done_vals: list[float] = []
-    done_errs: list[float] = []
-
-    for _ in range(spec.max_depth + 1):
-        K = len(rect)
-        # refine each rectangle to a 9x9 grid; 25 of 81 points are known
-        t = np.linspace(0.0, 1.0, 9)
-        xs = rect[:, 0, None] + (rect[:, 1] - rect[:, 0])[:, None] * t[None, :]
-        ys = rect[:, 2, None] + (rect[:, 3] - rect[:, 2])[:, None] * t[None, :]
-        allv = np.empty((K, 9, 9))
-        allv[:, ::2, ::2] = fv
-        need = np.ones((9, 9), dtype=bool)
-        need[::2, ::2] = False
-        Xn = np.broadcast_to(xs[:, :, None], (K, 9, 9))[:, need]
-        Yn = np.broadcast_to(ys[:, None, :], (K, 9, 9))[:, need]
-        newf = np.asarray(f(Xn.ravel(), Yn.ravel()), dtype=float).reshape(K, -1)
-        _check_finite(newf)
-        allv[:, need] = newf
-
-        xm = 0.5 * (rect[:, 0] + rect[:, 1])
-        ym = 0.5 * (rect[:, 2] + rect[:, 3])
-        children_rect = []
-        children_fv = []
-        for ix in (0, 1):
-            for iy in (0, 1):
-                xl = rect[:, 0] if ix == 0 else xm
-                xh = xm if ix == 0 else rect[:, 1]
-                yl = rect[:, 2] if iy == 0 else ym
-                yh = ym if iy == 0 else rect[:, 3]
-                children_rect.append(np.stack([xl, xh, yl, yh], axis=1))
-                children_fv.append(allv[:, 4 * ix : 4 * ix + 5, 4 * iy : 4 * iy + 5])
-        child_fine = [coarse_of(r, v) for r, v in zip(children_rect, children_fv)]
-        fine = np.sum(child_fine, axis=0)
-        err = np.abs(fine - coarse) / 63.0
-
-        est_total = math.fsum(done_vals) + float(np.sum(fine))
-        tol = max(spec.abs_tol, spec.rel_tol * abs(est_total))
-        area = (rect[:, 1] - rect[:, 0]) * (rect[:, 3] - rect[:, 2])
-        ok = err <= tol * (area / total_area)
-
-        done_vals.extend(fine[ok].tolist())
-        done_errs.extend(err[ok].tolist())
-        if np.all(ok):
-            return math.fsum(done_vals)
-
-        bad = ~ok
-        nd = depths[bad] + 1
-        if np.any(nd > spec.max_depth):
-            best = math.fsum(done_vals) + float(np.sum(fine[bad]))
-            bound = math.fsum(done_errs) + float(np.sum(err[bad]))
-            raise QuadratureConvergenceError(
-                f"integrate_2d did not converge within depth {spec.max_depth}",
-                best,
-                bound,
-            )
-        rect = np.concatenate([cr[bad] for cr in children_rect])
-        fv = np.concatenate([cv[bad] for cv in children_fv])
-        coarse = np.concatenate([cf[bad] for cf in child_fine])
-        depths = np.concatenate([nd, nd, nd, nd])
-
-    raise QuadratureConvergenceError(  # pragma: no cover
-        "integrate_2d did not converge", math.fsum(done_vals), math.fsum(done_errs)
-    )
+    return _integrate(f, (ax, ay), (bx, by), spec, "integrate_2d")

@@ -298,10 +298,15 @@ class TestThermalOccupancy:
     def test_deep_quantum_regime_underflows_cleanly(self):
         assert thermal_occupancy(2 * math.pi * 1e15, 0.001) == 0.0
 
-    @pytest.mark.parametrize("bad_t", [0.0, -1.0])
+    @pytest.mark.parametrize("bad_t", [0.0, -1.0, math.inf, math.nan])
     def test_temperature_domain(self, bad_t):
         with pytest.raises(ValueError, match="temperature"):
             thermal_occupancy(1e6, bad_t)
+
+    def test_classical_overflow_raises(self):
+        # hbar omega / kT ~ 1.5e-312: the occupancy 1/x exceeds the double range
+        with pytest.raises(OverflowError, match="double range"):
+            thermal_occupancy(2 * math.pi * 3.15e6, 1e308)
 
 
 class TestCharacterize:

@@ -40,6 +40,19 @@ class TestCharacterize:
         assert code == 2
         assert "material" in err
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["--temp-k", "inf"], 2),
+        (["--eta", "1e200"], 3),
+        (["--eta", "1e-200"], 3),
+        (["--temp-k", "1e308"], 3),
+    ])
+    def test_numeric_errors_exit_cleanly(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, "characterize", *argv)
+        assert code == expected
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert "inf" not in out and "nan" not in out
+
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(capsys, "characterize", "--n", "1", "--format", "json")
         assert code == 0
@@ -81,6 +94,17 @@ class TestSweep:
     def test_empty_range_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--n", "1", "--eta-range", "2:1:0.5")
         assert code == 2
+
+    @pytest.mark.parametrize("grid, message", [
+        ("1:1e9:1e-9", "more than 1000000 points"),
+        ("1:inf:1", "finite"),
+        ("nan:2:1", "finite"),
+    ])
+    def test_unbounded_range_exits_2(self, capsys, grid, message):
+        code, out, err = run_cli(capsys, "sweep", "--n", "1", "--eta-range", grid)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_both_ranges_rejected(self, capsys):
         code, _, _ = run_cli(
@@ -195,6 +219,13 @@ class TestOracleCmd:
         assert code == 0
         assert "harmonic ladder" in out
 
+    def test_json_output(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "--sets", "1", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["command"] == "oracle"
+        assert [c["id"] for c in doc["criteria"]] == [8, 9]
+
     def test_nonconvergence_maps_to_exit_3(self, capsys, monkeypatch):
         from bawcav import cli
         from bawcav.specfun import QuadratureConvergenceError
@@ -236,6 +267,12 @@ class TestSweepModes:
         assert code == 2
         assert out == ""
         assert "(m, p) = (200, 0)" in err
+
+    def test_subnormal_zero_point_spread_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "characterize", "--n", "1", "--m", "150", "--eta", "60")
+        assert code == 2
+        assert out == ""
+        assert "(m, p) = (150, 0)" in err
 
     def test_odd_inplane_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--n", "1", "--m", "1", "--eta-range", "1:2:0.5")
