@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _PI_M14 = math.pi**-0.25  # pi^{-1/4} = psi_0(0), orthonormal Hermite functions
+_DBL_MIN = sys.float_info.min  # smallest normal double
 
 
 @dataclass(frozen=True)
@@ -208,6 +209,11 @@ def _axis_energy_fraction(m: int, t: float) -> float:
     return erf(t) - _hermite_tail(m, t, _PI_M14 * math.exp(-0.5 * t * t))
 
 
+def _mode_at(mode: ModeIndex, eta_x: float, eta_y: float) -> str:
+    # names the in-plane numbers and trapping of a figure in error messages
+    return f"(m, p) = ({mode.m}, {mode.p}) at eta = ({eta_x!r}, {eta_y!r})"
+
+
 def _check_eta(eta_x: float, eta_y: float):
     if not (eta_x >= 0 and eta_y >= 0 and math.isfinite(eta_x) and math.isfinite(eta_y)):
         raise ValueError(f"trapping parameters must be non-negative, got {eta_x!r}, {eta_y!r}")
@@ -295,7 +301,9 @@ def effective_mass(
     H_m(z) along each axis, not normalised, so I_m -> 2^m m! sqrt(pi) for
     strong trapping and xi falls by 2^m m! 2^p p!; xi(1, 60, 0) ~ 2.7e-99
     at eta = 1 by design.  Raises ValueError when that mass integral is not
-    representable as a double.
+    representable as a double, and FloatingPointError, naming eta and
+    (m, p), when xi or the product of the on-plate energy fractions leaves
+    the normal double range.
     """
     if not (eta_x > 0 and eta_y > 0):
         raise ValueError("effective mass requires strictly positive trapping parameters")
@@ -310,7 +318,18 @@ def effective_mass(
     fx = _axis_energy_fraction(mode.m, math.sqrt(n) * eta_x)
     fy = _axis_energy_fraction(mode.p, math.sqrt(n) * eta_y)
     m_flat = 4.0 * mat.rho * geo.h0 * geo.L**2
-    xi = (4.0 / math.pi) * eta_x * eta_y * n / (fx * fy * norm)
+    # a subnormal fx * fy would cost xi digits without a sign
+    fxy = fx * fy
+    if fxy < _DBL_MIN:
+        raise FloatingPointError(
+            f"the on-plate energy fractions of {_mode_at(mode, eta_x, eta_y)}"
+            " are below the normal double range"
+        )
+    xi = (4.0 / math.pi) * eta_x * eta_y * n / (fxy * norm)
+    if not _DBL_MIN <= xi < math.inf:
+        raise FloatingPointError(
+            f"xi of {_mode_at(mode, eta_x, eta_y)} is outside the normal double range"
+        )
     return m_flat / xi, m_flat, xi
 
 
@@ -377,7 +396,14 @@ def characterize(
         if not (eta_override > 0 and math.isfinite(eta_override)):
             raise ValueError(f"eta override must be positive, got {eta_override!r}")
         eta_x = eta_y = float(eta_override)
-        alpha = beta = eta_x**2 / (math.pi * geo.L**2)
+        try:
+            alpha = beta = eta_x**2 / (math.pi * geo.L**2)
+        except OverflowError:
+            alpha = beta = math.inf
+        if alpha == math.inf:
+            raise OverflowError(
+                f"the envelope curvature of {_mode_at(mode, eta_x, eta_y)} exceeds the double range"
+            )
     else:
         alpha, beta = envelope_curvatures(mat, geo, mode.n)
         eta_x, eta_y = trapping_parameters(alpha, beta, geo.L)
@@ -385,13 +411,14 @@ def characterize(
     m_eff, m_flat, xi = effective_mass(mat, geo, mode, eta_x, eta_y)
     omega = mode_frequency(mat, geo, mode, leading_order=leading_order)
     x_sq = HBAR / (2.0 * omega * m_eff)
-    if x_sq < sys.float_info.min:
+    p_sq = HBAR * omega * m_eff / 2.0
+    if x_sq < _DBL_MIN or p_sq < _DBL_MIN:
         raise ValueError(
-            f"the squared zero-point spread of in-plane numbers (m, p) = ({mode.m}, {mode.p})"
+            f"a squared zero-point spread of {_mode_at(mode, eta_x, eta_y)}"
             " is below the normal double range"
         )
     x = math.sqrt(x_sq)
-    p = math.sqrt(HBAR * omega * m_eff / 2.0)
+    p = math.sqrt(p_sq)
     return ModeCharacterization(
         omega=omega,
         alpha=alpha,

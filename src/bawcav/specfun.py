@@ -5,8 +5,10 @@ safe for concurrent callers.  ``erf`` and ``erfc`` are input-checked
 wrappers of ``math.erf`` and ``math.erfc``; ``erfcx`` adds a continued
 fraction for the range where erfc underflows.
 
-One adaptive engine, tensor-product Boole refinement of boxes in any number
-of axes, sits behind both integrators.  It is independent of the functions
+One adaptive engine sits behind both integrators: a tensor-product
+Gauss-Kronrod (G7/K15) rule on boxes in any number of axes, with the
+Kronrod-Gauss difference as each box's error and bisection of the boxes
+that miss their share of the tolerance.  It is independent of the functions
 above: ``integrate_1d`` stays as the test suite's reference for erf and the
 Hermite recurrences, and ``integrate_2d`` is the reference the oracles
 check every closed form against.
@@ -197,75 +199,69 @@ def hermite(k: int, x):
 
 
 # ---------------------------------------------------------------------------
-# adaptive quadrature (tensor-product Boole rule on bisected boxes)
+# adaptive quadrature (tensor-product Gauss-Kronrod rule on bisected boxes)
 # ---------------------------------------------------------------------------
 
-_BOOLE_W = np.array([7.0, 32.0, 12.0, 32.0, 7.0]) / 90.0
-# Boole weights on a 9-node axis: column 0 covers the lower half, column 1
-# the upper; the middle node belongs to both.
-_HALVES_W = np.zeros((9, 2))
-_HALVES_W[:5, 0] = _BOOLE_W
-_HALVES_W[4:, 1] = _BOOLE_W
-
-
-def _boole(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # contract every grid axis of vals (K, g, ..., g) with weights (g, c)
-    for _ in range(vals.ndim - 1):
-        vals = np.tensordot(vals, weights, axes=(1, 0))
-    return vals
-
-
-def _sample(f, lows: np.ndarray, width: np.ndarray, nodes: np.ndarray, mask: np.ndarray):
-    # f at lows + width * nodes (per axis) of every box, where mask is set;
-    # one batched call, values shaped (boxes, mask.sum())
-    k, d = lows.shape
-    grid = (k,) + mask.shape
-    coords = []
-    for axis in range(d):
-        c = lows[:, axis, None] + width[axis] * nodes
-        c = c.reshape((k,) + (1,) * axis + (len(nodes),) + (1,) * (d - 1 - axis))
-        coords.append(np.broadcast_to(c, grid)[:, mask].ravel())
-    vals = np.asarray(f(*coords), dtype=float).reshape(k, -1)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand returned a non-finite value")
-    return vals
+# Gauss-Kronrod G7/K15 on [-1, 1] (QUADPACK qk15; Piessens et al. 1983):
+# Kronrod nodes from the edge inwards, every second one a Gauss node.
+_XGK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_WGK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+])
+# the rule on [0, 1], nodes ascending; the Gauss nodes are the odd-indexed ones
+_GK_NODES = 0.5 - 0.5 * np.concatenate([_XGK, -_XGK[-2::-1]])
+_K15_W = 0.5 * np.concatenate([_WGK, _WGK[-2::-1]])
+_G7_W = 0.5 * np.concatenate([_WG, _WG[-2::-1]])
 
 
 def _integrate(f, lo, hi, spec: QuadratureSpec, name: str) -> float:
-    # Adaptive Boole refinement over the box lo..hi in d = len(lo) axes.
-    # Each box holds f on its 5^d grid; a sweep samples every pending box on
-    # its 9^d grid, whose 2^d sub-grids give the bisected (fine) estimate.
-    # Richardson |fine - coarse| / 63 bounds the error; boxes within their
-    # volume share of the tolerance are done, the rest split into their 2^d
-    # children.  Boxes of one sweep share one depth, hence one width.
+    # Adaptive Gauss-Kronrod refinement over the box lo..hi in d = len(lo)
+    # axes.  A sweep samples every pending box on its 15^d Kronrod grid in
+    # one batched call.  The K15 tensor contraction is the box's estimate and
+    # its distance to the G7 contraction (odd nodes only) bounds the error;
+    # boxes within their volume share of the tolerance are done, the rest
+    # split into their 2^d children.  Boxes of one sweep share one depth,
+    # hence one width.
     lows = np.array([lo], dtype=float)
     width = np.array(hi, dtype=float) - lows[0]
     d = len(width)
     total = float(np.prod(width))
     corners = np.array(list(itertools.product((0, 1), repeat=d)))
-    new_nodes = np.ones((9,) * d, dtype=bool)
-    new_nodes[(slice(None, None, 2),) * d] = False
-
-    fv = _sample(f, lows, width, np.linspace(0.0, 1.0, 5), np.ones((5,) * d, dtype=bool))
-    coarse = total * _boole(fv.reshape((1,) + (5,) * d), _BOOLE_W).reshape(1)
+    nodes = _GK_NODES[np.indices((15,) * d).reshape(d, -1)]  # per axis, 15^d
     done_vals: list[float] = []
     done_errs: list[float] = []
 
     for depth in range(spec.max_depth + 1):
-        k = len(lows)
-        allv = np.empty((k,) + (9,) * d)
-        allv[:, ~new_nodes] = fv.reshape(k, -1)
-        allv[:, new_nodes] = _sample(f, lows, width, np.linspace(0.0, 1.0, 9), new_nodes)
+        points = lows[:, :, None] + width[:, None] * nodes  # (boxes, d, 15^d)
+        coords = points.swapaxes(0, 1).reshape(d, -1)
+        vals = np.asarray(f(*coords), dtype=float).reshape((len(lows),) + (15,) * d)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("integrand returned a non-finite value")
+        kron = gauss = vals
+        for _ in range(d):
+            kron = kron @ _K15_W
+            gauss = gauss[..., 1::2] @ _G7_W
         volume = float(np.prod(width))
-        children = _boole(allv, _HALVES_W).reshape(k, -1) * (volume / 2**d)
-        fine = children.sum(axis=1)
-        err = np.abs(fine - coarse) / 63.0
+        kron = kron * volume
+        err = np.abs(kron - gauss * volume)
 
-        est_total = math.fsum(done_vals) + float(np.sum(fine))
+        est_total = math.fsum(done_vals) + float(np.sum(kron))
         tol = max(spec.abs_tol, spec.rel_tol * abs(est_total))
         ok = err <= tol * (volume / total)
 
-        done_vals.extend(fine[ok].tolist())
+        done_vals.extend(kron[ok].tolist())
         done_errs.extend(err[ok].tolist())
         if np.all(ok):
             return math.fsum(done_vals)
@@ -274,17 +270,11 @@ def _integrate(f, lo, hi, spec: QuadratureSpec, name: str) -> float:
         if depth == spec.max_depth:
             raise QuadratureConvergenceError(
                 f"{name} did not converge within depth {spec.max_depth}",
-                math.fsum(done_vals) + float(np.sum(fine[bad])),
+                math.fsum(done_vals) + float(np.sum(kron[bad])),
                 math.fsum(done_errs) + float(np.sum(err[bad])),
             )
         width = 0.5 * width
         lows = (lows[bad] + corners[:, None, :] * width).reshape(-1, d)
-        split = allv[bad]
-        fv = np.concatenate([
-            split[(slice(None),) + tuple(slice(4 * c, 4 * c + 5) for c in corner)]
-            for corner in corners
-        ])
-        coarse = children[bad].T.ravel()
 
 
 def integrate_1d(
@@ -293,13 +283,14 @@ def integrate_1d(
     b: float,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
-    """Adaptive composite Boole integration of f over [a, b].
+    """Adaptive Gauss-Kronrod (G7/K15) integration of f over [a, b].
 
     ``f`` must accept a 1-D numpy array and return values elementwise.  Each
-    panel is compared against its bisected refinement (Richardson estimate
-    |fine - coarse| / 63); panels whose error exceeds their length-weighted
-    share of the tolerance are split.  Raises QuadratureConvergenceError if
-    the depth budget runs out, carrying the best estimate and error bound.
+    panel's 15-point Kronrod sum is its estimate and the distance to the
+    7-point Gauss sum its error; panels whose error exceeds their
+    length-weighted share of the tolerance are bisected.  Raises
+    QuadratureConvergenceError if the depth budget runs out, carrying the
+    best estimate and error bound.
     """
     a = float(a)
     b = float(b)
@@ -314,12 +305,13 @@ def integrate_2d(
     y_bounds: tuple[float, float],
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
-    """Adaptive quadtree integration of f over an axis-aligned rectangle.
+    """Adaptive Gauss-Kronrod integration of f over an axis-aligned rectangle.
 
-    Tensor-product Boole rule on each rectangle, refined by splitting into
-    four children; all pending rectangles are evaluated in one batched call
-    per sweep, so ``f`` must be vectorized (equal-shape x, y arrays in,
-    values out).
+    Tensor-product G7/K15 rule on 15 x 15 nodes per rectangle, with
+    |Kronrod - Gauss| as its error; rectangles that miss their area share of
+    the tolerance split into four.  All pending rectangles are evaluated in
+    one batched call per sweep, so ``f`` must be vectorized (equal-shape
+    1-D x, y arrays in, values out).
     """
     ax, bx = (float(v) for v in x_bounds)
     ay, by = (float(v) for v in y_bounds)

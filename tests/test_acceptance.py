@@ -5,7 +5,9 @@ failure) and asserts the criterion outcome; the same checks back the
 ``bawcav paper-report`` command.
 """
 
-from bawcav import report
+import pytest
+
+from bawcav import oracle, report
 from bawcav.material import bundled_material_path, load_material
 
 MAT = load_material(bundled_material_path("quartz"))
@@ -53,6 +55,39 @@ def test_criterion_07_electrode_figures():
 
 def test_criterion_08_oracle_equivalence():
     _assert_criterion(report.criterion_8(MAT, GEO, n_sets=20))
+
+
+@pytest.fixture(scope="module")
+def counted_criterion_8():
+    # criterion 8 with every integrand point its oracles request counted
+    sizes = []
+    integrate_2d = oracle.integrate_2d
+
+    def counting(f, *bounds_and_spec):
+        def counted(x, y):
+            sizes.append(x.size)
+            return f(x, y)
+
+        return integrate_2d(counted, *bounds_and_spec)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "integrate_2d", counting)
+        result = report.criterion_8(MAT, GEO, n_sets=20)
+    return result, sum(sizes)
+
+
+def test_criterion_08_point_budget(counted_criterion_8):
+    # 3.3 M points at G7/K15; the bound catches a slide back toward the 47.8 M
+    # that composite Boole panels need for the same tolerance
+    _, points = counted_criterion_8
+    assert points <= 5_000_000
+
+
+def test_criterion_08_deviations_at_rounding_level(counted_criterion_8):
+    # stricter than the report's own 1e-8 cell, which stays the published gate
+    result, _ = counted_criterion_8
+    for row in result.rows:
+        assert row.measured <= 1e-13, f"{row.label}: {row.measured:.3e}"
 
 
 def test_criterion_09_eigensolver():

@@ -229,6 +229,15 @@ class TestEffectiveMass:
         with pytest.raises(ValueError, match=r"\(m, p\) = \(200, 0\)"):
             effective_mass(QUARTZ, GEO, ModeIndex(1, 200, 0), 1.0, 1.0)
 
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_subnormal_energy_fractions_rejected(self, m):
+        # at eta = 1e-160 the product fx * fy is subnormal (~1e-320), not 0;
+        # used as is it gave xi = 0.2499 where the eta -> 0 limit is 0.25
+        with pytest.raises(FloatingPointError, match=rf"\(m, p\) = \({m}, 0\) at eta = \(1e-160"):
+            effective_mass(QUARTZ, GEO, ModeIndex(1, m, 0), 1e-160, 1e-160)
+        _, _, xi = effective_mass(QUARTZ, GEO, ModeIndex(1, m, 0), 1e-150, 1e-150)
+        assert xi == pytest.approx(1.0 if m == 0 else 0.25, rel=1e-12)
+
     def test_mode_22_closed_form(self):
         eta, n = 1.7, 3
         _, _, xi = effective_mass(QUARTZ, GEO, ModeIndex(n, 2, 2), eta, eta)

@@ -53,6 +53,14 @@ class TestCharacterize:
         assert "Traceback" not in err
         assert "inf" not in out and "nan" not in out
 
+    @pytest.mark.parametrize("eta", ["1e200", "1e-200"])
+    def test_numeric_error_names_eta_and_mode(self, capsys, eta):
+        code, out, err = run_cli(capsys, "characterize", "--eta", eta)
+        assert code == 3
+        assert out == ""
+        assert repr(float(eta)) in err
+        assert "(m, p) = (0, 0)" in err
+
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(capsys, "characterize", "--n", "1", "--format", "json")
         assert code == 0

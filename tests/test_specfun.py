@@ -21,6 +21,17 @@ from bawcav.specfun import (
 TIGHT = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300, max_depth=40)
 
 
+def counted(f):
+    # f, plus a list that collects how many points each batched call asked for
+    sizes = []
+
+    def g(*coords):
+        sizes.append(coords[0].size)
+        return f(*coords)
+
+    return g, sizes
+
+
 def erf_by_quadrature(x: float) -> float:
     # independent oracle: (2/sqrt(pi)) * integral of exp(-t^2) from 0 to x
     if x == 0.0:
@@ -157,6 +168,22 @@ class TestQuadrature1D:
             ref = sum(ci * (b ** (i + 1) - a ** (i + 1)) / (i + 1) for i, ci in enumerate(c))
             assert val == pytest.approx(ref, rel=1e-13, abs=1e-13)
 
+    def test_degree_13_in_one_box(self):
+        # G7 is exact to degree 13, so |K15 - G7| is rounding and the first
+        # box, 15 Kronrod nodes, already meets the tolerance
+        c = np.random.default_rng(11).uniform(-2, 2, 14)
+        a, b = -1.3, 2.1
+        f, sizes = counted(lambda x: np.polynomial.polynomial.polyval(x, c))
+        val = integrate_1d(f, a, b)
+        ref = sum(ci * (b ** (i + 1) - a ** (i + 1)) / (i + 1) for i, ci in enumerate(c))
+        assert sizes == [15]
+        assert val == pytest.approx(ref, rel=1e-13, abs=1e-13)
+
+    def test_gaussian_refines(self):
+        f, sizes = counted(lambda x: np.exp(-x * x))
+        assert integrate_1d(f, 0.0, 12.0) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-13)
+        assert len(sizes) > 1  # refined past depth 0
+
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             integrate_1d(lambda x: x, 1.0, 0.0)
@@ -195,6 +222,25 @@ class TestQuadrature2D:
     def test_separable_polynomial(self):
         val = integrate_2d(lambda x, y: x**2 * y**4, (0, 1), (0, 2))
         assert val == pytest.approx((1.0 / 3.0) * (32.0 / 5.0), rel=1e-13)
+
+    def test_degree_13_per_axis_in_one_box(self):
+        # a full (not separable) polynomial of degree 13 in x and in y: one
+        # box of 15 x 15 nodes
+        c = np.random.default_rng(13).uniform(-2, 2, (14, 14))
+        (ax, bx), (ay, by) = (-1.3, 2.1), (0.4, 1.9)
+        f, sizes = counted(lambda x, y: np.polynomial.polynomial.polyval2d(x, y, c))
+        val = integrate_2d(f, (ax, bx), (ay, by))
+        k = np.arange(1, 15)
+        mx = (bx**k - ax**k) / k
+        my = (by**k - ay**k) / k
+        assert sizes == [225]
+        assert val == pytest.approx(mx @ c @ my, rel=1e-13, abs=1e-13)
+
+    def test_gaussian_refines(self):
+        f, sizes = counted(lambda x, y: np.exp(-x * x - y * y))
+        val = integrate_2d(f, (-6, 6), (-6, 6))
+        assert val == pytest.approx(math.pi, rel=1e-13)
+        assert len(sizes) > 1  # refined past depth 0
 
     def test_bad_rectangle(self):
         with pytest.raises(ValueError):
