@@ -45,15 +45,13 @@ _DBL_MIN = sys.float_info.min  # smallest normal double
 class CavityGeometry:
     """Square-plate geometry: half-width L, half-thickness h0, curvature R.
 
-    The optional electrode half-width L_tilde is carried for readout
-    calculations.  Validation enforces the thin-curved-plate regime
-    2*h0 < R/10 under which the trapped-mode model holds.
+    Validation enforces the thin-curved-plate regime 2*h0 < R/10 under
+    which the trapped-mode model holds.
     """
 
     L: float
     h0: float
     R: float
-    L_tilde: float | None = None
 
     def __post_init__(self):
         for name in ("L", "h0", "R"):
@@ -64,11 +62,6 @@ class CavityGeometry:
             raise ValueError(
                 f"plate thickness 2*h0={2 * self.h0!r} must stay below R/10={self.R / 10.0!r}"
             )
-        if self.L_tilde is not None:
-            if not (math.isfinite(self.L_tilde) and 0.0 < self.L_tilde < self.L):
-                raise ValueError(
-                    f"L_tilde must lie in (0, L), got {self.L_tilde!r} with L={self.L!r}"
-                )
 
 
 @dataclass(frozen=True)
@@ -410,6 +403,11 @@ def characterize(
     chi = escape_probability(mode, eta_x, eta_y)
     m_eff, m_flat, xi = effective_mass(mat, geo, mode, eta_x, eta_y)
     omega = mode_frequency(mat, geo, mode, leading_order=leading_order)
+    if not (omega < math.inf and _DBL_MIN <= min(m_eff, m_flat) and m_eff < math.inf):
+        raise OverflowError(
+            f"the frequency or the mass of overtone n = {mode.n},"
+            f" {_mode_at(mode, eta_x, eta_y)}, is outside the normal double range"
+        )
     x_sq = HBAR / (2.0 * omega * m_eff)
     p_sq = HBAR * omega * m_eff / 2.0
     if x_sq < _DBL_MIN or p_sq < _DBL_MIN:

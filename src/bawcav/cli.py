@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: characterize | sweep | electrode | membrane | paper-report |
-oracle.  Numeric output is rendered with nine significant digits and '.'
+oracle.  Each ``cmd_*`` returns its table; ``main`` renders it once, as CSV
+or JSON.  Numeric output is rendered with nine significant digits and '.'
 decimal separators regardless of locale, so identical inputs give
 byte-identical CSV/JSON.  Exit codes: 0 success, 1 failed report checks,
 2 validation or usage error, 3 numerical failure (non-convergence, or a
@@ -12,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import report as report_mod
 from .cavity import (
@@ -28,11 +30,11 @@ from .cavity import (
     escape_probability_log10,
     trapping_parameters,
 )
-from .detection import MU_OPT_3SIGMA, design_electrode, shunt_impedance
+from .detection import MU_OPT_3SIGMA, design_electrode
 from .material import MaterialFileError, bundled_material_path, load_material
 from .membrane import MembraneSpec, compare
 
-__all__ = ["main", "entry", "RunConfig"]
+__all__ = ["main", "entry"]
 
 JSON_SCHEMA_VERSION = 1
 MAX_GRID_POINTS = 1_000_000  # per --eta-range / --R-range
@@ -45,35 +47,17 @@ CHARACTERIZE_COLUMNS = [
     "m_eff_kg", "m_flat_kg", "x_zpf_m", "p_zpf", "n_thermal",
 ]
 ELECTRODE_COLUMNS = ["n", "L_tilde_opt_m", "mu", "C0_F", "Z_closed_form_ohm", "Z_derived_ohm"]
+MEMBRANE_COLUMNS = ["quantity", "cavity", "membrane"]
+REPORT_COLUMNS = ["criterion", "name", "check", "measured", "expected", "tolerance", "status"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run inputs shared by all subcommands."""
+class Table(NamedTuple):
+    """A command's result: its CSV columns and rows, and the JSON fields
+    that replace the row list when the command has a layout of its own."""
 
-    material_file: Path
-    L: float
-    h0: float
-    R: float
-    L_tilde: float | None
-    eta_override: float | None
-    temperature: float
-    output_format: str
-    output_path: str
-
-    def __post_init__(self):
-        if self.output_format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.output_format!r}")
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature!r}")
-        if self.eta_override is not None and not self.eta_override > 0:
-            raise ValueError(f"eta override must be positive, got {self.eta_override!r}")
-
-    def geometry(self) -> CavityGeometry:
-        return CavityGeometry(L=self.L, h0=self.h0, R=self.R, L_tilde=self.L_tilde)
-
-    def material(self):
-        return load_material(self.material_file)
+    columns: list[str]
+    rows: list
+    body: dict | None = None
 
 
 def _fmt(v) -> str:
@@ -89,56 +73,23 @@ def _round9(v):
     return v
 
 
-def _csv_text(columns: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
+def _material(args):
+    return load_material(args.material or bundled_material_path("quartz"))
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _geometry(args) -> CavityGeometry:
+    return CavityGeometry(L=args.L, h0=args.h0, R=args.R)
 
 
-def _emit(config: RunConfig, text: str):
-    if config.output_path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(config.output_path).write_text(text)
-
-
-def _rows_payload(command: str, columns: list[str], rows: list[list]) -> dict:
-    return {
-        "schema_version": JSON_SCHEMA_VERSION,
-        "command": command,
-        "rows": [
-            {c: _round9(v) for c, v in zip(columns, row)}
-            for row in rows
-        ],
-    }
-
-
-def _characterize_row(config: RunConfig, mode: ModeIndex) -> list:
-    mat = config.material()
-    geo = config.geometry()
-    char = characterize(mat, geo, mode, config.temperature, eta_override=config.eta_override)
-    log10_chi = escape_probability_log10(mode, char.eta_x, char.eta_y)
-    return [
-        mode.n, mode.m, mode.p, char.eta_x, char.eta_y,
-        char.omega / (2.0 * math.pi), char.chi_inv, log10_chi, char.xi,
-        char.m_eff, char.m_flat, char.x_zpf, char.p_zpf, char.n_thermal,
-    ]
-
-
-def cmd_characterize(config: RunConfig, mode: ModeIndex) -> int:
-    row = _characterize_row(config, mode)
-    if config.output_format == "csv":
-        _emit(config, _csv_text(CHARACTERIZE_COLUMNS, [row]))
-    else:
-        _emit(config, _json_text(_rows_payload("characterize", CHARACTERIZE_COLUMNS, [row])))
-    return 0
+def _overtones(text: str) -> list[int]:
+    """The distinct overtones of a comma-separated list, in ascending order."""
+    try:
+        ns = {int(p) for p in text.split(",") if p.strip()}
+    except ValueError as exc:
+        raise ValueError(f"bad integer list {text!r}") from exc
+    if not ns:
+        raise ValueError("--n needs at least one overtone number")
+    return sorted(ns)
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -158,96 +109,77 @@ def _parse_grid(text: str) -> list[float]:
     return [start + i * step for i in range(math.floor(steps) + 1)]
 
 
-def cmd_sweep(
-    config: RunConfig,
-    ns: list[int],
-    eta_grid: list[float] | None,
-    r_grid: list[float] | None,
-    m: int = 0,
-    p: int = 0,
-) -> int:
-    if not ns:
-        raise ValueError("sweep needs at least one overtone number")
-    if (eta_grid is None) == (r_grid is None):
-        raise ValueError("exactly one of --eta-range / --R-range is required")
-    grid = eta_grid if eta_grid is not None else r_grid
-    if not grid:
-        raise ValueError("sweep grid is empty")
-    if eta_grid is not None and min(eta_grid) <= 0:
-        raise ValueError("eta must be > 0 everywhere in the sweep range")
-    mat = config.material()
+def cmd_characterize(args) -> Table:
+    mat = _material(args)
+    mode = ModeIndex(args.n, args.m, args.p)
+    char = characterize(mat, _geometry(args), mode, args.temp_k, eta_override=args.eta)
+    log10_chi = escape_probability_log10(mode, char.eta_x, char.eta_y)
+    return Table(CHARACTERIZE_COLUMNS, [[
+        mode.n, mode.m, mode.p, char.eta_x, char.eta_y,
+        char.omega / (2.0 * math.pi), char.chi_inv, log10_chi, char.xi,
+        char.m_eff, char.m_flat, char.x_zpf, char.p_zpf, char.n_thermal,
+    ]])
 
+
+def cmd_sweep(args) -> Table:
+    ns = _overtones(args.n)
+    if (args.eta_range is None) == (args.R_range is None):
+        raise ValueError("exactly one of --eta-range / --R-range is required")
+    mat = _material(args)
+    if args.eta_range is not None:
+        geo = _geometry(args)
+        cases = [(geo, eta) for eta in _parse_grid(args.eta_range)]
+    else:
+        cases = [(CavityGeometry(L=args.L, h0=args.h0, R=r), None)
+                 for r in _parse_grid(args.R_range)]
     rows = []
-    for n in sorted(set(ns)):
-        mode = ModeIndex(n, m, p)
-        for g in grid:
-            if eta_grid is not None:
-                geo = config.geometry()
-                char = characterize(mat, geo, mode, config.temperature, eta_override=g)
-                eta = g
-            else:
-                geo = CavityGeometry(L=config.L, h0=config.h0, R=g, L_tilde=config.L_tilde)
-                char = characterize(mat, geo, mode, config.temperature)
-                eta = char.eta_x
+    for n in ns:
+        mode = ModeIndex(n, args.m, args.p)
+        for geo, eta in cases:
+            char = characterize(mat, geo, mode, args.temp_k, eta_override=eta)
             rows.append([
-                n, mode.m, mode.p, eta, char.chi_inv, char.xi,
+                n, mode.m, mode.p, char.eta_x, char.chi_inv, char.xi,
                 char.omega / (2.0 * math.pi), char.m_eff, char.x_zpf, char.p_zpf,
                 char.n_thermal,
             ])
-    if config.output_format == "csv":
-        _emit(config, _csv_text(SWEEP_COLUMNS, rows))
-    else:
-        _emit(config, _json_text(_rows_payload("sweep", SWEEP_COLUMNS, rows)))
-    return 0
+    return Table(SWEEP_COLUMNS, rows)
 
 
-def cmd_electrode(config: RunConfig, ns: list[int], mu_opt: float) -> int:
-    if not ns:
-        raise ValueError("electrode sizing needs at least one overtone number")
-    mat = config.material()
-    geo = config.geometry()
+def cmd_electrode(args) -> Table:
+    mat = _material(args)
+    geo = _geometry(args)
     rows = []
-    for n in sorted(set(ns)):
-        ModeIndex(n)  # validates oddness
-        if config.eta_override is not None:
-            eta = config.eta_override
-        else:
-            alpha, beta = envelope_curvatures(mat, geo, n)
-            eta = trapping_parameters(alpha, beta, geo.L)[0]
-        design = design_electrode(mat, geo, eta, n, mu_opt)
-        _, z_closed, _ = shunt_impedance(mat, geo, eta, n, mu_opt)
-        rows.append([n, design.L_tilde, design.mu, design.C0, z_closed, design.Z_shunt_mag])
-    if config.output_format == "csv":
-        _emit(config, _csv_text(ELECTRODE_COLUMNS, rows))
-    else:
-        _emit(config, _json_text(_rows_payload("electrode", ELECTRODE_COLUMNS, rows)))
-    return 0
+    for n in _overtones(args.n):
+        eta = args.eta
+        if eta is None:
+            eta = trapping_parameters(*envelope_curvatures(mat, geo, n), geo.L)[0]
+        design = design_electrode(mat, geo, eta, n, args.mu_opt)
+        rows.append([n, design.L_tilde, design.mu, design.C0, design.Z_closed_form,
+                     design.Z_shunt_mag])
+    return Table(ELECTRODE_COLUMNS, rows)
 
 
-def cmd_membrane(config: RunConfig, spec: MembraneSpec, mode: ModeIndex) -> int:
-    mat = config.material()
-    geo = config.geometry()
-    char = characterize(mat, geo, mode, config.temperature, eta_override=config.eta_override)
-    result = compare(char, spec, config.temperature)
-    if config.output_format == "csv":
-        rows = [[label, cav, mem] for label, cav, mem in result.rows()]
-        _emit(config, _csv_text(["quantity", "cavity", "membrane"], rows))
-    else:
-        payload = {
-            "schema_version": JSON_SCHEMA_VERSION,
-            "command": "membrane",
-            "temperature_K": _round9(config.temperature),
-            "cavity": {label: _round9(cav) for label, cav, _ in result.rows()},
-            "membrane": {label: _round9(mem) for label, _, mem in result.rows()},
-        }
-        _emit(config, _json_text(payload))
-    return 0
+def cmd_membrane(args) -> Table:
+    mat = _material(args)
+    spec = MembraneSpec(a=args.a, b=args.b, h=args.mem_h, tau=args.tau, rho=mat.rho,
+                        mode_m=args.mem_m, mode_n=args.mem_n)
+    mode = ModeIndex(args.n, args.m, args.p)
+    char = characterize(mat, _geometry(args), mode, args.temp_k, eta_override=args.eta)
+    rows = compare(char, spec, args.temp_k).rows()
+    return Table(MEMBRANE_COLUMNS, rows, {
+        "temperature_K": _round9(args.temp_k),
+        "cavity": {label: _round9(cav) for label, cav, _ in rows},
+        "membrane": {label: _round9(mem) for label, _, mem in rows},
+    })
 
 
-def _report_payload(command: str, results) -> dict:
-    return {
-        "schema_version": JSON_SCHEMA_VERSION,
-        "command": command,
+def _report_table(results) -> Table:
+    rows = [
+        [r.cid, r.name, row.label, row.measured, row.expected, row.tolerance,
+         "PASS" if row.passed else "FAIL"]
+        for r in results for row in r.rows
+    ]
+    return Table(REPORT_COLUMNS, rows, {
         "criteria": [
             {
                 "id": r.cid,
@@ -267,51 +199,31 @@ def _report_payload(command: str, results) -> dict:
             for r in results
         ],
         "all_pass": all(r.passed for r in results),
-    }
+    })
 
 
-def _emit_report(config: RunConfig, command: str, results) -> int:
-    if config.output_format == "csv":
-        rows = []
-        for r in results:
-            for row in r.rows:
-                rows.append([
-                    r.cid, r.name, row.label, row.measured, row.expected,
-                    row.tolerance, "PASS" if row.passed else "FAIL",
-                ])
-        text = _csv_text(
-            ["criterion", "name", "check", "measured", "expected", "tolerance", "status"], rows
-        )
-    else:
-        text = _json_text(_report_payload(command, results))
-    _emit(config, text)
-    if config.output_path != "-":
-        for r in results:
-            print(f"[{'PASS' if r.passed else 'FAIL'}] criterion {r.cid}: {r.name}")
-    return 0 if all(r.passed for r in results) else 1
-
-
-def cmd_paper_report(config: RunConfig, variant_path: Path | None) -> int:
-    results = report_mod.run_all(
-        material_path=config.material_file,
-        variant_path=variant_path,
-        geometry=config.geometry(),
+def cmd_paper_report(args) -> Table:
+    return _report_table(
+        report_mod.run_all(args.material, args.variant_material, _geometry(args))
     )
-    return _emit_report(config, "paper-report", results)
 
 
-def cmd_oracle(config: RunConfig, n_sets: int) -> int:
-    mat = config.material()
-    geo = config.geometry()
-    results = [report_mod.criterion_8(mat, geo, n_sets=n_sets), report_mod.criterion_9(mat, geo)]
-    return _emit_report(config, "oracle", results)
+def cmd_oracle(args) -> Table:
+    mat = _material(args)
+    geo = _geometry(args)
+    return _report_table(
+        [report_mod.criterion_8(mat, geo, n_sets=args.sets), report_mod.criterion_9(mat, geo)]
+    )
 
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise ValueError(f"bad integer list {text!r}") from exc
+COMMANDS = {
+    "characterize": cmd_characterize,
+    "sweep": cmd_sweep,
+    "electrode": cmd_electrode,
+    "membrane": cmd_membrane,
+    "paper-report": cmd_paper_report,
+    "oracle": cmd_oracle,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -321,26 +233,29 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--L", type=float, default=0.015, help="plate half-width (m)")
     common.add_argument("--h0", type=float, default=5e-4, help="plate half-thickness (m)")
     common.add_argument("--R", type=float, default=0.3, help="radius of curvature (m)")
-    common.add_argument("--L-tilde", type=float, default=None, help="electrode half-width (m)")
-    common.add_argument("--eta", type=float, default=None,
-                        help="override the trapping parameter (both axes)")
-    common.add_argument("--temp-k", type=float, default=0.02, help="temperature (K)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", default="-", metavar="PATH", help="output file ('-' = stdout)")
+    eta = argparse.ArgumentParser(add_help=False)
+    eta.add_argument("--eta", type=float, default=None,
+                     help="override the trapping parameter (both axes)")
+    temp = argparse.ArgumentParser(add_help=False)
+    temp.add_argument("--temp-k", type=float, default=0.02, help="temperature (K)")
 
     parser = argparse.ArgumentParser(
         prog="bawcav",
         description="Near-ground-state figures of curved phonon-trapping acoustic cavities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags are spelled in full, so that --eta cannot stand for sweep's --eta-range
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("characterize", parents=[common],
+    p = add("characterize", parents=[common, eta, temp],
                        help="single-mode characterization row")
     p.add_argument("--n", type=int, default=1, help="overtone number (odd)")
     p.add_argument("--m", type=int, default=0, help="in-plane number along x (even)")
     p.add_argument("--p", type=int, default=0, help="in-plane number along y (even)")
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = add("sweep", parents=[common, temp],
                        help="characterization grid over overtones and trapping/curvature")
     p.add_argument("--n", default="1", metavar="LIST", help="comma-separated odd overtones")
     p.add_argument("--m", type=int, default=0, help="in-plane number along x (even)")
@@ -348,12 +263,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-range", default=None, metavar="A:B:STEP")
     p.add_argument("--R-range", default=None, metavar="A:B:STEP")
 
-    p = sub.add_parser("electrode", parents=[common], help="optimal electrode sizing table")
+    p = add("electrode", parents=[common, eta], help="optimal electrode sizing table")
     p.add_argument("--n", default="7,37,227", metavar="LIST")
     p.add_argument("--mu-opt", type=float, default=MU_OPT_3SIGMA,
                    help="target overlap factor (default: 3-sigma coverage)")
 
-    p = sub.add_parser("membrane", parents=[common],
+    p = add("membrane", parents=[common, eta, temp],
                        help="side-by-side comparison with a stressed membrane")
     p.add_argument("--n", type=int, default=227)
     p.add_argument("--m", type=int, default=0)
@@ -365,64 +280,52 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mem-m", type=int, default=1, help="membrane mode number m")
     p.add_argument("--mem-n", type=int, default=1, help="membrane mode number n")
 
-    p = sub.add_parser("paper-report", parents=[common],
+    p = add("paper-report", parents=[common],
                        help="check library output against published reference values")
     p.add_argument("--variant-material", default=None, metavar="PATH",
                    help="piezoelectric material file for readout checks")
 
-    p = sub.add_parser("oracle", parents=[common],
+    p = add("oracle", parents=[common],
                        help="run the brute-force validation suite")
-    p.add_argument("--sets", type=int, default=20, help="random parameter sets (seeded)")
+    p.add_argument("--sets", type=int, default=20, help="random parameter sets (seeded, >= 1)")
     return parser
 
 
-def _config_from(args) -> RunConfig:
-    material = Path(args.material) if args.material else bundled_material_path("quartz")
-    return RunConfig(
-        material_file=material,
-        L=args.L,
-        h0=args.h0,
-        R=args.R,
-        L_tilde=args.L_tilde,
-        eta_override=args.eta,
-        temperature=args.temp_k,
-        output_format=args.format,
-        output_path=args.out,
-    )
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config = _config_from(args)
-        if args.command == "characterize":
-            return cmd_characterize(config, ModeIndex(args.n, args.m, args.p))
-        if args.command == "sweep":
-            ns = _parse_int_list(args.n)
-            eta_grid = _parse_grid(args.eta_range) if args.eta_range else None
-            r_grid = _parse_grid(args.R_range) if args.R_range else None
-            return cmd_sweep(config, ns, eta_grid, r_grid, m=args.m, p=args.p)
-        if args.command == "electrode":
-            return cmd_electrode(config, _parse_int_list(args.n), args.mu_opt)
-        if args.command == "membrane":
-            spec = MembraneSpec(a=args.a, b=args.b, h=args.mem_h, tau=args.tau,
-                                rho=config.material().rho,
-                                mode_m=args.mem_m, mode_n=args.mem_n)
-            return cmd_membrane(config, spec, ModeIndex(args.n, args.m, args.p))
-        if args.command == "paper-report":
-            variant = Path(args.variant_material) if args.variant_material else None
-            return cmd_paper_report(config, variant)
-        if args.command == "oracle":
-            return cmd_oracle(config, args.sets)
-        parser.error(f"unknown command {args.command!r}")
+        table = COMMANDS[args.command](args)
+        if args.format == "csv":
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(table.columns)
+            for row in table.rows:
+                writer.writerow([_fmt(v) for v in row])
+            text = buf.getvalue()
+        else:
+            body = table.body
+            if body is None:
+                body = {"rows": [{c: _round9(v) for c, v in zip(table.columns, row)}
+                                 for row in table.rows]}
+            doc = {"schema_version": JSON_SCHEMA_VERSION, "command": args.command, **body}
+            text = json.dumps(doc, indent=2) + "\n"
+        if args.out == "-":
+            sys.stdout.write(text)
+        else:
+            Path(args.out).write_text(text)
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (MaterialFileError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2  # pragma: no cover
+    # a report exits 1 on a failed check and, written to a file, still
+    # shows each criterion's outcome on stdout
+    criteria = (table.body or {}).get("criteria", [])
+    if args.out != "-":
+        for c in criteria:
+            print(f"[{'PASS' if c['passed'] else 'FAIL'}] criterion {c['id']}: {c['name']}")
+    return 0 if all(c["passed"] for c in criteria) else 1
 
 
 def entry():  # console-script hook

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cavity import CavityGeometry, ModeIndex, effective_mass
+from .cavity import _DBL_MIN, CavityGeometry, ModeIndex, effective_mass
 from .constants import HBAR
 from .material import MaterialParams
 from .specfun import erf, erf_inv, hermite
@@ -49,7 +49,8 @@ class ElectrodeDesign:
     L_tilde: float  # electrode half-width (m)
     mu: float  # achieved overlap factor
     C0: float  # parasitic capacitance (F)
-    Z_shunt_mag: float  # shunt impedance magnitude (ohm)
+    Z_closed_form: float  # published closed-form shunt impedance (ohm)
+    Z_shunt_mag: float  # shunt impedance magnitude, 1 / (omega C0) (ohm)
     mu_opt: float  # coverage target the size was derived from
 
     def __post_init__(self):
@@ -59,7 +60,7 @@ class ElectrodeDesign:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {v!r}")
-        for name in ("C0", "Z_shunt_mag"):
+        for name in ("C0", "Z_closed_form", "Z_shunt_mag"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -165,8 +166,8 @@ def optimal_electrode(geo: CavityGeometry, eta: float, n: int, mu_opt: float = M
     """
     if not 0.0 < mu_opt < 1.0:
         raise ValueError(f"mu_opt must lie in (0, 1), got {mu_opt!r}")
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta!r}")
+    if not (eta > 0 and math.isfinite(eta)):
+        raise ValueError(f"eta must be positive and finite, got {eta!r}")
     if n < 1 or n % 2 == 0:
         raise ValueError(f"overtone must be odd and positive, got {n!r}")
     return (geo.L / eta) * math.sqrt(2.0 / n) * erf_inv(math.sqrt(mu_opt))
@@ -187,7 +188,8 @@ def shunt_impedance(
     since C0 is proportional to 1/n this is exactly overtone-independent.
     Z_closed_form evaluates the published closed-form impedance expression
     verbatim; the two conventions disagree by an O(1) factor and are both
-    reported.
+    reported.  Raises OverflowError, naming eta and n, when a figure leaves
+    the normal double range.
     """
     lt = optimal_electrode(geo, eta, n, mu_opt)
     c0 = mat.eps_z * (2.0 * lt) ** 2 / (2.0 * geo.h0)
@@ -198,6 +200,11 @@ def shunt_impedance(
         * eta**2
         * erf(math.sqrt(mu_opt)) ** 2
     )
+    if not all(_DBL_MIN <= v < math.inf for v in (c0, z_closed, z_derived)):
+        raise OverflowError(
+            f"the shunt figures of overtone n = {n} at eta = {eta!r} are outside the normal"
+            " double range"
+        )
     return c0, z_closed, z_derived
 
 
@@ -220,13 +227,26 @@ def design_electrode(
     n: int,
     mu_opt: float = MU_OPT_3SIGMA,
 ) -> ElectrodeDesign:
-    """Size the electrode for mode (n, 0, 0) and collect its figures."""
+    """Size the electrode for mode (n, 0, 0) and collect its figures.
+
+    Raises OverflowError, naming eta and n, when the envelope curvature or a
+    shunt figure leaves the double range.
+    """
     lt = optimal_electrode(geo, eta, n, mu_opt)
     if lt >= geo.L:
         raise ValueError(
             f"optimal electrode half-width {lt:.4g} m does not fit the plate (L={geo.L:.4g} m)"
         )
-    alpha = eta**2 / (math.pi * geo.L**2)
+    try:
+        alpha = eta**2 / (math.pi * geo.L**2)
+    except OverflowError:
+        alpha = math.inf
+    if alpha == math.inf:
+        raise OverflowError(
+            f"the envelope curvature of overtone n = {n} at eta = {eta!r} exceeds the double range"
+        )
     mu = overlap_factor(ModeIndex(n), alpha, alpha, lt)
-    c0, _, z_derived = shunt_impedance(mat, geo, eta, n, mu_opt)
-    return ElectrodeDesign(L_tilde=lt, mu=mu, C0=c0, Z_shunt_mag=z_derived, mu_opt=mu_opt)
+    c0, z_closed, z_derived = shunt_impedance(mat, geo, eta, n, mu_opt)
+    return ElectrodeDesign(
+        L_tilde=lt, mu=mu, C0=c0, Z_closed_form=z_closed, Z_shunt_mag=z_derived, mu_opt=mu_opt
+    )

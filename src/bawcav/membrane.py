@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cavity import ModeCharacterization, thermal_occupancy
+from .cavity import _DBL_MIN, ModeCharacterization, thermal_occupancy
 from .constants import HBAR
 
 __all__ = [
@@ -114,7 +114,8 @@ def compare(
 
     Highlights the opposing design pressures: the cavity's occupancy falls
     with the overtone number at constant displacement spread, while the
-    membrane's displacement spread falls with its mode numbers.
+    membrane's displacement spread falls with its mode numbers.  Raises
+    OverflowError when a membrane figure leaves the normal double range.
     """
     omega_m = membrane_frequency(spec)
     x_zpf, _ = membrane_zpf(spec)
@@ -124,6 +125,11 @@ def compare(
         x_zpf_m=x_zpf,
         n_thermal=thermal_occupancy(omega_m, temperature),
     )
+    if not all(_DBL_MIN <= v < math.inf for v in (mem.f_hz, mem.m_eff_kg, x_zpf)):
+        raise OverflowError(
+            f"the figures of the {spec.a!r} m x {spec.b!r} m membrane"
+            " are outside the normal double range"
+        )
     cavf = ResonatorFigures(
         f_hz=cavity_char.omega / (2.0 * math.pi),
         m_eff_kg=cavity_char.m_eff,

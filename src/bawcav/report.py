@@ -186,7 +186,12 @@ def _oracle_sweep_cases(n_sets: int, seed: int):
 
 
 def criterion_8(mat: MaterialParams, geo: CavityGeometry, n_sets: int = 20) -> CriterionResult:
-    """Closed forms vs quadrature across a seeded random parameter sweep."""
+    """Closed forms vs quadrature across a seeded random parameter sweep.
+
+    (0, 0) is checked at (eta_x, eta_y) and (2, 2) at (eta_x, eta_x).
+    """
+    if n_sets < 1:
+        raise ValueError(f"the oracle sweep needs at least one parameter set, got {n_sets!r}")
     worst = {"escape(0,0)": 0.0, "escape(2,2)": 0.0, "mass(0,0)": 0.0, "mass(2,2)": 0.0, "overlap(0,0)": 0.0}
     for n, L, tx, ty, frac in _oracle_sweep_cases(n_sets, SWEEP_SEED):
         rn = math.sqrt(n)
@@ -195,25 +200,18 @@ def criterion_8(mat: MaterialParams, geo: CavityGeometry, n_sets: int = 20) -> C
         beta = eta_y**2 / (math.pi * L**2)
         geo_l = CavityGeometry(L=L, h0=geo.h0, R=geo.R)
 
-        m00 = ModeIndex(n)
-        chi_c = cavity.escape_probability(m00, eta_x, eta_y)
-        chi_o = oracle.escape_integral_oracle(m00, alpha, beta, L)
-        if chi_o > 1e-12:
-            worst["escape(0,0)"] = max(worst["escape(0,0)"], abs(chi_c - chi_o) / chi_o)
-        me_c, _, _ = cavity.effective_mass(mat, geo_l, m00, eta_x, eta_y)
-        me_o = oracle.mass_integral_oracle(m00, alpha, beta, L, mat.rho, geo.h0)
-        worst["mass(0,0)"] = max(worst["mass(0,0)"], abs(me_c - me_o) / me_o)
-
-        m22 = ModeIndex(n, 2, 2)
-        chi_c = cavity.escape_probability(m22, eta_x, eta_x)
-        chi_o = oracle.escape_integral_oracle(m22, alpha, alpha, L)
-        if chi_o > 1e-12:
-            worst["escape(2,2)"] = max(worst["escape(2,2)"], abs(chi_c - chi_o) / chi_o)
-        me_c, _, _ = cavity.effective_mass(mat, geo_l, m22, eta_x, eta_x)
-        me_o = oracle.mass_integral_oracle(m22, alpha, alpha, L, mat.rho, geo.h0)
-        worst["mass(2,2)"] = max(worst["mass(2,2)"], abs(me_c - me_o) / me_o)
+        for mode, ey, b in ((ModeIndex(n), eta_y, beta), (ModeIndex(n, 2, 2), eta_x, alpha)):
+            tag = f"({mode.m},{mode.p})"
+            chi_c = cavity.escape_probability(mode, eta_x, ey)
+            chi_o = oracle.escape_integral_oracle(mode, alpha, b, L)
+            if chi_o > 1e-12:
+                worst[f"escape{tag}"] = max(worst[f"escape{tag}"], abs(chi_c - chi_o) / chi_o)
+            me_c, _, _ = cavity.effective_mass(mat, geo_l, mode, eta_x, ey)
+            me_o = oracle.mass_integral_oracle(mode, alpha, b, L, mat.rho, geo.h0)
+            worst[f"mass{tag}"] = max(worst[f"mass{tag}"], abs(me_c - me_o) / me_o)
 
         lt = frac * L
+        m00 = ModeIndex(n)
         mu_c = detection.overlap_factor(m00, alpha, beta, lt)
         mu_o = oracle.overlap_integral_oracle(m00, alpha, beta, lt)
         worst["overlap(0,0)"] = max(worst["overlap(0,0)"], abs(mu_c - mu_o) / mu_o)

@@ -35,10 +35,6 @@ class TestGeometryAndModeIndex:
         with pytest.raises(ValueError, match="R/10"):
             CavityGeometry(L=0.015, h0=0.02, R=0.3)
 
-    def test_electrode_must_fit(self):
-        with pytest.raises(ValueError, match="L_tilde"):
-            CavityGeometry(L=0.015, h0=5e-4, R=0.3, L_tilde=0.02)
-
     @pytest.mark.parametrize("n", [0, 2, 4, -1])
     def test_even_overtone_rejected(self, n):
         with pytest.raises(ValueError, match="overtone must be odd"):

@@ -1,8 +1,13 @@
 """Command-line interface: schemas, determinism, exit codes."""
 
+import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bawcav.cli import CHARACTERIZE_COLUMNS, SWEEP_COLUMNS, main
 
@@ -45,6 +50,7 @@ class TestCharacterize:
         (["--eta", "1e200"], 3),
         (["--eta", "1e-200"], 3),
         (["--temp-k", "1e308"], 3),
+        (["--h0", "5e-324", "--eta", "10"], 3),
     ])
     def test_numeric_errors_exit_cleanly(self, capsys, argv, expected):
         code, out, err = run_cli(capsys, "characterize", *argv)
@@ -155,6 +161,14 @@ class TestElectrode:
         assert out == ""
         assert "does not fit the plate" in err
 
+    @pytest.mark.parametrize("eta", ["1e300", "1e150"])
+    def test_unrepresentable_figures_name_eta_and_n(self, capsys, eta):
+        # 1e300 overflows the envelope curvature, 1e150 makes C0 subnormal
+        code, out, err = run_cli(capsys, "electrode", "--eta", eta, "--n", "7")
+        assert code == 3
+        assert out == ""
+        assert repr(float(eta)) in err and "n = 7" in err
+
 
 class TestMembraneCmd:
     def test_comparison_table(self, capsys):
@@ -173,6 +187,12 @@ class TestMembraneCmd:
         doc = json.loads(out)
         assert doc["schema_version"] == 1
         assert set(doc["cavity"]) == {"f_Hz", "m_eff_kg", "x_zpf_m", "n_thermal"}
+
+    def test_unrepresentable_membrane_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "membrane", "--a", "1.7976931348623157e308")
+        assert code == 3
+        assert out == ""
+        assert "membrane" in err
 
     def test_thick_membrane_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "membrane", "--mem-h", "0.01")
@@ -234,6 +254,13 @@ class TestOracleCmd:
         assert doc["command"] == "oracle"
         assert [c["id"] for c in doc["criteria"]] == [8, 9]
 
+    @pytest.mark.parametrize("sets", ["0", "-3"])
+    def test_no_parameter_sets_exits_2(self, capsys, sets):
+        code, out, err = run_cli(capsys, "oracle", "--sets", sets)
+        assert code == 2
+        assert out == ""
+        assert "at least one parameter set" in err
+
     def test_nonconvergence_maps_to_exit_3(self, capsys, monkeypatch):
         from bawcav import cli
         from bawcav.specfun import QuadratureConvergenceError
@@ -286,3 +313,148 @@ class TestSweepModes:
         code, _, err = run_cli(capsys, "sweep", "--n", "1", "--m", "1", "--eta-range", "1:2:0.5")
         assert code == 2
         assert "even" in err
+
+
+COMMON_FLAGS = ["--material", "--L", "--h0", "--R", "--format", "--out"]
+FLAGS = {
+    "characterize": COMMON_FLAGS + ["--eta", "--temp-k", "--n", "--m", "--p"],
+    "sweep": COMMON_FLAGS + ["--temp-k", "--n", "--m", "--p", "--eta-range", "--R-range"],
+    "electrode": COMMON_FLAGS + ["--eta", "--n", "--mu-opt"],
+    "membrane": COMMON_FLAGS + ["--eta", "--temp-k", "--n", "--m", "--p", "--a", "--b",
+                                "--mem-h", "--tau", "--mem-m", "--mem-n"],
+    "paper-report": COMMON_FLAGS + ["--variant-material"],
+    "oracle": COMMON_FLAGS + ["--sets"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag)
+    for command in FLAGS
+    for flag in ("--L-tilde", "--eta", "--temp-k")
+    if flag not in FLAGS[command]
+])
+def test_flag_a_command_does_not_read_is_a_usage_error(command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "0.001"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", FLAGS)
+def test_each_command_takes_exactly_its_flags(command):
+    from bawcav.cli import _build_parser
+
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    options = {o for a in sub.choices[command]._actions for o in a.option_strings}
+    assert options - {"-h", "--help"} == set(FLAGS[command])
+
+
+# SHA-256 of stdout for the README commands; the output contract is
+# byte-identical output for identical inputs.  paper-report and oracle are
+# left out: their ~1e-15 criterion-8 cells depend on BLAS summation order.
+README_COMMANDS = {
+    "sweep --n 1,3,5,15 --eta-range 0.1:5:0.1":
+        "001222f8ec6f37bc7810c7294c0e8993e3a8bce239c8fa9c22d7826558f5d811",
+    "sweep --n 1,3,5,15 --eta-range 0.1:5:0.1 --format json":
+        "4db1bcc2d9c66e44c6594e6f8ec6acd91b8ad1de4aef05074773693aefe54fbd",
+    "sweep --n 1,3,5,15 --eta-range 0.1:5:0.1 --m 2 --p 2":
+        "feaac5c567a3fd11e74b5e8102d42318d9c92bc21c396afe74c97c6b77a2945a",
+    "sweep --n 1,3,5,15 --eta-range 0.1:5:0.1 --m 2 --p 2 --format json":
+        "b340510076d5c6bc7d382b6a377ba57996369def08476bcd33b3feba733c3dc4",
+    "sweep --n 1 --R-range 0.1:1.0:0.1":
+        "30b5baff105b307371057aca25c897cd8ab1fe8d2993c1fe038d9ee2957aa8b2",
+    "sweep --n 1 --R-range 0.1:1.0:0.1 --format json":
+        "fd3d946e65de74207a40a4ba81fdbcea6bad86ee875bd4e1d6a99beda4072f31",
+    "electrode --eta 10.7 --n 7,37,227":
+        "cc46dd8d62547a27ea76337c8d7e617e99ccd2033d07dca9719a0d34ebb54299",
+    "electrode --eta 10.7 --n 7,37,227 --format json":
+        "f587200b0fecc7c54291741f1b70a4795a1a0cdf064a3f451b7f4cd4756c4356",
+    "electrode --eta 10.7 --n 1,3,7,15,37,65,227,501":
+        "c4b8f1c46a354dd60219a034a8b3e6e593a47a7262c26dbbd0ae7acf5bcf8ef0",
+    "electrode --eta 10.7 --n 1,3,7,15,37,65,227,501 --format json":
+        "6088eabf432d327f2e592ae9b3e2c0b9c93d2708a2013f34e27a7acc2abc2af4",
+    "characterize --n 227 --temp-k 0.02":
+        "9cc23a3414cb131c417594c6bc5a25d3b4415aed81f3d715d7c185c54242ca15",
+    "characterize --n 227 --temp-k 0.02 --format json":
+        "a3e3e8edfe69a0ad857e7098e349f393c22c658f951941d99b8b39c072bfa883",
+    "membrane --n 227 --eta 10.7":
+        "168fac4921873a34e62814efdc381e89780da0cd09c42f67899b04d884695509",
+    "membrane --n 227 --eta 10.7 --format json":
+        "821e0c0acdbd7fcfeb4a92b180b9ebf80082333cdab45e66d22b8ae8ba8bf925",
+}
+
+
+@pytest.mark.parametrize("command", README_COMMANDS)
+def test_readme_output_is_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == README_COMMANDS[command]
+
+
+def _flag(name, values):
+    # a flag with a value drawn from ``values``, or the flag left out
+    return st.one_of(st.just([]), values.map(lambda v: [f"{name}={v!r}"]))
+
+
+# the edges of the double range, and values that are not in it
+EXTREMES = st.sampled_from([0.0, -1.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300,
+                            1.7976931348623157e308, float("inf"), float("nan")])
+
+
+def _float_flag(name, lo, hi):
+    # a plausible value, an extreme one, any float at all, or the default
+    return _flag(name, st.one_of(st.floats(min_value=lo, max_value=hi), EXTREMES, st.floats()))
+
+
+# mostly valid mode numbers, so that most examples reach the figures
+ODD = st.one_of(st.integers(0, 500).map(lambda k: 2 * k + 1), st.integers(-3, 4))
+EVEN = st.one_of(st.integers(0, 20).map(lambda k: 2 * k), st.integers(-2, 3))
+ODD_LIST = st.lists(ODD, max_size=3).map(lambda ns: ",".join(map(str, ns)))
+
+
+@st.composite
+def _grid(draw, name, lo, hi):
+    # at most a handful of points: stop is a few steps past start
+    start = draw(st.one_of(st.floats(min_value=lo, max_value=hi), st.floats()))
+    step = draw(st.one_of(st.floats(min_value=lo / 10, max_value=hi), st.floats()))
+    stop = start + draw(st.integers(0, 4)) * step
+    return [f"{name}={start!r}:{stop!r}:{step!r}"]
+
+
+def _argv(command, *parts):
+    return st.tuples(*parts).map(lambda ps: [command] + [a for p in ps for a in p])
+
+
+GEOMETRY = (_float_flag("--L", 1e-3, 0.1), _float_flag("--h0", 1e-5, 1e-3),
+            _float_flag("--R", 1e-2, 10.0))
+MODE = (_flag("--m", EVEN), _flag("--p", EVEN))
+ETA = _float_flag("--eta", 1e-2, 100.0)
+TEMP = _float_flag("--temp-k", 1e-4, 1e3)
+FORMAT = _flag("--format", st.sampled_from(["csv", "json"]))
+
+CLI_ARGS = st.one_of(
+    _argv("characterize", *GEOMETRY, *MODE, ETA, TEMP, FORMAT,
+          _flag("--n", ODD)),
+    _argv("electrode", *GEOMETRY, ETA, FORMAT, _flag("--n", ODD_LIST),
+          _float_flag("--mu-opt", 0.01, 0.999)),
+    _argv("membrane", *GEOMETRY, *MODE, ETA, TEMP, FORMAT,
+          _flag("--n", ODD), _float_flag("--a", 1e-3, 0.1),
+          _float_flag("--b", 1e-3, 0.1), _float_flag("--mem-h", 1e-5, 1e-3),
+          _float_flag("--tau", 1e6, 1e12)),
+    _argv("sweep", *GEOMETRY, *MODE, TEMP, FORMAT, _flag("--n", ODD_LIST),
+          st.one_of(_grid("--eta-range", 1e-2, 20.0), _grid("--R-range", 1e-2, 10.0))),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(CLI_ARGS)
+def test_fuzzed_arguments_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    text = out.getvalue().lower()
+    assert "inf" not in text and "nan" not in text, (argv, text)

@@ -218,6 +218,7 @@ class TestDesignElectrode:
         assert design.mu == pytest.approx(design.mu_opt, abs=1e-10)
         assert design.L_tilde < GEO.L
         assert design.C0 > 0 and design.Z_shunt_mag > 0
+        assert design.Z_closed_form == shunt_impedance(VARIANT, GEO, 10.7, 227)[1]
 
     def test_oversized_electrode_rejected(self):
         with pytest.raises(ValueError, match="does not fit"):
