@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import BOLTZMANN_K, HBAR
 from .material import MaterialParams, dispersion_parameters, stiffened_constants
-from .specfun import erf, erfc, erfcx, hermite
+from .specfun import _elementwise, _finite, _real, _reject, erf, erfc, erfcx, hermite
 
 __all__ = [
     "CavityGeometry",
@@ -106,6 +106,8 @@ class ModeCharacterization:
 
     x_zpf and p_zpf always satisfy the minimum-uncertainty product
     x_zpf * p_zpf = hbar / 2 (checked at construction to 1e-12 relative).
+    Over an array of eta, each eta-dependent field is an array of its
+    length, and every check holds elementwise.
     """
 
     omega: float  # angular frequency (rad/s)
@@ -122,26 +124,46 @@ class ModeCharacterization:
     n_thermal: float  # Bose-Einstein occupancy at the report temperature
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega!r}")
-        if not 0.0 <= self.chi_inv <= 1.0:
-            raise ValueError(f"chi_inv must lie in [0, 1], got {self.chi_inv!r}")
-        if not self.xi > 0:
-            raise ValueError(f"xi must be positive, got {self.xi!r}")
+        _reject(self.omega, self.omega > 0, "omega must be positive")
+        chi = self.chi_inv
+        _reject(chi, (chi >= 0.0) & (chi <= 1.0), "chi_inv must lie in [0, 1]")
+        _reject(self.xi, self.xi > 0, "xi must be positive")
         prod = self.x_zpf * self.p_zpf
-        if abs(prod - HBAR / 2.0) > 1e-12 * (HBAR / 2.0):
+        if _first_bad(abs(prod - HBAR / 2.0) <= 1e-12 * (HBAR / 2.0)) is not None:
             raise ValueError("x_zpf * p_zpf must equal hbar/2 (minimum uncertainty)")
+
+
+def _normal(value: float, what: str) -> float:
+    # value when it is a positive normal double, else an error naming what
+    if not _DBL_MIN <= value < math.inf:
+        error = OverflowError if value == math.inf else FloatingPointError
+        raise error(f"{what} is outside the normal double range")
+    return value
+
+
+def _square_of_L(geo: CavityGeometry) -> float:
+    # L^2 as a normal double, or an error that names L
+    try:
+        l_sq = geo.L**2
+    except OverflowError:
+        l_sq = math.inf
+    return _normal(l_sq, f"L^2 at L = {geo.L!r}")
 
 
 def envelope_curvatures(mat: MaterialParams, geo: CavityGeometry, n: int) -> tuple[float, float]:
     """Gaussian envelope curvatures (alpha, beta) in 1/m^2.
 
     alpha^2 = c_hat_z / (8 R h0^3 M_n) and analogously with P_n for beta;
-    both scale as R^(-1/2).
+    both scale as R^(-1/2).  Raises OverflowError or FloatingPointError,
+    naming R and h0, when 8 R h0^3 leaves the normal double range.
     """
     _, c_hat = stiffened_constants(mat, n)
     m_n, p_n = dispersion_parameters(mat, n)
-    denom = 8.0 * geo.R * geo.h0**3
+    try:
+        denom = 8.0 * geo.R * geo.h0**3
+    except OverflowError:
+        denom = math.inf
+    _normal(denom, f"8 R h0^3 at R = {geo.R!r}, h0 = {geo.h0!r}")
     return math.sqrt(c_hat / (denom * m_n)), math.sqrt(c_hat / (denom * p_n))
 
 
@@ -173,13 +195,65 @@ def mode_shape(mode: ModeIndex, alpha: float, beta: float) -> Callable:
     return u
 
 
-def _hermite_tail(m: int, t: float, psi0: float) -> float:
+# The closed forms below take the trapping eta as a float or as a 1-D array.
+# Both run as numpy float64 values through one and the same code: the same
+# operations in the same order, so an array's figures are bit for bit those
+# of one call per element; exponentials, squares and error functions go
+# through ``math`` for that reason.  Every range check is elementwise too,
+# and its error names the first element that fails it.
+
+
+def _pow2(x: float) -> float:
+    # x**2 as a float computes it, inf beyond the double range
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+_exp = _elementwise(math.exp)
+_square = _elementwise(_pow2)
+
+
+def _trapping(eta_x, eta_y=None):
+    # (eta_x, eta_y) as two float64 scalars or two 1-D float arrays of one
+    # length, and whether they are scalars, whose figures go back as floats.
+    # Without eta_y both axes share one eta object, whose curvature
+    # characterize then evaluates once.
+    if eta_y is None:
+        eta = _real(eta_x)
+        return eta, eta, eta.ndim == 0
+    ex, ey = _real(eta_x), _real(eta_y)
+    if ex.ndim == 0 and ey.ndim == 0:
+        return ex, ey, True
+    ex, ey = np.broadcast_arrays(np.atleast_1d(ex), np.atleast_1d(ey))
+    return ex, ey, False
+
+
+def _figure(x, scalar: bool):
+    return float(x) if scalar else x
+
+
+def _first_bad(ok) -> int | None:
+    # index of the first element that fails the elementwise check ok
+    if isinstance(ok, np.ndarray):
+        return None if ok.all() else int(ok.argmin())
+    return None if ok else 0
+
+
+def _at(x, k: int) -> float:
+    # element k of x, which may be a scalar, as a plain float for messages
+    return float(np.ravel(x)[k])
+
+
+def _hermite_tail(m: int, t, log_psi0):
     # sum_{k=1}^{m} sqrt(2/k) psi_k(t) psi_{k-1}(t) over the orthonormal
     # Hermite functions psi_k = psi0 H_k / sqrt(2^k k!), built by their own
     # three-term recurrence so no 2^k k! overflows.  With psi0 =
     # pi^{-1/4} e^{-t^2/2} each term is e^{-t^2} H_k H_{k-1} / (sqrt(pi)
-    # 2^{k-1} k!), the step D_k - D_{k-1} of the per-axis deficit.
-    total, prev, cur = 0.0, 0.0, psi0
+    # 2^{k-1} k!), the step D_k - D_{k-1} of the per-axis deficit.  psi0 =
+    # pi^{-1/4} e^{log_psi0} is only evaluated for a non-empty sum (m > 0).
+    total, prev, cur = 0.0, 0.0, _PI_M14 * _exp(log_psi0) if m else 0.0
     for k in range(1, m + 1):
         a = math.sqrt(2.0 / k)
         prev, cur = cur, a * t * cur - math.sqrt((k - 1) / k) * prev
@@ -187,44 +261,51 @@ def _hermite_tail(m: int, t: float, psi0: float) -> float:
     return total
 
 
-def _axis_deficit(m: int, t: float) -> float:
+def _axis_deficit(m: int, t):
     # Fraction of one axis' modal energy beyond |z| = t: D_0 = erfc(t) plus
     # the Hermite steps, which are all positive beyond the last zero of H_m,
     # so strong trapping does not cancel digits.
-    return erfc(t) + _hermite_tail(m, t, _PI_M14 * math.exp(-0.5 * t * t))
+    return erfc(t) + _hermite_tail(m, t, -0.5 * t * t)
 
 
-def _axis_energy_fraction(m: int, t: float) -> float:
+def _axis_energy_fraction(m: int, t):
     # Fraction of one axis' modal energy on the plate, I_m(t) / (2^m m!
     # sqrt(pi)) with I_m the integral of e^{-z^2} H_m(z)^2 over |z| <= t:
     # I_k = 2k I_{k-1} - 2 e^{-t^2} H_k H_{k-1} from I_0 = sqrt(pi) erf(t),
     # divided through by the norm so weak trapping does not cancel digits.
-    return erf(t) - _hermite_tail(m, t, _PI_M14 * math.exp(-0.5 * t * t))
+    return erf(t) - _hermite_tail(m, t, -0.5 * t * t)
 
 
-def _mode_at(mode: ModeIndex, eta_x: float, eta_y: float) -> str:
-    # names the in-plane numbers and trapping of a figure in error messages
-    return f"(m, p) = ({mode.m}, {mode.p}) at eta = ({eta_x!r}, {eta_y!r})"
+def _mode_at(mode: ModeIndex, ex, ey, k: int) -> str:
+    # names the in-plane numbers and trapping of element k in error messages
+    return f"(m, p) = ({mode.m}, {mode.p}) at eta = ({_at(ex, k)!r}, {_at(ey, k)!r})"
 
 
-def _check_eta(eta_x: float, eta_y: float):
-    if not (eta_x >= 0 and eta_y >= 0 and math.isfinite(eta_x) and math.isfinite(eta_y)):
-        raise ValueError(f"trapping parameters must be non-negative, got {eta_x!r}, {eta_y!r}")
+def _check_eta(ex, ey):
+    k = _first_bad((ex >= 0) & (ey >= 0) & _finite(ex) & _finite(ey))
+    if k is not None:
+        raise ValueError(
+            f"trapping parameters must be non-negative, got {_at(ex, k)!r}, {_at(ey, k)!r}"
+        )
 
 
-def escape_probability(mode: ModeIndex, eta_x: float, eta_y: float) -> float:
+def escape_probability(mode: ModeIndex, eta_x, eta_y):
     """Fraction of modal energy outside the finite plate, in [0, 1].
 
     Separable per axis: each axis' deficit D_m(t), t = sqrt(n) eta, follows
     D_k = D_{k-1} + e^{-t^2} H_k(t) H_{k-1}(t) / (sqrt(pi) 2^{k-1} k!) from
     D_0 = erfc(t), and chi = D_x + D_y - D_x D_y.  May underflow to exactly
     0 for strong trapping; use escape_probability_log10 in that regime.
+    Takes floats or arrays of eta and returns the same.
     """
-    _check_eta(eta_x, eta_y)
-    dx = _axis_deficit(mode.m, math.sqrt(mode.n) * eta_x)
-    dy = _axis_deficit(mode.p, math.sqrt(mode.n) * eta_y)
-    chi = dx + dy - dx * dy
-    return min(1.0, max(0.0, chi))
+    ex, ey, scalar = _trapping(eta_x, eta_y)
+    _check_eta(ex, ey)
+    with np.errstate(all="ignore"):
+        dx = _axis_deficit(mode.m, math.sqrt(mode.n) * ex)
+        dy = _axis_deficit(mode.p, math.sqrt(mode.n) * ey)
+        chi = dx + dy - dx * dy
+    # min(1, max(0, chi)), which also sends NaN to 0
+    return _figure(np.where(chi > 0.0, np.minimum(chi, 1.0), 0.0), scalar)
 
 
 def _log_axis_deficit(m: int, t: float) -> float:
@@ -237,7 +318,7 @@ def _log_axis_deficit(m: int, t: float) -> float:
     if t < 2.0:
         return math.log(_axis_deficit(m, t))
     c = max(0.0, m * math.log(math.sqrt(2.0) * t) - 0.5 * math.lgamma(m + 1.0))
-    s = erfcx(t) * math.exp(-2.0 * c) + _hermite_tail(m, t, _PI_M14 * math.exp(-c))
+    s = erfcx(t) * math.exp(-2.0 * c) + _hermite_tail(m, t, -c)
     return math.log(s) - t * t + 2.0 * c
 
 
@@ -248,7 +329,7 @@ def escape_probability_log10(mode: ModeIndex, eta_x: float, eta_y: float) -> flo
     every even (m, p): each axis' deficit is factored as
     e^{-t^2} (erfcx(t) + P_m(t)) with P_m a polynomial in t.
     """
-    _check_eta(eta_x, eta_y)
+    _check_eta(*_trapping(eta_x, eta_y)[:2])
     if not (eta_x > 0 and eta_y > 0):
         raise ValueError("log-scale escape requires strictly positive trapping")
     lx = _log_axis_deficit(mode.m, math.sqrt(mode.n) * eta_x)
@@ -268,10 +349,18 @@ def mode_frequency(
 
     omega^2 = (n pi / (2 h0))^2 (c_hat_z / rho) * bracket, where the bracket
     carries the in-plane corrections (2m+1), (2p+1); ``leading_order`` drops
-    the bracket (exact n-proportionality).
+    the bracket (exact n-proportionality).  Raises OverflowError, naming n
+    and h0, when omega^2 exceeds the double range.
     """
     _, c_hat = stiffened_constants(mat, mode.n)
-    lead = (mode.n * math.pi / (2.0 * geo.h0)) ** 2 * c_hat / mat.rho
+    try:
+        lead = (mode.n * math.pi / (2.0 * geo.h0)) ** 2 * c_hat / mat.rho
+    except OverflowError:
+        lead = math.inf
+    if lead == math.inf:
+        raise OverflowError(
+            f"the frequency of overtone n = {mode.n} at h0 = {geo.h0!r} exceeds the double range"
+        )
     if leading_order:
         return math.sqrt(lead)
     m_n, p_n = dispersion_parameters(mat, mode.n)
@@ -281,9 +370,7 @@ def mode_frequency(
     return math.sqrt(lead * bracket)
 
 
-def effective_mass(
-    mat: MaterialParams, geo: CavityGeometry, mode: ModeIndex, eta_x: float, eta_y: float
-) -> tuple[float, float, float]:
+def effective_mass(mat: MaterialParams, geo: CavityGeometry, mode: ModeIndex, eta_x, eta_y):
     """Effective mode mass, flat-plate reference mass, and their ratio xi.
 
     m_flat = 4 rho h0 L^2 and xi = (4/pi) eta_x eta_y n / (I_m I_p / pi),
@@ -296,9 +383,11 @@ def effective_mass(
     at eta = 1 by design.  Raises ValueError when that mass integral is not
     representable as a double, and FloatingPointError, naming eta and
     (m, p), when xi or the product of the on-plate energy fractions leaves
-    the normal double range.
+    the normal double range (naming h0 and L when m_flat does).  Takes
+    floats or arrays of eta; m_flat stays a float.
     """
-    if not (eta_x > 0 and eta_y > 0):
+    ex, ey, scalar = _trapping(eta_x, eta_y)
+    if _first_bad((ex > 0) & (ey > 0)) is not None:
         raise ValueError("effective mass requires strictly positive trapping parameters")
     n = mode.n
     # 2^m m! 2^p p!, exact as an integer product of 2, 4, ..., 2m
@@ -308,46 +397,83 @@ def effective_mass(
             f"the unit-amplitude mass integral of in-plane numbers (m, p) = ({mode.m}, {mode.p})"
             " exceeds the double range"
         )
-    fx = _axis_energy_fraction(mode.m, math.sqrt(n) * eta_x)
-    fy = _axis_energy_fraction(mode.p, math.sqrt(n) * eta_y)
-    m_flat = 4.0 * mat.rho * geo.h0 * geo.L**2
-    # a subnormal fx * fy would cost xi digits without a sign
-    fxy = fx * fy
-    if fxy < _DBL_MIN:
-        raise FloatingPointError(
-            f"the on-plate energy fractions of {_mode_at(mode, eta_x, eta_y)}"
-            " are below the normal double range"
+    with np.errstate(all="ignore"):
+        fx = _axis_energy_fraction(mode.m, math.sqrt(n) * ex)
+        fy = _axis_energy_fraction(mode.p, math.sqrt(n) * ey)
+        m_flat = _normal(
+            4.0 * mat.rho * geo.h0 * _square_of_L(geo),
+            f"the flat-plate mass at h0 = {geo.h0!r}, L = {geo.L!r}",
         )
-    xi = (4.0 / math.pi) * eta_x * eta_y * n / (fxy * norm)
-    if not _DBL_MIN <= xi < math.inf:
-        raise FloatingPointError(
-            f"xi of {_mode_at(mode, eta_x, eta_y)} is outside the normal double range"
+        # a subnormal fx * fy would cost xi digits without a sign
+        fxy = fx * fy
+        k = _first_bad(fxy >= _DBL_MIN)
+        if k is not None:
+            raise FloatingPointError(
+                f"the on-plate energy fractions of {_mode_at(mode, ex, ey, k)}"
+                " are below the normal double range"
+            )
+        xi = (4.0 / math.pi) * ex * ey * n / (fxy * float(norm))
+        k = _first_bad((xi >= _DBL_MIN) & (xi < math.inf))
+        if k is not None:
+            raise FloatingPointError(
+                f"xi of {_mode_at(mode, ex, ey, k)} is outside the normal double range"
+            )
+        m_eff = m_flat / xi
+    return _figure(m_eff, scalar), m_flat, _figure(xi, scalar)
+
+
+def _spreads(omega: float, mass, mode: ModeIndex, ex, ey):
+    # zero-point spreads sqrt(hbar / (2 omega m)) and sqrt(hbar omega m / 2)
+    mass = np.asarray(mass)
+    x_sq = HBAR / (2.0 * omega * mass)
+    p_sq = HBAR * omega * mass / 2.0
+    k = _first_bad((x_sq >= _DBL_MIN) & (p_sq >= _DBL_MIN))
+    if k is not None:
+        raise ValueError(
+            f"a squared zero-point spread of {_mode_at(mode, ex, ey, k)}"
+            " is below the normal double range"
         )
-    return m_flat / xi, m_flat, xi
+    return np.sqrt(x_sq), np.sqrt(p_sq)
+
+
+def _zero_point(mat, geo, mode, ex, ey, leading_order):
+    # omega, m_eff, m_flat, xi and the spreads (x, p) of eta arrays, every
+    # one range-checked: the core that characterize and zpf share
+    m_eff, m_flat, xi = effective_mass(mat, geo, mode, ex, ey)
+    omega = mode_frequency(mat, geo, mode, leading_order=leading_order)
+    with np.errstate(all="ignore"):
+        k = _first_bad((omega < math.inf) & (m_eff >= _DBL_MIN) & (m_eff < math.inf))
+        if k is not None:
+            raise OverflowError(
+                f"the frequency or the mass of overtone n = {mode.n},"
+                f" {_mode_at(mode, ex, ey, k)}, is outside the normal double range"
+            )
+        x, p = _spreads(omega, m_eff, mode, ex, ey)
+    return omega, m_eff, m_flat, xi, x, p
 
 
 def zpf(
     mat: MaterialParams,
     geo: CavityGeometry,
     mode: ModeIndex,
-    eta_x: float,
-    eta_y: float,
+    eta_x,
+    eta_y,
     leading_order: bool = True,
-) -> tuple[float, float, float, float]:
+) -> tuple:
     """Zero-point spreads (x_zpf, p_zpf, x_zpf_flat, p_zpf_flat).
 
     x_zpf^2 = hbar / (2 omega m_eff) and the flat-plate reference uses the
     same frequency with the flat mass, so x_zpf = x_zpf_flat * sqrt(xi) and
     p_zpf = p_zpf_flat / sqrt(xi) hold identically.  The default
     leading-order frequency makes the closed-form trapping identities exact.
+    Runs the range checks of ``characterize`` and raises where it does.
+    Takes floats or arrays of eta; the flat-plate spreads stay floats.
     """
-    omega = mode_frequency(mat, geo, mode, leading_order=leading_order)
-    m_eff, m_flat, _ = effective_mass(mat, geo, mode, eta_x, eta_y)
-    x = math.sqrt(HBAR / (2.0 * omega * m_eff))
-    p = math.sqrt(HBAR * omega * m_eff / 2.0)
-    x_flat = math.sqrt(HBAR / (2.0 * omega * m_flat))
-    p_flat = math.sqrt(HBAR * omega * m_flat / 2.0)
-    return x, p, x_flat, p_flat
+    ex, ey, scalar = _trapping(eta_x, eta_y)
+    omega, _, m_flat, _, x, p = _zero_point(mat, geo, mode, ex, ey, leading_order)
+    with np.errstate(all="ignore"):
+        x_flat, p_flat = _spreads(omega, m_flat, mode, ex, ey)
+    return _figure(x, scalar), _figure(p, scalar), float(x_flat), float(p_flat)
 
 
 def thermal_occupancy(omega: float, temperature: float) -> float:
@@ -376,58 +502,48 @@ def characterize(
     geo: CavityGeometry,
     mode: ModeIndex,
     temperature: float,
-    eta_override: float | None = None,
+    eta_override=None,
     leading_order: bool = True,
 ) -> ModeCharacterization:
     """Full deterministic characterization of one mode at one temperature.
 
     ``eta_override`` replaces the first-principles trapping parameter with a
-    measured/assumed value (both axes), re-deriving the envelope curvature
-    from it; this mirrors how experimental device figures are quoted.
+    measured/assumed value, re-deriving the envelope curvature from it; this
+    mirrors how experimental device figures are quoted.  It is one value for
+    both axes or a tuple (eta_x, eta_y), each a float or an array.  Over
+    arrays every eta-dependent figure is an array of their length, and
+    omega, m_flat and n_thermal, which do not depend on eta, stay floats.
     """
     if eta_override is not None:
-        if not (eta_override > 0 and math.isfinite(eta_override)):
-            raise ValueError(f"eta override must be positive, got {eta_override!r}")
-        eta_x = eta_y = float(eta_override)
-        try:
-            alpha = beta = eta_x**2 / (math.pi * geo.L**2)
-        except OverflowError:
-            alpha = beta = math.inf
-        if alpha == math.inf:
+        ex, ey, scalar = _trapping(*(eta_override if isinstance(eta_override, tuple)
+                                     else (eta_override,)))
+        for eta in (ex, ey):
+            _reject(eta, (eta > 0) & _finite(eta), "eta override must be positive")
+        with np.errstate(all="ignore"):
+            area = math.pi * _square_of_L(geo)
+            alpha = _square(ex) / area
+            beta = alpha if ey is ex else _square(ey) / area
+        k = _first_bad((alpha < math.inf) & (beta < math.inf))
+        if k is not None:
             raise OverflowError(
-                f"the envelope curvature of {_mode_at(mode, eta_x, eta_y)} exceeds the double range"
+                f"the envelope curvature of {_mode_at(mode, ex, ey, k)} exceeds the double range"
             )
     else:
         alpha, beta = envelope_curvatures(mat, geo, mode.n)
-        eta_x, eta_y = trapping_parameters(alpha, beta, geo.L)
-    chi = escape_probability(mode, eta_x, eta_y)
-    m_eff, m_flat, xi = effective_mass(mat, geo, mode, eta_x, eta_y)
-    omega = mode_frequency(mat, geo, mode, leading_order=leading_order)
-    if not (omega < math.inf and _DBL_MIN <= min(m_eff, m_flat) and m_eff < math.inf):
-        raise OverflowError(
-            f"the frequency or the mass of overtone n = {mode.n},"
-            f" {_mode_at(mode, eta_x, eta_y)}, is outside the normal double range"
-        )
-    x_sq = HBAR / (2.0 * omega * m_eff)
-    p_sq = HBAR * omega * m_eff / 2.0
-    if x_sq < _DBL_MIN or p_sq < _DBL_MIN:
-        raise ValueError(
-            f"a squared zero-point spread of {_mode_at(mode, eta_x, eta_y)}"
-            " is below the normal double range"
-        )
-    x = math.sqrt(x_sq)
-    p = math.sqrt(p_sq)
+        ex, ey, scalar = _trapping(*trapping_parameters(alpha, beta, geo.L))
+    chi = escape_probability(mode, ex, ey)
+    omega, m_eff, m_flat, xi, x, p = _zero_point(mat, geo, mode, ex, ey, leading_order)
     return ModeCharacterization(
         omega=omega,
-        alpha=alpha,
-        beta=beta,
-        eta_x=eta_x,
-        eta_y=eta_y,
-        chi_inv=chi,
-        xi=xi,
-        m_eff=m_eff,
+        alpha=_figure(alpha, scalar),
+        beta=_figure(beta, scalar),
+        eta_x=_figure(ex, scalar),
+        eta_y=_figure(ey, scalar),
+        chi_inv=_figure(chi, scalar),
+        xi=_figure(xi, scalar),
+        m_eff=_figure(m_eff, scalar),
         m_flat=m_flat,
-        x_zpf=x,
-        p_zpf=p,
+        x_zpf=_figure(x, scalar),
+        p_zpf=_figure(p, scalar),
         n_thermal=thermal_occupancy(omega, temperature),
     )

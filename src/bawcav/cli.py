@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands: characterize | sweep | electrode | membrane | paper-report |
-oracle.  Each ``cmd_*`` returns its table; ``main`` renders it once, as CSV
-or JSON.  Numeric output is rendered with nine significant digits and '.'
-decimal separators regardless of locale, so identical inputs give
-byte-identical CSV/JSON.  Exit codes: 0 success, 1 failed report checks,
-2 validation or usage error, 3 numerical failure (non-convergence, or a
-result outside the double range).
+oracle.  Each ``cmd_*`` returns its table, computed whole, so that a failure
+leaves no partial output; ``main`` writes it as CSV or JSON a block of rows
+at a time, so that a long sweep never holds all its text.  Numeric output
+is rendered with nine significant digits and '.' decimal separators
+regardless of locale, so identical inputs give byte-identical CSV/JSON.
+Exit codes: 0 success, 1 failed report checks, 2 validation or usage error,
+3 numerical failure (non-convergence, or a result outside the double range).
 """
 
 from __future__ import annotations
@@ -15,11 +16,14 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from . import report as report_mod
 from .cavity import (
@@ -38,6 +42,8 @@ __all__ = ["main", "entry"]
 
 JSON_SCHEMA_VERSION = 1
 MAX_GRID_POINTS = 1_000_000  # per --eta-range / --R-range
+MAX_ORACLE_SETS = 10_000  # oracle --sets, about 7 ms each
+BLOCK_ROWS = 4096  # rows formatted and written at a time
 
 SWEEP_COLUMNS = [
     "n", "m", "p", "eta", "chi_inv", "xi", "f_Hz", "m_eff_kg", "x_zpf_m", "p_zpf", "n_thermal",
@@ -52,11 +58,17 @@ REPORT_COLUMNS = ["criterion", "name", "check", "measured", "expected", "toleran
 
 
 class Table(NamedTuple):
-    """A command's result: its CSV columns and rows, and the JSON fields
-    that replace the row list when the command has a layout of its own."""
+    """A command's result: its CSV columns, its rows in blocks, and the JSON
+    fields that replace the row list when the command has a layout of its
+    own.
+
+    A block has one entry per column: a 1-D array holding that column of
+    each of the block's rows, or a single value all its rows share, so a
+    list of plain values is a block of one row.
+    """
 
     columns: list[str]
-    rows: list
+    blocks: list
     body: dict | None = None
 
 
@@ -92,7 +104,7 @@ def _overtones(text: str) -> list[int]:
     return sorted(ns)
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"range must be start:stop:step, got {text!r}")
@@ -106,7 +118,7 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"range {text!r} is empty")
     if not steps < MAX_GRID_POINTS:
         raise ValueError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
-    return [start + i * step for i in range(math.floor(steps) + 1)]
+    return start + np.arange(math.floor(steps) + 1) * step
 
 
 def cmd_characterize(args) -> Table:
@@ -128,21 +140,29 @@ def cmd_sweep(args) -> Table:
     mat = _material(args)
     if args.eta_range is not None:
         geo = _geometry(args)
-        cases = [(geo, eta) for eta in _parse_grid(args.eta_range)]
+        grid = _parse_grid(args.eta_range)
+
+        def trapping(n):
+            return grid
     else:
-        cases = [(CavityGeometry(L=args.L, h0=args.h0, R=r), None)
-                 for r in _parse_grid(args.R_range)]
-    rows = []
+        # one validated geometry per radius; a radius enters the figures
+        # only through its (eta_x, eta_y), the rest depend on L and h0
+        geos = [CavityGeometry(L=args.L, h0=args.h0, R=r)
+                for r in _parse_grid(args.R_range).tolist()]
+        geo = geos[0]
+
+        def trapping(n):
+            ex, ey = zip(*(trapping_parameters(*envelope_curvatures(mat, g, n), g.L) for g in geos))
+            return np.array(ex), np.array(ey)
+    blocks = []
     for n in ns:
         mode = ModeIndex(n, args.m, args.p)
-        for geo, eta in cases:
-            char = characterize(mat, geo, mode, args.temp_k, eta_override=eta)
-            rows.append([
-                n, mode.m, mode.p, char.eta_x, char.chi_inv, char.xi,
-                char.omega / (2.0 * math.pi), char.m_eff, char.x_zpf, char.p_zpf,
-                char.n_thermal,
-            ])
-    return Table(SWEEP_COLUMNS, rows)
+        char = characterize(mat, geo, mode, args.temp_k, eta_override=trapping(n))
+        blocks.append([
+            n, mode.m, mode.p, char.eta_x, char.chi_inv, char.xi,
+            char.omega / (2.0 * math.pi), char.m_eff, char.x_zpf, char.p_zpf, char.n_thermal,
+        ])
+    return Table(SWEEP_COLUMNS, blocks)
 
 
 def cmd_electrode(args) -> Table:
@@ -209,6 +229,8 @@ def cmd_paper_report(args) -> Table:
 
 
 def cmd_oracle(args) -> Table:
+    if args.sets > MAX_ORACLE_SETS:
+        raise ValueError(f"--sets is capped at {MAX_ORACLE_SETS}, got {args.sets}")
     mat = _material(args)
     geo = _geometry(args)
     return _report_table(
@@ -232,7 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="material file (default: bundled quartz constants)")
     common.add_argument("--L", type=float, default=0.015, help="plate half-width (m)")
     common.add_argument("--h0", type=float, default=5e-4, help="plate half-thickness (m)")
-    common.add_argument("--R", type=float, default=0.3, help="radius of curvature (m)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", default="-", metavar="PATH", help="output file ('-' = stdout)")
     eta = argparse.ArgumentParser(add_help=False)
@@ -240,6 +261,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="override the trapping parameter (both axes)")
     temp = argparse.ArgumentParser(add_help=False)
     temp.add_argument("--temp-k", type=float, default=0.02, help="temperature (K)")
+
+    def radius(container):
+        container.add_argument("--R", type=float, default=0.3, help="radius of curvature (m)")
+
+    curved = argparse.ArgumentParser(add_help=False)
+    radius(curved)
 
     parser = argparse.ArgumentParser(
         prog="bawcav",
@@ -249,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # flags are spelled in full, so that --eta cannot stand for sweep's --eta-range
     add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = add("characterize", parents=[common, eta, temp],
+    p = add("characterize", parents=[common, curved, eta, temp],
                        help="single-mode characterization row")
     p.add_argument("--n", type=int, default=1, help="overtone number (odd)")
     p.add_argument("--m", type=int, default=0, help="in-plane number along x (even)")
@@ -261,14 +288,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=0, help="in-plane number along x (even)")
     p.add_argument("--p", type=int, default=0, help="in-plane number along y (even)")
     p.add_argument("--eta-range", default=None, metavar="A:B:STEP")
-    p.add_argument("--R-range", default=None, metavar="A:B:STEP")
+    # --R sets the radius of an --eta-range sweep; an --R-range sweep has its own
+    radii = p.add_mutually_exclusive_group()
+    radius(radii)
+    radii.add_argument("--R-range", default=None, metavar="A:B:STEP")
 
-    p = add("electrode", parents=[common, eta], help="optimal electrode sizing table")
+    p = add("electrode", parents=[common, curved, eta], help="optimal electrode sizing table")
     p.add_argument("--n", default="7,37,227", metavar="LIST")
     p.add_argument("--mu-opt", type=float, default=MU_OPT_3SIGMA,
                    help="target overlap factor (default: 3-sigma coverage)")
 
-    p = add("membrane", parents=[common, eta, temp],
+    p = add("membrane", parents=[common, curved, eta, temp],
                        help="side-by-side comparison with a stressed membrane")
     p.add_argument("--n", type=int, default=227)
     p.add_argument("--m", type=int, default=0)
@@ -280,15 +310,107 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mem-m", type=int, default=1, help="membrane mode number m")
     p.add_argument("--mem-n", type=int, default=1, help="membrane mode number n")
 
-    p = add("paper-report", parents=[common],
+    p = add("paper-report", parents=[common, curved],
                        help="check library output against published reference values")
     p.add_argument("--variant-material", default=None, metavar="PATH",
                    help="piezoelectric material file for readout checks")
 
-    p = add("oracle", parents=[common],
+    p = add("oracle", parents=[common, curved],
                        help="run the brute-force validation suite")
     p.add_argument("--sets", type=int, default=20, help="random parameter sets (seeded, >= 1)")
     return parser
+
+
+def _spec(value) -> str | None:
+    # the %-format of a column of ints or of floats, from the column's type
+    kind = value.dtype.kind if isinstance(value, np.ndarray) else type(value)
+    if kind in ("i", "u", int):
+        return "%d"
+    if kind in ("f", float, np.float64):
+        return "%.9g"
+    return None
+
+
+def _chunks(block, cells):
+    # The rows of the block's array columns, BLOCK_ROWS at a time, each
+    # column turned into its cells by cells(array); a block without an
+    # array column is one row.
+    arrays = [v for v in block if isinstance(v, np.ndarray)]
+    if not arrays:
+        yield [()]
+        return
+    for lo in range(0, len(arrays[0]), BLOCK_ROWS):
+        yield zip(*(cells(a[lo:lo + BLOCK_ROWS]) for a in arrays))
+
+
+def _csv_text(table: Table):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(table.columns)
+    yield buf.getvalue()
+    for block in table.blocks:
+        specs = [_spec(v) for v in block]
+        if None in specs:  # text or other values: csv.writer quotes them
+            buf = io.StringIO()
+            size = max((len(v) for v in block if isinstance(v, np.ndarray)), default=1)
+            csv.writer(buf, lineterminator="\n").writerows(zip(*(
+                map(_fmt, v.tolist()) if isinstance(v, np.ndarray)
+                else itertools.repeat(_fmt(v), size) for v in block
+            )))
+            yield buf.getvalue()
+            continue
+        # ints and floats never need quoting, so one %-template makes a row;
+        # a value all rows share is formatted into it once
+        template = ",".join(
+            spec if isinstance(v, np.ndarray) else (spec % v).replace("%", "%%")
+            for spec, v in zip(specs, block)
+        ) + "\n"
+        for rows in _chunks(block, np.ndarray.tolist):
+            yield "".join(template % row for row in rows)
+
+
+def _json_value(v) -> str:
+    # one cell as json.dumps writes it
+    return json.dumps(_round9(v))
+
+
+def _json_cells(a: np.ndarray) -> list[str]:
+    # _json_value of each element, with no repr per element for floats:
+    # %.9g prints the nine-digit value with the very digits repr gives it,
+    # laid out alike but for the '.0' repr adds to whole numbers.  Where
+    # more differs -- repr prints subnormals with fewer digits, and %.9g
+    # writes 1e9 to 1e16 with an exponent -- and for non-finite values,
+    # _json_value makes the cell.
+    values = a.tolist()
+    if a.dtype.kind != "f":
+        return [_json_value(v) for v in values]
+    cells = ("%.9g\n" * len(values) % tuple(values)).split("\n")
+    cells = [c if "." in c or "e" in c else c + ".0" for c in cells[:-1]]
+    mag = np.abs(a)
+    with np.errstate(invalid="ignore"):
+        plain = (mag < 1e8) & ((mag >= sys.float_info.min) | (mag == 0.0))
+    for i in np.flatnonzero(~plain).tolist():
+        cells[i] = _json_value(values[i])
+    return cells
+
+
+def _json_text(table: Table, command: str):
+    head = {"schema_version": JSON_SCHEMA_VERSION, "command": command}
+    if table.body is not None:
+        yield json.dumps({**head, **table.body}, indent=2) + "\n"
+        return
+    # the bytes json.dumps(indent=2) writes for a "rows" list of row objects
+    yield json.dumps(head, indent=2)[:-2] + ',\n  "rows": ['
+    sep = "\n    "
+    for block in table.blocks:
+        template = "{\n" + ",\n".join(
+            f"      {json.dumps(c)}: ".replace("%", "%%")
+            + ("%s" if isinstance(v, np.ndarray) else _json_value(v).replace("%", "%%"))
+            for c, v in zip(table.columns, block)
+        ) + "\n    }"
+        for rows in _chunks(block, _json_cells):
+            yield sep + ",\n    ".join(template % row for row in rows)
+            sep = ",\n    "
+    yield "]\n}\n" if sep == "\n    " else "\n  ]\n}\n"
 
 
 def main(argv=None) -> int:
@@ -296,23 +418,14 @@ def main(argv=None) -> int:
     try:
         table = COMMANDS[args.command](args)
         if args.format == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(table.columns)
-            for row in table.rows:
-                writer.writerow([_fmt(v) for v in row])
-            text = buf.getvalue()
+            parts = _csv_text(table)
         else:
-            body = table.body
-            if body is None:
-                body = {"rows": [{c: _round9(v) for c, v in zip(table.columns, row)}
-                                 for row in table.rows]}
-            doc = {"schema_version": JSON_SCHEMA_VERSION, "command": args.command, **body}
-            text = json.dumps(doc, indent=2) + "\n"
+            parts = _json_text(table, args.command)
         if args.out == "-":
-            sys.stdout.write(text)
+            sys.stdout.writelines(parts)
         else:
-            Path(args.out).write_text(text)
+            with Path(args.out).open("w") as fh:
+                fh.writelines(parts)
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cavity import _DBL_MIN, CavityGeometry, ModeIndex, effective_mass
+from .cavity import _DBL_MIN, CavityGeometry, ModeIndex, _square_of_L, effective_mass
 from .constants import HBAR
 from .material import MaterialParams
 from .specfun import erf, erf_inv, hermite
@@ -150,8 +150,9 @@ def piezo_current_zpf(
         raise ValueError(f"mu must lie in (0, 1], got {mu!r}")
     if not (eta_x > 0 and eta_y > 0):
         raise ValueError("trapping parameters must be positive")
-    alpha = eta_x**2 / (math.pi * geo.L**2)
-    beta = eta_y**2 / (math.pi * geo.L**2)
+    area = math.pi * _square_of_L(geo)
+    alpha = eta_x**2 / area
+    beta = eta_y**2 / area
     _, m_flat, xi = effective_mass(mat, geo, mode, eta_x, eta_y)
     p_flat = math.sqrt(HBAR * _omega_ref(mat, geo, mode.n) * m_flat / 2.0)
     prefactor = mat.e_z * math.pi * mu / (math.sqrt(alpha * beta) * geo.h0 * m_flat)
@@ -230,15 +231,17 @@ def design_electrode(
     """Size the electrode for mode (n, 0, 0) and collect its figures.
 
     Raises OverflowError, naming eta and n, when the envelope curvature or a
-    shunt figure leaves the double range.
+    shunt figure leaves the double range, and an ArithmeticError naming L
+    when L^2 does.
     """
     lt = optimal_electrode(geo, eta, n, mu_opt)
     if lt >= geo.L:
         raise ValueError(
             f"optimal electrode half-width {lt:.4g} m does not fit the plate (L={geo.L:.4g} m)"
         )
+    area = math.pi * _square_of_L(geo)
     try:
-        alpha = eta**2 / (math.pi * geo.L**2)
+        alpha = eta**2 / area
     except OverflowError:
         alpha = math.inf
     if alpha == math.inf:

@@ -3,7 +3,9 @@
 Everything here is pure and reentrant: no caches, no global mutable state,
 safe for concurrent callers.  ``erf`` and ``erfc`` are input-checked
 wrappers of ``math.erf`` and ``math.erfc``; ``erfcx`` adds a continued
-fraction for the range where erfc underflows.
+fraction for the range where erfc underflows.  All three take a float or a
+numpy array and apply the ``math`` function to each element, so an array
+gives exactly the values of the one-element calls.
 
 One adaptive engine sits behind both integrators: a tensor-product
 Gauss-Kronrod (G7/K15) rule on boxes in any number of axes, with the
@@ -101,34 +103,66 @@ def _erfcx_cf(x: float) -> float:
     return 1.0 / (_SQRT_PI * f)
 
 
-def erf(x: float) -> float:
+def _real(x):
+    # x as a float64 scalar, or as a float64 array if it is an array or a
+    # list; the isinstance test spares a float the cost of np.ndim
+    if isinstance(x, (int, float)) or np.ndim(x) == 0:
+        return np.float64(x)
+    return np.asarray(x, dtype=float)
+
+
+def _finite(x):
+    # elementwise isfinite, cheaper than np.isfinite on a scalar
+    return abs(x) < math.inf
+
+
+def _elementwise(fn: Callable[[float], float]) -> Callable:
+    # fn of a float, or of each element of a float array: running fn itself
+    # on every element keeps a math function's exact bits
+    ufunc = np.frompyfunc(fn, 1, 1)
+
+    def apply(x):
+        return fn(x) if isinstance(x, float) else ufunc(x).astype(float)
+
+    return apply
+
+
+def _reject(x, ok, message: str):
+    # ValueError naming the first element of x where the elementwise check
+    # ok fails, as a plain float, so that an array call names the failing
+    # element exactly as a call with that element alone would
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        raise ValueError(f"{message}, got {float(np.ravel(x)[np.argmin(ok)])!r}")
+
+
+_ERF = _elementwise(math.erf)
+_ERFC = _elementwise(math.erfc)
+_ERFCX = _elementwise(lambda x: math.exp(x * x) * math.erfc(x) if x < 2.0 else _erfcx_cf(x))
+
+
+def erf(x):
     """Error function, odd in x, range [-1, 1]; ``math.erf`` with finite input."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"erf requires finite input, got {x!r}")
-    return math.erf(x)
+    x = _real(x)
+    _reject(x, _finite(x), "erf requires finite input")
+    return _ERF(x)
 
 
-def erfc(x: float) -> float:
+def erfc(x):
     """Complementary error function 1 - erf(x); ``math.erfc`` with finite input."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"erfc requires finite input, got {x!r}")
-    return math.erfc(x)
+    x = _real(x)
+    _reject(x, _finite(x), "erfc requires finite input")
+    return _ERFC(x)
 
 
-def erfcx(x: float) -> float:
+def erfcx(x):
     """Scaled complementary error function e^{x^2} erfc(x) for x >= 0.
 
     ``math.erfc`` below 2, where e^{x^2} cannot overflow; a continued
     fraction beyond, where erfc itself underflows for x > ~27.
     """
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"erfcx requires finite non-negative input, got {x!r}")
-    if x < 2.0:
-        return math.exp(x * x) * math.erfc(x)
-    return _erfcx_cf(x)
+    x = _real(x)
+    _reject(x, _finite(x) & (x >= 0.0), "erfcx requires finite non-negative input")
+    return _ERFCX(x)
 
 
 def _erf_inv_tail(c: float) -> float:

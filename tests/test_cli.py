@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bawcav.cli import CHARACTERIZE_COLUMNS, SWEEP_COLUMNS, main
+from bawcav.cli import CHARACTERIZE_COLUMNS, MAX_ORACLE_SETS, SWEEP_COLUMNS, main
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +51,9 @@ class TestCharacterize:
         (["--eta", "1e-200"], 3),
         (["--temp-k", "1e308"], 3),
         (["--h0", "5e-324", "--eta", "10"], 3),
+        (["--h0", "1e-300"], 3),
+        (["--L", "1e-200", "--eta", "10"], 3),
+        (["--L", "1e200"], 3),
     ])
     def test_numeric_errors_exit_cleanly(self, capsys, argv, expected):
         code, out, err = run_cli(capsys, "characterize", *argv)
@@ -58,6 +61,19 @@ class TestCharacterize:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert "inf" not in out and "nan" not in out
+
+    @pytest.mark.parametrize("argv, names", [
+        (["characterize", "--h0", "1e-300"], "h0 = 1e-300"),
+        (["characterize", "--L", "1e-200", "--eta", "10"], "L = 1e-200"),
+        (["characterize", "--L", "1e200"], "L = 1e+200"),
+        (["electrode", "--L", "1e-200", "--eta", "10", "--n", "7"], "L = 1e-200"),
+        (["electrode", "--L", "1e200", "--eta", "10", "--n", "7"], "L = 1e+200"),
+    ])
+    def test_extreme_geometry_error_names_the_input(self, capsys, argv, names):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert names in err and "division" not in err and "34" not in err
 
     @pytest.mark.parametrize("eta", ["1e200", "1e-200"])
     def test_numeric_error_names_eta_and_mode(self, capsys, eta):
@@ -125,6 +141,29 @@ class TestSweep:
             capsys, "sweep", "--n", "1", "--eta-range", "1:2:1", "--R-range", "0.1:0.2:0.1"
         )
         assert code == 2
+
+    def test_radius_conflicts_with_radius_range(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--n", "1", "--R", "5", "--R-range", "0.1:0.3:0.1"])
+        assert exc.value.code == 2
+        assert "not allowed with argument --R" in capsys.readouterr().err
+
+    def test_eta_range_reads_the_radius(self, capsys):
+        # the plate must stay thin against R, so a tiny --R is refused
+        code, out, err = run_cli(capsys, "sweep", "--n", "1", "--R", "0.005",
+                                 "--eta-range", "1:2:1")
+        assert code == 2
+        assert out == ""
+        assert "R/10" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failing_overtone_leaves_no_output(self, capsys, fmt):
+        # the rows of n = 1 are computed before n = 4 is refused
+        code, out, err = run_cli(capsys, "sweep", "--n", "1,4", "--eta-range", "1:2:1",
+                                 "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert "overtone must be odd" in err
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -253,6 +292,13 @@ class TestOracleCmd:
         doc = json.loads(out)
         assert doc["command"] == "oracle"
         assert [c["id"] for c in doc["criteria"]] == [8, 9]
+
+    @pytest.mark.parametrize("sets", [str(MAX_ORACLE_SETS + 1), "100000000"])
+    def test_sets_above_the_cap_exit_2(self, capsys, sets):
+        code, out, err = run_cli(capsys, "oracle", "--sets", sets)
+        assert code == 2
+        assert out == ""
+        assert f"capped at {MAX_ORACLE_SETS}" in err
 
     @pytest.mark.parametrize("sets", ["0", "-3"])
     def test_no_parameter_sets_exits_2(self, capsys, sets):
@@ -390,6 +436,22 @@ def test_readme_output_is_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == README_COMMANDS[command]
 
 
+# SHA-256 of the README's plot-ready grid, 119,010 rows, as CSV and JSON;
+# it crosses the block boundaries of the streamed output many times
+README_GRID = "sweep --n 1,3,5,7,9,11,13,15,17,19 --eta-range 0.1:12:0.001"
+README_GRID_SHA256 = {
+    "csv": "7bab5c3828f5f09552a241f303af5d3e4e18c80a103f3af3e53cd69b03a8d408",
+    "json": "c02bc2ac89b1395ab3b402b6f69c2c83530379f649c3037188eba79e4abfca8a",
+}
+
+
+@pytest.mark.parametrize("fmt", README_GRID_SHA256)
+def test_readme_grid_is_pinned(tmp_path, fmt):
+    out = tmp_path / f"grid.{fmt}"
+    assert main(README_GRID.split() + ["--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == README_GRID_SHA256[fmt]
+
+
 def _flag(name, values):
     # a flag with a value drawn from ``values``, or the flag left out
     return st.one_of(st.just([]), values.map(lambda v: [f"{name}={v!r}"]))
@@ -440,8 +502,13 @@ CLI_ARGS = st.one_of(
           _flag("--n", ODD), _float_flag("--a", 1e-3, 0.1),
           _float_flag("--b", 1e-3, 0.1), _float_flag("--mem-h", 1e-5, 1e-3),
           _float_flag("--tau", 1e6, 1e12)),
+    # --R comes with either range, and conflicts with --R-range
     _argv("sweep", *GEOMETRY, *MODE, TEMP, FORMAT, _flag("--n", ODD_LIST),
           st.one_of(_grid("--eta-range", 1e-2, 20.0), _grid("--R-range", 1e-2, 10.0))),
+    # only set counts that are refused before any quadrature runs
+    _argv("oracle", *GEOMETRY, FORMAT,
+          st.one_of(st.integers(max_value=0), st.integers(min_value=MAX_ORACLE_SETS + 1))
+          .map(lambda k: [f"--sets={k}"])),
 )
 
 
