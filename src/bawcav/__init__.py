@@ -45,6 +45,7 @@ from .membrane import MembraneSpec, compare, membrane_effective_mass, membrane_f
 from .oracle import (
     EigenSolveConfig,
     EigensolveConvergenceError,
+    escape_and_mass_oracle,
     escape_integral_oracle,
     mass_integral_oracle,
     overlap_integral_oracle,
@@ -60,6 +61,7 @@ from .specfun import (
     hermite,
     integrate_1d,
     integrate_2d,
+    integrate_rectangles,
 )
 
 __version__ = "0.1.0"

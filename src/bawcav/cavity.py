@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -132,6 +132,18 @@ class ModeCharacterization:
         if _first_bad(abs(prod - HBAR / 2.0) <= 1e-12 * (HBAR / 2.0)) is not None:
             raise ValueError("x_zpf * p_zpf must equal hbar/2 (minimum uncertainty)")
 
+    # the generated field-tuple comparison asks an array for one truth value
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    def __hash__(self):
+        values = tuple(getattr(self, f.name) for f in fields(self))
+        if any(isinstance(v, np.ndarray) for v in values):
+            raise TypeError(f"unhashable type: array-valued '{type(self).__name__}'")
+        return hash(values)
+
 
 def _normal(value: float, what: str) -> float:
     # value when it is a positive normal double, else an error naming what
@@ -179,7 +191,10 @@ def mode_shape(mode: ModeIndex, alpha: float, beta: float) -> Callable:
 
     u = exp(-alpha n pi x^2/2) H_m(sqrt(alpha n pi) x) * (same along y with
     beta, p); u(0, 0) = 1 for the fundamental family m = p = 0.  The returned
-    callable accepts scalars or numpy arrays.
+    callable accepts scalars or numpy arrays that broadcast against each
+    other; on an x column and a y row it evaluates each factor once per node
+    and multiplies them in the order ((e_x H_x) e_y) H_y, the order of a
+    flat evaluation, so every grid value has the same bits either way.
     """
     ax = alpha * mode.n * math.pi
     ay = beta * mode.n * math.pi

@@ -42,7 +42,7 @@ __all__ = ["main", "entry"]
 
 JSON_SCHEMA_VERSION = 1
 MAX_GRID_POINTS = 1_000_000  # per --eta-range / --R-range
-MAX_ORACLE_SETS = 10_000  # oracle --sets, about 7 ms each
+MAX_ORACLE_SETS = 10_000  # oracle --sets, about 2 ms each
 BLOCK_ROWS = 4096  # rows formatted and written at a time
 
 SWEEP_COLUMNS = [
@@ -426,6 +426,8 @@ def main(argv=None) -> int:
         else:
             with Path(args.out).open("w") as fh:
                 fh.writelines(parts)
+    except BrokenPipeError:
+        raise  # the reader has gone, which is not a usage error: entry() exits 141
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -12,6 +12,7 @@ solution.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .cavity import CavityGeometry, ModeIndex, mode_shape
 from .material import MaterialParams, dispersion_parameters, stiffened_constants
-from .specfun import QuadratureSpec, integrate_2d
+from .specfun import QuadratureSpec, integrate_rectangles
 
 __all__ = [
     "EigenSolveConfig",
@@ -27,6 +28,7 @@ __all__ = [
     "TrapEigenResult",
     "mass_integral_oracle",
     "escape_integral_oracle",
+    "escape_and_mass_oracle",
     "overlap_integral_oracle",
     "trap_eigensolve",
     "fit_gaussian_curvature",
@@ -84,6 +86,14 @@ class TrapEigenResult:
     lambdas: np.ndarray
     omegas: np.ndarray
     vectors: np.ndarray
+    # the work behind each eigenpair: Sturm counts evaluated (a shift already
+    # counted in this solve is looked up, not recounted), bisection steps,
+    # inverse iterations, and the relative residual ||A v - lambda v|| / |lambda|
+    # it stopped at
+    sturm_counts: tuple[int, ...]
+    bisection_steps: tuple[int, ...]
+    inverse_iterations: tuple[int, ...]
+    residuals: tuple[float, ...]
 
     def pairs(self) -> list[tuple[float, np.ndarray]]:
         return [(float(w), self.vectors[:, j]) for j, w in enumerate(self.omegas)]
@@ -93,6 +103,26 @@ def _mode_density(mode: ModeIndex, alpha: float, beta: float):
     # u^2 of the unit-amplitude mode shape
     u = mode_shape(mode, alpha, beta)
     return lambda x, y: u(x, y) ** 2
+
+
+def _plate_and_exterior(mode: ModeIndex, alpha: float, beta: float, L: float) -> tuple[float, float]:
+    # integrals of u^2 over the plate and over the plane outside it, in one
+    # pass over four rectangles.  u^2 is even in each coordinate (the Hermite
+    # factor enters squared), so one strip and one corner per axis pair
+    # suffice; the exterior reaches _TAIL_DECAY_LENGTHS decay lengths out.
+    ax = alpha * mode.n * math.pi
+    ay = beta * mode.n * math.pi
+    margin_x = (_TAIL_DECAY_LENGTHS + 2.0 * math.sqrt(mode.m + 1.0)) / math.sqrt(ax)
+    margin_y = (_TAIL_DECAY_LENGTHS + 2.0 * math.sqrt(mode.p + 1.0)) / math.sqrt(ay)
+    xo = L + margin_x
+    yo = L + margin_y
+    usq = _mode_density(mode, alpha, beta)
+    inner, strip_x, strip_y, corner = integrate_rectangles(
+        usq,
+        [((-L, L), (-L, L)), ((L, xo), (-L, L)), ((-L, L), (L, yo)), ((L, xo), (L, yo))],
+        _ORACLE_QUAD,
+    )
+    return inner, 2.0 * strip_x + 2.0 * strip_y + 4.0 * corner
 
 
 def mass_integral_oracle(
@@ -105,7 +135,7 @@ def mass_integral_oracle(
     thickness average of sin^2.
     """
     usq = _mode_density(mode, alpha, beta)
-    return rho * h0 * integrate_2d(usq, (-L, L), (-L, L), _ORACLE_QUAD)
+    return rho * h0 * integrate_rectangles(usq, [((-L, L), (-L, L))], _ORACLE_QUAD)[0]
 
 
 def escape_integral_oracle(mode: ModeIndex, alpha: float, beta: float, L: float) -> float:
@@ -113,24 +143,23 @@ def escape_integral_oracle(mode: ModeIndex, alpha: float, beta: float, L: float)
 
     Computed as I_outside / (I_plate + I_outside) so the result keeps full
     relative accuracy even when almost no energy escapes; the sum equals the
-    truncated whole-plane integral.  u^2 is even in each coordinate (the
-    Hermite factor enters squared), so one strip and one corner per axis
-    pair suffice.
+    truncated whole-plane integral.
     """
-    ax = alpha * mode.n * math.pi
-    ay = beta * mode.n * math.pi
-    margin_x = (_TAIL_DECAY_LENGTHS + 2.0 * math.sqrt(mode.m + 1.0)) / math.sqrt(ax)
-    margin_y = (_TAIL_DECAY_LENGTHS + 2.0 * math.sqrt(mode.p + 1.0)) / math.sqrt(ay)
-    xo = L + margin_x
-    yo = L + margin_y
-    usq = _mode_density(mode, alpha, beta)
-
-    inner = integrate_2d(usq, (-L, L), (-L, L), _ORACLE_QUAD)
-    strip_x = integrate_2d(usq, (L, xo), (-L, L), _ORACLE_QUAD)
-    strip_y = integrate_2d(usq, (-L, L), (L, yo), _ORACLE_QUAD)
-    corner = integrate_2d(usq, (L, xo), (L, yo), _ORACLE_QUAD)
-    outside = 2.0 * strip_x + 2.0 * strip_y + 4.0 * corner
+    inner, outside = _plate_and_exterior(mode, alpha, beta, L)
     return outside / (inner + outside)
+
+
+def escape_and_mass_oracle(
+    mode: ModeIndex, alpha: float, beta: float, L: float, rho: float, h0: float
+) -> tuple[float, float]:
+    """Escape probability and effective mass from one quadrature pass.
+
+    The plate integral the mass needs is also the escape fraction's, so it is
+    computed once; the pair equals (``escape_integral_oracle``,
+    ``mass_integral_oracle``) bit for bit.
+    """
+    inner, outside = _plate_and_exterior(mode, alpha, beta, L)
+    return outside / (inner + outside), rho * h0 * inner
 
 
 def overlap_integral_oracle(
@@ -142,7 +171,7 @@ def overlap_integral_oracle(
     normalization under which full coverage of a fundamental mode gives 1.
     """
     u = mode_shape(mode, alpha, beta)
-    surf = integrate_2d(u, (-L_tilde, L_tilde), (-L_tilde, L_tilde), _ORACLE_QUAD)
+    surf = integrate_rectangles(u, [((-L_tilde, L_tilde), (-L_tilde, L_tilde))], _ORACLE_QUAD)[0]
     return 0.5 * mode.n * math.sqrt(alpha * beta) * surf
 
 
@@ -150,41 +179,41 @@ def overlap_integral_oracle(
 # finite-difference eigensolver for the in-plane trap
 # ---------------------------------------------------------------------------
 
-def _sturm_count(diag: np.ndarray, off2: float, shift: float, pivmin: float) -> int:
-    # number of eigenvalues of the symmetric tridiagonal matrix below shift,
-    # by the sign-count of the LDL^T pivots
-    d = diag[0] - shift
-    if abs(d) < pivmin:
-        d = -pivmin
+def _sturm_count(shifted: list[float], off2: float, pivmin: float) -> int:
+    # number of eigenvalues below the shift of the symmetric tridiagonal
+    # matrix whose shifted diagonal is given, by the sign count of its LDL^T
+    # pivots, a pivot within pivmin of 0 taken as -pivmin; Python floats, as
+    # numpy scalars cost several times more per step
+    neg_pivmin = -pivmin
+    d = shifted[0]
+    if neg_pivmin < d < pivmin:
+        d = neg_pivmin
     count = 1 if d < 0.0 else 0
-    for a in diag[1:]:
-        d = (a - shift) - off2 / d
-        if abs(d) < pivmin:
-            d = -pivmin
-        if d < 0.0:
+    for a in itertools.islice(shifted, 1, None):
+        d = a - off2 / d
+        if d < pivmin:  # negative once a tiny pivot is replaced
+            if d > neg_pivmin:
+                d = neg_pivmin
             count += 1
     return count
 
 
-def _thomas_solve(diag: np.ndarray, off: float, rhs: np.ndarray) -> np.ndarray:
+def _thomas_solve(diag: list[float], off: float, rhs: list[float]) -> np.ndarray:
     # tridiagonal solve with constant off-diagonal, no pivoting (the shifted
     # systems here are diagonally dominated away from exact eigenvalues)
-    n = len(diag)
-    c = np.empty(n)
-    d = np.empty(n)
-    c[0] = off / diag[0]
-    d[0] = rhs[0] / diag[0]
-    for i in range(1, n):
-        denom = diag[i] - off * c[i - 1]
+    c = [off / diag[0]]
+    d = [rhs[0] / diag[0]]
+    for a, r in zip(itertools.islice(diag, 1, None), itertools.islice(rhs, 1, None)):
+        denom = a - off * c[-1]
         if denom == 0.0:
             denom = 1e-300
-        c[i] = off / denom
-        d[i] = (rhs[i] - off * d[i - 1]) / denom
-    x = np.empty(n)
-    x[-1] = d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
-    return x
+        c.append(off / denom)
+        d.append((r - off * d[-1]) / denom)
+    x = [d[-1]]
+    for ci, di in zip(reversed(c[:-1]), reversed(d[:-1])):
+        x.append(di - ci * x[-1])
+    x.reverse()
+    return np.array(x)
 
 
 def trap_eigensolve(
@@ -223,33 +252,42 @@ def trap_eigensolve(
     lo0 = float(np.min(diag)) - 2.0 * abs(off)
     hi0 = scale
     off2 = off * off
-    diag_list = diag.tolist()
 
-    lambdas = []
+    # Sturm counts by shift: the bisections of successive eigenvalues start
+    # from the same bracket and share their first midpoints
+    below: dict[float, int] = {}
+    lambdas, sturm_counts, bisection_steps = [], [], []
     for j in range(config.num_eigenpairs):
         lo, hi = lo0, hi0
-        for _ in range(80):
+        evaluated = 0
+        for step in range(1, 81):
             mid = 0.5 * (lo + hi)
-            if _sturm_count(diag_list, off2, mid, pivmin) <= j:
+            if mid not in below:
+                below[mid] = _sturm_count((diag - mid).tolist(), off2, pivmin)
+                evaluated += 1
+            if below[mid] <= j:
                 lo = mid
             else:
                 hi = mid
             if hi - lo <= 1e-14 * max(abs(lo), abs(hi)):
                 break
         lambdas.append(0.5 * (lo + hi))
+        sturm_counts.append(evaluated)
+        bisection_steps.append(step)
 
     rng = np.random.default_rng(12345)
     vectors = np.empty((npts, config.num_eigenpairs))
-    lam_out = []
+    lam_out, iterations, residuals = [], [], []
     for j, lam in enumerate(lambdas):
         shift = lam * (1.0 + 1e-11) + pivmin
+        shifted = (diag - shift).tolist()
         v = rng.standard_normal(npts)
         rayleigh = lam
         residual = math.inf
-        for _ in range(60):
+        for it in range(1, 61):
             for q in range(j):  # deflation
                 v -= (vectors[:, q] @ v) * vectors[:, q]
-            w = _thomas_solve(diag - shift, off, v)
+            w = _thomas_solve(shifted, off, v.tolist())
             v = w / np.linalg.norm(w)
             av = diag * v
             av[:-1] += off * v[1:]
@@ -267,11 +305,22 @@ def trap_eigensolve(
             v = -v
         vectors[:, j] = v / np.max(np.abs(v))
         lam_out.append(rayleigh)
+        iterations.append(it)
+        residuals.append(residual)
 
     lam_arr = np.array(lam_out)
     lead = (n * math.pi / (2.0 * geo.h0)) ** 2 * c_hat
     omegas = np.sqrt((lead + lam_arr) / mat.rho)
-    return TrapEigenResult(x=x, lambdas=lam_arr, omegas=omegas, vectors=vectors)
+    return TrapEigenResult(
+        x=x,
+        lambdas=lam_arr,
+        omegas=omegas,
+        vectors=vectors,
+        sturm_counts=tuple(sturm_counts),
+        bisection_steps=tuple(bisection_steps),
+        inverse_iterations=tuple(iterations),
+        residuals=tuple(residuals),
+    )
 
 
 def fit_gaussian_curvature(x: np.ndarray, v: np.ndarray, floor: float = 1e-3) -> float:

@@ -203,11 +203,10 @@ def criterion_8(mat: MaterialParams, geo: CavityGeometry, n_sets: int = 20) -> C
         for mode, ey, b in ((ModeIndex(n), eta_y, beta), (ModeIndex(n, 2, 2), eta_x, alpha)):
             tag = f"({mode.m},{mode.p})"
             chi_c = cavity.escape_probability(mode, eta_x, ey)
-            chi_o = oracle.escape_integral_oracle(mode, alpha, b, L)
+            chi_o, me_o = oracle.escape_and_mass_oracle(mode, alpha, b, L, mat.rho, geo.h0)
             if chi_o > 1e-12:
                 worst[f"escape{tag}"] = max(worst[f"escape{tag}"], abs(chi_c - chi_o) / chi_o)
             me_c, _, _ = cavity.effective_mass(mat, geo_l, mode, eta_x, ey)
-            me_o = oracle.mass_integral_oracle(mode, alpha, b, L, mat.rho, geo.h0)
             worst[f"mass{tag}"] = max(worst[f"mass{tag}"], abs(me_c - me_o) / me_o)
 
         lt = frac * L

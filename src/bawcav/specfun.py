@@ -7,13 +7,15 @@ fraction for the range where erfc underflows.  All three take a float or a
 numpy array and apply the ``math`` function to each element, so an array
 gives exactly the values of the one-element calls.
 
-One adaptive engine sits behind both integrators: a tensor-product
+One adaptive engine sits behind all three integrators: a tensor-product
 Gauss-Kronrod (G7/K15) rule on boxes in any number of axes, with the
 Kronrod-Gauss difference as each box's error and bisection of the boxes
 that miss their share of the tolerance.  It is independent of the functions
 above: ``integrate_1d`` stays as the test suite's reference for erf and the
-Hermite recurrences, and ``integrate_2d`` is the reference the oracles
-check every closed form against.
+Hermite recurrences; ``integrate_2d`` takes one rectangle and an integrand
+of flat arrays, and ``integrate_rectangles``, the entry the oracles check
+every closed form with, takes several rectangles and an integrand that
+broadcasts over per-axis node arrays.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "hermite",
     "integrate_1d",
     "integrate_2d",
+    "integrate_rectangles",
 ]
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
@@ -260,55 +263,96 @@ _K15_W = 0.5 * np.concatenate([_WGK, _WGK[-2::-1]])
 _G7_W = 0.5 * np.concatenate([_WG, _WG[-2::-1]])
 
 
-def _integrate(f, lo, hi, spec: QuadratureSpec, name: str) -> float:
-    # Adaptive Gauss-Kronrod refinement over the box lo..hi in d = len(lo)
-    # axes.  A sweep samples every pending box on its 15^d Kronrod grid in
-    # one batched call.  The K15 tensor contraction is the box's estimate and
-    # its distance to the G7 contraction (odd nodes only) bounds the error;
-    # boxes within their volume share of the tolerance are done, the rest
-    # split into their 2^d children.  Boxes of one sweep share one depth,
-    # hence one width.
-    lows = np.array([lo], dtype=float)
-    width = np.array(hi, dtype=float) - lows[0]
-    d = len(width)
-    total = float(np.prod(width))
+def _integrate(f, boxes, spec: QuadratureSpec, name: str) -> list[float]:
+    # Adaptive Gauss-Kronrod refinement of each box (lo, hi) in d = len(lo)
+    # axes.  A sweep samples every pending sub-box of every box on its 15^d
+    # Kronrod grid in one call: f gets one node array per axis, of shape
+    # (sub-boxes, 15, 1, ...) along axis 1, (sub-boxes, 1, 15, ...) along
+    # axis 2 and so on, and its values are broadcast onto the full grid.  The
+    # K15 tensor contraction is a sub-box's estimate and its distance to the
+    # G7 contraction (odd nodes only) bounds the error; sub-boxes within
+    # their volume share of their box's tolerance are done, the rest split
+    # into their 2^d children.  Sub-boxes of one box and sweep share one
+    # depth, hence one width.  Each box keeps its own width, running sums and
+    # tolerance, so its value is bit for bit that of a run of it alone.
+    d = len(boxes[0][0])
+    grid = (15,) * d
     corners = np.array(list(itertools.product((0, 1), repeat=d)))
-    nodes = _GK_NODES[np.indices((15,) * d).reshape(d, -1)]  # per axis, 15^d
-    done_vals: list[float] = []
-    done_errs: list[float] = []
+    lows = [np.array([lo], dtype=float) for lo, _ in boxes]
+    widths = [np.array(hi, dtype=float) - low[0] for low, (_, hi) in zip(lows, boxes)]
+    totals = [float(np.prod(w)) for w in widths]
+    done_vals: list[list[float]] = [[] for _ in boxes]
+    done_errs: list[list[float]] = [[] for _ in boxes]
+    results: list[float] = [0.0] * len(boxes)
+    pending = list(range(len(boxes)))
 
     for depth in range(spec.max_depth + 1):
-        points = lows[:, :, None] + width[:, None] * nodes  # (boxes, d, 15^d)
-        coords = points.swapaxes(0, 1).reshape(d, -1)
-        vals = np.asarray(f(*coords), dtype=float).reshape((len(lows),) + (15,) * d)
+        counts = [len(lows[b]) for b in pending]
+        volumes = [float(np.prod(widths[b])) for b in pending]
+        low = np.concatenate([lows[b] for b in pending])
+        width = np.repeat([widths[b] for b in pending], counts, axis=0)
+        axes = [
+            (low[:, k, None] + width[:, k, None] * _GK_NODES).reshape((-1,) + (1,) * k + (15,) + (1,) * (d - k - 1))
+            for k in range(d)
+        ]
+        # contiguous, so the contractions below take one path whatever f returns
+        vals = np.ascontiguousarray(np.broadcast_to(np.asarray(f(*axes), dtype=float), (len(low),) + grid))
         if not np.all(np.isfinite(vals)):
             raise ValueError("integrand returned a non-finite value")
         kron = gauss = vals
         for _ in range(d):
             kron = kron @ _K15_W
             gauss = gauss[..., 1::2] @ _G7_W
-        volume = float(np.prod(width))
+        volume = np.repeat(volumes, counts)
         kron = kron * volume
         err = np.abs(kron - gauss * volume)
 
-        est_total = math.fsum(done_vals) + float(np.sum(kron))
-        tol = max(spec.abs_tol, spec.rel_tol * abs(est_total))
-        ok = err <= tol * (volume / total)
+        still, start = [], 0
+        for b, count, vol in zip(pending, counts, volumes):
+            box_kron, box_err = kron[start:start + count], err[start:start + count]
+            start += count
+            est_total = math.fsum(done_vals[b]) + float(np.sum(box_kron))
+            tol = max(spec.abs_tol, spec.rel_tol * abs(est_total))
+            ok = box_err <= tol * (vol / totals[b])
+            done_vals[b].extend(box_kron[ok].tolist())
+            done_errs[b].extend(box_err[ok].tolist())
+            if np.all(ok):
+                results[b] = math.fsum(done_vals[b])
+                continue
+            bad = ~ok
+            if depth == spec.max_depth:
+                raise QuadratureConvergenceError(
+                    f"{name} did not converge within depth {spec.max_depth}",
+                    math.fsum(done_vals[b]) + float(np.sum(box_kron[bad])),
+                    math.fsum(done_errs[b]) + float(np.sum(box_err[bad])),
+                )
+            widths[b] = 0.5 * widths[b]
+            lows[b] = (lows[b][bad] + corners[:, None, :] * widths[b]).reshape(-1, d)
+            still.append(b)
+        if not still:
+            return results
+        pending = still
 
-        done_vals.extend(kron[ok].tolist())
-        done_errs.extend(err[ok].tolist())
-        if np.all(ok):
-            return math.fsum(done_vals)
 
-        bad = ~ok
-        if depth == spec.max_depth:
-            raise QuadratureConvergenceError(
-                f"{name} did not converge within depth {spec.max_depth}",
-                math.fsum(done_vals) + float(np.sum(kron[bad])),
-                math.fsum(done_errs) + float(np.sum(err[bad])),
-            )
-        width = 0.5 * width
-        lows = (lows[bad] + corners[:, None, :] * width).reshape(-1, d)
+def _on_flat_nodes(f):
+    # f of equal-shape 1-D arrays, as an integrand of the engine's
+    # broadcasting node arrays: the grid goes to f flattened, box by box
+    def on_grid(*axes):
+        grid = np.broadcast_arrays(*axes)
+        return np.asarray(f(*(g.ravel() for g in grid)), dtype=float).reshape(grid[0].shape)
+
+    return on_grid
+
+
+def _rectangle(x_bounds, y_bounds) -> tuple[tuple[float, float], tuple[float, float]]:
+    # the rectangle as ((ax, ay), (bx, by)), checked
+    ax, bx = (float(v) for v in x_bounds)
+    ay, by = (float(v) for v in y_bounds)
+    if not (ax < bx and ay < by):
+        raise ValueError(f"bad rectangle [{ax}, {bx}] x [{ay}, {by}]")
+    if not all(math.isfinite(v) for v in (ax, bx, ay, by)):
+        raise ValueError("rectangle bounds must be finite")
+    return (ax, ay), (bx, by)
 
 
 def integrate_1d(
@@ -330,7 +374,7 @@ def integrate_1d(
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
         raise ValueError(f"bad interval [{a!r}, {b!r}]")
-    return _integrate(f, (a,), (b,), spec, "integrate_1d")
+    return _integrate(_on_flat_nodes(f), [((a,), (b,))], spec, "integrate_1d")[0]
 
 
 def integrate_2d(
@@ -347,10 +391,27 @@ def integrate_2d(
     one batched call per sweep, so ``f`` must be vectorized (equal-shape
     1-D x, y arrays in, values out).
     """
-    ax, bx = (float(v) for v in x_bounds)
-    ay, by = (float(v) for v in y_bounds)
-    if not (ax < bx and ay < by):
-        raise ValueError(f"bad rectangle [{ax}, {bx}] x [{ay}, {by}]")
-    if not all(math.isfinite(v) for v in (ax, bx, ay, by)):
-        raise ValueError("rectangle bounds must be finite")
-    return _integrate(f, (ax, ay), (bx, by), spec, "integrate_2d")
+    box = _rectangle(x_bounds, y_bounds)
+    return _integrate(_on_flat_nodes(f), [box], spec, "integrate_2d")[0]
+
+
+def integrate_rectangles(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    rects,
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+) -> list[float]:
+    """Integrals of f over several rectangles, refined together in one pass.
+
+    ``rects`` is a sequence of ``(x_bounds, y_bounds)`` pairs.  ``f`` must
+    broadcast: it gets the nodes as an x array of shape (k, 15, 1) and a y
+    array of shape (k, 1, 15), one row per pending sub-rectangle, and returns
+    values that broadcast to (k, 15, 15), so a separable integrand evaluates
+    each factor on 15 nodes per axis, not on all 225.  Each value is bit for
+    bit what ``integrate_2d`` returns for that rectangle alone; a rectangle
+    that exhausts the depth budget raises QuadratureConvergenceError with its
+    own estimate and error bound.
+    """
+    boxes = [_rectangle(xb, yb) for xb, yb in rects]
+    if not boxes:
+        return []
+    return _integrate(f, boxes, spec, "integrate_rectangles")

@@ -5,6 +5,9 @@ failure) and asserts the criterion outcome; the same checks back the
 ``bawcav paper-report`` command.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from bawcav import oracle, report
@@ -59,28 +62,30 @@ def test_criterion_08_oracle_equivalence():
 
 @pytest.fixture(scope="module")
 def counted_criterion_8():
-    # criterion 8 with every integrand point its oracles request counted
+    # criterion 8 with every integrand point its oracles request counted: the
+    # size of the grid each batch's broadcasting node arrays span
     sizes = []
-    integrate_2d = oracle.integrate_2d
+    integrate_rectangles = oracle.integrate_rectangles
 
-    def counting(f, *bounds_and_spec):
+    def counting(f, *rects_and_spec):
         def counted(x, y):
-            sizes.append(x.size)
+            sizes.append(math.prod(np.broadcast_shapes(x.shape, y.shape)))
             return f(x, y)
 
-        return integrate_2d(counted, *bounds_and_spec)
+        return integrate_rectangles(counted, *rects_and_spec)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "integrate_2d", counting)
+        mp.setattr(oracle, "integrate_rectangles", counting)
         result = report.criterion_8(MAT, GEO, n_sets=20)
     return result, sum(sizes)
 
 
 def test_criterion_08_point_budget(counted_criterion_8):
-    # 3.3 M points at G7/K15; the bound catches a slide back toward the 47.8 M
-    # that composite Boole panels need for the same tolerance
+    # 2.78 M points at G7/K15 (3.3 M before the escape oracle's plate
+    # integral also gave the mass); the bound catches a slide back toward the
+    # 47.8 M that composite Boole panels need for the same tolerance
     _, points = counted_criterion_8
-    assert points <= 5_000_000
+    assert 0 < points <= 3_000_000
 
 
 def test_criterion_08_deviations_at_rounding_level(counted_criterion_8):

@@ -177,3 +177,28 @@ def test_extreme_geometries_name_their_input(geo_kwargs, eta, error, names):
     geo = CavityGeometry(**{"L": 0.015, "h0": 5e-4, "R": 0.3, **geo_kwargs})
     with pytest.raises(error, match=names):
         characterize(QUARTZ, geo, ModeIndex(1), 0.02, eta_override=eta)
+
+
+class TestCharacterizationCompare:
+    ETAS = np.array([1.0, 2.0])
+
+    def char(self, eta):
+        return characterize(QUARTZ, GEO, ModeIndex(3), 0.02, eta_override=eta)
+
+    def test_array_results_compare_field_by_field(self):
+        a = self.char(self.ETAS)
+        assert (a == self.char(self.ETAS.copy())) is True
+        assert (a != self.char(np.array([1.0, 2.5]))) is True
+        assert (a == self.char(np.array([1.0, 2.0, 3.0]))) is False
+        assert (a == self.char(1.0)) is False
+        assert (a == "not a characterization") is False
+
+    def test_scalar_results_keep_their_hash(self):
+        a, b = self.char(2.0), self.char(2.0)
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash(tuple(getattr(a, f) for f in FIELDS))
+        assert len({a, b, self.char(3.0)}) == 2
+
+    def test_array_results_are_unhashable(self):
+        with pytest.raises(TypeError, match="ModeCharacterization"):
+            hash(self.char(self.ETAS))

@@ -3,12 +3,17 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bawcav
 from bawcav.cli import CHARACTERIZE_COLUMNS, MAX_ORACLE_SETS, SWEEP_COLUMNS, main
 
 
@@ -318,6 +323,24 @@ class TestOracleCmd:
         code, _, err = run_cli(capsys, "oracle", "--sets", "1")
         assert code == 3
         assert "stalled" in err
+
+
+class TestConsoleEntry:
+    def test_closed_pipe_exits_141_quietly(self):
+        # `bawcav sweep ... | head -n 1`: the reader leaves after one line and
+        # the writer stops at once, without a message or a usage-error code
+        src = str(Path(bawcav.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["sweep", "--n", "1,3", "--eta-range", "0.1:12:0.001"]
+        proc = subprocess.Popen([sys.executable, "-m", "bawcav", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert first.decode() == ",".join(SWEEP_COLUMNS) + "\n"
+        assert err == b""
 
 
 class TestSweepModes:

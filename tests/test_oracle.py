@@ -5,17 +5,20 @@ import math
 import numpy as np
 import pytest
 
+from bawcav import oracle
 from bawcav.cavity import (
     CavityGeometry,
     ModeIndex,
     effective_mass,
     envelope_curvatures,
     escape_probability,
+    mode_shape,
 )
 from bawcav.detection import overlap_factor
-from bawcav.material import bundled_material_path, load_material
+from bawcav.material import bundled_material_path, dispersion_parameters, load_material, stiffened_constants
 from bawcav.oracle import (
     EigenSolveConfig,
+    escape_and_mass_oracle,
     escape_integral_oracle,
     fit_gaussian_curvature,
     mass_integral_oracle,
@@ -107,6 +110,34 @@ class TestEscapeOracle:
         alpha, L = geometry_for(1.4, 1)
         chi = escape_integral_oracle(ModeIndex.relaxed(1, 1, 0), alpha, alpha, L)
         assert 0.0 < chi < 1.0
+
+
+class TestEscapeAndMass:
+    @pytest.mark.parametrize("mode,eta_x,eta_y", [(ModeIndex(1), 1.0, 1.4), (ModeIndex(3, 2, 2), 0.9, 0.9),
+                                                  *HIGHER_ORDER_CASES])
+    def test_pair_is_the_two_oracles(self, mode, eta_x, eta_y):
+        alpha = eta_x**2 / (math.pi * GEO.L**2)
+        beta = eta_y**2 / (math.pi * GEO.L**2)
+        pair = escape_and_mass_oracle(mode, alpha, beta, GEO.L, QUARTZ.rho, GEO.h0)
+        assert pair == (
+            escape_integral_oracle(mode, alpha, beta, GEO.L),
+            mass_integral_oracle(mode, alpha, beta, GEO.L, QUARTZ.rho, GEO.h0),
+        )
+
+
+@pytest.mark.parametrize("m,p", [(0, 0), (2, 2), (4, 2)])
+def test_mode_shape_on_the_open_grid_is_the_flat_evaluation(m, p):
+    # the oracles evaluate u on per-axis node arrays; every grid value must
+    # keep the bits of the same point evaluated on flat arrays
+    u = mode_shape(ModeIndex(3, m, p), 3.1e4, 4.7e4)
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-0.03, 0.03, (6, 15, 1))
+    y = rng.uniform(-0.03, 0.03, (6, 1, 15))
+    gx, gy = np.broadcast_arrays(x, y)
+    flat = u(gx.ravel(), gy.ravel())
+    assert u(x, y).shape == (6, 15, 15)
+    assert u(x, y).tobytes() == flat.tobytes()
+    assert (u(x, y) ** 2).tobytes() == (flat**2).tobytes()
 
 
 class TestOverlapOracle:
@@ -213,3 +244,129 @@ class TestTrapEigensolve:
         with pytest.raises(EigensolveConvergenceError) as err:
             trap_eigensolve(QUARTZ, GEO, 1, cfg)
         assert err.value.residual > 0.0
+
+
+def reference_eigensolve(mat, geo, n, config=EigenSolveConfig()):
+    # reference for trap_eigensolve's bits: one Sturm count per bisection
+    # step, nothing looked up, and the Thomas sweep on numpy arrays element
+    # by element
+    _, c_hat = stiffened_constants(mat, n)
+    m_n, _ = dispersion_parameters(mat, n)
+    k_pot = math.pi**2 * n**2 * c_hat / (8.0 * geo.R * geo.h0**3)
+    sigma = 1.0 / math.sqrt(math.sqrt(k_pot / m_n))
+    npts = config.grid_points
+    half_width = config.domain_sigma * sigma
+    h = 2.0 * half_width / (npts + 1)
+    x = -half_width + h * np.arange(1, npts + 1)
+    off = -m_n / (h * h)
+    diag = 2.0 * m_n / (h * h) + k_pot * x * x
+    scale = float(np.max(np.abs(diag)) + 2.0 * abs(off))
+    pivmin = 1e-14 * scale
+
+    def count(shift):
+        below = 0
+        for i in range(npts):
+            d = diag[0] - shift if i == 0 else (diag[i] - shift) - off * off / d
+            if abs(d) < pivmin:
+                d = -pivmin
+            below += d < 0.0
+        return below
+
+    def thomas(dg, rhs):
+        c, d, out = np.empty(npts), np.empty(npts), np.empty(npts)
+        c[0], d[0] = off / dg[0], rhs[0] / dg[0]
+        for i in range(1, npts):
+            denom = dg[i] - off * c[i - 1]
+            denom = 1e-300 if denom == 0.0 else denom
+            c[i], d[i] = off / denom, (rhs[i] - off * d[i - 1]) / denom
+        out[-1] = d[-1]
+        for i in range(npts - 2, -1, -1):
+            out[i] = d[i] - c[i] * out[i + 1]
+        return out
+
+    rng = np.random.default_rng(12345)
+    vectors = np.empty((npts, config.num_eigenpairs))
+    lambdas = []
+    for j in range(config.num_eigenpairs):
+        lo, hi = float(np.min(diag)) - 2.0 * abs(off), scale
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if count(mid) <= j else (lo, mid)
+            if hi - lo <= 1e-14 * max(abs(lo), abs(hi)):
+                break
+        lam = 0.5 * (lo + hi)
+        shift = lam * (1.0 + 1e-11) + pivmin
+        v = rng.standard_normal(npts)
+        for _ in range(60):
+            for q in range(j):
+                v -= (vectors[:, q] @ v) * vectors[:, q]
+            w = thomas(diag - shift, v)
+            v = w / np.linalg.norm(w)
+            av = diag * v
+            av[:-1] += off * v[1:]
+            av[1:] += off * v[:-1]
+            rayleigh = float(v @ av)
+            if float(np.linalg.norm(av - rayleigh * v)) / abs(rayleigh) <= config.tolerance:
+                break
+        centre = npts // 2
+        if v[centre] < 0 or (v[centre] == 0.0 and v[centre + 1] < 0):
+            v = -v
+        vectors[:, j] = v / np.max(np.abs(v))
+        lambdas.append(rayleigh)
+    return np.array(lambdas), vectors
+
+
+# the two geometries of criterion 9: the default cavity, and R = L
+CRITERION_9_GEOMETRIES = [GEO, CavityGeometry(L=GEO.L, h0=GEO.h0, R=GEO.L)]
+
+
+class TestEigensolveWork:
+    @pytest.mark.parametrize("geo", CRITERION_9_GEOMETRIES)
+    def test_same_eigenpairs_as_the_reference_solver(self, geo):
+        res = trap_eigensolve(QUARTZ, geo, 1)
+        lambdas, vectors = reference_eigensolve(QUARTZ, geo, 1)
+        assert np.array_equal(res.lambdas, lambdas)
+        assert np.array_equal(res.vectors, vectors)
+
+    @pytest.mark.parametrize("geo", CRITERION_9_GEOMETRIES)
+    def test_work_is_reported_per_eigenpair(self, geo, monkeypatch):
+        calls = []
+        sturm_count = oracle._sturm_count
+
+        def counting(shifted, off2, pivmin):
+            calls.append(1)
+            return sturm_count(shifted, off2, pivmin)
+
+        monkeypatch.setattr(oracle, "_sturm_count", counting)
+        cfg = EigenSolveConfig()
+        res = trap_eigensolve(QUARTZ, geo, 1, cfg)
+        k = cfg.num_eigenpairs
+        assert all(len(s) == k for s in (res.sturm_counts, res.bisection_steps,
+                                         res.inverse_iterations, res.residuals))
+        # every count made is reported, and later eigenvalues reuse the
+        # counts at the midpoints they share with earlier ones
+        assert sum(res.sturm_counts) == len(calls)
+        assert res.sturm_counts[0] == res.bisection_steps[0]
+        assert all(0 < c < s <= 80 for c, s in zip(res.sturm_counts[1:], res.bisection_steps[1:]))
+        assert all(1 <= i <= 60 for i in res.inverse_iterations)
+        assert all(0.0 < r <= cfg.tolerance for r in res.residuals)
+
+    def test_sturm_count_takes_tiny_pivots_as_minus_pivmin(self):
+        def reference(shifted, off2, pivmin):
+            count = 0
+            for i, a in enumerate(shifted):
+                d = a if i == 0 else a - off2 / d
+                if abs(d) < pivmin:
+                    d = -pivmin
+                count += d < 0.0
+            return count
+
+        pivmin = 1e-3
+        # with off2 = 0 each pivot is its diagonal entry, so the entries
+        # below hit the pivmin boundary exactly
+        values = [-2.0, -pivmin, -0.5 * pivmin, -0.0, 0.0, 0.5 * pivmin, pivmin, 2.0]
+        rng = np.random.default_rng(3)
+        for off2 in (0.0, 0.5, 3.0):
+            for _ in range(200):
+                shifted = rng.choice(values, 12).tolist()
+                assert oracle._sturm_count(shifted, off2, pivmin) == reference(shifted, off2, pivmin)

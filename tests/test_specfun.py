@@ -16,6 +16,7 @@ from bawcav.specfun import (
     hermite,
     integrate_1d,
     integrate_2d,
+    integrate_rectangles,
 )
 
 TIGHT = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300, max_depth=40)
@@ -251,3 +252,71 @@ class TestQuadrature2D:
         shallow = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300, max_depth=3)
         with pytest.raises(QuadratureConvergenceError):
             integrate_2d(f, (0, 1), (0, 1), shallow)
+
+    def test_integrand_gets_equal_shape_1d_arrays(self):
+        shapes = []
+
+        def f(x, y):
+            shapes.append((x.shape, y.shape))
+            return np.exp(-x * x - y * y)
+
+        integrate_2d(f, (-6, 6), (-6, 6))
+        assert len(shapes) > 1
+        assert all(sx == sy and len(sx) == 1 for sx, sy in shapes)
+
+
+def gaussian_bump(x, y):
+    # a broadcasting integrand, separable as the mode shapes are
+    return np.exp(-x * x) * np.exp(-2.0 * y * y)
+
+
+class TestQuadratureRectangles:
+    # rectangles that converge at depths 1, 5 and 4 when refined alone
+    RECTS = [((-0.5, 0.5), (-0.5, 0.5)), ((-6.0, 6.0), (-6.0, 6.0)), ((0.3, 9.0), (-7.5, 1.0))]
+
+    def test_nodes_broadcast_per_axis(self):
+        shapes = []
+
+        def f(x, y):
+            shapes.append((x.shape, y.shape))
+            return gaussian_bump(x, y)
+
+        integrate_rectangles(f, self.RECTS)
+        assert shapes[0] == ((3, 15, 1), (3, 1, 15))
+        assert all(sx[1:] == (15, 1) and sy[1:] == (1, 15) and sx[0] == sy[0] for sx, sy in shapes)
+
+    def test_each_value_is_the_one_box_value(self):
+        depths = []
+        for rect in self.RECTS:
+            f, sizes = counted(gaussian_bump)
+            integrate_rectangles(f, [rect])
+            depths.append(len(sizes))
+        assert len(set(depths)) == len(depths)  # each converges at its own depth
+        together = integrate_rectangles(gaussian_bump, self.RECTS, TIGHT)
+        alone = [integrate_2d(gaussian_bump, *rect, TIGHT) for rect in self.RECTS]
+        assert together == alone
+        assert together[1] == pytest.approx(math.pi / math.sqrt(2.0), rel=1e-13)
+
+    def test_function_of_one_axis_is_broadcast(self):
+        val = integrate_rectangles(lambda x, y: x * x, [((0, 1), (0, 2))])[0]
+        assert val == pytest.approx(2.0 / 3.0, rel=1e-14)
+
+    def test_depth_exhaustion_names_its_own_box(self):
+        peak = lambda x, y: 1.0 / (1e-10 + (x - 0.3) ** 2 + (y - 0.6) ** 2)
+        shallow = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300, max_depth=3)
+        with pytest.raises(QuadratureConvergenceError) as alone:
+            integrate_2d(peak, (0, 1), (0, 1), shallow)
+        with pytest.raises(QuadratureConvergenceError) as together:
+            integrate_rectangles(peak, [((2, 3), (2, 3)), ((0, 1), (0, 1)), ((-3, -2), (0, 1))], shallow)
+        assert together.value.estimate == alone.value.estimate
+        assert together.value.error_bound == alone.value.error_bound
+
+    def test_non_finite_integrand(self):
+        with np.errstate(divide="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                integrate_rectangles(lambda x, y: 1.0 / (x * y), [((1, 2), (1, 2)), ((-1, 1), (-1, 1))])
+
+    def test_bad_rectangle_and_no_rectangle(self):
+        with pytest.raises(ValueError):
+            integrate_rectangles(gaussian_bump, [((0, 1), (0, 1)), ((1, 0), (0, 1))])
+        assert integrate_rectangles(gaussian_bump, []) == []
