@@ -18,6 +18,7 @@ from .cavity import (
     mode_frequency,
     mode_shape,
     thermal_occupancy,
+    trapping_over_radii,
     trapping_parameters,
     zpf,
 )

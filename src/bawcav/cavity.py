@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -27,6 +27,7 @@ __all__ = [
     "ModeCharacterization",
     "envelope_curvatures",
     "trapping_parameters",
+    "trapping_over_radii",
     "mode_shape",
     "escape_probability",
     "escape_probability_log10",
@@ -186,6 +187,41 @@ def trapping_parameters(alpha: float, beta: float, L: float) -> tuple[float, flo
     return math.sqrt(math.pi * alpha) * L, math.sqrt(math.pi * beta) * L
 
 
+def trapping_over_radii(mat: MaterialParams, geo: CavityGeometry, n: int, radii) -> tuple:
+    """Per-axis trapping (eta_x, eta_y) of overtone n over a 1-D array of radii.
+
+    Each radius replaces geo.R, and the pair of arrays is bit for bit
+    ``trapping_parameters(*envelope_curvatures(mat, g, n), g.L)`` with one
+    geometry g per radius: the material constants of n are taken once, and
+    the curvatures and eta come from the same operations in the same order
+    over the whole array, each correctly rounded in numpy as in ``math``.
+    The first radius at which that chain raises raises its error.  The
+    radii are not checked against the thin-plate bound of CavityGeometry.
+    """
+    _, c_hat = stiffened_constants(mat, n)
+    m_n, p_n = dispersion_parameters(mat, n)
+    try:
+        h0_cubed = geo.h0**3
+    except OverflowError:
+        h0_cubed = math.inf
+    radii = np.asarray(radii, dtype=float)
+    with np.errstate(all="ignore"):
+        denom = 8.0 * radii * h0_cubed
+        qx, qy = denom * m_n, denom * p_n
+        alpha, beta = np.sqrt(c_hat / qx), np.sqrt(c_hat / qy)
+        # where the chain raises: denom not a normal double, a division by
+        # zero, or a curvature that is not positive (a NaN from a negative
+        # square root among them)
+        ok = ((denom >= _DBL_MIN) & (denom < math.inf) & (qx != 0.0) & (qy != 0.0)
+              & (alpha > 0) & (beta > 0))
+    k = _first_bad(ok)
+    if k is not None:
+        g = replace(geo, R=_at(radii, k))
+        trapping_parameters(*envelope_curvatures(mat, g, n), g.L)
+        raise AssertionError(f"the trapping chain at R = {g.R!r} did not raise")
+    return np.sqrt(math.pi * alpha) * geo.L, np.sqrt(math.pi * beta) * geo.L
+
+
 def mode_shape(mode: ModeIndex, alpha: float, beta: float) -> Callable:
     """In-plane displacement profile u(x, y), unit amplitude.
 
@@ -219,7 +255,11 @@ def mode_shape(mode: ModeIndex, alpha: float, beta: float) -> Callable:
 
 
 def _pow2(x: float) -> float:
-    # x**2 as a float computes it, inf beyond the double range
+    # x**2 as a float computes it, inf beyond the double range.  That is
+    # libm's pow(x, 2.0), which is not always x * x (np.square): they differ
+    # in the last bit on 3 of the 11,901 points of the eta grid 0.1:12:0.001
+    # (4.536 among them), so the curvature squares eta this way, element by
+    # element, to keep its figures' bits.
     try:
         return x**2
     except OverflowError:
@@ -233,9 +273,10 @@ _square = _elementwise(_pow2)
 def _trapping(eta_x, eta_y=None):
     # (eta_x, eta_y) as two float64 scalars or two 1-D float arrays of one
     # length, and whether they are scalars, whose figures go back as floats.
-    # Without eta_y both axes share one eta object, whose curvature
-    # characterize then evaluates once.
-    if eta_y is None:
+    # Without eta_y, or with eta_y the very object eta_x is, both axes share
+    # one eta object: characterize then evaluates its curvature once, and
+    # the escape and mass closed forms their erfc and erf (see _per_axis).
+    if eta_y is None or eta_y is eta_x:
         eta = _real(eta_x)
         return eta, eta, eta.ndim == 0
     ex, ey = _real(eta_x), _real(eta_y)
@@ -276,19 +317,38 @@ def _hermite_tail(m: int, t, log_psi0):
     return total
 
 
-def _axis_deficit(m: int, t):
+def _axis_deficit(m: int, t, erfc_t=None):
     # Fraction of one axis' modal energy beyond |z| = t: D_0 = erfc(t) plus
     # the Hermite steps, which are all positive beyond the last zero of H_m,
-    # so strong trapping does not cancel digits.
-    return erfc(t) + _hermite_tail(m, t, -0.5 * t * t)
+    # so strong trapping does not cancel digits.  erfc_t is erfc(t), when
+    # the caller has it.
+    return (erfc(t) if erfc_t is None else erfc_t) + _hermite_tail(m, t, -0.5 * t * t)
 
 
-def _axis_energy_fraction(m: int, t):
+def _axis_energy_fraction(m: int, t, erf_t=None):
     # Fraction of one axis' modal energy on the plate, I_m(t) / (2^m m!
     # sqrt(pi)) with I_m the integral of e^{-z^2} H_m(z)^2 over |z| <= t:
     # I_k = 2k I_{k-1} - 2 e^{-t^2} H_k H_{k-1} from I_0 = sqrt(pi) erf(t),
     # divided through by the norm so weak trapping does not cancel digits.
-    return erf(t) - _hermite_tail(m, t, -0.5 * t * t)
+    # erf_t is erf(t), when the caller has it.
+    return (erf(t) if erf_t is None else erf_t) - _hermite_tail(m, t, -0.5 * t * t)
+
+
+def _per_axis(axis, head, mode: ModeIndex, ex, ey):
+    # axis(m, t, head(t)) of the x and of the y axis, at t = sqrt(n) eta.
+    # Axes that share one eta array share t, so head (erf or erfc) runs once
+    # on it, and for m = p the whole value is the same: the same operations
+    # on the same values, so the bits are those of two runs.  A float call,
+    # whose head costs well under a microsecond, runs each axis on its own
+    # (perfbench/test_perfbench.py counts two erf spans in one).
+    rn = math.sqrt(mode.n)
+    tx = rn * ex
+    hx = head(tx)
+    vx = axis(mode.m, tx, hx)
+    if ey is not ex or not isinstance(ex, np.ndarray):
+        ty = rn * ey
+        return vx, axis(mode.p, ty, head(ty))
+    return vx, vx if mode.p == mode.m else axis(mode.p, tx, hx)
 
 
 def _mode_at(mode: ModeIndex, ex, ey, k: int) -> str:
@@ -316,8 +376,7 @@ def escape_probability(mode: ModeIndex, eta_x, eta_y):
     ex, ey, scalar = _trapping(eta_x, eta_y)
     _check_eta(ex, ey)
     with np.errstate(all="ignore"):
-        dx = _axis_deficit(mode.m, math.sqrt(mode.n) * ex)
-        dy = _axis_deficit(mode.p, math.sqrt(mode.n) * ey)
+        dx, dy = _per_axis(_axis_deficit, erfc, mode, ex, ey)
         chi = dx + dy - dx * dy
     # min(1, max(0, chi)), which also sends NaN to 0
     return _figure(np.where(chi > 0.0, np.minimum(chi, 1.0), 0.0), scalar)
@@ -413,8 +472,7 @@ def effective_mass(mat: MaterialParams, geo: CavityGeometry, mode: ModeIndex, et
             " exceeds the double range"
         )
     with np.errstate(all="ignore"):
-        fx = _axis_energy_fraction(mode.m, math.sqrt(n) * ex)
-        fy = _axis_energy_fraction(mode.p, math.sqrt(n) * ey)
+        fx, fy = _per_axis(_axis_energy_fraction, erf, mode, ex, ey)
         m_flat = _normal(
             4.0 * mat.rho * geo.h0 * _square_of_L(geo),
             f"the flat-plate mass at h0 = {geo.h0!r}, L = {geo.L!r}",

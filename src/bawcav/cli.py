@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 failed report checks, 2 validation or usage error,
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import functools
 import io
@@ -32,6 +33,7 @@ from .cavity import (
     characterize,
     envelope_curvatures,
     escape_probability_log10,
+    trapping_over_radii,
     trapping_parameters,
 )
 from .detection import MU_OPT_3SIGMA, design_electrode
@@ -145,15 +147,17 @@ def cmd_sweep(args) -> Table:
         def trapping(n):
             return grid
     else:
-        # one validated geometry per radius; a radius enters the figures
-        # only through its (eta_x, eta_y), the rest depend on L and h0
-        geos = [CavityGeometry(L=args.L, h0=args.h0, R=r)
-                for r in _parse_grid(args.R_range).tolist()]
-        geo = geos[0]
+        # every radius is checked as CavityGeometry checks it, before any
+        # figure: the geometry is built at the first radius that fails, so
+        # that it raises that radius' error, or else at the first radius.  A
+        # radius enters the figures only through its (eta_x, eta_y), computed
+        # over all radii at once; the rest depend on L and h0.
+        radii = _parse_grid(args.R_range)
+        ok = np.isfinite(radii) & (radii > 0) & (2.0 * args.h0 < radii / 10.0)
+        geo = CavityGeometry(L=args.L, h0=args.h0, R=float(radii[np.argmin(ok)]))
 
         def trapping(n):
-            ex, ey = zip(*(trapping_parameters(*envelope_curvatures(mat, g, n), g.L) for g in geos))
-            return np.array(ex), np.array(ey)
+            return trapping_over_radii(mat, geo, n, radii)
     blocks = []
     for n in ns:
         mode = ModeIndex(n, args.m, args.p)
@@ -331,22 +335,41 @@ def _spec(value) -> str | None:
     return None
 
 
-def _chunks(block, cells):
+def _shared_cells(blocks, cells) -> dict:
+    # cells(a), made once, by the id of each array a that appears in more
+    # than one block, as an --eta-range sweep's eta column does in every
+    # overtone's block
+    arrays = [v for block in blocks for v in block if isinstance(v, np.ndarray)]
+    counts = collections.Counter(map(id, arrays))
+    unique = {id(a): a for a in arrays}
+    return {k: cells(a) for k, a in unique.items() if counts[k] > 1}
+
+
+def _chunks(block, cells, shared):
     # The rows of the block's array columns, BLOCK_ROWS at a time, each
-    # column turned into its cells by cells(array); a block without an
-    # array column is one row.
+    # column turned into its cells by cells(array), or sliced from its
+    # cells in shared; a block without an array column is one row.
     arrays = [v for v in block if isinstance(v, np.ndarray)]
     if not arrays:
         yield [()]
         return
     for lo in range(0, len(arrays[0]), BLOCK_ROWS):
-        yield zip(*(cells(a[lo:lo + BLOCK_ROWS]) for a in arrays))
+        hi = lo + BLOCK_ROWS
+        yield zip(*(shared[id(a)][lo:hi] if id(a) in shared else cells(a[lo:hi])
+                    for a in arrays))
+
+
+def _formatted(a: np.ndarray) -> list[str]:
+    # each element of a column of ints or floats as its CSV cell
+    values = a.tolist()
+    return ((_spec(a) + "\n") * len(values) % tuple(values)).split("\n")[:-1]
 
 
 def _csv_text(table: Table):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(table.columns)
     yield buf.getvalue()
+    shared = _shared_cells(table.blocks, _formatted)
     for block in table.blocks:
         specs = [_spec(v) for v in block]
         if None in specs:  # text or other values: csv.writer quotes them
@@ -359,12 +382,14 @@ def _csv_text(table: Table):
             yield buf.getvalue()
             continue
         # ints and floats never need quoting, so one %-template makes a row;
-        # a value all rows share is formatted into it once
+        # a value all rows share is formatted into it once, and an array
+        # in more than one block goes in as its cells, formatted once
         template = ",".join(
-            spec if isinstance(v, np.ndarray) else (spec % v).replace("%", "%%")
+            ("%s" if id(v) in shared else spec) if isinstance(v, np.ndarray)
+            else (spec % v).replace("%", "%%")
             for spec, v in zip(specs, block)
         ) + "\n"
-        for rows in _chunks(block, np.ndarray.tolist):
+        for rows in _chunks(block, np.ndarray.tolist, shared):
             yield "".join(template % row for row in rows)
 
 
@@ -401,13 +426,14 @@ def _json_text(table: Table, command: str):
     # the bytes json.dumps(indent=2) writes for a "rows" list of row objects
     yield json.dumps(head, indent=2)[:-2] + ',\n  "rows": ['
     sep = "\n    "
+    shared = _shared_cells(table.blocks, _json_cells)
     for block in table.blocks:
         template = "{\n" + ",\n".join(
             f"      {json.dumps(c)}: ".replace("%", "%%")
             + ("%s" if isinstance(v, np.ndarray) else _json_value(v).replace("%", "%%"))
             for c, v in zip(table.columns, block)
         ) + "\n    }"
-        for rows in _chunks(block, _json_cells):
+        for rows in _chunks(block, _json_cells, shared):
             yield sep + ",\n    ".join(template % row for row in rows)
             sep = ",\n    "
     yield "]\n}\n" if sep == "\n    " else "\n  ]\n}\n"

@@ -218,6 +218,25 @@ def criterion_8(mat: MaterialParams, geo: CavityGeometry, n_sets: int = 20) -> C
     return CriterionResult(8, CRITERION_NAMES[8], rows)
 
 
+def _eigenvector_deviation(res: oracle.TrapEigenResult, alpha: float) -> float:
+    # max |v_j - u_j| over the solved eigenvectors, with u_j the mode shape
+    # of in-plane number j along x (n = 1), exp(-g x^2/2) H_j(sqrt(g) x) at
+    # the expected ground curvature g = pi alpha, peak-normalised.  Its sign
+    # is v_j's at the centre, or at centre + 1 for odd j, whose centre is a
+    # node of u_j and holds only rounding noise in v_j.
+    centre = len(res.x) // 2
+    worst = 0.0
+    for j in range(res.vectors.shape[1]):
+        v = res.vectors[:, j]
+        u = cavity.mode_shape(ModeIndex.relaxed(1, j), alpha, alpha)(res.x, 0.0)
+        u = u / np.max(np.abs(u))
+        k = centre + j % 2
+        if (u[k] < 0.0) != (v[k] < 0.0):
+            u = -u
+        worst = max(worst, float(np.max(np.abs(v - u))))
+    return worst
+
+
 def criterion_9(mat: MaterialParams, geo: CavityGeometry) -> CriterionResult:
     res = oracle.trap_eigensolve(mat, geo, 1)
     lam = res.lambdas
@@ -225,6 +244,7 @@ def criterion_9(mat: MaterialParams, geo: CavityGeometry) -> CriterionResult:
     alpha, _ = cavity.envelope_curvatures(mat, geo, 1)
     target = math.pi * alpha  # n = 1
     gfit = oracle.fit_gaussian_curvature(res.x, res.vectors[:, 0])
+    vector_dev = _eigenvector_deviation(res, alpha)
 
     # frequency-bracket check on a geometry with R = L, where the printed
     # in-plane correction coefficient coincides with the trap-derived one
@@ -243,6 +263,7 @@ def criterion_9(mat: MaterialParams, geo: CavityGeometry) -> CriterionResult:
             _row_abs("harmonic ladder ratio", ladder, 1.0, 1e-4),
             _row_rel("ground curvature fit", gfit, target, 1e-3),
             _row_rel("in-plane bracket ratio", ratio_eig, ratio_closed, 1e-3),
+            _row_abs("max |v_j - u_j| (j = 0..3)", vector_dev, 0.0, 1e-4),
         ],
     )
 

@@ -120,12 +120,14 @@ def _finite(x):
 
 
 def _elementwise(fn: Callable[[float], float]) -> Callable:
-    # fn of a float, or of each element of a float array: running fn itself
-    # on every element keeps a math function's exact bits
-    ufunc = np.frompyfunc(fn, 1, 1)
-
+    # fn of a float, or of each element of an array of any shape: running fn
+    # itself on every element, as a Python float, keeps a math function's
+    # exact bits.  The elements go through map into a float array directly,
+    # with no object array boxing them on the way.
     def apply(x):
-        return fn(x) if isinstance(x, float) else ufunc(x).astype(float)
+        if isinstance(x, float):
+            return fn(x)
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
     return apply
 

@@ -5,12 +5,13 @@ failure) and asserts the criterion outcome; the same checks back the
 ``bawcav paper-report`` command.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from bawcav import oracle, report
+from bawcav import cavity, oracle, report
 from bawcav.material import bundled_material_path, load_material
 
 MAT = load_material(bundled_material_path("quartz"))
@@ -97,6 +98,22 @@ def test_criterion_08_deviations_at_rounding_level(counted_criterion_8):
 
 def test_criterion_09_eigensolver():
     _assert_criterion(report.criterion_9(MAT, GEO))
+
+
+def test_criterion_09_eigenvectors_are_the_hermite_gaussians():
+    # the eigenvectors j = 0..3 against mode_shape's (1, j, 0): the O(h^2)
+    # finite-difference error, under the row's 1e-4, whatever sign each
+    # vector was solved with; a trap 1% too strong or weak shows
+    res = oracle.trap_eigensolve(MAT, GEO, 1)
+    alpha, _ = cavity.envelope_curvatures(MAT, GEO, 1)
+    dev = report._eigenvector_deviation(res, alpha)
+    assert 1e-6 < dev < 1e-4
+    flipped = res.vectors * np.array([1.0, -1.0, -1.0, 1.0])
+    assert report._eigenvector_deviation(dataclasses.replace(res, vectors=flipped), alpha) == dev
+    for scale in (0.99, 1.01):
+        assert report._eigenvector_deviation(res, scale * alpha) > 1e-3
+    row = report.criterion_9(MAT, GEO).rows[-1]
+    assert (row.label, row.measured, row.tolerance) == ("max |v_j - u_j| (j = 0..3)", dev, "abs 0.0001")
 
 
 def test_criterion_10_invariant_suite():

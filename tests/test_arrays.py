@@ -13,9 +13,11 @@ from bawcav.cavity import (
     effective_mass,
     envelope_curvatures,
     escape_probability,
+    trapping_over_radii,
     trapping_parameters,
     zpf,
 )
+from bawcav import cavity
 from bawcav.material import bundled_material_path, load_material
 from bawcav.specfun import erf, erfc, erfcx
 
@@ -113,6 +115,92 @@ def test_radius_grid_equals_first_principles_point_calls(m):
             np.testing.assert_allclose(getattr(char, f), want, rtol=1e-15)
         else:
             assert np.broadcast_to(getattr(char, f), want.shape).tobytes() == want.tobytes(), f
+
+
+@pytest.mark.parametrize("m, p", [(0, 0), (2, 2), (4, 0)])
+@pytest.mark.parametrize("etas", [0.1 + np.arange(400) * 0.06, 2.5], ids=["array", "float"])
+def test_axes_sharing_one_eta_equal_axes_with_equal_copies(m, p, etas):
+    # with eta_y the very object eta_x is, erf and erfc run once per call
+    mode = ModeIndex(5, m, p)
+    twin = etas.copy() if isinstance(etas, np.ndarray) else float(np.float64(etas))
+    assert twin is not etas
+    np.testing.assert_array_equal(escape_probability(mode, etas, etas),
+                                  escape_probability(mode, etas, twin), strict=True)
+    shared = effective_mass(QUARTZ, GEO, mode, etas, etas)
+    for a, b in zip(shared, effective_mass(QUARTZ, GEO, mode, etas, twin)):
+        np.testing.assert_array_equal(a, b, strict=True)
+
+
+def test_axes_sharing_one_eta_evaluate_erf_and_erfc_once(monkeypatch):
+    calls = {"erf": 0, "erfc": 0}
+
+    def counting(name, fn):
+        def wrapped(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapped
+
+    monkeypatch.setattr(cavity, "erf", counting("erf", erf))
+    monkeypatch.setattr(cavity, "erfc", counting("erfc", erfc))
+    etas = 0.1 + np.arange(50) * 0.2
+    characterize(QUARTZ, GEO, ModeIndex(3, 2, 2), 0.02, eta_override=etas)
+    assert calls == {"erf": 1, "erfc": 1}
+    characterize(QUARTZ, GEO, ModeIndex(3, 2, 2), 0.02, eta_override=(etas, etas.copy()))
+    assert calls == {"erf": 3, "erfc": 3}
+
+
+@pytest.mark.parametrize("n, geo", [
+    (1, GEO), (9, GEO), (3, CavityGeometry(L=0.004, h0=2e-4, R=0.3)),
+])
+def test_trapping_over_radii_is_the_scalar_chain_of_each_radius(n, geo):
+    radii = 0.05 + np.arange(9751) * 0.0002  # sweep --R-range 0.05:2.0:0.0002
+    ex, ey = trapping_over_radii(QUARTZ, geo, n, radii)
+    pairs = [trapping_parameters(*envelope_curvatures(QUARTZ, g, n), g.L)
+             for g in (CavityGeometry(L=geo.L, h0=geo.h0, R=r) for r in radii.tolist())]
+    assert ex.tobytes() == np.array([x for x, _ in pairs]).tobytes()
+    assert ey.tobytes() == np.array([y for _, y in pairs]).tobytes()
+
+
+def _material_file(tmp_path, **keys):
+    # the bundled constants with some keys replaced
+    lines = [line for line in bundled_material_path("quartz").read_text().splitlines()
+             if line.split("=")[0].strip() not in keys]
+    path = tmp_path / "material.dat"
+    path.write_text("\n".join(lines + [f"{k} = {v!r}" for k, v in keys.items()]) + "\n")
+    return load_material(path)
+
+
+def _first_failure(mat, geo, n, radii):
+    # the error of the first radius whose scalar chain raises
+    for r in radii.tolist():
+        g = CavityGeometry(L=geo.L, h0=geo.h0, R=r)
+        try:
+            trapping_parameters(*envelope_curvatures(mat, g, n), g.L)
+        except (ArithmeticError, ValueError) as exc:
+            return exc
+    raise AssertionError("no radius fails")
+
+
+@pytest.mark.parametrize("material, h0, radii, message", [
+    # from R = 2e307 on 8 R h0^3 M_n overflows and the curvature rounds to
+    # 0; from R = 3e307 on 8 R h0^3 itself overflows
+    (None, 5e-4, 0.1 + np.arange(17) * 1e307, "alpha, beta and L must be positive"),
+    (None, 5e-4, np.array([0.1, 3e307, 2e307]), r"8 R h0\^3 at R = 3e\+307"),
+    # 8 R h0^3 below the double range
+    (None, 1e-200, np.array([1e-100, 2e-100]), r"8 R h0\^3 at R = 1e-100, h0 = 1e-200"),
+    # a negative M_n: the square root of a negative number
+    ({"a_x": -500e9, "kappa_x": 0.5}, 5e-4, np.array([0.1, 0.2]), "math domain error"),
+    # M_n so small that 8 R h0^3 M_n is 0: a division by zero
+    ({"M": 1e-300, "P": 1e-300}, 1e-100, np.array([2e-8, 3e-8]), "division by zero"),
+])
+def test_trapping_over_radii_raises_as_the_first_failing_radius(tmp_path, material, h0, radii,
+                                                                message):
+    mat = QUARTZ if material is None else _material_file(tmp_path, **material)
+    geo = CavityGeometry(L=0.015, h0=h0, R=float(radii[0]))
+    scalar = _first_failure(mat, geo, 1, radii)
+    with pytest.raises(type(scalar), match=message) as array:
+        trapping_over_radii(mat, geo, 1, radii)
+    assert str(array.value) == str(scalar)
 
 
 def test_other_closed_forms_take_arrays():

@@ -9,12 +9,22 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bawcav
+from bawcav import cli
+from bawcav.cavity import (
+    CavityGeometry,
+    ModeIndex,
+    characterize,
+    envelope_curvatures,
+    trapping_parameters,
+)
 from bawcav.cli import CHARACTERIZE_COLUMNS, MAX_ORACLE_SETS, SWEEP_COLUMNS, main
+from bawcav.material import bundled_material_path, load_material
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +186,86 @@ class TestSweep:
             code = main(["sweep", "--n", "1,3,5", "--eta-range", "0.1:5.0:0.1", "--out", str(target)])
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestWorkDoneOnce:
+    # 5,000 rows per block, across the 4,096-row chunks the writers make
+    ETA = 0.1 + np.arange(5000) * 0.0023
+    COLUMNS = ["n", "eta", "a", "k", "b", "f"]
+
+    def table(self, share):
+        rng = np.random.default_rng(8)
+        blocks = []
+        for n in (1, 3, 5):
+            eta = self.ETA if share else self.ETA.copy()
+            blocks.append([n, eta, rng.random(5000) * 10.0 ** (n - 20),
+                           np.arange(5000) * n, eta if share else eta.copy(), 1.5 * n])
+        return cli.Table(self.COLUMNS, blocks)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_shared_arrays_render_as_equal_copies(self, monkeypatch, fmt):
+        def render(table):
+            if fmt == "csv":
+                return "".join(cli._csv_text(table))
+            return "".join(cli._json_text(table, "sweep"))
+
+        copies = render(self.table(share=False))
+        made = []
+        for name in ("_formatted", "_json_cells"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda a, real=real: made.append(len(a)) or real(a))
+        assert render(self.table(share=True)) == copies
+        # the shared eta column is made whole once, all else chunk by chunk
+        assert made.count(5000) == 1
+        assert len(copies.splitlines()) > 3 * 5000
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_radius_sweep_is_the_scalar_chain_of_each_radius(self, capsys, fmt):
+        argv = ["sweep", "--n", "1,3", "--m", "2", "--p", "2", "--R-range", "0.05:2.0:0.0002",
+                "--format", fmt]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        # the table as one geometry and one scalar trapping call per radius makes it
+        mat = load_material(bundled_material_path("quartz"))
+        geos = [CavityGeometry(L=0.015, h0=5e-4, R=r)
+                for r in cli._parse_grid("0.05:2.0:0.0002").tolist()]
+        blocks = []
+        for n in (1, 3):
+            mode = ModeIndex(n, 2, 2)
+            ex, ey = (np.array(a) for a in zip(*(
+                trapping_parameters(*envelope_curvatures(mat, g, n), g.L) for g in geos)))
+            char = characterize(mat, geos[0], mode, 0.02, eta_override=(ex, ey))
+            blocks.append([n, 2, 2, char.eta_x, char.chi_inv, char.xi, char.omega / (2 * np.pi),
+                           char.m_eff, char.x_zpf, char.p_zpf, char.n_thermal])
+        table = cli.Table(SWEEP_COLUMNS, blocks)
+        want = cli._csv_text(table) if fmt == "csv" else cli._json_text(table, "sweep")
+        assert out == "".join(want)
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["--R-range", "0.001:0.01:0.001"], 2,
+         "error: plate thickness 2*h0=0.001 must stay below R/10=0.0001\n"),
+        (["--n", "1,3", "--R-range", "0.009:0.02:0.001"], 2,
+         "error: plate thickness 2*h0=0.001 must stay below R/10=0.0009\n"),
+        # the last radius rounds to inf: only it fails
+        (["--R-range", "1e299:1.7976931348623157e308:1.7976931348623157e308"], 2,
+         "error: R must be positive and finite, got inf\n"),
+        (["--R-range", "1.7e308:1.79e308:1e306"], 3,
+         "error: 8 R h0^3 at R = 1.7e+308, h0 = 0.0005 is outside the normal double range\n"),
+        (["--n", "1,4", "--R-range", "1e308:1.7e308:1e307"], 3,
+         "error: 8 R h0^3 at R = 1e+308, h0 = 0.0005 is outside the normal double range\n"),
+        (["--n", "1,3", "--R-range", "0.1:1.7e308:1e307", "--format", "json"], 2,
+         "error: alpha, beta and L must be positive\n"),
+        (["--h0", "1e-200", "--R-range", "1e-100:2e-100:1e-100"], 3,
+         "error: 8 R h0^3 at R = 1e-100, h0 = 1e-200 is outside the normal double range\n"),
+        (["--m", "3", "--R-range", "0.001:0.01:0.001"], 2,
+         "error: plate thickness 2*h0=0.001 must stay below R/10=0.0001\n"),
+        (["--m", "3", "--R-range", "1.7e308:1.79e308:1e306"], 2,
+         "error: in-plane number m must be even and non-negative, got 3\n"),
+        (["--L", "1e-200", "--R-range", "0.1:0.2:0.1"], 3,
+         "error: L^2 at L = 1e-200 is outside the normal double range\n"),
+    ])
+    def test_failing_radius_ranges_keep_their_message(self, capsys, argv, code, err):
+        assert run_cli(capsys, "sweep", *argv) == (code, "", err)
 
 
 class TestElectrode:

@@ -18,6 +18,7 @@ from bawcav.specfun import (
     integrate_2d,
     integrate_rectangles,
 )
+from bawcav.specfun import _elementwise
 
 TIGHT = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300, max_depth=40)
 
@@ -122,6 +123,26 @@ class TestErfcFamily:
     def test_erfcx_domain(self):
         with pytest.raises(ValueError):
             erfcx(-1.0)
+
+
+@pytest.mark.parametrize("x", [
+    np.array(0.7),
+    np.linspace(-3.0, 3.0, 12).reshape(3, 4),
+    np.empty((0, 3)),
+    np.linspace(0.1, 5.0, 20)[::3],
+    np.linspace(0.1, 5.0, 24).reshape(4, 6)[:, ::2].T,
+], ids=["0-d", "2-D", "empty", "strided", "transposed"])
+@pytest.mark.parametrize("fn", [math.erf, math.exp, lambda v: v**2], ids=["erf", "exp", "pow2"])
+def test_elementwise_is_the_function_of_each_element(fn, x):
+    got = _elementwise(fn)(x)
+    assert isinstance(got, np.ndarray) and got.dtype == float and got.shape == x.shape
+    want = [fn(v) for v in x.ravel().tolist()]
+    assert got.ravel().tolist() == want
+
+
+def test_elementwise_of_a_float_is_a_float():
+    assert _elementwise(math.erfc)(0.3) == math.erfc(0.3)
+    assert type(_elementwise(math.erfc)(np.float64(0.3))) is float
 
 
 class TestHermite:
