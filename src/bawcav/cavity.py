@@ -249,25 +249,12 @@ def mode_shape(mode: ModeIndex, alpha: float, beta: float) -> Callable:
 # The closed forms below take the trapping eta as a float or as a 1-D array.
 # Both run as numpy float64 values through one and the same code: the same
 # operations in the same order, so an array's figures are bit for bit those
-# of one call per element; exponentials, squares and error functions go
-# through ``math`` for that reason.  Every range check is elementwise too,
-# and its error names the first element that fails it.
-
-
-def _pow2(x: float) -> float:
-    # x**2 as a float computes it, inf beyond the double range.  That is
-    # libm's pow(x, 2.0), which is not always x * x (np.square): they differ
-    # in the last bit on 3 of the 11,901 points of the eta grid 0.1:12:0.001
-    # (4.536 among them), so the curvature squares eta this way, element by
-    # element, to keep its figures' bits.
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
+# of one call per element; exponentials and error functions go through
+# ``math`` for that reason, and a square is x * x.  Every range check is
+# elementwise too, and its error names the first element that fails it.
 
 
 _exp = _elementwise(math.exp)
-_square = _elementwise(_pow2)
 
 
 def _trapping(eta_x, eta_y=None):
@@ -509,11 +496,11 @@ def _spreads(omega: float, mass, mode: ModeIndex, ex, ey):
     return np.sqrt(x_sq), np.sqrt(p_sq)
 
 
-def _zero_point(mat, geo, mode, ex, ey, leading_order):
-    # omega, m_eff, m_flat, xi and the spreads (x, p) of eta arrays, every
-    # one range-checked: the core that characterize and zpf share
+def _zero_point(mat, geo, mode, ex, ey):
+    # leading-order omega, m_eff, m_flat, xi and the spreads (x, p) of eta
+    # arrays, every one range-checked: the core that characterize and zpf share
     m_eff, m_flat, xi = effective_mass(mat, geo, mode, ex, ey)
-    omega = mode_frequency(mat, geo, mode, leading_order=leading_order)
+    omega = mode_frequency(mat, geo, mode, leading_order=True)
     with np.errstate(all="ignore"):
         k = _first_bad((omega < math.inf) & (m_eff >= _DBL_MIN) & (m_eff < math.inf))
         if k is not None:
@@ -531,19 +518,19 @@ def zpf(
     mode: ModeIndex,
     eta_x,
     eta_y,
-    leading_order: bool = True,
 ) -> tuple:
     """Zero-point spreads (x_zpf, p_zpf, x_zpf_flat, p_zpf_flat).
 
     x_zpf^2 = hbar / (2 omega m_eff) and the flat-plate reference uses the
     same frequency with the flat mass, so x_zpf = x_zpf_flat * sqrt(xi) and
-    p_zpf = p_zpf_flat / sqrt(xi) hold identically.  The default
-    leading-order frequency makes the closed-form trapping identities exact.
+    p_zpf = p_zpf_flat / sqrt(xi) hold identically.  omega is always the
+    leading-order frequency, which makes the closed-form trapping identities
+    exact.
     Runs the range checks of ``characterize`` and raises where it does.
     Takes floats or arrays of eta; the flat-plate spreads stay floats.
     """
     ex, ey, scalar = _trapping(eta_x, eta_y)
-    omega, _, m_flat, _, x, p = _zero_point(mat, geo, mode, ex, ey, leading_order)
+    omega, _, m_flat, _, x, p = _zero_point(mat, geo, mode, ex, ey)
     with np.errstate(all="ignore"):
         x_flat, p_flat = _spreads(omega, m_flat, mode, ex, ey)
     return _figure(x, scalar), _figure(p, scalar), float(x_flat), float(p_flat)
@@ -576,7 +563,6 @@ def characterize(
     mode: ModeIndex,
     temperature: float,
     eta_override=None,
-    leading_order: bool = True,
 ) -> ModeCharacterization:
     """Full deterministic characterization of one mode at one temperature.
 
@@ -586,6 +572,7 @@ def characterize(
     both axes or a tuple (eta_x, eta_y), each a float or an array.  Over
     arrays every eta-dependent figure is an array of their length, and
     omega, m_flat and n_thermal, which do not depend on eta, stay floats.
+    omega is the leading-order frequency, as in ``zpf``.
     """
     if eta_override is not None:
         ex, ey, scalar = _trapping(*(eta_override if isinstance(eta_override, tuple)
@@ -594,8 +581,8 @@ def characterize(
             _reject(eta, (eta > 0) & _finite(eta), "eta override must be positive")
         with np.errstate(all="ignore"):
             area = math.pi * _square_of_L(geo)
-            alpha = _square(ex) / area
-            beta = alpha if ey is ex else _square(ey) / area
+            alpha = ex * ex / area
+            beta = alpha if ey is ex else ey * ey / area
         k = _first_bad((alpha < math.inf) & (beta < math.inf))
         if k is not None:
             raise OverflowError(
@@ -605,7 +592,7 @@ def characterize(
         alpha, beta = envelope_curvatures(mat, geo, mode.n)
         ex, ey, scalar = _trapping(*trapping_parameters(alpha, beta, geo.L))
     chi = escape_probability(mode, ex, ey)
-    omega, m_eff, m_flat, xi, x, p = _zero_point(mat, geo, mode, ex, ey, leading_order)
+    omega, m_eff, m_flat, xi, x, p = _zero_point(mat, geo, mode, ex, ey)
     return ModeCharacterization(
         omega=omega,
         alpha=_figure(alpha, scalar),

@@ -17,7 +17,6 @@ import collections
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import sys
@@ -120,7 +119,9 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValueError(f"range {text!r} is empty")
     if not steps < MAX_GRID_POINTS:
         raise ValueError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
-    return start + np.arange(math.floor(steps) + 1) * step
+    # a last point beyond the double range is inf, which the caller rejects
+    with np.errstate(over="ignore"):
+        return start + np.arange(math.floor(steps) + 1) * step
 
 
 def cmd_characterize(args) -> Table:
@@ -325,14 +326,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec(value) -> str | None:
-    # the %-format of a column of ints or of floats, from the column's type
-    kind = value.dtype.kind if isinstance(value, np.ndarray) else type(value)
-    if kind in ("i", "u", int):
-        return "%d"
-    if kind in ("f", float, np.float64):
-        return "%.9g"
-    return None
+def _spec(a: np.ndarray) -> str:
+    # the %-format of a column of ints or of floats
+    return "%d" if a.dtype.kind in "iu" else "%.9g"
 
 
 def _shared_cells(blocks, cells) -> dict:
@@ -365,30 +361,24 @@ def _formatted(a: np.ndarray) -> list[str]:
     return ((_spec(a) + "\n") * len(values) % tuple(values)).split("\n")[:-1]
 
 
-def _csv_text(table: Table):
+def _csv_line(fields) -> str:
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(table.columns)
-    yield buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
+def _csv_text(table: Table):
+    yield _csv_line(table.columns)
     shared = _shared_cells(table.blocks, _formatted)
     for block in table.blocks:
-        specs = [_spec(v) for v in block]
-        if None in specs:  # text or other values: csv.writer quotes them
-            buf = io.StringIO()
-            size = max((len(v) for v in block if isinstance(v, np.ndarray)), default=1)
-            csv.writer(buf, lineterminator="\n").writerows(zip(*(
-                map(_fmt, v.tolist()) if isinstance(v, np.ndarray)
-                else itertools.repeat(_fmt(v), size) for v in block
-            )))
-            yield buf.getvalue()
-            continue
-        # ints and floats never need quoting, so one %-template makes a row;
-        # a value all rows share is formatted into it once, and an array
-        # in more than one block goes in as its cells, formatted once
-        template = ",".join(
-            ("%s" if id(v) in shared else spec) if isinstance(v, np.ndarray)
-            else (spec % v).replace("%", "%%")
-            for spec, v in zip(specs, block)
-        ) + "\n"
+        # one %-template, quoted by csv.writer, makes each row: a value all
+        # rows share goes in as its cell with % doubled, an array as its
+        # %-format, or as %s when it is in more than one block (shared cells)
+        template = _csv_line(
+            ("%s" if id(v) in shared else _spec(v)) if isinstance(v, np.ndarray)
+            else _fmt(v).replace("%", "%%")
+            for v in block
+        )
         for rows in _chunks(block, np.ndarray.tolist, shared):
             yield "".join(template % row for row in rows)
 

@@ -79,7 +79,8 @@ class TrapEigenResult:
 
     ``lambdas`` are operator eigenvalues, ``omegas`` the corresponding mode
     angular frequencies including the thickness term, ``vectors`` the grid
-    eigenfunctions (one column each, peak-normalized).
+    eigenfunctions (one column each, peak-normalized, positive at the grid
+    point just right of the centre).
     """
 
     x: np.ndarray
@@ -300,8 +301,8 @@ def trap_eigensolve(
             raise EigensolveConvergenceError(
                 f"eigenpair {j} stalled at relative residual {residual:.3e}", residual
             )
-        centre = npts // 2
-        if v[centre] < 0 or (v[centre] == 0.0 and v[centre + 1] < 0):
+        # not signed at the centre: a node of each odd vector, rounding noise
+        if v[npts // 2 + 1] < 0:
             v = -v
         vectors[:, j] = v / np.max(np.abs(v))
         lam_out.append(rayleigh)

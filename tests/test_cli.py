@@ -1,5 +1,6 @@
 """Command-line interface: schemas, determinism, exit codes."""
 
+import csv
 import hashlib
 import io
 import json
@@ -219,6 +220,23 @@ class TestWorkDoneOnce:
         assert made.count(5000) == 1
         assert len(copies.splitlines()) > 3 * 5000
 
+    def test_mixed_blocks_render_as_csv_writer_writes_their_cells(self):
+        # text that needs quoting and holds %, numbers all rows share, and
+        # int and float arrays across the 4,096-row chunks, one of them in
+        # both blocks: each row as csv.writer writes the _fmt of its cells
+        ints = np.arange(5000) * 7
+        floats = np.random.default_rng(3).random(5000) * 1e-12
+        blocks = [['5% of "a, b" %s', 2.5, ints, floats, 1],
+                  ["100%", 1e300, ints[::-1].copy(), floats, 3]]
+        table = cli.Table(["text", "x", "k", "f", "n"], blocks)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(table.columns)
+        for text, x, k, f, n in blocks:
+            writer.writerows([cli._fmt(text), cli._fmt(x), cli._fmt(a), cli._fmt(b), cli._fmt(n)]
+                             for a, b in zip(k.tolist(), f.tolist()))
+        assert "".join(cli._csv_text(table)) == buf.getvalue()
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_radius_sweep_is_the_scalar_chain_of_each_radius(self, capsys, fmt):
         argv = ["sweep", "--n", "1,3", "--m", "2", "--p", "2", "--R-range", "0.05:2.0:0.0002",
@@ -246,7 +264,7 @@ class TestWorkDoneOnce:
          "error: plate thickness 2*h0=0.001 must stay below R/10=0.0001\n"),
         (["--n", "1,3", "--R-range", "0.009:0.02:0.001"], 2,
          "error: plate thickness 2*h0=0.001 must stay below R/10=0.0009\n"),
-        # the last radius rounds to inf: only it fails
+        # the last radius rounds to inf: only it fails, and numpy does not warn
         (["--R-range", "1e299:1.7976931348623157e308:1.7976931348623157e308"], 2,
          "error: R must be positive and finite, got inf\n"),
         (["--R-range", "1.7e308:1.79e308:1e306"], 3,

@@ -308,8 +308,7 @@ def reference_eigensolve(mat, geo, n, config=EigenSolveConfig()):
             rayleigh = float(v @ av)
             if float(np.linalg.norm(av - rayleigh * v)) / abs(rayleigh) <= config.tolerance:
                 break
-        centre = npts // 2
-        if v[centre] < 0 or (v[centre] == 0.0 and v[centre + 1] < 0):
+        if v[npts // 2 + 1] < 0:
             v = -v
         vectors[:, j] = v / np.max(np.abs(v))
         lambdas.append(rayleigh)
@@ -327,6 +326,14 @@ class TestEigensolveWork:
         lambdas, vectors = reference_eigensolve(QUARTZ, geo, 1)
         assert np.array_equal(res.lambdas, lambdas)
         assert np.array_equal(res.vectors, vectors)
+
+    @pytest.mark.parametrize("geo", CRITERION_9_GEOMETRIES)
+    def test_vectors_are_positive_right_of_the_centre(self, geo):
+        # the centre is a node of each odd vector, so its sign is read a
+        # grid point to the right, for every vector alike
+        res = trap_eigensolve(QUARTZ, geo, 1)
+        assert res.vectors.shape[1] == 4
+        assert np.all(res.vectors[len(res.x) // 2 + 1] > 0.0)
 
     @pytest.mark.parametrize("geo", CRITERION_9_GEOMETRIES)
     def test_work_is_reported_per_eigenpair(self, geo, monkeypatch):
