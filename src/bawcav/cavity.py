@@ -29,6 +29,7 @@ __all__ = [
     "trapping_parameters",
     "trapping_over_radii",
     "mode_shape",
+    "hermite_gaussian",
     "escape_probability",
     "escape_probability_log10",
     "mode_frequency",
@@ -228,22 +229,31 @@ def mode_shape(mode: ModeIndex, alpha: float, beta: float) -> Callable:
     u = exp(-alpha n pi x^2/2) H_m(sqrt(alpha n pi) x) * (same along y with
     beta, p); u(0, 0) = 1 for the fundamental family m = p = 0.  The returned
     callable accepts scalars or numpy arrays that broadcast against each
-    other; on an x column and a y row it evaluates each factor once per node
-    and multiplies them in the order ((e_x H_x) e_y) H_y, the order of a
-    flat evaluation, so every grid value has the same bits either way.
+    other, and evaluates ``hermite_gaussian`` at gx = alpha n pi, gy = beta n pi.
     """
-    ax = alpha * mode.n * math.pi
-    ay = beta * mode.n * math.pi
-    sx, sy = math.sqrt(ax), math.sqrt(ay)
+    gx = alpha * mode.n * math.pi
+    gy = beta * mode.n * math.pi
     m, p = mode.m, mode.p
+    return lambda x, y: hermite_gaussian(m, p, gx, gy, x, y)
 
-    def u(x, y):
-        return (
-            np.exp(-0.5 * ax * np.asarray(x) ** 2) * hermite(m, sx * np.asarray(x))
-            * np.exp(-0.5 * ay * np.asarray(y) ** 2) * hermite(p, sy * np.asarray(y))
-        )
 
-    return u
+def hermite_gaussian(m: int, p: int, gx, gy, x, y):
+    """exp(-gx x^2/2) H_m(sqrt(gx) x) exp(-gy y^2/2) H_p(sqrt(gy) y).
+
+    The unit-amplitude mode shape of in-plane orders (m, p) at the Gaussian
+    curvatures gx = alpha n pi and gy = beta n pi.  Every argument may be an
+    array, all broadcasting together, so that one call evaluates the shapes
+    of many curvatures, each element with the bits of its own scalar call.
+    On an x column and a y row it evaluates each factor once per node and
+    multiplies them in the order ((e_x H_x) e_y) H_y, the order of a flat
+    evaluation, so every grid value has the same bits either way.
+    """
+    x = np.asarray(x)
+    y = np.asarray(y)
+    return (
+        np.exp(-0.5 * gx * x**2) * hermite(m, np.sqrt(gx) * x)
+        * np.exp(-0.5 * gy * y**2) * hermite(p, np.sqrt(gy) * y)
+    )
 
 
 # The closed forms below take the trapping eta as a float or as a 1-D array.

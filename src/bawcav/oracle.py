@@ -1,10 +1,15 @@
 """Independent brute-force validators for the closed-form mode figures.
 
-Quadrature oracles integrate ``cavity.mode_shape`` (``u`` for the electrode
-overlap, ``u**2`` for mass and escape) over the plate in two dimensions.
-The closed forms never evaluate that shape, so a disagreement here shows a
+Quadrature oracles integrate the mode shape ``cavity.hermite_gaussian``,
+the function behind ``cavity.mode_shape`` (``u`` for the electrode overlap,
+``u**2`` for mass and escape), over the plate in two dimensions.  The
+closed forms never evaluate that shape, so a disagreement here shows a
 defect in a closed form, or a mode shape that is not the one the closed
-forms describe.  The trapped-mode eigenproblem is additionally solved by
+forms describe.  The batched oracles (``escape_and_mass_oracles``,
+``overlap_integral_oracles``) refine the rectangles of all their cases of
+one (m, p) family in one quadrature pass, an integrand that gathers each
+row's curvatures by its rectangle index; each one-case oracle is the
+batched call of its one case, and a batched value equals it bit for bit.  The trapped-mode eigenproblem is additionally solved by
 finite differences to validate the envelope curvature and the harmonic level
 structure from the underlying wave equation rather than from its known
 solution.
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityGeometry, ModeIndex, mode_shape
+from .cavity import CavityGeometry, ModeIndex, hermite_gaussian
 from .material import MaterialParams, dispersion_parameters, stiffened_constants
 from .specfun import QuadratureSpec, integrate_rectangles
 
@@ -29,7 +34,9 @@ __all__ = [
     "mass_integral_oracle",
     "escape_integral_oracle",
     "escape_and_mass_oracle",
+    "escape_and_mass_oracles",
     "overlap_integral_oracle",
+    "overlap_integral_oracles",
     "trap_eigensolve",
     "fit_gaussian_curvature",
 ]
@@ -88,7 +95,8 @@ class TrapEigenResult:
     omegas: np.ndarray
     vectors: np.ndarray
     # the work behind each eigenpair: Sturm counts evaluated (a shift already
-    # counted in this solve is looked up, not recounted), bisection steps,
+    # counted in this solve, or a shifted diagonal bitwise that of a bracket
+    # end, is looked up, not recounted), bisection steps,
     # inverse iterations, and the relative residual ||A v - lambda v|| / |lambda|
     # it stopped at
     sturm_counts: tuple[int, ...]
@@ -100,30 +108,50 @@ class TrapEigenResult:
         return [(float(w), self.vectors[:, j]) for j, w in enumerate(self.omegas)]
 
 
-def _mode_density(mode: ModeIndex, alpha: float, beta: float):
-    # u^2 of the unit-amplitude mode shape
-    u = mode_shape(mode, alpha, beta)
-    return lambda x, y: u(x, y) ** 2
+def _shape_integrals(cases, rects, squared: bool) -> list[list[float]]:
+    # integrals of u, or of u^2 if squared, of each case's mode shape over
+    # each of its rectangles: cases holds (mode, alpha, beta) triples, rects
+    # one list of rectangles per case.  The cases of one (m, p) family share
+    # one engine pass, whose integrand gathers each row's curvatures by the
+    # index of the rectangle the row refines.
+    out: list[list[float]] = [[] for _ in cases]
+    families: dict[tuple[int, int], list[int]] = {}
+    for i, (mode, _, _) in enumerate(cases):
+        families.setdefault((mode.m, mode.p), []).append(i)
+    for (m, p), members in families.items():
+        owners = [i for i in members for _ in rects[i]]
+        # each rectangle's curvatures alpha n pi and beta n pi, as mode_shape forms them
+        gx = np.array([alpha * mode.n * math.pi for mode, alpha, _ in (cases[i] for i in owners)])
+        gy = np.array([beta * mode.n * math.pi for mode, _, beta in (cases[i] for i in owners)])
+
+        def f(x, y, box):
+            u = hermite_gaussian(m, p, gx[box], gy[box], x, y)
+            return u**2 if squared else u
+
+        vals = integrate_rectangles(f, [r for i in members for r in rects[i]], _ORACLE_QUAD)
+        for i, v in zip(owners, vals):
+            out[i].append(v)
+    return out
 
 
-def _plate_and_exterior(mode: ModeIndex, alpha: float, beta: float, L: float) -> tuple[float, float]:
-    # integrals of u^2 over the plate and over the plane outside it, in one
-    # pass over four rectangles.  u^2 is even in each coordinate (the Hermite
-    # factor enters squared), so one strip and one corner per axis pair
-    # suffice; the exterior reaches _TAIL_DECAY_LENGTHS decay lengths out.
+def _plate_and_exterior(mode: ModeIndex, alpha: float, beta: float, L: float) -> list:
+    # the plate and three rectangles whose integrals of u^2 give the plane
+    # outside it: u^2 is even in each coordinate (the Hermite factor enters
+    # squared), so one strip and one corner per axis pair suffice; the
+    # exterior reaches _TAIL_DECAY_LENGTHS decay lengths out
     ax = alpha * mode.n * math.pi
     ay = beta * mode.n * math.pi
     margin_x = (_TAIL_DECAY_LENGTHS + 2.0 * math.sqrt(mode.m + 1.0)) / math.sqrt(ax)
     margin_y = (_TAIL_DECAY_LENGTHS + 2.0 * math.sqrt(mode.p + 1.0)) / math.sqrt(ay)
     xo = L + margin_x
     yo = L + margin_y
-    usq = _mode_density(mode, alpha, beta)
-    inner, strip_x, strip_y, corner = integrate_rectangles(
-        usq,
-        [((-L, L), (-L, L)), ((L, xo), (-L, L)), ((-L, L), (L, yo)), ((L, xo), (L, yo))],
-        _ORACLE_QUAD,
-    )
-    return inner, 2.0 * strip_x + 2.0 * strip_y + 4.0 * corner
+    return [((-L, L), (-L, L)), ((L, xo), (-L, L)), ((-L, L), (L, yo)), ((L, xo), (L, yo))]
+
+
+def _escape_parts(cases) -> list[tuple[float, float]]:
+    # (integral of u^2 over the plate, over the plane outside it) per case
+    parts = _shape_integrals([c[:3] for c in cases], [_plate_and_exterior(*c) for c in cases], True)
+    return [(inner, 2.0 * strip_x + 2.0 * strip_y + 4.0 * corner) for inner, strip_x, strip_y, corner in parts]
 
 
 def mass_integral_oracle(
@@ -135,8 +163,8 @@ def mass_integral_oracle(
     convention behind the closed forms) and the factor h0 coming from the
     thickness average of sin^2.
     """
-    usq = _mode_density(mode, alpha, beta)
-    return rho * h0 * integrate_rectangles(usq, [((-L, L), (-L, L))], _ORACLE_QUAD)[0]
+    [[inner]] = _shape_integrals([(mode, alpha, beta)], [[((-L, L), (-L, L))]], True)
+    return rho * h0 * inner
 
 
 def escape_integral_oracle(mode: ModeIndex, alpha: float, beta: float, L: float) -> float:
@@ -146,8 +174,20 @@ def escape_integral_oracle(mode: ModeIndex, alpha: float, beta: float, L: float)
     relative accuracy even when almost no energy escapes; the sum equals the
     truncated whole-plane integral.
     """
-    inner, outside = _plate_and_exterior(mode, alpha, beta, L)
+    [(inner, outside)] = _escape_parts([(mode, alpha, beta, L)])
     return outside / (inner + outside)
+
+
+def escape_and_mass_oracles(cases, rho: float, h0: float) -> list[tuple[float, float]]:
+    """Escape probability and effective mass of each case, by quadrature.
+
+    ``cases`` is a sequence of ``(mode, alpha, beta, L)``.  The plate
+    integral the mass needs is also the escape fraction's, so it is computed
+    once, and the rectangles of all cases of one (m, p) family are refined in
+    one pass.  Each pair equals (``escape_integral_oracle``,
+    ``mass_integral_oracle``) of its case bit for bit.
+    """
+    return [(outside / (inner + outside), rho * h0 * inner) for inner, outside in _escape_parts(cases)]
 
 
 def escape_and_mass_oracle(
@@ -155,12 +195,25 @@ def escape_and_mass_oracle(
 ) -> tuple[float, float]:
     """Escape probability and effective mass from one quadrature pass.
 
-    The plate integral the mass needs is also the escape fraction's, so it is
-    computed once; the pair equals (``escape_integral_oracle``,
-    ``mass_integral_oracle``) bit for bit.
+    ``escape_and_mass_oracles`` of the one case.
     """
-    inner, outside = _plate_and_exterior(mode, alpha, beta, L)
-    return outside / (inner + outside), rho * h0 * inner
+    return escape_and_mass_oracles([(mode, alpha, beta, L)], rho, h0)[0]
+
+
+def overlap_integral_oracles(cases) -> list[float]:
+    """Electrode overlap factor of each case by surface integration.
+
+    ``cases`` is a sequence of ``(mode, alpha, beta, L_tilde)``; the
+    electrodes of all cases of one (m, p) family are refined in one pass, and
+    each value equals ``overlap_integral_oracle`` of its case bit for bit.
+    """
+    surfs = _shape_integrals(
+        [c[:3] for c in cases], [[((-lt, lt), (-lt, lt))] for *_, lt in cases], False
+    )
+    return [
+        0.5 * mode.n * math.sqrt(alpha * beta) * surf
+        for (mode, alpha, beta, _), [surf] in zip(cases, surfs)
+    ]
 
 
 def overlap_integral_oracle(
@@ -171,9 +224,7 @@ def overlap_integral_oracle(
     mu = (n sqrt(alpha beta) / 2) * integral of u over the electrode, the
     normalization under which full coverage of a fundamental mode gives 1.
     """
-    u = mode_shape(mode, alpha, beta)
-    surf = integrate_rectangles(u, [((-L_tilde, L_tilde), (-L_tilde, L_tilde))], _ORACLE_QUAD)[0]
-    return 0.5 * mode.n * math.sqrt(alpha * beta) * surf
+    return overlap_integral_oracles([(mode, alpha, beta, L_tilde)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -255,21 +306,33 @@ def trap_eigensolve(
     off2 = off * off
 
     # Sturm counts by shift: the bisections of successive eigenvalues start
-    # from the same bracket and share their first midpoints
+    # from the same bracket and share their first midpoints.  Near an
+    # eigenvalue the shift moves by less than the diagonal's rounding, and
+    # diag - mid can be bitwise the shifted diagonal of a bracket end, whose
+    # count is then reused.
     below: dict[float, int] = {}
     lambdas, sturm_counts, bisection_steps = [], [], []
     for j in range(config.num_eigenpairs):
         lo, hi = lo0, hi0
+        at_lo = at_hi = (np.empty(0), 0)  # shifted diagonal and count at lo and at hi
         evaluated = 0
         for step in range(1, 81):
             mid = 0.5 * (lo + hi)
-            if mid not in below:
-                below[mid] = _sturm_count((diag - mid).tolist(), off2, pivmin)
-                evaluated += 1
-            if below[mid] <= j:
-                lo = mid
+            shifted = diag - mid
+            if mid in below:
+                count = below[mid]
+            elif np.array_equal(shifted, at_lo[0]):
+                count = at_lo[1]
+            elif np.array_equal(shifted, at_hi[0]):
+                count = at_hi[1]
             else:
-                hi = mid
+                count = _sturm_count(shifted.tolist(), off2, pivmin)
+                evaluated += 1
+            below[mid] = count
+            if count <= j:
+                lo, at_lo = mid, (shifted, count)
+            else:
+                hi, at_hi = mid, (shifted, count)
             if hi - lo <= 1e-14 * max(abs(lo), abs(hi)):
                 break
         lambdas.append(0.5 * (lo + hi))

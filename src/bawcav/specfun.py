@@ -10,12 +10,16 @@ gives exactly the values of the one-element calls.
 One adaptive engine sits behind all three integrators: a tensor-product
 Gauss-Kronrod (G7/K15) rule on boxes in any number of axes, with the
 Kronrod-Gauss difference as each box's error and bisection of the boxes
-that miss their share of the tolerance.  It is independent of the functions
-above: ``integrate_1d`` stays as the test suite's reference for erf and the
-Hermite recurrences; ``integrate_2d`` takes one rectangle and an integrand
-of flat arrays, and ``integrate_rectangles``, the entry the oracles check
-every closed form with, takes several rectangles and an integrand that
-broadcasts over per-axis node arrays.
+that miss their share of the tolerance.  It refines every pending sub-box
+of every box as one row of an array-wide table, a bounded chunk of rows per
+integrand call, and treats each row on its own, so a box's value never
+depends on the other boxes refined with it.  It is independent of the
+functions above: ``integrate_1d`` stays as the test suite's reference for
+erf and the Hermite recurrences; ``integrate_2d`` takes one rectangle and
+an integrand of flat arrays, and ``integrate_rectangles``, the entry the
+oracles check every closed form with, takes several rectangles and an
+integrand that broadcasts over per-axis node arrays and reads each row's
+rectangle index.
 """
 
 from __future__ import annotations
@@ -265,82 +269,111 @@ _K15_W = 0.5 * np.concatenate([_WGK, _WGK[-2::-1]])
 _G7_W = 0.5 * np.concatenate([_WG, _WG[-2::-1]])
 
 
+# pending sub-boxes evaluated and contracted at a time: the integrand's
+# arrays, and the memory a sweep takes, stay this size however many boxes
+# are refined together
+_CHUNK_ROWS = 256
+
+
+def _contract_rows(vals: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # a (rows, 15) matrix contracted with w, one 1 x 15 product per row:
+    # unlike one matrix-vector product over all rows, whose summation order
+    # can depend on the number of rows, each row's bits are its own
+    return (vals[:, None, :] @ w)[:, 0]
+
+
 def _integrate(f, boxes, spec: QuadratureSpec, name: str) -> list[float]:
     # Adaptive Gauss-Kronrod refinement of each box (lo, hi) in d = len(lo)
-    # axes.  A sweep samples every pending sub-box of every box on its 15^d
-    # Kronrod grid in one call: f gets one node array per axis, of shape
-    # (sub-boxes, 15, 1, ...) along axis 1, (sub-boxes, 1, 15, ...) along
-    # axis 2 and so on, and its values are broadcast onto the full grid.  The
-    # K15 tensor contraction is a sub-box's estimate and its distance to the
-    # G7 contraction (odd nodes only) bounds the error; sub-boxes within
-    # their volume share of their box's tolerance are done, the rest split
-    # into their 2^d children.  Sub-boxes of one box and sweep share one
-    # depth, hence one width.  Each box keeps its own width, running sums and
-    # tolerance, so its value is bit for bit that of a run of it alone.
+    # axes.  Every pending sub-box of every box is one row of a table: its
+    # lower corner and the index of the box it belongs to.  A sweep samples
+    # each row on its 15^d Kronrod grid, _CHUNK_ROWS rows per integrand call:
+    # f gets one node array per axis, of shape (rows, 15, 1, ...) along axis
+    # 1, (rows, 1, 15, ...) along axis 2 and so on, then the rows' box
+    # indices, of shape (rows, 1, ..., 1), and its values are broadcast onto
+    # the full grid.  The K15 tensor contraction is a row's estimate and its
+    # distance to the G7 contraction (odd nodes only) bounds the error; rows
+    # within their volume share of their box's tolerance are done, the rest
+    # split into their 2^d children.  All rows of one sweep share one depth,
+    # hence each box's rows one width.  The sweep's bookkeeping (per-box
+    # sums, the accept mask, the children) takes the same few numpy calls
+    # however many boxes there are, and every step treats each row, or each
+    # box's rows, on its own: a box's value is bit for bit that of a run of
+    # it alone.
     d = len(boxes[0][0])
     grid = (15,) * d
     corners = np.array(list(itertools.product((0, 1), repeat=d)))
-    lows = [np.array([lo], dtype=float) for lo, _ in boxes]
-    widths = [np.array(hi, dtype=float) - low[0] for low, (_, hi) in zip(lows, boxes)]
-    totals = [float(np.prod(w)) for w in widths]
-    done_vals: list[list[float]] = [[] for _ in boxes]
-    done_errs: list[list[float]] = [[] for _ in boxes]
-    results: list[float] = [0.0] * len(boxes)
-    pending = list(range(len(boxes)))
+    low = np.array([lo for lo, _ in boxes], dtype=float)
+    width = np.array([hi for _, hi in boxes], dtype=float) - low
+    total = np.prod(width, axis=1)
+    owner = np.arange(len(boxes))
+    done_sum = np.zeros(len(boxes))  # running sum of each box's accepted values
+    done_vals, done_errs, done_owner = [], [], []
 
     for depth in range(spec.max_depth + 1):
-        counts = [len(lows[b]) for b in pending]
-        volumes = [float(np.prod(widths[b])) for b in pending]
-        low = np.concatenate([lows[b] for b in pending])
-        width = np.repeat([widths[b] for b in pending], counts, axis=0)
-        axes = [
-            (low[:, k, None] + width[:, k, None] * _GK_NODES).reshape((-1,) + (1,) * k + (15,) + (1,) * (d - k - 1))
-            for k in range(d)
-        ]
-        # contiguous, so the contractions below take one path whatever f returns
-        vals = np.ascontiguousarray(np.broadcast_to(np.asarray(f(*axes), dtype=float), (len(low),) + grid))
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("integrand returned a non-finite value")
-        kron = gauss = vals
-        for _ in range(d):
-            kron = kron @ _K15_W
-            gauss = gauss[..., 1::2] @ _G7_W
-        volume = np.repeat(volumes, counts)
-        kron = kron * volume
-        err = np.abs(kron - gauss * volume)
+        rows = len(owner)
+        kron = np.empty(rows)
+        gauss = np.empty(rows)
+        for start in range(0, rows, _CHUNK_ROWS):
+            chunk = slice(start, start + _CHUNK_ROWS)
+            own = owner[chunk]
+            k = len(own)
+            nodes = low[chunk, :, None] + width[own, :, None] * _GK_NODES  # (rows, d, 15)
+            axes = [nodes[:, j].reshape((k,) + (1,) * j + (15,) + (1,) * (d - j - 1)) for j in range(d)]
+            # contiguous, so the contractions below take one path whatever f returns
+            vals = np.ascontiguousarray(
+                np.broadcast_to(np.asarray(f(*axes, own.reshape((k,) + (1,) * d)), dtype=float), (k,) + grid)
+            )
+            if not np.all(np.isfinite(vals)):
+                raise ValueError("integrand returned a non-finite value")
+            kr = ga = vals
+            for _ in range(d - 1):  # stacked, so one matrix-vector product per row
+                kr = kr @ _K15_W
+                ga = ga[..., 1::2] @ _G7_W
+            kron[chunk] = _contract_rows(kr, _K15_W)
+            gauss[chunk] = _contract_rows(ga[..., 1::2], _G7_W)
+        volume = np.prod(width, axis=1)
+        kron *= volume[owner]
+        err = np.abs(kron - gauss * volume[owner])
 
-        still, start = [], 0
-        for b, count, vol in zip(pending, counts, volumes):
-            box_kron, box_err = kron[start:start + count], err[start:start + count]
-            start += count
-            est_total = math.fsum(done_vals[b]) + float(np.sum(box_kron))
-            tol = max(spec.abs_tol, spec.rel_tol * abs(est_total))
-            ok = box_err <= tol * (vol / totals[b])
-            done_vals[b].extend(box_kron[ok].tolist())
-            done_errs[b].extend(box_err[ok].tolist())
-            if np.all(ok):
-                results[b] = math.fsum(done_vals[b])
-                continue
-            bad = ~ok
-            if depth == spec.max_depth:
-                raise QuadratureConvergenceError(
-                    f"{name} did not converge within depth {spec.max_depth}",
-                    math.fsum(done_vals[b]) + float(np.sum(box_kron[bad])),
-                    math.fsum(done_errs[b]) + float(np.sum(box_err[bad])),
-                )
-            widths[b] = 0.5 * widths[b]
-            lows[b] = (lows[b][bad] + corners[:, None, :] * widths[b]).reshape(-1, d)
-            still.append(b)
-        if not still:
-            return results
-        pending = still
+        est = done_sum + np.bincount(owner, kron, len(boxes))
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(est))
+        ok = err <= (tol * (volume / total))[owner]
+        done_sum += np.bincount(owner[ok], kron[ok], len(boxes))
+        done_vals.append(kron[ok])
+        done_errs.append(err[ok])
+        done_owner.append(owner[ok])
+        bad = ~ok
+        if not bad.any():
+            return _sums_per_box(np.concatenate(done_vals), np.concatenate(done_owner), len(boxes))
+        if depth == spec.max_depth:
+            # the first box that missed, with its own estimate and bound
+            b = owner[bad].min()
+            mine, rest = np.concatenate(done_owner) == b, bad & (owner == b)
+            raise QuadratureConvergenceError(
+                f"{name} did not converge within depth {spec.max_depth}",
+                math.fsum(np.concatenate(done_vals)[mine].tolist()) + float(np.sum(kron[rest])),
+                math.fsum(np.concatenate(done_errs)[mine].tolist()) + float(np.sum(err[rest])),
+            )
+        width = 0.5 * width
+        parents = owner[bad]
+        low = (low[bad] + corners[:, None, :] * width[parents]).reshape(-1, d)
+        owner = np.tile(parents, len(corners))
+
+
+def _sums_per_box(vals: np.ndarray, owner: np.ndarray, boxes: int) -> list[float]:
+    # math.fsum of each box's accepted values, in box order
+    order = np.argsort(owner, kind="stable")
+    flat = vals[order].tolist()
+    ends = np.cumsum(np.bincount(owner, minlength=boxes)).tolist()
+    return [math.fsum(flat[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
 
 def _on_flat_nodes(f):
     # f of equal-shape 1-D arrays, as an integrand of the engine's
-    # broadcasting node arrays: the grid goes to f flattened, box by box
-    def on_grid(*axes):
-        grid = np.broadcast_arrays(*axes)
+    # broadcasting node arrays: the grid goes to f flattened, box by box,
+    # without the box indices
+    def on_grid(*axes_and_box):
+        grid = np.broadcast_arrays(*axes_and_box[:-1])
         return np.asarray(f(*(g.ravel() for g in grid)), dtype=float).reshape(grid[0].shape)
 
     return on_grid
@@ -405,13 +438,18 @@ def integrate_rectangles(
     """Integrals of f over several rectangles, refined together in one pass.
 
     ``rects`` is a sequence of ``(x_bounds, y_bounds)`` pairs.  ``f`` must
-    broadcast: it gets the nodes as an x array of shape (k, 15, 1) and a y
-    array of shape (k, 1, 15), one row per pending sub-rectangle, and returns
-    values that broadcast to (k, 15, 15), so a separable integrand evaluates
-    each factor on 15 nodes per axis, not on all 225.  Each value is bit for
-    bit what ``integrate_2d`` returns for that rectangle alone; a rectangle
-    that exhausts the depth budget raises QuadratureConvergenceError with its
-    own estimate and error bound.
+    broadcast: it is called as ``f(x, y, box)`` with the nodes as an x array
+    of shape (k, 15, 1) and a y array of shape (k, 1, 15), one row per
+    pending sub-rectangle and at most 256 rows per call, and ``box``, an
+    integer array of shape (k, 1, 1) holding the index in ``rects`` of the
+    rectangle each row refines; it returns values that broadcast to
+    (k, 15, 15).  A separable integrand thus evaluates each factor on 15
+    nodes per axis, not on all 225, and one integrand serves rectangles of
+    different parameters by gathering them as ``params[box]``.  Each value
+    is bit for bit what ``integrate_2d`` returns for that rectangle alone,
+    whatever else is in the batch; a rectangle that exhausts the depth
+    budget raises QuadratureConvergenceError with its own estimate and error
+    bound.
     """
     boxes = [_rectangle(xb, yb) for xb, yb in rects]
     if not boxes:

@@ -69,9 +69,9 @@ def counted_criterion_8():
     integrate_rectangles = oracle.integrate_rectangles
 
     def counting(f, *rects_and_spec):
-        def counted(x, y):
+        def counted(x, y, box):
             sizes.append(math.prod(np.broadcast_shapes(x.shape, y.shape)))
-            return f(x, y)
+            return f(x, y, box)
 
         return integrate_rectangles(counted, *rects_and_spec)
 
@@ -79,6 +79,23 @@ def counted_criterion_8():
         mp.setattr(oracle, "integrate_rectangles", counting)
         result = report.criterion_8(MAT, GEO, n_sets=20)
     return result, sum(sizes)
+
+
+def test_criterion_08_hands_the_oracles_one_group_of_sets_at_a_time(monkeypatch):
+    # 200 sets in groups of ORACLE_GROUP, three quadrature passes per group:
+    # (0, 0) escape and mass, (2, 2) escape and mass, (0, 0) overlap
+    calls = []
+    integrate_rectangles = oracle.integrate_rectangles
+
+    def counting(f, rects, spec):
+        calls.append(len(rects))
+        return integrate_rectangles(f, rects, spec)
+
+    monkeypatch.setattr(oracle, "integrate_rectangles", counting)
+    assert report.criterion_8(MAT, GEO, n_sets=200).passed
+    group = report.ORACLE_GROUP
+    assert 200 % group == 0
+    assert calls == [4 * group, 4 * group, group] * (200 // group)
 
 
 def test_criterion_08_point_budget(counted_criterion_8):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bawcav import oracle
+from bawcav import oracle, report
 from bawcav.cavity import (
     CavityGeometry,
     ModeIndex,
@@ -19,10 +19,12 @@ from bawcav.material import bundled_material_path, dispersion_parameters, load_m
 from bawcav.oracle import (
     EigenSolveConfig,
     escape_and_mass_oracle,
+    escape_and_mass_oracles,
     escape_integral_oracle,
     fit_gaussian_curvature,
     mass_integral_oracle,
     overlap_integral_oracle,
+    overlap_integral_oracles,
     trap_eigensolve,
 )
 
@@ -123,6 +125,35 @@ class TestEscapeAndMass:
             escape_integral_oracle(mode, alpha, beta, GEO.L),
             mass_integral_oracle(mode, alpha, beta, GEO.L, QUARTZ.rho, GEO.h0),
         )
+
+
+def criterion_8_cases():
+    # criterion 8's 20 parameter sets as oracle cases: (0, 0) and (2, 2)
+    # escape and mass cases, (0, 0) electrode cases
+    escape, electrode = [], []
+    for n, L, tx, ty, frac in report._oracle_sweep_cases(20, report.SWEEP_SEED):
+        alpha = (tx / math.sqrt(n)) ** 2 / (math.pi * L**2)
+        beta = (ty / math.sqrt(n)) ** 2 / (math.pi * L**2)
+        escape += [(ModeIndex(n), alpha, beta, L), (ModeIndex(n, 2, 2), alpha, alpha, L)]
+        electrode.append((ModeIndex(n), alpha, beta, frac * L))
+    return escape, electrode
+
+
+class TestBatchedOracles:
+    def test_batched_values_are_the_one_case_values(self):
+        escape, electrode = criterion_8_cases()
+        assert escape_and_mass_oracles(escape, QUARTZ.rho, GEO.h0) == [
+            escape_and_mass_oracle(*case, QUARTZ.rho, GEO.h0) for case in escape
+        ]
+        assert overlap_integral_oracles(electrode) == [overlap_integral_oracle(*case) for case in electrode]
+
+    def test_pair_is_the_two_oracles_on_every_criterion_8_set(self):
+        escape, _ = criterion_8_cases()
+        for case in escape:
+            assert escape_and_mass_oracle(*case, QUARTZ.rho, GEO.h0) == (
+                escape_integral_oracle(*case),
+                mass_integral_oracle(*case, QUARTZ.rho, GEO.h0),
+            )
 
 
 @pytest.mark.parametrize("m,p", [(0, 0), (2, 2), (4, 2)])
@@ -317,6 +348,8 @@ def reference_eigensolve(mat, geo, n, config=EigenSolveConfig()):
 
 # the two geometries of criterion 9: the default cavity, and R = L
 CRITERION_9_GEOMETRIES = [GEO, CavityGeometry(L=GEO.L, h0=GEO.h0, R=GEO.L)]
+# Sturm counts evaluated per eigenpair on each of them
+STURM_COUNTS = dict(zip(CRITERION_9_GEOMETRIES, [(53, 39, 40, 38), (53, 39, 40, 39)]))
 
 
 class TestEigensolveWork:
@@ -350,11 +383,13 @@ class TestEigensolveWork:
         k = cfg.num_eigenpairs
         assert all(len(s) == k for s in (res.sturm_counts, res.bisection_steps,
                                          res.inverse_iterations, res.residuals))
-        # every count made is reported, and later eigenvalues reuse the
-        # counts at the midpoints they share with earlier ones
+        # every count made is reported; later eigenvalues reuse the counts at
+        # the midpoints they share with earlier ones, and every eigenvalue
+        # the count of a bracket end whose shifted diagonal a midpoint's
+        # equals bit for bit (the 62 steps of the first make 53 counts)
         assert sum(res.sturm_counts) == len(calls)
-        assert res.sturm_counts[0] == res.bisection_steps[0]
-        assert all(0 < c < s <= 80 for c, s in zip(res.sturm_counts[1:], res.bisection_steps[1:]))
+        assert res.sturm_counts == STURM_COUNTS[geo]
+        assert all(0 < c < s <= 80 for c, s in zip(res.sturm_counts, res.bisection_steps))
         assert all(1 <= i <= 60 for i in res.inverse_iterations)
         assert all(0.0 < r <= cfg.tolerance for r in res.residuals)
 

@@ -18,6 +18,7 @@ from bawcav.specfun import (
     integrate_2d,
     integrate_rectangles,
 )
+from bawcav import specfun
 from bawcav.specfun import _elementwise
 
 TIGHT = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300, max_depth=40)
@@ -286,8 +287,9 @@ class TestQuadrature2D:
         assert all(sx == sy and len(sx) == 1 for sx, sy in shapes)
 
 
-def gaussian_bump(x, y):
-    # a broadcasting integrand, separable as the mode shapes are
+def gaussian_bump(x, y, box=None):
+    # a broadcasting integrand, separable as the mode shapes are, that does
+    # not read the box index integrate_rectangles hands it
     return np.exp(-x * x) * np.exp(-2.0 * y * y)
 
 
@@ -296,15 +298,63 @@ class TestQuadratureRectangles:
     RECTS = [((-0.5, 0.5), (-0.5, 0.5)), ((-6.0, 6.0), (-6.0, 6.0)), ((0.3, 9.0), (-7.5, 1.0))]
 
     def test_nodes_broadcast_per_axis(self):
-        shapes = []
+        shapes, boxes = [], []
 
-        def f(x, y):
-            shapes.append((x.shape, y.shape))
+        def f(x, y, box):
+            shapes.append((x.shape, y.shape, box.shape))
+            boxes.append(box.ravel().tolist())
             return gaussian_bump(x, y)
 
         integrate_rectangles(f, self.RECTS)
-        assert shapes[0] == ((3, 15, 1), (3, 1, 15))
-        assert all(sx[1:] == (15, 1) and sy[1:] == (1, 15) and sx[0] == sy[0] for sx, sy in shapes)
+        assert shapes[0] == ((3, 15, 1), (3, 1, 15), (3, 1, 1))
+        assert boxes[0] == [0, 1, 2]
+        assert all(sx[1:] == (15, 1) and sy[1:] == (1, 15) and sb[1:] == (1, 1) and sx[0] == sy[0] == sb[0]
+                   for sx, sy, sb in shapes)
+        # each sweep's rows name their rectangles: the four children of each
+        # at depth 1, then only those of the two still refining
+        assert sorted(boxes[1]) == [0] * 4 + [1] * 4 + [2] * 4
+        assert set(boxes[2]) == {1, 2}
+
+    def test_integrand_gets_at_most_a_chunk_of_rows(self):
+        rows = []
+
+        def f(x, y, box):
+            rows.append(len(box))
+            return gaussian_bump(x, y)
+
+        rects = [((-6.0 + 0.01 * k, 6.0), (-6.0, 6.0)) for k in range(300)]
+        integrate_rectangles(f, rects)
+        assert max(rows) == specfun._CHUNK_ROWS
+        assert rows[:2] == [specfun._CHUNK_ROWS, 300 - specfun._CHUNK_ROWS]
+
+    def test_batch_invariance_on_random_integrands(self):
+        # exp(-a x^2 - b y^2) cos(c x y + x) on 2-5 random rectangles each:
+        # every value is what the rectangle alone gives, and one call for all
+        # 60 integrands, each picked by its rectangles' box indices, gives
+        # the same values again
+        spec = QuadratureSpec(rel_tol=1e-10)
+        rng = np.random.default_rng(5)
+        cases, rects, alone = [], [], []
+        for _ in range(60):
+            a, b = rng.uniform(0.2, 3.0, 2)
+            c = rng.uniform(-3.0, 3.0)
+            f = lambda x, y, *_, a=a, b=b, c=c: np.exp(-a * x * x - b * y * y) * np.cos(c * x * y + x)
+            mine = []
+            for _ in range(rng.integers(2, 6)):
+                x0, y0 = rng.uniform(-4.0, 3.0, 2)
+                wx, wy = rng.uniform(0.1, 4.0, 2)
+                mine.append(((x0, x0 + wx), (y0, y0 + wy)))
+            assert integrate_rectangles(f, mine, spec) == [integrate_2d(f, *r, spec) for r in mine]
+            cases += [(a, b, c)] * len(mine)
+            rects += mine
+            alone += [integrate_2d(f, *r, spec) for r in mine]
+        assert len(rects) == 216
+        a, b, c = (np.array(v) for v in zip(*cases))
+
+        def every(x, y, box):
+            return np.exp(-a[box] * x * x - b[box] * y * y) * np.cos(c[box] * x * y + x)
+
+        assert integrate_rectangles(every, rects, spec) == alone
 
     def test_each_value_is_the_one_box_value(self):
         depths = []
@@ -319,11 +369,11 @@ class TestQuadratureRectangles:
         assert together[1] == pytest.approx(math.pi / math.sqrt(2.0), rel=1e-13)
 
     def test_function_of_one_axis_is_broadcast(self):
-        val = integrate_rectangles(lambda x, y: x * x, [((0, 1), (0, 2))])[0]
+        val = integrate_rectangles(lambda x, y, box: x * x, [((0, 1), (0, 2))])[0]
         assert val == pytest.approx(2.0 / 3.0, rel=1e-14)
 
     def test_depth_exhaustion_names_its_own_box(self):
-        peak = lambda x, y: 1.0 / (1e-10 + (x - 0.3) ** 2 + (y - 0.6) ** 2)
+        peak = lambda x, y, box=None: 1.0 / (1e-10 + (x - 0.3) ** 2 + (y - 0.6) ** 2)
         shallow = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300, max_depth=3)
         with pytest.raises(QuadratureConvergenceError) as alone:
             integrate_2d(peak, (0, 1), (0, 1), shallow)
@@ -335,7 +385,7 @@ class TestQuadratureRectangles:
     def test_non_finite_integrand(self):
         with np.errstate(divide="ignore"):
             with pytest.raises(ValueError, match="non-finite"):
-                integrate_rectangles(lambda x, y: 1.0 / (x * y), [((1, 2), (1, 2)), ((-1, 1), (-1, 1))])
+                integrate_rectangles(lambda x, y, box: 1.0 / (x * y), [((1, 2), (1, 2)), ((-1, 1), (-1, 1))])
 
     def test_bad_rectangle_and_no_rectangle(self):
         with pytest.raises(ValueError):
