@@ -419,9 +419,11 @@ def mode_frequency(
     """Angular frequency (rad/s) of mode (n, m, p).
 
     omega^2 = (n pi / (2 h0))^2 (c_hat_z / rho) * bracket, where the bracket
-    carries the in-plane corrections (2m+1), (2p+1); ``leading_order`` drops
-    the bracket (exact n-proportionality).  Raises OverflowError, naming n
-    and h0, when omega^2 exceeds the double range.
+    carries the in-plane corrections (chi_x/n)(2m+1), (chi_y/n)(2p+1) set by
+    the curvature radius R: chi_x = sqrt(2 h0 M_n / (R c_hat)) / pi, chi_y
+    with P_n (Stevens and Tiersten, J. Acoust. Soc. Am. 79, 1811, 1986);
+    ``leading_order`` drops the bracket (exact n-proportionality).  Raises
+    OverflowError, naming n and h0, when omega^2 exceeds the double range.
     """
     _, c_hat = stiffened_constants(mat, mode.n)
     try:
@@ -435,8 +437,8 @@ def mode_frequency(
     if leading_order:
         return math.sqrt(lead)
     m_n, p_n = dispersion_parameters(mat, mode.n)
-    chi_x = math.sqrt(2.0 * geo.h0 * m_n / (geo.L * c_hat)) / math.pi
-    chi_y = math.sqrt(2.0 * geo.h0 * p_n / (geo.L * c_hat)) / math.pi
+    chi_x = math.sqrt(2.0 * geo.h0 * m_n / (geo.R * c_hat)) / math.pi
+    chi_y = math.sqrt(2.0 * geo.h0 * p_n / (geo.R * c_hat)) / math.pi
     bracket = 1.0 + (chi_x / mode.n) * (2 * mode.m + 1) + (chi_y / mode.n) * (2 * mode.p + 1)
     return math.sqrt(lead * bracket)
 

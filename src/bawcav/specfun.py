@@ -232,7 +232,8 @@ def hermite(k: int, x):
     if k != int(k) or k < 0:
         raise ValueError(f"hermite order must be a non-negative integer, got {k!r}")
     k = int(k)
-    h_prev = 1.0 + 0.0 * x  # promotes to an array of ones when x is an array
+    # ones of x's shape: H_0 = 1 also at x = +-inf, where 1 + 0 x is nan
+    h_prev = np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else 1.0
     if k == 0:
         return h_prev
     h = 2.0 * x

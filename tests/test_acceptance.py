@@ -117,6 +117,24 @@ def test_criterion_09_eigensolver():
     _assert_criterion(report.criterion_9(MAT, GEO))
 
 
+def test_criterion_09_checks_mode_frequency_on_its_one_solve(monkeypatch):
+    # the in-plane spacing row compares mode_frequency with the ladder of the
+    # default-geometry solve, the criterion's only one
+    calls = []
+    trap_eigensolve = oracle.trap_eigensolve
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return trap_eigensolve(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "trap_eigensolve", counting)
+    row = report.criterion_9(MAT, GEO).rows[2]
+    assert calls == [(MAT, GEO, 1)]
+    assert (row.label, f"{row.measured:.9g}", f"{row.expected:.9g}", row.tolerance, row.passed) == (
+        "in-plane spacing lambda_2 - lambda_0", "1.20448229e+17", "1.20450481e+17", "rel 0.001", True
+    )
+
+
 def test_criterion_09_eigenvectors_are_the_hermite_gaussians():
     # the eigenvectors j = 0..3 against mode_shape's (1, j, 0): the O(h^2)
     # finite-difference error, under the row's 1e-4, whatever sign each

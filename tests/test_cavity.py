@@ -89,6 +89,11 @@ class TestModeShape:
         u = mode_shape(ModeIndex(1, 2, 0), 3.65e4, 3.65e4)
         assert float(u(0.0, 0.0)) == -2.0
 
+    def test_fundamental_vanishes_at_infinity(self):
+        u = mode_shape(ModeIndex(1), 3e4, 3e4)
+        assert u(np.inf, 0.0) == 0.0
+        assert u(0.0, -np.inf) == 0.0
+
     def test_vectorized(self):
         u = mode_shape(ModeIndex(1), 3.65e4, 3.65e4)
         vals = u(np.array([0.0, 1e-3]), np.array([0.0, 0.0]))

@@ -12,6 +12,7 @@ from bawcav.cavity import (
     effective_mass,
     envelope_curvatures,
     escape_probability,
+    mode_frequency,
     mode_shape,
 )
 from bawcav.detection import overlap_factor
@@ -228,16 +229,23 @@ class TestTrapEigensolve:
         gfit = fit_gaussian_curvature(res.x, res.vectors[:, 0])
         assert gfit == pytest.approx(3 * math.pi * alpha, rel=1e-3)
 
-    def test_bracket_ratio_on_matched_geometry(self):
-        # with R = L the in-plane frequency-correction coefficient from the
-        # trap operator coincides with the closed-form bracket coefficient
-        geo = CavityGeometry(L=0.015, h0=5e-4, R=0.015)
+    @pytest.mark.parametrize("R", [GEO.R, 0.1, 1.0])
+    def test_mode_frequency_spacing_is_the_solved_spacing(self, R):
+        # the solved ladder's omega_j^2 = (lead + lambda_j) / rho, so
+        # mode_frequency's rho (omega^2(1, 2, 0) - omega^2(1, 0, 0)) is
+        # lambda_2 - lambda_0 at every curvature radius, not only at R = L
+        geo = CavityGeometry(L=GEO.L, h0=GEO.h0, R=R)
         res = trap_eigensolve(QUARTZ, geo, 1)
-        lead = (math.pi / (2 * geo.h0)) ** 2 * QUARTZ.c_bar_z
-        ratio = math.sqrt((lead + res.lambdas[2]) / (lead + res.lambdas[0]))
-        chi_x = math.sqrt(2 * geo.h0 * QUARTZ.M / (geo.L * QUARTZ.c_bar_z)) / math.pi
-        closed = math.sqrt((1 + 5 * chi_x) / (1 + chi_x))
-        assert ratio == pytest.approx(closed, rel=1e-3)
+        omega_0 = mode_frequency(QUARTZ, geo, ModeIndex(1))
+        omega_2 = mode_frequency(QUARTZ, geo, ModeIndex(1, 2, 0))
+        spacing = QUARTZ.rho * (omega_2**2 - omega_0**2)
+        assert res.lambdas[2] - res.lambdas[0] == pytest.approx(spacing, rel=1e-3)
+
+    @pytest.mark.parametrize("mode", [ModeIndex(1, 2, 0), ModeIndex(1, 0, 2)])
+    def test_in_plane_frequency_does_not_depend_on_L(self, mode):
+        geometries = [CavityGeometry(L=L, h0=GEO.h0, R=GEO.R) for L in (0.005, GEO.L, 0.05)]
+        omegas = {mode_frequency(QUARTZ, geo, mode) for geo in geometries}
+        assert len(omegas) == 1
 
     def test_second_order_convergence(self):
         alpha, _ = envelope_curvatures(QUARTZ, GEO, 1)
@@ -346,21 +354,22 @@ def reference_eigensolve(mat, geo, n, config=EigenSolveConfig()):
     return np.array(lambdas), vectors
 
 
-# the two geometries of criterion 9: the default cavity, and R = L
-CRITERION_9_GEOMETRIES = [GEO, CavityGeometry(L=GEO.L, h0=GEO.h0, R=GEO.L)]
+# the solver's two test geometries: the default cavity, and R = L, a trap
+# twenty times stiffer
+SOLVER_GEOMETRIES = [GEO, CavityGeometry(L=GEO.L, h0=GEO.h0, R=GEO.L)]
 # Sturm counts evaluated per eigenpair on each of them
-STURM_COUNTS = dict(zip(CRITERION_9_GEOMETRIES, [(53, 39, 40, 38), (53, 39, 40, 39)]))
+STURM_COUNTS = dict(zip(SOLVER_GEOMETRIES, [(53, 39, 40, 38), (53, 39, 40, 39)]))
 
 
 class TestEigensolveWork:
-    @pytest.mark.parametrize("geo", CRITERION_9_GEOMETRIES)
+    @pytest.mark.parametrize("geo", SOLVER_GEOMETRIES)
     def test_same_eigenpairs_as_the_reference_solver(self, geo):
         res = trap_eigensolve(QUARTZ, geo, 1)
         lambdas, vectors = reference_eigensolve(QUARTZ, geo, 1)
         assert np.array_equal(res.lambdas, lambdas)
         assert np.array_equal(res.vectors, vectors)
 
-    @pytest.mark.parametrize("geo", CRITERION_9_GEOMETRIES)
+    @pytest.mark.parametrize("geo", SOLVER_GEOMETRIES)
     def test_vectors_are_positive_right_of_the_centre(self, geo):
         # the centre is a node of each odd vector, so its sign is read a
         # grid point to the right, for every vector alike
@@ -368,7 +377,7 @@ class TestEigensolveWork:
         assert res.vectors.shape[1] == 4
         assert np.all(res.vectors[len(res.x) // 2 + 1] > 0.0)
 
-    @pytest.mark.parametrize("geo", CRITERION_9_GEOMETRIES)
+    @pytest.mark.parametrize("geo", SOLVER_GEOMETRIES)
     def test_work_is_reported_per_eigenpair(self, geo, monkeypatch):
         calls = []
         sturm_count = oracle._sturm_count

@@ -173,6 +173,12 @@ class TestHermite:
         with pytest.raises(ValueError):
             hermite(-1, 0.0)
 
+    def test_order_zero_is_ones_of_the_shape_of_x(self):
+        # H_0 = 1 at x = +-inf too, and a float stays a float
+        assert hermite(0, math.inf) == 1.0
+        assert type(hermite(0, -math.inf)) is float
+        assert hermite(0, np.array([[-np.inf, 0.0, np.inf]])).tolist() == [[1.0, 1.0, 1.0]]
+
 
 class TestQuadrature1D:
     def test_monomial(self):
