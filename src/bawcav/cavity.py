@@ -30,6 +30,7 @@ __all__ = [
     "trapping_over_radii",
     "mode_shape",
     "hermite_gaussian",
+    "hermite_gaussian_1d",
     "escape_probability",
     "escape_probability_log10",
     "mode_frequency",
@@ -237,23 +238,27 @@ def mode_shape(mode: ModeIndex, alpha: float, beta: float) -> Callable:
     return lambda x, y: hermite_gaussian(m, p, gx, gy, x, y)
 
 
+def hermite_gaussian_1d(m: int, g, x):
+    """exp(-g x^2/2) H_m(sqrt(g) x): one axis' factor of ``hermite_gaussian``.
+
+    Both ``g`` and ``x`` may be arrays, broadcasting together, each element
+    with the bits of its own scalar call.
+    """
+    x = np.asarray(x)
+    return np.exp(-0.5 * g * x**2) * hermite(m, np.sqrt(g) * x)
+
+
 def hermite_gaussian(m: int, p: int, gx, gy, x, y):
     """exp(-gx x^2/2) H_m(sqrt(gx) x) exp(-gy y^2/2) H_p(sqrt(gy) y).
 
     The unit-amplitude mode shape of in-plane orders (m, p) at the Gaussian
-    curvatures gx = alpha n pi and gy = beta n pi.  Every argument may be an
-    array, all broadcasting together, so that one call evaluates the shapes
-    of many curvatures, each element with the bits of its own scalar call.
-    On an x column and a y row it evaluates each factor once per node and
-    multiplies them in the order ((e_x H_x) e_y) H_y, the order of a flat
-    evaluation, so every grid value has the same bits either way.
+    curvatures gx = alpha n pi and gy = beta n pi: the product of the
+    ``hermite_gaussian_1d`` factors of the two axes.  Every argument may be
+    an array, all broadcasting together, so that one call evaluates the
+    shapes of many curvatures, each element with the bits of its own scalar
+    call.
     """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    return (
-        np.exp(-0.5 * gx * x**2) * hermite(m, np.sqrt(gx) * x)
-        * np.exp(-0.5 * gy * y**2) * hermite(p, np.sqrt(gy) * y)
-    )
+    return hermite_gaussian_1d(m, gx, x) * hermite_gaussian_1d(p, gy, y)
 
 
 # The closed forms below take the trapping eta as a float or as a 1-D array.

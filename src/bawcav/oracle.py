@@ -2,17 +2,20 @@
 
 Quadrature oracles integrate the mode shape ``cavity.hermite_gaussian``,
 the function behind ``cavity.mode_shape`` (``u`` for the electrode overlap,
-``u**2`` for mass and escape), over the plate in two dimensions.  The
-closed forms never evaluate that shape, so a disagreement here shows a
-defect in a closed form, or a mode shape that is not the one the closed
-forms describe.  The batched oracles (``escape_and_mass_oracles``,
-``overlap_integral_oracles``) refine the rectangles of all their cases of
-one (m, p) family in one quadrature pass, an integrand that gathers each
-row's curvatures by its rectangle index; each one-case oracle is the
-batched call of its one case, and a batched value equals it bit for bit.  The trapped-mode eigenproblem is additionally solved by
-finite differences to validate the envelope curvature and the harmonic level
-structure from the underlying wave equation rather than from its known
-solution.
+``u**2`` for mass and escape), over the plate in two dimensions.  The shape
+is a product u = fx(x) fy(y) of ``cavity.hermite_gaussian_1d`` factors, so
+the integrand hands the quadrature engine the two factors (or their
+squares), each evaluated on its own axis' nodes.  The closed forms never
+evaluate that shape, so a disagreement here shows a defect in a closed
+form, or a mode shape that is not the one the closed forms describe.  The
+batched oracles (``escape_and_mass_oracles``, ``overlap_integral_oracles``)
+refine the rectangles of all their cases of one (m, p) family in one
+quadrature pass, an integrand that gathers each row's curvatures by its
+rectangle index; each one-case oracle is the batched call of its one case,
+and a batched value equals it bit for bit.  The trapped-mode eigenproblem
+is additionally solved by finite differences to validate the envelope
+curvature and the harmonic level structure from the underlying wave
+equation rather than from its known solution.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityGeometry, ModeIndex, hermite_gaussian
+from .cavity import CavityGeometry, ModeIndex, hermite_gaussian_1d
 from .material import MaterialParams, dispersion_parameters, stiffened_constants
 from .specfun import QuadratureSpec, integrate_rectangles
 
@@ -94,11 +97,14 @@ class TrapEigenResult:
     lambdas: np.ndarray
     omegas: np.ndarray
     vectors: np.ndarray
-    # the work behind each eigenpair: Sturm counts evaluated (a shift already
-    # counted in this solve, or a shifted diagonal bitwise that of a bracket
-    # end, is looked up, not recounted), bisection steps,
-    # inverse iterations, and the relative residual ||A v - lambda v|| / |lambda|
-    # it stopped at
+    # the work behind each eigenpair: the bracket its bisection started from,
+    # "harmonic" (its harmonic level +-1e-3, confirmed by the Sturm counts at
+    # both ends) or "gerschgorin" (the whole spectrum's bound); Sturm counts
+    # evaluated, the harmonic bracket's two among them (a shifted diagonal
+    # bitwise that of a bracket end takes that end's count, not a new one);
+    # bisection steps, inverse iterations, and the relative residual
+    # ||A v - lambda v|| / |lambda| it stopped at
+    brackets: tuple[str, ...]
     sturm_counts: tuple[int, ...]
     bisection_steps: tuple[int, ...]
     inverse_iterations: tuple[int, ...]
@@ -125,8 +131,9 @@ def _shape_integrals(cases, rects, squared: bool) -> list[list[float]]:
         gy = np.array([beta * mode.n * math.pi for mode, _, beta in (cases[i] for i in owners)])
 
         def f(x, y, box):
-            u = hermite_gaussian(m, p, gx[box], gy[box], x, y)
-            return u**2 if squared else u
+            fx = hermite_gaussian_1d(m, gx[box], x)
+            fy = hermite_gaussian_1d(p, gy[box], y)
+            return (fx**2, fy**2) if squared else (fx, fy)
 
         vals = integrate_rectangles(f, [r for i in members for r in rects[i]], _ORACLE_QUAD)
         for i, v in zip(owners, vals):
@@ -250,19 +257,31 @@ def _sturm_count(shifted: list[float], off2: float, pivmin: float) -> int:
     return count
 
 
-def _thomas_solve(diag: list[float], off: float, rhs: list[float]) -> np.ndarray:
-    # tridiagonal solve with constant off-diagonal, no pivoting (the shifted
-    # systems here are diagonally dominated away from exact eigenvalues)
-    c = [off / diag[0]]
-    d = [rhs[0] / diag[0]]
-    for a, r in zip(itertools.islice(diag, 1, None), itertools.islice(rhs, 1, None)):
-        denom = a - off * c[-1]
+def _thomas_factor(diag: list[float], off: float) -> tuple[list[float], list[float]]:
+    # forward pivots and multipliers of the tridiagonal matrix with the given
+    # diagonal and constant off-diagonal, no pivoting (the shifted systems
+    # here are diagonally dominated away from exact eigenvalues); they
+    # depend on the shift only, so one factorisation serves every solve
+    pivots = [diag[0]]
+    mults = [off / diag[0]]
+    for a in itertools.islice(diag, 1, None):
+        denom = a - off * mults[-1]
         if denom == 0.0:
             denom = 1e-300
-        c.append(off / denom)
-        d.append((r - off * d[-1]) / denom)
+        pivots.append(denom)
+        mults.append(off / denom)
+    return pivots, mults
+
+
+def _thomas_solve(factors: tuple[list[float], list[float]], off: float, rhs: list[float]) -> np.ndarray:
+    # the solve with a _thomas_factor factorisation: forward sweep, then
+    # back substitution
+    pivots, mults = factors
+    d = [rhs[0] / pivots[0]]
+    for p, r in zip(itertools.islice(pivots, 1, None), itertools.islice(rhs, 1, None)):
+        d.append((r - off * d[-1]) / p)
     x = [d[-1]]
-    for ci, di in zip(reversed(c[:-1]), reversed(d[:-1])):
+    for ci, di in zip(reversed(mults[:-1]), reversed(d[:-1])):
         x.append(di - ci * x[-1])
     x.reverse()
     return np.array(x)
@@ -283,8 +302,11 @@ def trap_eigensolve(
     thickness term: rho omega^2 = (n pi / (2 h0))^2 c_hat_z + lambda.
 
     Second-order central differences with Dirichlet boundaries; eigenvalues
-    located by Sturm bisection, eigenvectors by shifted inverse iteration
-    with deflation against already-converged pairs.
+    located by Sturm bisection, each started from its harmonic level
+    (2j + 1) sqrt(k M) +-1e-3 where the Sturm counts confirm that bracket
+    and from the Gerschgorin bracket elsewhere; eigenvectors by shifted
+    inverse iteration, one factorisation per eigenpair, with deflation
+    against already-converged pairs.
     """
     _, c_hat = stiffened_constants(mat, n)
     m_n, _ = dispersion_parameters(mat, n)
@@ -305,30 +327,34 @@ def trap_eigensolve(
     hi0 = scale
     off2 = off * off
 
-    # Sturm counts by shift: the bisections of successive eigenvalues start
-    # from the same bracket and share their first midpoints.  Near an
+    # eigenvalue j is bisected from its harmonic level (2j + 1) sqrt(k M), to
+    # 1e-3 either side, when the Sturm counts at the two ends show that it
+    # alone lies there, and from the Gerschgorin bracket otherwise.  Near an
     # eigenvalue the shift moves by less than the diagonal's rounding, and
     # diag - mid can be bitwise the shifted diagonal of a bracket end, whose
     # count is then reused.
-    below: dict[float, int] = {}
-    lambdas, sturm_counts, bisection_steps = [], [], []
+    level = math.sqrt(k_pot * m_n)
+    lambdas, brackets, sturm_counts, bisection_steps = [], [], [], []
     for j in range(config.num_eigenpairs):
-        lo, hi = lo0, hi0
-        at_lo = at_hi = (np.empty(0), 0)  # shifted diagonal and count at lo and at hi
-        evaluated = 0
+        lo, hi = (2 * j + 1) * level * (1.0 - 1e-3), (2 * j + 1) * level * (1.0 + 1e-3)
+        at_lo, at_hi = ((end, _sturm_count(end.tolist(), off2, pivmin)) for end in (diag - lo, diag - hi))
+        evaluated = 2
+        if (at_lo[1], at_hi[1]) == (j, j + 1):
+            brackets.append("harmonic")
+        else:
+            brackets.append("gerschgorin")
+            lo, hi = lo0, hi0
+            at_lo = at_hi = (np.empty(0), 0)
         for step in range(1, 81):
             mid = 0.5 * (lo + hi)
             shifted = diag - mid
-            if mid in below:
-                count = below[mid]
-            elif np.array_equal(shifted, at_lo[0]):
+            if np.array_equal(shifted, at_lo[0]):
                 count = at_lo[1]
             elif np.array_equal(shifted, at_hi[0]):
                 count = at_hi[1]
             else:
                 count = _sturm_count(shifted.tolist(), off2, pivmin)
                 evaluated += 1
-            below[mid] = count
             if count <= j:
                 lo, at_lo = mid, (shifted, count)
             else:
@@ -344,14 +370,14 @@ def trap_eigensolve(
     lam_out, iterations, residuals = [], [], []
     for j, lam in enumerate(lambdas):
         shift = lam * (1.0 + 1e-11) + pivmin
-        shifted = (diag - shift).tolist()
+        factors = _thomas_factor((diag - shift).tolist(), off)
         v = rng.standard_normal(npts)
         rayleigh = lam
         residual = math.inf
         for it in range(1, 61):
             for q in range(j):  # deflation
                 v -= (vectors[:, q] @ v) * vectors[:, q]
-            w = _thomas_solve(shifted, off, v.tolist())
+            w = _thomas_solve(factors, off, v.tolist())
             v = w / np.linalg.norm(w)
             av = diag * v
             av[:-1] += off * v[1:]
@@ -380,6 +406,7 @@ def trap_eigensolve(
         lambdas=lam_arr,
         omegas=omegas,
         vectors=vectors,
+        brackets=tuple(brackets),
         sturm_counts=tuple(sturm_counts),
         bisection_steps=tuple(bisection_steps),
         inverse_iterations=tuple(iterations),

@@ -159,8 +159,8 @@ class TestBatchedOracles:
 
 @pytest.mark.parametrize("m,p", [(0, 0), (2, 2), (4, 2)])
 def test_mode_shape_on_the_open_grid_is_the_flat_evaluation(m, p):
-    # the oracles evaluate u on per-axis node arrays; every grid value must
-    # keep the bits of the same point evaluated on flat arrays
+    # u on an x column and a y row: every grid value keeps the bits of the
+    # same point evaluated on flat arrays
     u = mode_shape(ModeIndex(3, m, p), 3.1e4, 4.7e4)
     rng = np.random.default_rng(7)
     x = rng.uniform(-0.03, 0.03, (6, 15, 1))
@@ -358,16 +358,33 @@ def reference_eigensolve(mat, geo, n, config=EigenSolveConfig()):
 # twenty times stiffer
 SOLVER_GEOMETRIES = [GEO, CavityGeometry(L=GEO.L, h0=GEO.h0, R=GEO.L)]
 # Sturm counts evaluated per eigenpair on each of them
-STURM_COUNTS = dict(zip(SOLVER_GEOMETRIES, [(53, 39, 40, 38), (53, 39, 40, 39)]))
+STURM_COUNTS = dict(zip(SOLVER_GEOMETRIES, [(31, 32, 34, 33), (31, 34, 33, 34)]))
+# a grid so coarse that lambda_2 and lambda_3 lie more than 1e-3 from their
+# harmonic levels, so that their bisections start from the Gerschgorin bracket
+COARSE = EigenSolveConfig(grid_points=201)
 
 
 class TestEigensolveWork:
-    @pytest.mark.parametrize("geo", SOLVER_GEOMETRIES)
-    def test_same_eigenpairs_as_the_reference_solver(self, geo):
-        res = trap_eigensolve(QUARTZ, geo, 1)
-        lambdas, vectors = reference_eigensolve(QUARTZ, geo, 1)
+    @pytest.mark.parametrize("geo,config", [
+        *(pytest.param(geo, EigenSolveConfig(), id=f"geo{i}") for i, geo in enumerate(SOLVER_GEOMETRIES)),
+        pytest.param(GEO, COARSE, id="coarse"),
+    ])
+    def test_same_eigenpairs_as_the_reference_solver(self, geo, config):
+        res = trap_eigensolve(QUARTZ, geo, 1, config)
+        lambdas, vectors = reference_eigensolve(QUARTZ, geo, 1, config)
         assert np.array_equal(res.lambdas, lambdas)
         assert np.array_equal(res.vectors, vectors)
+
+    def test_bracket_falls_back_to_gerschgorin_off_the_harmonic_level(self):
+        res = trap_eigensolve(QUARTZ, GEO, 1, COARSE)
+        _, c_hat = stiffened_constants(QUARTZ, 1)
+        m_n, _ = dispersion_parameters(QUARTZ, 1)
+        level = math.sqrt(math.pi**2 * c_hat / (8.0 * GEO.R * GEO.h0**3) * m_n)  # sqrt(k M)
+        off_level = [abs(lam / ((2 * j + 1) * level) - 1.0) > 1e-3 for j, lam in enumerate(res.lambdas)]
+        assert off_level == [False, False, True, True]
+        assert res.brackets == ("harmonic", "harmonic", "gerschgorin", "gerschgorin")
+        # the two counts at the rejected bracket's ends are counted too
+        assert res.sturm_counts == (38, 38, 55, 56)
 
     @pytest.mark.parametrize("geo", SOLVER_GEOMETRIES)
     def test_vectors_are_positive_right_of_the_centre(self, geo):
@@ -392,10 +409,12 @@ class TestEigensolveWork:
         k = cfg.num_eigenpairs
         assert all(len(s) == k for s in (res.sturm_counts, res.bisection_steps,
                                          res.inverse_iterations, res.residuals))
-        # every count made is reported; later eigenvalues reuse the counts at
-        # the midpoints they share with earlier ones, and every eigenvalue
-        # the count of a bracket end whose shifted diagonal a midpoint's
-        # equals bit for bit (the 62 steps of the first make 53 counts)
+        # every count made is reported: each eigenvalue's bisection starts
+        # from its harmonic level +-1e-3, whose two end counts it makes
+        # first, and takes the count of a bracket end whose shifted diagonal
+        # a midpoint's equals bit for bit (the 38 steps of the first make 29
+        # counts of their own)
+        assert res.brackets == ("harmonic",) * k
         assert sum(res.sturm_counts) == len(calls)
         assert res.sturm_counts == STURM_COUNTS[geo]
         assert all(0 < c < s <= 80 for c, s in zip(res.sturm_counts, res.bisection_steps))

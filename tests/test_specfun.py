@@ -337,30 +337,46 @@ class TestQuadratureRectangles:
         # exp(-a x^2 - b y^2) cos(c x y + x) on 2-5 random rectangles each:
         # every value is what the rectangle alone gives, and one call for all
         # 60 integrands, each picked by its rectangles' box indices, gives
-        # the same values again
+        # the same values again.  So does the separable family
+        # exp(-a x^2) exp(-b y^2) cos(c y) handed over as its two factors,
+        # whose values are also those of its grid form to rounding
         spec = QuadratureSpec(rel_tol=1e-10)
         rng = np.random.default_rng(5)
-        cases, rects, alone = [], [], []
+        cases, rects, alone, alone_pair = [], [], [], []
         for _ in range(60):
             a, b = rng.uniform(0.2, 3.0, 2)
             c = rng.uniform(-3.0, 3.0)
             f = lambda x, y, *_, a=a, b=b, c=c: np.exp(-a * x * x - b * y * y) * np.cos(c * x * y + x)
+            pair = lambda x, y, *_, a=a, b=b, c=c: (np.exp(-a * x * x), np.exp(-b * y * y) * np.cos(c * y))
             mine = []
             for _ in range(rng.integers(2, 6)):
                 x0, y0 = rng.uniform(-4.0, 3.0, 2)
                 wx, wy = rng.uniform(0.1, 4.0, 2)
                 mine.append(((x0, x0 + wx), (y0, y0 + wy)))
             assert integrate_rectangles(f, mine, spec) == [integrate_2d(f, *r, spec) for r in mine]
+            pair_alone = [integrate_rectangles(pair, [r], spec)[0] for r in mine]
+            assert integrate_rectangles(pair, mine, spec) == pair_alone
+            # to 1e-14 of the integral of the envelope exp(-a x^2 - b y^2),
+            # which bounds that of |f|: cos(c y) can cancel most of the value
+            for r, v in zip(mine, pair_alone):
+                grid = integrate_2d(lambda x, y: math.prod(pair(x, y)), *r, spec)
+                envelope = integrate_2d(lambda x, y: np.exp(-a * x * x - b * y * y), *r, spec)
+                assert abs(v - grid) <= 1e-14 * envelope
             cases += [(a, b, c)] * len(mine)
             rects += mine
             alone += [integrate_2d(f, *r, spec) for r in mine]
+            alone_pair += pair_alone
         assert len(rects) == 216
         a, b, c = (np.array(v) for v in zip(*cases))
 
         def every(x, y, box):
             return np.exp(-a[box] * x * x - b[box] * y * y) * np.cos(c[box] * x * y + x)
 
+        def every_pair(x, y, box):
+            return np.exp(-a[box] * x * x), np.exp(-b[box] * y * y) * np.cos(c[box] * y)
+
         assert integrate_rectangles(every, rects, spec) == alone
+        assert integrate_rectangles(every_pair, rects, spec) == alone_pair
 
     def test_each_value_is_the_one_box_value(self):
         depths = []
@@ -389,9 +405,20 @@ class TestQuadratureRectangles:
         assert together.value.error_bound == alone.value.error_bound
 
     def test_non_finite_integrand(self):
-        with np.errstate(divide="ignore"):
-            with pytest.raises(ValueError, match="non-finite"):
-                integrate_rectangles(lambda x, y, box: 1.0 / (x * y), [((1, 2), (1, 2)), ((-1, 1), (-1, 1))])
+        for f in (
+            lambda x, y, box: 1.0 / (x * y),
+            lambda x, y, box: (x, 1.0 / y),  # a factor pair, its y factor infinite at y = 0
+            lambda x, y, box: (1e200 + 0 * x, 1e200 + 0 * y),  # finite factors whose product overflows
+        ):
+            with np.errstate(divide="ignore"):
+                with pytest.raises(ValueError, match="non-finite"):
+                    integrate_rectangles(f, [((1, 2), (1, 2)), ((-1, 1), (-1, 1))])
+
+    def test_one_factor_per_axis(self):
+        val = integrate_rectangles(lambda x, y, box: (x, y * y), [((0, 1), (0, 2))])[0]
+        assert val == pytest.approx(0.5 * 8.0 / 3.0, rel=1e-14)
+        with pytest.raises(ValueError, match="3 factors for 2 axes"):
+            integrate_rectangles(lambda x, y, box: (x, y, x), [((0, 1), (0, 2))])
 
     def test_bad_rectangle_and_no_rectangle(self):
         with pytest.raises(ValueError):
