@@ -44,9 +44,7 @@ from .material import (
 )
 from .membrane import MembraneSpec, compare, membrane_effective_mass, membrane_frequency, membrane_zpf
 from .oracle import (
-    EigenSolveConfig,
     EigensolveConvergenceError,
-    escape_and_mass_oracle,
     escape_integral_oracle,
     mass_integral_oracle,
     overlap_integral_oracle,

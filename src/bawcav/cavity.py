@@ -29,7 +29,6 @@ __all__ = [
     "trapping_parameters",
     "trapping_over_radii",
     "mode_shape",
-    "hermite_gaussian",
     "hermite_gaussian_1d",
     "escape_probability",
     "escape_probability_log10",
@@ -165,6 +164,15 @@ def _square_of_L(geo: CavityGeometry) -> float:
     return _normal(l_sq, f"L^2 at L = {geo.L!r}")
 
 
+def _trap_denominator(geo: CavityGeometry) -> float:
+    # 8 R h0^3 as a normal double, or an error that names R and h0
+    try:
+        denom = 8.0 * geo.R * geo.h0**3
+    except OverflowError:
+        denom = math.inf
+    return _normal(denom, f"8 R h0^3 at R = {geo.R!r}, h0 = {geo.h0!r}")
+
+
 def envelope_curvatures(mat: MaterialParams, geo: CavityGeometry, n: int) -> tuple[float, float]:
     """Gaussian envelope curvatures (alpha, beta) in 1/m^2.
 
@@ -174,11 +182,7 @@ def envelope_curvatures(mat: MaterialParams, geo: CavityGeometry, n: int) -> tup
     """
     _, c_hat = stiffened_constants(mat, n)
     m_n, p_n = dispersion_parameters(mat, n)
-    try:
-        denom = 8.0 * geo.R * geo.h0**3
-    except OverflowError:
-        denom = math.inf
-    _normal(denom, f"8 R h0^3 at R = {geo.R!r}, h0 = {geo.h0!r}")
+    denom = _trap_denominator(geo)
     return math.sqrt(c_hat / (denom * m_n)), math.sqrt(c_hat / (denom * p_n))
 
 
@@ -230,35 +234,23 @@ def mode_shape(mode: ModeIndex, alpha: float, beta: float) -> Callable:
     u = exp(-alpha n pi x^2/2) H_m(sqrt(alpha n pi) x) * (same along y with
     beta, p); u(0, 0) = 1 for the fundamental family m = p = 0.  The returned
     callable accepts scalars or numpy arrays that broadcast against each
-    other, and evaluates ``hermite_gaussian`` at gx = alpha n pi, gy = beta n pi.
+    other, and multiplies the ``hermite_gaussian_1d`` factors of the two
+    axes, at gx = alpha n pi and gy = beta n pi.
     """
     gx = alpha * mode.n * math.pi
     gy = beta * mode.n * math.pi
     m, p = mode.m, mode.p
-    return lambda x, y: hermite_gaussian(m, p, gx, gy, x, y)
+    return lambda x, y: hermite_gaussian_1d(m, gx, x) * hermite_gaussian_1d(p, gy, y)
 
 
 def hermite_gaussian_1d(m: int, g, x):
-    """exp(-g x^2/2) H_m(sqrt(g) x): one axis' factor of ``hermite_gaussian``.
+    """exp(-g x^2/2) H_m(sqrt(g) x): one axis' factor of the mode shape.
 
     Both ``g`` and ``x`` may be arrays, broadcasting together, each element
     with the bits of its own scalar call.
     """
     x = np.asarray(x)
     return np.exp(-0.5 * g * x**2) * hermite(m, np.sqrt(g) * x)
-
-
-def hermite_gaussian(m: int, p: int, gx, gy, x, y):
-    """exp(-gx x^2/2) H_m(sqrt(gx) x) exp(-gy y^2/2) H_p(sqrt(gy) y).
-
-    The unit-amplitude mode shape of in-plane orders (m, p) at the Gaussian
-    curvatures gx = alpha n pi and gy = beta n pi: the product of the
-    ``hermite_gaussian_1d`` factors of the two axes.  Every argument may be
-    an array, all broadcasting together, so that one call evaluates the
-    shapes of many curvatures, each element with the bits of its own scalar
-    call.
-    """
-    return hermite_gaussian_1d(m, gx, x) * hermite_gaussian_1d(p, gy, y)
 
 
 # The closed forms below take the trapping eta as a float or as a 1-D array.

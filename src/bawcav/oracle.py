@@ -1,11 +1,11 @@
 """Independent brute-force validators for the closed-form mode figures.
 
-Quadrature oracles integrate the mode shape ``cavity.hermite_gaussian``,
-the function behind ``cavity.mode_shape`` (``u`` for the electrode overlap,
-``u**2`` for mass and escape), over the plate in two dimensions.  The shape
-is a product u = fx(x) fy(y) of ``cavity.hermite_gaussian_1d`` factors, so
-the integrand hands the quadrature engine the two factors (or their
-squares), each evaluated on its own axis' nodes.  The closed forms never
+Quadrature oracles integrate the mode shape of ``cavity.mode_shape``
+(``u`` for the electrode overlap, ``u**2`` for mass and escape) over the
+plate in two dimensions.  The shape is a product u = fx(x) fy(y) of
+``cavity.hermite_gaussian_1d`` factors, so the integrand hands the
+quadrature engine the two factors (or their squares), each evaluated on its
+own axis' nodes.  The closed forms never
 evaluate that shape, so a disagreement here shows a defect in a closed
 form, or a mode shape that is not the one the closed forms describe.  The
 batched oracles (``escape_and_mass_oracles``, ``overlap_integral_oracles``)
@@ -13,9 +13,10 @@ refine the rectangles of all their cases of one (m, p) family in one
 quadrature pass, an integrand that gathers each row's curvatures by its
 rectangle index; each one-case oracle is the batched call of its one case,
 and a batched value equals it bit for bit.  The trapped-mode eigenproblem
-is additionally solved by finite differences to validate the envelope
-curvature and the harmonic level structure from the underlying wave
-equation rather than from its known solution.
+is additionally solved by finite differences, on one grid fixed in units of
+the envelope width, to validate the envelope curvature and the harmonic
+level structure from the underlying wave equation rather than from its
+known solution.
 """
 
 from __future__ import annotations
@@ -26,17 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityGeometry, ModeIndex, hermite_gaussian_1d
+from .cavity import CavityGeometry, ModeIndex, _normal, _trap_denominator, hermite_gaussian_1d
 from .material import MaterialParams, dispersion_parameters, stiffened_constants
 from .specfun import QuadratureSpec, integrate_rectangles
 
 __all__ = [
-    "EigenSolveConfig",
     "EigensolveConvergenceError",
     "TrapEigenResult",
     "mass_integral_oracle",
     "escape_integral_oracle",
-    "escape_and_mass_oracle",
     "escape_and_mass_oracles",
     "overlap_integral_oracle",
     "overlap_integral_oracles",
@@ -54,33 +53,28 @@ _ORACLE_QUAD = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-280, max_depth=40)
 # plate edge; the leftover tail is below 1e-20 of the captured value.
 _TAIL_DECAY_LENGTHS = 10.0
 
+# The trap eigensolver's one discretisation.  In units of the envelope sigma
+# the discretised operator is sqrt(k M) (-u'' + s^2 u) on the same grid,
+# step 16/1602, for every geometry, overtone and material, so each
+# eigenvalue lies a fixed fraction below its harmonic level (2j + 1)
+# sqrt(k M): 6.2e-6, 1.0e-5, 1.6e-5 and 2.2e-5 for j = 0..3, some 40 times
+# inside the +-1e-3 bracket its bisection starts from.
+_GRID_POINTS = 1601
+_DOMAIN_SIGMA = 8.0  # half-width in units of the envelope sigma
+_EIGENPAIRS = 4
+_RESIDUAL_TOL = 1e-9  # relative residual bound per eigenpair
+
 
 class EigensolveConvergenceError(ArithmeticError):
-    """Inverse iteration failed to reach the requested residual."""
+    """An eigenpair's bracket or its residual bound was not reached.
+
+    ``residual`` is the relative residual inverse iteration stopped at, or
+    inf when the Sturm counts did not confirm the eigenvalue's bracket.
+    """
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
-
-
-@dataclass(frozen=True)
-class EigenSolveConfig:
-    """Grid and convergence settings for the trapped-mode eigensolver."""
-
-    grid_points: int = 1601
-    domain_sigma: float = 8.0  # half-width in units of the envelope sigma
-    num_eigenpairs: int = 4
-    tolerance: float = 1e-9  # relative residual bound per eigenpair
-
-    def __post_init__(self):
-        if self.grid_points < 201 or self.grid_points % 2 == 0:
-            raise ValueError("grid_points must be odd and at least 201")
-        if not self.domain_sigma >= 8.0:
-            raise ValueError("domain_sigma must be at least 8")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if not 1 <= self.num_eigenpairs <= 64:
-            raise ValueError("num_eigenpairs must be between 1 and 64")
 
 
 @dataclass(frozen=True)
@@ -97,21 +91,15 @@ class TrapEigenResult:
     lambdas: np.ndarray
     omegas: np.ndarray
     vectors: np.ndarray
-    # the work behind each eigenpair: the bracket its bisection started from,
-    # "harmonic" (its harmonic level +-1e-3, confirmed by the Sturm counts at
-    # both ends) or "gerschgorin" (the whole spectrum's bound); Sturm counts
-    # evaluated, the harmonic bracket's two among them (a shifted diagonal
-    # bitwise that of a bracket end takes that end's count, not a new one);
-    # bisection steps, inverse iterations, and the relative residual
-    # ||A v - lambda v|| / |lambda| it stopped at
-    brackets: tuple[str, ...]
+    # the work behind each eigenpair: Sturm counts evaluated, the two at its
+    # bracket's ends among them (a shifted diagonal bitwise that of a
+    # bracket end takes that end's count, not a new one); bisection steps,
+    # inverse iterations, and the relative residual ||A v - lambda v|| /
+    # |lambda| it stopped at
     sturm_counts: tuple[int, ...]
     bisection_steps: tuple[int, ...]
     inverse_iterations: tuple[int, ...]
     residuals: tuple[float, ...]
-
-    def pairs(self) -> list[tuple[float, np.ndarray]]:
-        return [(float(w), self.vectors[:, j]) for j, w in enumerate(self.omegas)]
 
 
 def _shape_integrals(cases, rects, squared: bool) -> list[list[float]]:
@@ -197,16 +185,6 @@ def escape_and_mass_oracles(cases, rho: float, h0: float) -> list[tuple[float, f
     return [(outside / (inner + outside), rho * h0 * inner) for inner, outside in _escape_parts(cases)]
 
 
-def escape_and_mass_oracle(
-    mode: ModeIndex, alpha: float, beta: float, L: float, rho: float, h0: float
-) -> tuple[float, float]:
-    """Escape probability and effective mass from one quadrature pass.
-
-    ``escape_and_mass_oracles`` of the one case.
-    """
-    return escape_and_mass_oracles([(mode, alpha, beta, L)], rho, h0)[0]
-
-
 def overlap_integral_oracles(cases) -> list[float]:
     """Electrode overlap factor of each case by surface integration.
 
@@ -287,12 +265,7 @@ def _thomas_solve(factors: tuple[list[float], list[float]], off: float, rhs: lis
     return np.array(x)
 
 
-def trap_eigensolve(
-    mat: MaterialParams,
-    geo: CavityGeometry,
-    n: int,
-    config: EigenSolveConfig = EigenSolveConfig(),
-) -> TrapEigenResult:
+def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEigenResult:
     """Lowest eigenpairs of -M u'' + k x^2 u = lambda u on a symmetric grid.
 
     The potential coefficient k = pi^2 n^2 c_hat_z / (8 R h0^3) comes from
@@ -301,50 +274,51 @@ def trap_eigensolve(
     eigenvector reproduces the Gaussian envelope.  Frequencies include the
     thickness term: rho omega^2 = (n pi / (2 h0))^2 c_hat_z + lambda.
 
-    Second-order central differences with Dirichlet boundaries; eigenvalues
-    located by Sturm bisection, each started from its harmonic level
-    (2j + 1) sqrt(k M) +-1e-3 where the Sturm counts confirm that bracket
-    and from the Gerschgorin bracket elsewhere; eigenvectors by shifted
-    inverse iteration, one factorisation per eigenpair, with deflation
-    against already-converged pairs.
+    Second-order central differences with Dirichlet boundaries, 1601 points
+    over +-8 envelope widths; eigenvalues located by Sturm bisection, each
+    started from its harmonic level (2j + 1) sqrt(k M) +-1e-3, a bracket the
+    Sturm counts at its two ends confirm; eigenvectors by shifted inverse
+    iteration, one factorisation per eigenpair, with deflation against
+    already-converged pairs.  Raises OverflowError or FloatingPointError,
+    naming R and h0, when 8 R h0^3, k or (M / h^2)^2 leaves the normal
+    double range.
     """
     _, c_hat = stiffened_constants(mat, n)
     m_n, _ = dispersion_parameters(mat, n)
-    k_pot = math.pi**2 * n**2 * c_hat / (8.0 * geo.R * geo.h0**3)
+    where = f"at R = {geo.R!r}, h0 = {geo.h0!r}"
+    k_pot = _normal(math.pi**2 * n**2 * c_hat / _trap_denominator(geo), f"the trap stiffness k {where}")
     gamma = math.sqrt(k_pot / m_n)  # expected ground curvature n*pi*alpha
     sigma = 1.0 / math.sqrt(gamma)
 
-    npts = config.grid_points
-    half_width = config.domain_sigma * sigma
+    npts = _GRID_POINTS
+    half_width = _DOMAIN_SIGMA * sigma
     h = 2.0 * half_width / (npts + 1)
-    x = -half_width + h * np.arange(1, npts + 1)
     off = -m_n / (h * h)
+    off2 = _normal(off * off, f"the squared grid coupling (M / h^2)^2 {where}")
+    x = -half_width + h * np.arange(1, npts + 1)
     diag = 2.0 * m_n / (h * h) + k_pot * x * x
 
     scale = float(np.max(np.abs(diag)) + 2.0 * abs(off))
     pivmin = 1e-14 * scale
-    lo0 = float(np.min(diag)) - 2.0 * abs(off)
-    hi0 = scale
-    off2 = off * off
 
     # eigenvalue j is bisected from its harmonic level (2j + 1) sqrt(k M), to
-    # 1e-3 either side, when the Sturm counts at the two ends show that it
-    # alone lies there, and from the Gerschgorin bracket otherwise.  Near an
+    # 1e-3 either side, once the Sturm counts at the two ends show that it
+    # alone lies there, as the one discretisation puts it.  Near an
     # eigenvalue the shift moves by less than the diagonal's rounding, and
     # diag - mid can be bitwise the shifted diagonal of a bracket end, whose
     # count is then reused.
     level = math.sqrt(k_pot * m_n)
-    lambdas, brackets, sturm_counts, bisection_steps = [], [], [], []
-    for j in range(config.num_eigenpairs):
+    lambdas, sturm_counts, bisection_steps = [], [], []
+    for j in range(_EIGENPAIRS):
         lo, hi = (2 * j + 1) * level * (1.0 - 1e-3), (2 * j + 1) * level * (1.0 + 1e-3)
         at_lo, at_hi = ((end, _sturm_count(end.tolist(), off2, pivmin)) for end in (diag - lo, diag - hi))
+        if (at_lo[1], at_hi[1]) != (j, j + 1):
+            raise EigensolveConvergenceError(
+                f"eigenvalue {j} is not alone within 1e-3 of its harmonic level {where}"
+                f" (Sturm counts {at_lo[1]} and {at_hi[1]})",
+                math.inf,
+            )
         evaluated = 2
-        if (at_lo[1], at_hi[1]) == (j, j + 1):
-            brackets.append("harmonic")
-        else:
-            brackets.append("gerschgorin")
-            lo, hi = lo0, hi0
-            at_lo = at_hi = (np.empty(0), 0)
         for step in range(1, 81):
             mid = 0.5 * (lo + hi)
             shifted = diag - mid
@@ -366,7 +340,7 @@ def trap_eigensolve(
         bisection_steps.append(step)
 
     rng = np.random.default_rng(12345)
-    vectors = np.empty((npts, config.num_eigenpairs))
+    vectors = np.empty((npts, _EIGENPAIRS))
     lam_out, iterations, residuals = [], [], []
     for j, lam in enumerate(lambdas):
         shift = lam * (1.0 + 1e-11) + pivmin
@@ -384,11 +358,11 @@ def trap_eigensolve(
             av[1:] += off * v[:-1]
             rayleigh = float(v @ av)
             residual = float(np.linalg.norm(av - rayleigh * v)) / abs(rayleigh)
-            if residual <= config.tolerance:
+            if residual <= _RESIDUAL_TOL:
                 break
-        if residual > config.tolerance:
+        if residual > _RESIDUAL_TOL:
             raise EigensolveConvergenceError(
-                f"eigenpair {j} stalled at relative residual {residual:.3e}", residual
+                f"eigenpair {j} stalled at relative residual {residual:.3e} {where}", residual
             )
         # not signed at the centre: a node of each odd vector, rounding noise
         if v[npts // 2 + 1] < 0:
@@ -406,7 +380,6 @@ def trap_eigensolve(
         lambdas=lam_arr,
         omegas=omegas,
         vectors=vectors,
-        brackets=tuple(brackets),
         sturm_counts=tuple(sturm_counts),
         bisection_steps=tuple(bisection_steps),
         inverse_iterations=tuple(iterations),
@@ -419,12 +392,16 @@ def fit_gaussian_curvature(x: np.ndarray, v: np.ndarray, floor: float = 1e-3) ->
 
     Fits ln v = c - g x^2 / 2 over samples above ``floor`` times the peak
     and returns g; for the trap ground state g should equal n pi alpha.
+    The fit runs on x scaled by a power of two near the samples' span, an
+    exact scaling, so that the x^2 column keeps its weight beside the
+    constant one at any length scale.
     """
     v = np.abs(np.asarray(v, dtype=float))
     peak = float(np.max(v))
     mask = v > floor * peak
     z = np.log(v[mask] / peak)
-    q = x[mask] ** 2
+    _, e = math.frexp(float(np.max(np.abs(x[mask]))))
+    q = np.ldexp(x[mask], -e) ** 2
     design = np.stack([np.ones_like(q), -0.5 * q], axis=1)
     coef, *_ = np.linalg.lstsq(design, z, rcond=None)
-    return float(coef[1])
+    return math.ldexp(float(coef[1]), -2 * e)

@@ -420,6 +420,16 @@ class TestOracleCmd:
         assert out == ""
         assert "at least one parameter set" in err
 
+    @pytest.mark.parametrize("h0,R", [("1e-110", "1"), ("1e-100", "1e-3"), ("1e-90", "1e-15")])
+    def test_unrepresentable_trap_exits_3_naming_R_and_h0(self, capsys, h0, R):
+        # 8 R h0^3, the trap stiffness and the grid coupling each leave the
+        # double range: one error line, no numpy warning, no traceback
+        code, out, err = run_cli(capsys, "oracle", "--sets", "1", "--h0", h0, "--R", R)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"R = {float(R)!r}, h0 = {float(h0)!r}" in err
+
     def test_nonconvergence_maps_to_exit_3(self, capsys, monkeypatch):
         from bawcav import cli
         from bawcav.specfun import QuadratureConvergenceError

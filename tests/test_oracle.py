@@ -1,5 +1,6 @@
 """Brute-force validators against the closed forms they exist to check."""
 
+import itertools
 import math
 
 import numpy as np
@@ -18,8 +19,7 @@ from bawcav.cavity import (
 from bawcav.detection import overlap_factor
 from bawcav.material import bundled_material_path, dispersion_parameters, load_material, stiffened_constants
 from bawcav.oracle import (
-    EigenSolveConfig,
-    escape_and_mass_oracle,
+    EigensolveConvergenceError,
     escape_and_mass_oracles,
     escape_integral_oracle,
     fit_gaussian_curvature,
@@ -31,6 +31,9 @@ from bawcav.oracle import (
 
 QUARTZ = load_material(bundled_material_path("quartz"))
 GEO = CavityGeometry(L=0.015, h0=5e-4, R=0.3)
+# the solver's two test geometries: the default cavity, and R = L, a trap
+# twenty times stiffer
+SOLVER_GEOMETRIES = [GEO, CavityGeometry(L=GEO.L, h0=GEO.h0, R=GEO.L)]
 
 
 # (mode, eta_x, eta_y) beyond the (0, 0) and (2, 2) families
@@ -121,7 +124,7 @@ class TestEscapeAndMass:
     def test_pair_is_the_two_oracles(self, mode, eta_x, eta_y):
         alpha = eta_x**2 / (math.pi * GEO.L**2)
         beta = eta_y**2 / (math.pi * GEO.L**2)
-        pair = escape_and_mass_oracle(mode, alpha, beta, GEO.L, QUARTZ.rho, GEO.h0)
+        [pair] = escape_and_mass_oracles([(mode, alpha, beta, GEO.L)], QUARTZ.rho, GEO.h0)
         assert pair == (
             escape_integral_oracle(mode, alpha, beta, GEO.L),
             mass_integral_oracle(mode, alpha, beta, GEO.L, QUARTZ.rho, GEO.h0),
@@ -144,14 +147,14 @@ class TestBatchedOracles:
     def test_batched_values_are_the_one_case_values(self):
         escape, electrode = criterion_8_cases()
         assert escape_and_mass_oracles(escape, QUARTZ.rho, GEO.h0) == [
-            escape_and_mass_oracle(*case, QUARTZ.rho, GEO.h0) for case in escape
+            escape_and_mass_oracles([case], QUARTZ.rho, GEO.h0)[0] for case in escape
         ]
         assert overlap_integral_oracles(electrode) == [overlap_integral_oracle(*case) for case in electrode]
 
     def test_pair_is_the_two_oracles_on_every_criterion_8_set(self):
         escape, _ = criterion_8_cases()
         for case in escape:
-            assert escape_and_mass_oracle(*case, QUARTZ.rho, GEO.h0) == (
+            assert escape_and_mass_oracles([case], QUARTZ.rho, GEO.h0)[0] == (
                 escape_integral_oracle(*case),
                 mass_integral_oracle(*case, QUARTZ.rho, GEO.h0),
             )
@@ -196,20 +199,6 @@ class TestOverlapOracle:
         assert numeric == pytest.approx(closed, rel=1e-8)
 
 
-class TestEigenSolveConfig:
-    def test_defaults_valid(self):
-        cfg = EigenSolveConfig()
-        assert cfg.grid_points >= 201 and cfg.grid_points % 2 == 1
-        assert cfg.domain_sigma >= 8
-
-    @pytest.mark.parametrize(
-        "kwargs", [{"grid_points": 200}, {"grid_points": 99}, {"domain_sigma": 4.0}, {"tolerance": 0.0}]
-    )
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            EigenSolveConfig(**kwargs)
-
-
 class TestTrapEigensolve:
     def test_harmonic_ladder_uniform(self):
         res = trap_eigensolve(QUARTZ, GEO, 1)
@@ -224,7 +213,7 @@ class TestTrapEigensolve:
         assert gfit == pytest.approx(math.pi * alpha, rel=1e-3)
 
     def test_higher_overtone_curvature(self):
-        res = trap_eigensolve(QUARTZ, GEO, 3, EigenSolveConfig(grid_points=1201))
+        res = trap_eigensolve(QUARTZ, GEO, 3)
         alpha, _ = envelope_curvatures(QUARTZ, GEO, 3)
         gfit = fit_gaussian_curvature(res.x, res.vectors[:, 0])
         assert gfit == pytest.approx(3 * math.pi * alpha, rel=1e-3)
@@ -248,14 +237,20 @@ class TestTrapEigensolve:
         assert len(omegas) == 1
 
     def test_second_order_convergence(self):
-        alpha, _ = envelope_curvatures(QUARTZ, GEO, 1)
-        exact = QUARTZ.M * math.pi * alpha  # ground eigenvalue M * gamma
-        errs = {}
-        for npts in (401, 801):
-            cfg = EigenSolveConfig(grid_points=npts, num_eigenpairs=1)
-            res = trap_eigensolve(QUARTZ, GEO, 1, cfg)
-            errs[npts] = abs(res.lambdas[0] - exact) / exact
-        assert errs[401] / errs[801] >= 3.5
+        # in units of the envelope sigma the grid step is h = 16/1602 for
+        # every trap, and the 3-point stencil's -h^2 u^(4) / 12 error term
+        # puts lambda_j below its harmonic level (2j + 1) sqrt(k M) by
+        # (2j^2 + 2j + 1) h^2 / 16, to first order
+        h = 16.0 / 1602.0
+        for geo, n in itertools.product(SOLVER_GEOMETRIES, (1, 3)):
+            _, c_hat = stiffened_constants(QUARTZ, n)
+            m_n, _ = dispersion_parameters(QUARTZ, n)
+            level = math.sqrt(math.pi**2 * n**2 * c_hat / (8.0 * geo.R * geo.h0**3) * m_n)
+            res = trap_eigensolve(QUARTZ, geo, n)
+            for j, lam in enumerate(res.lambdas):
+                offset = lam / ((2 * j + 1) * level) - 1.0
+                expected = -(2 * j * j + 2 * j + 1) * h * h / (16.0 * (2 * j + 1))
+                assert offset == pytest.approx(expected, rel=1e-3)
 
     def test_frequencies_include_thickness_term(self):
         res = trap_eigensolve(QUARTZ, GEO, 1)
@@ -263,29 +258,50 @@ class TestTrapEigensolve:
         expected = math.sqrt((lead + res.lambdas[0]) / QUARTZ.rho)
         assert res.omegas[0] == pytest.approx(expected, rel=1e-14)
 
-    def test_pairs_interface(self):
-        res = trap_eigensolve(QUARTZ, GEO, 1, EigenSolveConfig(grid_points=401, num_eigenpairs=2))
-        pairs = res.pairs()
-        assert len(pairs) == 2
-        omega, vec = pairs[0]
-        assert omega > 0 and vec.shape == res.x.shape
-
     def test_eigenvectors_orthogonal(self):
         res = trap_eigensolve(QUARTZ, GEO, 1)
         v0 = res.vectors[:, 0] / np.linalg.norm(res.vectors[:, 0])
         v1 = res.vectors[:, 1] / np.linalg.norm(res.vectors[:, 1])
         assert abs(float(v0 @ v1)) < 1e-8
 
-    def test_unreachable_tolerance_raises_with_residual(self):
-        from bawcav.oracle import EigensolveConvergenceError
+    def test_unreachable_tolerance_raises_with_residual(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_RESIDUAL_TOL", 1e-18)
+        with pytest.raises(EigensolveConvergenceError, match="eigenpair 0 stalled") as err:
+            trap_eigensolve(QUARTZ, GEO, 1)
+        assert 1e-18 < err.value.residual < math.inf
 
-        cfg = EigenSolveConfig(grid_points=401, num_eigenpairs=1, tolerance=1e-18)
-        with pytest.raises(EigensolveConvergenceError) as err:
-            trap_eigensolve(QUARTZ, GEO, 1, cfg)
-        assert err.value.residual > 0.0
+    def test_unconfirmed_bracket_raises(self, monkeypatch):
+        # on 201 points lambda_2 and lambda_3 lie 1.02e-3 and 1.40e-3 below
+        # their harmonic levels, outside the bracket each bisection starts from
+        monkeypatch.setattr(oracle, "_GRID_POINTS", 201)
+        with pytest.raises(EigensolveConvergenceError, match="eigenvalue 2 is not alone") as err:
+            trap_eigensolve(QUARTZ, GEO, 1)
+        assert err.value.residual == math.inf
+
+    @pytest.mark.parametrize("h0,R,what", [
+        (1e-110, 1.0, "8 R h0^3"),
+        (1e-100, 1e-3, "the trap stiffness k"),
+        (1e-90, 1e-15, "the squared grid coupling (M / h^2)^2"),
+    ])
+    def test_unrepresentable_trap_names_R_and_h0(self, h0, R, what):
+        geo = CavityGeometry(L=GEO.L, h0=h0, R=R)
+        with pytest.raises((OverflowError, FloatingPointError)) as err:
+            trap_eigensolve(QUARTZ, geo, 1)
+        assert str(err.value) == f"{what} at R = {R!r}, h0 = {h0!r} is outside the normal double range"
 
 
-def reference_eigensolve(mat, geo, n, config=EigenSolveConfig()):
+@pytest.mark.parametrize("k", [-80, 0, 80])
+def test_gaussian_curvature_fit_is_scale_free(k):
+    # an exact Gaussian sampled on x 2^k has curvature g / 4^k: the fit
+    # keeps it at any length scale, where a fit on raw x loses the x^2
+    # column once x^2 is below the rounding of the constant column
+    g = 3.7
+    x = np.linspace(-4.0, 4.0, 801)
+    v = np.exp(-0.5 * g * x**2)
+    assert fit_gaussian_curvature(np.ldexp(x, k), v) == pytest.approx(math.ldexp(g, -2 * k), rel=1e-12)
+
+
+def reference_eigensolve(mat, geo, n):
     # reference for trap_eigensolve's bits: one Sturm count per bisection
     # step, nothing looked up, and the Thomas sweep on numpy arrays element
     # by element
@@ -293,8 +309,8 @@ def reference_eigensolve(mat, geo, n, config=EigenSolveConfig()):
     m_n, _ = dispersion_parameters(mat, n)
     k_pot = math.pi**2 * n**2 * c_hat / (8.0 * geo.R * geo.h0**3)
     sigma = 1.0 / math.sqrt(math.sqrt(k_pot / m_n))
-    npts = config.grid_points
-    half_width = config.domain_sigma * sigma
+    npts = 1601
+    half_width = 8.0 * sigma
     h = 2.0 * half_width / (npts + 1)
     x = -half_width + h * np.arange(1, npts + 1)
     off = -m_n / (h * h)
@@ -324,9 +340,9 @@ def reference_eigensolve(mat, geo, n, config=EigenSolveConfig()):
         return out
 
     rng = np.random.default_rng(12345)
-    vectors = np.empty((npts, config.num_eigenpairs))
+    vectors = np.empty((npts, 4))
     lambdas = []
-    for j in range(config.num_eigenpairs):
+    for j in range(4):
         lo, hi = float(np.min(diag)) - 2.0 * abs(off), scale
         for _ in range(80):
             mid = 0.5 * (lo + hi)
@@ -345,7 +361,7 @@ def reference_eigensolve(mat, geo, n, config=EigenSolveConfig()):
             av[:-1] += off * v[1:]
             av[1:] += off * v[:-1]
             rayleigh = float(v @ av)
-            if float(np.linalg.norm(av - rayleigh * v)) / abs(rayleigh) <= config.tolerance:
+            if float(np.linalg.norm(av - rayleigh * v)) / abs(rayleigh) <= 1e-9:
                 break
         if v[npts // 2 + 1] < 0:
             v = -v
@@ -354,37 +370,17 @@ def reference_eigensolve(mat, geo, n, config=EigenSolveConfig()):
     return np.array(lambdas), vectors
 
 
-# the solver's two test geometries: the default cavity, and R = L, a trap
-# twenty times stiffer
-SOLVER_GEOMETRIES = [GEO, CavityGeometry(L=GEO.L, h0=GEO.h0, R=GEO.L)]
 # Sturm counts evaluated per eigenpair on each of them
 STURM_COUNTS = dict(zip(SOLVER_GEOMETRIES, [(31, 32, 34, 33), (31, 34, 33, 34)]))
-# a grid so coarse that lambda_2 and lambda_3 lie more than 1e-3 from their
-# harmonic levels, so that their bisections start from the Gerschgorin bracket
-COARSE = EigenSolveConfig(grid_points=201)
 
 
 class TestEigensolveWork:
-    @pytest.mark.parametrize("geo,config", [
-        *(pytest.param(geo, EigenSolveConfig(), id=f"geo{i}") for i, geo in enumerate(SOLVER_GEOMETRIES)),
-        pytest.param(GEO, COARSE, id="coarse"),
-    ])
-    def test_same_eigenpairs_as_the_reference_solver(self, geo, config):
-        res = trap_eigensolve(QUARTZ, geo, 1, config)
-        lambdas, vectors = reference_eigensolve(QUARTZ, geo, 1, config)
+    @pytest.mark.parametrize("geo", SOLVER_GEOMETRIES)
+    def test_same_eigenpairs_as_the_reference_solver(self, geo):
+        res = trap_eigensolve(QUARTZ, geo, 1)
+        lambdas, vectors = reference_eigensolve(QUARTZ, geo, 1)
         assert np.array_equal(res.lambdas, lambdas)
         assert np.array_equal(res.vectors, vectors)
-
-    def test_bracket_falls_back_to_gerschgorin_off_the_harmonic_level(self):
-        res = trap_eigensolve(QUARTZ, GEO, 1, COARSE)
-        _, c_hat = stiffened_constants(QUARTZ, 1)
-        m_n, _ = dispersion_parameters(QUARTZ, 1)
-        level = math.sqrt(math.pi**2 * c_hat / (8.0 * GEO.R * GEO.h0**3) * m_n)  # sqrt(k M)
-        off_level = [abs(lam / ((2 * j + 1) * level) - 1.0) > 1e-3 for j, lam in enumerate(res.lambdas)]
-        assert off_level == [False, False, True, True]
-        assert res.brackets == ("harmonic", "harmonic", "gerschgorin", "gerschgorin")
-        # the two counts at the rejected bracket's ends are counted too
-        assert res.sturm_counts == (38, 38, 55, 56)
 
     @pytest.mark.parametrize("geo", SOLVER_GEOMETRIES)
     def test_vectors_are_positive_right_of_the_centre(self, geo):
@@ -404,9 +400,8 @@ class TestEigensolveWork:
             return sturm_count(shifted, off2, pivmin)
 
         monkeypatch.setattr(oracle, "_sturm_count", counting)
-        cfg = EigenSolveConfig()
-        res = trap_eigensolve(QUARTZ, geo, 1, cfg)
-        k = cfg.num_eigenpairs
+        res = trap_eigensolve(QUARTZ, geo, 1)
+        k = oracle._EIGENPAIRS
         assert all(len(s) == k for s in (res.sturm_counts, res.bisection_steps,
                                          res.inverse_iterations, res.residuals))
         # every count made is reported: each eigenvalue's bisection starts
@@ -414,12 +409,11 @@ class TestEigensolveWork:
         # first, and takes the count of a bracket end whose shifted diagonal
         # a midpoint's equals bit for bit (the 38 steps of the first make 29
         # counts of their own)
-        assert res.brackets == ("harmonic",) * k
         assert sum(res.sturm_counts) == len(calls)
         assert res.sturm_counts == STURM_COUNTS[geo]
         assert all(0 < c < s <= 80 for c, s in zip(res.sturm_counts, res.bisection_steps))
         assert all(1 <= i <= 60 for i in res.inverse_iterations)
-        assert all(0.0 < r <= cfg.tolerance for r in res.residuals)
+        assert all(0.0 < r <= oracle._RESIDUAL_TOL for r in res.residuals)
 
     def test_sturm_count_takes_tiny_pivots_as_minus_pivmin(self):
         def reference(shifted, off2, pivmin):
