@@ -27,11 +27,9 @@ from .detection import (
     ElectrodeDesign,
     design_electrode,
     optimal_electrode,
-    optomech_displacement,
     overlap_factor,
     piezo_current_zpf,
     shunt_impedance,
-    shunt_vs_motional,
 )
 from .material import (
     DispersionPoleError,

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import BOLTZMANN_K, HBAR
-from .material import MaterialParams, dispersion_parameters, stiffened_constants
+from .material import MaterialParams, _require_odd_overtone, dispersion_parameters, stiffened_constants
 from .specfun import _elementwise, _finite, _real, _reject, erf, erfc, erfcx, hermite
 
 __all__ = [
@@ -70,10 +70,9 @@ class CavityGeometry:
 class ModeIndex:
     """Mode numbers: overtone n (odd) and in-plane numbers m, p (even).
 
-    Only odd-n / even-(m, p) modes couple piezoelectrically, so the regular
-    constructor rejects everything else.  ``relaxed`` bypasses that check for
-    numerical cross-validation against brute-force integrals; never use it
-    for physics results.
+    Only odd-n / even-(m, p) modes couple piezoelectrically, so the
+    constructor rejects everything else.  The shape of any other in-plane
+    number along one axis is ``hermite_gaussian_1d``.
     """
 
     n: int
@@ -81,25 +80,13 @@ class ModeIndex:
     p: int = 0
 
     def __post_init__(self):
-        if self.n != int(self.n) or self.n < 1 or self.n % 2 == 0:
-            raise ValueError(f"overtone must be odd and positive, got {self.n!r}")
+        _require_odd_overtone(self.n)
         for name in ("m", "p"):
             v = getattr(self, name)
             if v != int(v) or v < 0 or v % 2 != 0:
                 raise ValueError(
                     f"in-plane number {name} must be even and non-negative, got {v!r}"
                 )
-
-    @classmethod
-    def relaxed(cls, n: int, m: int = 0, p: int = 0) -> "ModeIndex":
-        """Unvalidated constructor for oracle tests (any non-negative m, p)."""
-        if n < 1 or min(m, p) < 0:
-            raise ValueError("relaxed mode numbers must still be non-negative, n >= 1")
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "n", int(n))
-        object.__setattr__(obj, "m", int(m))
-        object.__setattr__(obj, "p", int(p))
-        return obj
 
 
 @dataclass(frozen=True)
@@ -178,12 +165,17 @@ def envelope_curvatures(mat: MaterialParams, geo: CavityGeometry, n: int) -> tup
 
     alpha^2 = c_hat_z / (8 R h0^3 M_n) and analogously with P_n for beta;
     both scale as R^(-1/2).  Raises OverflowError or FloatingPointError,
-    naming R and h0, when 8 R h0^3 leaves the normal double range.
+    naming R and h0, when 8 R h0^3, 8 R h0^3 M_n or 8 R h0^3 P_n leaves the
+    normal double range (a negative M_n or P_n gives math's domain error).
     """
     _, c_hat = stiffened_constants(mat, n)
     m_n, p_n = dispersion_parameters(mat, n)
     denom = _trap_denominator(geo)
-    return math.sqrt(c_hat / (denom * m_n)), math.sqrt(c_hat / (denom * p_n))
+    curvatures = []
+    for name, q in (("M_n", denom * m_n), ("P_n", denom * p_n)):
+        _normal(abs(q), f"8 R h0^3 {name} at R = {geo.R!r}, h0 = {geo.h0!r}")
+        curvatures.append(math.sqrt(c_hat / q))
+    return tuple(curvatures)
 
 
 def trapping_parameters(alpha: float, beta: float, L: float) -> tuple[float, float]:
@@ -215,11 +207,10 @@ def trapping_over_radii(mat: MaterialParams, geo: CavityGeometry, n: int, radii)
         denom = 8.0 * radii * h0_cubed
         qx, qy = denom * m_n, denom * p_n
         alpha, beta = np.sqrt(c_hat / qx), np.sqrt(c_hat / qy)
-        # where the chain raises: denom not a normal double, a division by
-        # zero, or a curvature that is not positive (a NaN from a negative
-        # square root among them)
-        ok = ((denom >= _DBL_MIN) & (denom < math.inf) & (qx != 0.0) & (qy != 0.0)
-              & (alpha > 0) & (beta > 0))
+        # where the chain raises: denom, |qx| or |qy| not a normal double, or
+        # a curvature that is not positive (a NaN from a negative square root)
+        ok = ((denom >= _DBL_MIN) & (denom < math.inf) & (abs(qx) >= _DBL_MIN)
+              & (abs(qy) >= _DBL_MIN) & (alpha > 0) & (beta > 0))
     k = _first_bad(ok)
     if k is not None:
         g = replace(geo, R=_at(radii, k))
@@ -311,21 +302,20 @@ def _hermite_tail(m: int, t, log_psi0):
     return total
 
 
-def _axis_deficit(m: int, t, erfc_t=None):
-    # Fraction of one axis' modal energy beyond |z| = t: D_0 = erfc(t) plus
-    # the Hermite steps, which are all positive beyond the last zero of H_m,
-    # so strong trapping does not cancel digits.  erfc_t is erfc(t), when
-    # the caller has it.
-    return (erfc(t) if erfc_t is None else erfc_t) + _hermite_tail(m, t, -0.5 * t * t)
+def _axis_deficit(m: int, t, erfc_t):
+    # Fraction of one axis' modal energy beyond |z| = t: D_0 = erfc_t =
+    # erfc(t) plus the Hermite steps, which are all positive beyond the last
+    # zero of H_m, so strong trapping does not cancel digits.
+    return erfc_t + _hermite_tail(m, t, -0.5 * t * t)
 
 
-def _axis_energy_fraction(m: int, t, erf_t=None):
+def _axis_energy_fraction(m: int, t, erf_t):
     # Fraction of one axis' modal energy on the plate, I_m(t) / (2^m m!
     # sqrt(pi)) with I_m the integral of e^{-z^2} H_m(z)^2 over |z| <= t:
-    # I_k = 2k I_{k-1} - 2 e^{-t^2} H_k H_{k-1} from I_0 = sqrt(pi) erf(t),
-    # divided through by the norm so weak trapping does not cancel digits.
-    # erf_t is erf(t), when the caller has it.
-    return (erf(t) if erf_t is None else erf_t) - _hermite_tail(m, t, -0.5 * t * t)
+    # I_k = 2k I_{k-1} - 2 e^{-t^2} H_k H_{k-1} from I_0 = sqrt(pi) erf_t,
+    # erf_t = erf(t), divided through by the norm so weak trapping does not
+    # cancel digits.
+    return erf_t - _hermite_tail(m, t, -0.5 * t * t)
 
 
 def _per_axis(axis, head, mode: ModeIndex, ex, ey):
@@ -384,7 +374,7 @@ def _log_axis_deficit(m: int, t: float) -> float:
     # size (sqrt(2) t)^m / sqrt(m!) of its leading term, so that large m and
     # t cannot overflow it; the factor e^{-2c} is taken back out of the log.
     if t < 2.0:
-        return math.log(_axis_deficit(m, t))
+        return math.log(_axis_deficit(m, t, erfc(t)))
     c = max(0.0, m * math.log(math.sqrt(2.0) * t) - 0.5 * math.lgamma(m + 1.0))
     s = erfcx(t) * math.exp(-2.0 * c) + _hermite_tail(m, t, -c)
     return math.log(s) - t * t + 2.0 * c
@@ -550,15 +540,17 @@ def thermal_occupancy(omega: float, temperature: float) -> float:
 
     Strictly decreasing in omega; approaches kT/(hbar omega) - 1/2 in the
     classical limit.  Evaluated as exp(-x)/(-expm1(-x)) so neither large nor
-    small hbar*omega/kT overflows; raises OverflowError when the occupancy
-    itself exceeds the double range.
+    small hbar*omega/kT overflows; a kT that underflows to 0 counts as
+    hbar*omega/kT = inf, occupancy 0.  Raises OverflowError when the
+    occupancy itself exceeds the double range.
     """
     if not (temperature > 0 and math.isfinite(temperature)):
         raise ValueError(f"temperature must be positive and finite, got {temperature!r}")
     if not (omega > 0):
         raise ValueError(f"omega must be positive, got {omega!r}")
-    x = HBAR * omega / (BOLTZMANN_K * temperature)
-    occupancy = math.exp(-x) / (-math.expm1(-x))
+    kt = BOLTZMANN_K * temperature
+    x = HBAR * omega / kt if kt != 0.0 else math.inf
+    occupancy = math.exp(-x) / (-math.expm1(-x)) if x != 0.0 else math.inf
     if math.isinf(occupancy):
         raise OverflowError(
             f"thermal occupancy at hbar omega / kT = {x!r} exceeds the double range"

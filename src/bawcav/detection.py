@@ -1,11 +1,14 @@
-"""Readout figures of merit: optomechanical and piezoelectric detection.
+"""Piezoelectric readout figures of merit.
 
 Electrode overlap, zero-point output current, optimal electrode sizing and
-the resulting parasitic shunt capacitance/impedance.  Within this module the
-leading-order frequency is evaluated with the overtone-limit elastic
-coefficient ``c_bar_z`` (the piezoelectric overtone correction vanishes for
-large n), which keeps the derived shunt impedance exactly independent of the
-overtone number.  All operations are pure and reentrant.
+the resulting parasitic shunt capacitance/impedance.  The optomechanical
+readout needs no function here: a narrow beam at the cavity centre sees the
+mode's ``x_zpf``, whose gain over the flat plate is sqrt(xi), and
+``cavity.characterize`` returns both.  Within this module the leading-order
+frequency is evaluated with the overtone-limit elastic coefficient
+``c_bar_z`` (the piezoelectric overtone correction vanishes for large n),
+which keeps the derived shunt impedance exactly independent of the overtone
+number.  All operations are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -15,31 +18,22 @@ from dataclasses import dataclass
 
 from .cavity import _DBL_MIN, CavityGeometry, ModeIndex, _square_of_L, effective_mass
 from .constants import HBAR
-from .material import MaterialParams
+from .material import MaterialParams, _require_odd_overtone
 from .specfun import erf, erf_inv, hermite
 
 __all__ = [
     "ElectrodeDesign",
-    "OptomechReadout",
-    "MotionalComparison",
     "MU_OPT_3SIGMA",
     "overlap_factor",
-    "optomech_displacement",
     "piezo_current_zpf",
     "optimal_electrode",
     "shunt_impedance",
-    "shunt_vs_motional",
     "design_electrode",
 ]
 
 # Default electrode coverage target: three envelope standard deviations per
 # axis, mu = erf(3/sqrt(2))^2.
 MU_OPT_3SIGMA = erf(3.0 / math.sqrt(2.0)) ** 2
-
-# Motional resistance of high-overtone quartz resonators stays below this
-# bound at cryogenic temperatures; used as the comparison scale for the
-# parasitic shunt impedance.
-MOTIONAL_RESISTANCE_BOUND_OHM = 100.0
 
 
 @dataclass(frozen=True)
@@ -63,23 +57,6 @@ class ElectrodeDesign:
         for name in ("C0", "Z_closed_form", "Z_shunt_mag"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-
-
-@dataclass(frozen=True)
-class OptomechReadout:
-    """Optically detectable displacement and its gain over a flat plate."""
-
-    x_detect: float  # m
-    gain_vs_flat: float  # x_detect / x_zpf_flat = sqrt(xi)
-
-
-@dataclass(frozen=True)
-class MotionalComparison:
-    """Parasitic shunt impedance against the motional-resistance bound."""
-
-    ratio: float
-    negligible: bool
-    verdict: str
 
 
 def _omega_ref(mat: MaterialParams, geo: CavityGeometry, n: int) -> float:
@@ -117,15 +94,6 @@ def overlap_factor(mode: ModeIndex, alpha: float, beta: float, L_tilde: float) -
     nu_y = math.sqrt(math.pi * beta) * L_tilde
     rn = math.sqrt(mode.n)
     return _axis_overlap(mode.m, rn * nu_x) * _axis_overlap(mode.p, rn * nu_y)
-
-
-def optomech_displacement(char) -> OptomechReadout:
-    """Detectable displacement for a narrow beam at the cavity centre.
-
-    Returns the mode's x_zpf together with the curvature gain sqrt(xi) over
-    the equivalent flat plate.
-    """
-    return OptomechReadout(x_detect=char.x_zpf, gain_vs_flat=math.sqrt(char.xi))
 
 
 def piezo_current_zpf(
@@ -169,8 +137,7 @@ def optimal_electrode(geo: CavityGeometry, eta: float, n: int, mu_opt: float = M
         raise ValueError(f"mu_opt must lie in (0, 1), got {mu_opt!r}")
     if not (eta > 0 and math.isfinite(eta)):
         raise ValueError(f"eta must be positive and finite, got {eta!r}")
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"overtone must be odd and positive, got {n!r}")
+    _require_odd_overtone(n)
     return (geo.L / eta) * math.sqrt(2.0 / n) * erf_inv(math.sqrt(mu_opt))
 
 
@@ -207,18 +174,6 @@ def shunt_impedance(
             " double range"
         )
     return c0, z_closed, z_derived
-
-
-def shunt_vs_motional(z_shunt_mag: float) -> MotionalComparison:
-    """Compare a shunt impedance against the motional-resistance bound."""
-    if not z_shunt_mag > 0:
-        raise ValueError(f"shunt impedance must be positive, got {z_shunt_mag!r}")
-    ratio = z_shunt_mag / MOTIONAL_RESISTANCE_BOUND_OHM
-    negligible = ratio > 100.0
-    verdict = (
-        "parasitic impedance negligible" if negligible else "parasitic impedance significant"
-    )
-    return MotionalComparison(ratio=ratio, negligible=negligible, verdict=verdict)
 
 
 def design_electrode(

@@ -118,18 +118,17 @@ def compare(
     OverflowError when a membrane figure leaves the normal double range.
     """
     omega_m = membrane_frequency(spec)
+    f_hz = omega_m / (2.0 * math.pi)
+    m_eff = membrane_effective_mass(spec)
     x_zpf, _ = membrane_zpf(spec)
-    mem = ResonatorFigures(
-        f_hz=omega_m / (2.0 * math.pi),
-        m_eff_kg=membrane_effective_mass(spec),
-        x_zpf_m=x_zpf,
-        n_thermal=thermal_occupancy(omega_m, temperature),
-    )
-    if not all(_DBL_MIN <= v < math.inf for v in (mem.f_hz, mem.m_eff_kg, x_zpf)):
+    if not all(_DBL_MIN <= v < math.inf for v in (f_hz, m_eff, x_zpf)):
         raise OverflowError(
             f"the figures of the {spec.a!r} m x {spec.b!r} m membrane"
             " are outside the normal double range"
         )
+    mem = ResonatorFigures(
+        f_hz=f_hz, m_eff_kg=m_eff, x_zpf_m=x_zpf, n_thermal=thermal_occupancy(omega_m, temperature)
+    )
     cavf = ResonatorFigures(
         f_hz=cavity_char.omega / (2.0 * math.pi),
         m_eff_kg=cavity_char.m_eff,

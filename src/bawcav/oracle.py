@@ -81,15 +81,14 @@ class EigensolveConvergenceError(ArithmeticError):
 class TrapEigenResult:
     """Lowest eigenpairs of the in-plane trapping operator (x slice).
 
-    ``lambdas`` are operator eigenvalues, ``omegas`` the corresponding mode
-    angular frequencies including the thickness term, ``vectors`` the grid
-    eigenfunctions (one column each, peak-normalized, positive at the grid
-    point just right of the centre).
+    ``lambdas`` are operator eigenvalues, the in-plane part of rho omega^2
+    (``trap_eigensolve``), ``vectors`` the grid eigenfunctions (one column
+    each, peak-normalized, positive at the grid point just right of the
+    centre).
     """
 
     x: np.ndarray
     lambdas: np.ndarray
-    omegas: np.ndarray
     vectors: np.ndarray
     # the work behind each eigenpair: Sturm counts evaluated, the two at its
     # bracket's ends among them (a shifted diagonal bitwise that of a
@@ -271,8 +270,9 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
     The potential coefficient k = pi^2 n^2 c_hat_z / (8 R h0^3) comes from
     the slowly varying thickness of the curved plate; eigenvalues of the
     discretized operator form the in-plane harmonic ladder, and the ground
-    eigenvector reproduces the Gaussian envelope.  Frequencies include the
-    thickness term: rho omega^2 = (n pi / (2 h0))^2 c_hat_z + lambda.
+    eigenvector reproduces the Gaussian envelope.  Eigenvalue j is the
+    in-plane part of the mode's frequency, rho omega^2 = (n pi / (2 h0))^2
+    c_hat_z + lambda_j; ``cavity.mode_frequency`` gives omega itself.
 
     Second-order central differences with Dirichlet boundaries, 1601 points
     over +-8 envelope widths; eigenvalues located by Sturm bisection, each
@@ -372,13 +372,9 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
         iterations.append(it)
         residuals.append(residual)
 
-    lam_arr = np.array(lam_out)
-    lead = (n * math.pi / (2.0 * geo.h0)) ** 2 * c_hat
-    omegas = np.sqrt((lead + lam_arr) / mat.rho)
     return TrapEigenResult(
         x=x,
-        lambdas=lam_arr,
-        omegas=omegas,
+        lambdas=np.array(lam_out),
         vectors=vectors,
         sturm_counts=tuple(sturm_counts),
         bisection_steps=tuple(bisection_steps),
@@ -387,18 +383,18 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
     )
 
 
-def fit_gaussian_curvature(x: np.ndarray, v: np.ndarray, floor: float = 1e-3) -> float:
+def fit_gaussian_curvature(x: np.ndarray, v: np.ndarray) -> float:
     """Least-squares Gaussian curvature of a peak-normalized profile.
 
-    Fits ln v = c - g x^2 / 2 over samples above ``floor`` times the peak
-    and returns g; for the trap ground state g should equal n pi alpha.
+    Fits ln v = c - g x^2 / 2 over samples above 1e-3 times the peak and
+    returns g; for the trap ground state g should equal n pi alpha.
     The fit runs on x scaled by a power of two near the samples' span, an
     exact scaling, so that the x^2 column keeps its weight beside the
     constant one at any length scale.
     """
     v = np.abs(np.asarray(v, dtype=float))
     peak = float(np.max(v))
-    mask = v > floor * peak
+    mask = v > 1e-3 * peak
     z = np.log(v[mask] / peak)
     _, e = math.frexp(float(np.max(np.abs(x[mask]))))
     q = np.ldexp(x[mask], -e) ** 2

@@ -219,15 +219,16 @@ def criterion_8(mat: MaterialParams, geo: CavityGeometry, n_sets: int = 20) -> C
 
 
 def _eigenvector_deviation(res: oracle.TrapEigenResult, alpha: float) -> float:
-    # max |v_j - u_j| over the solved eigenvectors, with u_j the mode shape
-    # of in-plane number j along x (n = 1), exp(-g x^2/2) H_j(sqrt(g) x) at
-    # the expected ground curvature g = pi alpha, peak-normalised, with v_j's
-    # sign just right of the centre, as trap_eigensolve signs it.
+    # max |v_j - u_j| over the solved eigenvectors, with u_j the mode
+    # shape's factor of in-plane number j along x (n = 1),
+    # exp(-g x^2/2) H_j(sqrt(g) x) at the expected ground curvature
+    # g = pi alpha, peak-normalised, with v_j's sign just right of the
+    # centre, as trap_eigensolve signs it.
     k = len(res.x) // 2 + 1
     worst = 0.0
     for j in range(res.vectors.shape[1]):
         v = res.vectors[:, j]
-        u = cavity.mode_shape(ModeIndex.relaxed(1, j), alpha, alpha)(res.x, 0.0)
+        u = cavity.hermite_gaussian_1d(j, alpha * math.pi, res.x)
         u = u / np.max(np.abs(u))
         if (u[k] < 0.0) != (v[k] < 0.0):
             u = -u

@@ -182,16 +182,17 @@ def _first_failure(mat, geo, n, radii):
 
 
 @pytest.mark.parametrize("material, h0, radii, message", [
-    # from R = 2e307 on 8 R h0^3 M_n overflows and the curvature rounds to
-    # 0; from R = 3e307 on 8 R h0^3 itself overflows
-    (None, 5e-4, 0.1 + np.arange(17) * 1e307, "alpha, beta and L must be positive"),
+    # from R = 1e307 on 8 R h0^3 M_n overflows; from R = 3e307 on 8 R h0^3
+    # itself overflows
+    (None, 5e-4, 0.1 + np.arange(17) * 1e307, r"8 R h0\^3 M_n at R = 1e\+307, h0 = 0.0005"),
     (None, 5e-4, np.array([0.1, 3e307, 2e307]), r"8 R h0\^3 at R = 3e\+307"),
     # 8 R h0^3 below the double range
     (None, 1e-200, np.array([1e-100, 2e-100]), r"8 R h0\^3 at R = 1e-100, h0 = 1e-200"),
     # a negative M_n: the square root of a negative number
     ({"a_x": -500e9, "kappa_x": 0.5}, 5e-4, np.array([0.1, 0.2]), "math domain error"),
-    # M_n so small that 8 R h0^3 M_n is 0: a division by zero
-    ({"M": 1e-300, "P": 1e-300}, 1e-100, np.array([2e-8, 3e-8]), "division by zero"),
+    # M_n so small that 8 R h0^3 M_n is 0
+    ({"M": 1e-300, "P": 1e-300}, 1e-100, np.array([2e-8, 3e-8]),
+     r"8 R h0\^3 M_n at R = 2e-08, h0 = 1e-100"),
 ])
 def test_trapping_over_radii_raises_as_the_first_failing_radius(tmp_path, material, h0, radii,
                                                                 message):

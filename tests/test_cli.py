@@ -84,6 +84,8 @@ class TestCharacterize:
         (["characterize", "--L", "1e200"], "L = 1e+200"),
         (["electrode", "--L", "1e-200", "--eta", "10", "--n", "7"], "L = 1e-200"),
         (["electrode", "--L", "1e200", "--eta", "10", "--n", "7"], "L = 1e+200"),
+        # 8 R h0^3 is a normal double, 8 R h0^3 M_n overflows
+        (["characterize", "--R", "1e300", "--h0", "1"], "8 R h0^3 M_n at R = 1e+300, h0 = 1.0"),
     ])
     def test_extreme_geometry_error_names_the_input(self, capsys, argv, names):
         code, out, err = run_cli(capsys, *argv)
@@ -98,6 +100,13 @@ class TestCharacterize:
         assert out == ""
         assert repr(float(eta)) in err
         assert "(m, p) = (0, 0)" in err
+
+    def test_underflowing_temperature_is_zero_occupancy(self, capsys):
+        # k * 5e-324 rounds to 0, which reads as the T -> 0 limit of 1e-300 K
+        code, out, err = run_cli(capsys, "characterize", "--temp-k", "5e-324")
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, "characterize", "--temp-k", "1e-300")[1]
+        assert out.strip().split("\n")[1].split(",")[CHARACTERIZE_COLUMNS.index("n_thermal")] == "0"
 
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(capsys, "characterize", "--n", "1", "--format", "json")
@@ -271,8 +280,8 @@ class TestWorkDoneOnce:
          "error: 8 R h0^3 at R = 1.7e+308, h0 = 0.0005 is outside the normal double range\n"),
         (["--n", "1,4", "--R-range", "1e308:1.7e308:1e307"], 3,
          "error: 8 R h0^3 at R = 1e+308, h0 = 0.0005 is outside the normal double range\n"),
-        (["--n", "1,3", "--R-range", "0.1:1.7e308:1e307", "--format", "json"], 2,
-         "error: alpha, beta and L must be positive\n"),
+        (["--n", "1,3", "--R-range", "0.1:1.7e308:1e307", "--format", "json"], 3,
+         "error: 8 R h0^3 M_n at R = 1e+307, h0 = 0.0005 is outside the normal double range\n"),
         (["--h0", "1e-200", "--R-range", "1e-100:2e-100:1e-100"], 3,
          "error: 8 R h0^3 at R = 1e-100, h0 = 1e-200 is outside the normal double range\n"),
         (["--m", "3", "--R-range", "0.001:0.01:0.001"], 2,
@@ -345,6 +354,13 @@ class TestMembraneCmd:
         assert code == 3
         assert out == ""
         assert "membrane" in err
+
+    def test_vanishing_membrane_frequency_exits_3_naming_the_membrane(self, capsys):
+        # its range check runs before the occupancy, whose hbar omega / kT is 0
+        code, out, err = run_cli(capsys, "membrane", "--a", "1e300", "--b", "1e300")
+        assert (code, out) == (3, "")
+        assert err == ("error: the figures of the 1e+300 m x 1e+300 m membrane are outside"
+                       " the normal double range\n")
 
     def test_thick_membrane_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "membrane", "--mem-h", "0.01")
@@ -429,6 +445,15 @@ class TestOracleCmd:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"R = {float(R)!r}, h0 = {float(h0)!r}" in err
+
+    def test_curvature_out_of_range_exits_3_naming_R_and_h0(self, capsys):
+        # 8 R h0^3 is normal but 8 R h0^3 M_n overflows: criterion 9's
+        # envelope curvature raises instead of reading 0
+        code, out, err = run_cli(capsys, "oracle", "--sets", "1", "--h0", "1", "--R", "1e300",
+                                 "--L", "10")
+        assert (code, out) == (3, "")
+        assert err == ("error: 8 R h0^3 M_n at R = 1e+300, h0 = 1.0 is outside the normal"
+                       " double range\n")
 
     def test_nonconvergence_maps_to_exit_3(self, capsys, monkeypatch):
         from bawcav import cli

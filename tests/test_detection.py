@@ -7,15 +7,12 @@ import pytest
 
 from bawcav.cavity import CavityGeometry, ModeIndex, characterize, zpf
 from bawcav.detection import (
-    MOTIONAL_RESISTANCE_BOUND_OHM,
     MU_OPT_3SIGMA,
     design_electrode,
     optimal_electrode,
-    optomech_displacement,
     overlap_factor,
     piezo_current_zpf,
     shunt_impedance,
-    shunt_vs_motional,
 )
 from bawcav.detection import _axis_overlap
 from bawcav.material import bundled_material_path, load_material
@@ -65,21 +62,21 @@ class TestOverlapFactor:
 
 
 class TestOptomechDisplacement:
+    # a narrow beam at the centre sees x_zpf, sqrt(xi) times the flat plate's
     def test_returns_zpf_and_gain(self):
         char = characterize(QUARTZ, GEO, ModeIndex(227), 0.02, eta_override=10.7)
-        out = optomech_displacement(char)
-        assert out.x_detect == char.x_zpf
-        assert out.gain_vs_flat == pytest.approx(math.sqrt(char.xi), rel=1e-14)
-        assert out.gain_vs_flat == pytest.approx(182.0, rel=2e-3)
+        _, _, x_flat, _ = zpf(QUARTZ, GEO, ModeIndex(227), 10.7, 10.7)
+        assert char.x_zpf / x_flat == pytest.approx(math.sqrt(char.xi), rel=1e-14)
+        assert math.sqrt(char.xi) == pytest.approx(182.0, rel=2e-3)
 
     def test_flat_plate_gain_is_unity(self):
         char = characterize(QUARTZ, GEO, ModeIndex(1), 0.02, eta_override=1e-6)
-        assert optomech_displacement(char).gain_vs_flat == pytest.approx(1.0, rel=1e-9)
+        assert math.sqrt(char.xi) == pytest.approx(1.0, rel=1e-9)
 
     def test_sqrt_overtone_scaling(self):
-        g1 = optomech_displacement(characterize(QUARTZ, GEO, ModeIndex(1), 0.02, eta_override=8.0))
-        g9 = optomech_displacement(characterize(QUARTZ, GEO, ModeIndex(9), 0.02, eta_override=8.0))
-        assert g9.gain_vs_flat / g1.gain_vs_flat == pytest.approx(3.0, rel=1e-12)
+        xi1 = characterize(QUARTZ, GEO, ModeIndex(1), 0.02, eta_override=8.0).xi
+        xi9 = characterize(QUARTZ, GEO, ModeIndex(9), 0.02, eta_override=8.0).xi
+        assert math.sqrt(xi9) / math.sqrt(xi1) == pytest.approx(3.0, rel=1e-12)
 
 
 class TestPiezoCurrent:
@@ -167,6 +164,11 @@ class TestOptimalElectrode:
         with pytest.raises(ValueError, match="odd"):
             optimal_electrode(GEO, 10.7, 2)
 
+    def test_non_integer_overtone_rejected(self):
+        # the overtone rule of ModeIndex and the material constants
+        with pytest.raises(ValueError, match="overtone must be odd and positive, got 3.5"):
+            optimal_electrode(GEO, 10.7, 3.5)
+
 
 class TestShuntImpedance:
     def test_reference_values(self):
@@ -193,23 +195,6 @@ class TestShuntImpedance:
         c0, _, z_derived = shunt_impedance(QUARTZ, GEO, 6.0, 7)
         omega = 7 * math.pi / (2 * GEO.h0) * math.sqrt(QUARTZ.c_bar_z / QUARTZ.rho)
         assert z_derived == pytest.approx(1.0 / (omega * c0), rel=1e-14)
-
-
-class TestShuntVsMotional:
-    def test_reference_ratio(self):
-        out = shunt_vs_motional(312e3)
-        assert out.ratio == pytest.approx(3120.0)
-        assert out.negligible
-        assert out.verdict == "parasitic impedance negligible"
-
-    def test_borderline_not_negligible(self):
-        out = shunt_vs_motional(MOTIONAL_RESISTANCE_BOUND_OHM)
-        assert out.ratio == pytest.approx(1.0)
-        assert not out.negligible
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            shunt_vs_motional(0.0)
 
 
 class TestDesignElectrode:
