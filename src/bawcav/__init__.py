@@ -58,7 +58,7 @@ from .specfun import (
     hermite,
     integrate_1d,
     integrate_2d,
-    integrate_rectangles,
+    integrate_intervals,
 )
 
 __version__ = "0.1.0"

@@ -43,7 +43,7 @@ __all__ = ["main", "entry"]
 
 JSON_SCHEMA_VERSION = 1
 MAX_GRID_POINTS = 1_000_000  # per --eta-range / --R-range
-MAX_ORACLE_SETS = 10_000  # oracle --sets, about 2 ms each
+MAX_ORACLE_SETS = 10_000  # oracle --sets, about 0.3 ms each
 BLOCK_ROWS = 4096  # rows formatted and written at a time
 
 SWEEP_COLUMNS = [

@@ -3,20 +3,20 @@
 Quadrature oracles integrate the mode shape of ``cavity.mode_shape``
 (``u`` for the electrode overlap, ``u**2`` for mass and escape) over the
 plate in two dimensions.  The shape is a product u = fx(x) fy(y) of
-``cavity.hermite_gaussian_1d`` factors, so the integrand hands the
-quadrature engine the two factors (or their squares), each evaluated on its
-own axis' nodes.  The closed forms never
+``cavity.hermite_gaussian_1d`` factors, so by Fubini's theorem its integral
+over a rectangle is the product of one integral per side: each distinct
+(Hermite order, curvature, interval) is integrated once, and those of one
+order share one pass of the one-dimensional engine.  The closed forms never
 evaluate that shape, so a disagreement here shows a defect in a closed
 form, or a mode shape that is not the one the closed forms describe.  The
 batched oracles (``escape_and_mass_oracles``, ``overlap_integral_oracles``)
-refine the rectangles of all their cases of one (m, p) family in one
-quadrature pass, an integrand that gathers each row's curvatures by its
-rectangle index; each one-case oracle is the batched call of its one case,
-and a batched value equals it bit for bit.  The trapped-mode eigenproblem
-is additionally solved by finite differences, on one grid fixed in units of
-the envelope width, to validate the envelope curvature and the harmonic
-level structure from the underlying wave equation rather than from its
-known solution.
+integrate the sides of all their cases in those passes, an integrand that
+gathers each row's curvature by its interval index; each one-case oracle
+is the batched call of its one case, and a batched value equals it bit for
+bit.  The trapped-mode eigenproblem is additionally solved by finite
+differences, on one grid fixed in units of the envelope width, to validate
+the envelope curvature and the harmonic level structure from the
+underlying wave equation rather than from its known solution.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .cavity import CavityGeometry, ModeIndex, _normal, _trap_denominator, hermite_gaussian_1d
 from .material import MaterialParams, dispersion_parameters, stiffened_constants
-from .specfun import QuadratureSpec, integrate_rectangles
+from .specfun import QuadratureSpec, integrate_intervals
 
 __all__ = [
     "EigensolveConvergenceError",
@@ -55,10 +55,12 @@ _TAIL_DECAY_LENGTHS = 10.0
 
 # The trap eigensolver's one discretisation.  In units of the envelope sigma
 # the discretised operator is sqrt(k M) (-u'' + s^2 u) on the same grid,
-# step 16/1602, for every geometry, overtone and material, so each
+# step h = 16/1602, for every geometry, overtone and material, so each
 # eigenvalue lies a fixed fraction below its harmonic level (2j + 1)
-# sqrt(k M): 6.2e-6, 1.0e-5, 1.6e-5 and 2.2e-5 for j = 0..3, some 40 times
-# inside the +-1e-3 bracket its bisection starts from.
+# sqrt(k M).  The 3-point stencil's leading error term gives that fraction,
+# (2j^2 + 2j + 1) h^2 / (16 (2j + 1)), to within 3.9e-11, 1.2e-10, 2.7e-10
+# and 5.1e-10 for j = 0..3, some 20 times inside the +-1e-8 bracket each
+# bisection starts from.
 _GRID_POINTS = 1601
 _DOMAIN_SIGMA = 8.0  # half-width in units of the envelope sigma
 _EIGENPAIRS = 4
@@ -104,28 +106,29 @@ class TrapEigenResult:
 def _shape_integrals(cases, rects, squared: bool) -> list[list[float]]:
     # integrals of u, or of u^2 if squared, of each case's mode shape over
     # each of its rectangles: cases holds (mode, alpha, beta) triples, rects
-    # one list of rectangles per case.  The cases of one (m, p) family share
-    # one engine pass, whose integrand gathers each row's curvatures by the
-    # index of the rectangle the row refines.
-    out: list[list[float]] = [[] for _ in cases]
-    families: dict[tuple[int, int], list[int]] = {}
-    for i, (mode, _, _) in enumerate(cases):
-        families.setdefault((mode.m, mode.p), []).append(i)
-    for (m, p), members in families.items():
-        owners = [i for i in members for _ in rects[i]]
-        # each rectangle's curvatures alpha n pi and beta n pi, as mode_shape forms them
-        gx = np.array([alpha * mode.n * math.pi for mode, alpha, _ in (cases[i] for i in owners)])
-        gy = np.array([beta * mode.n * math.pi for mode, _, beta in (cases[i] for i in owners)])
+    # one list of rectangles per case.  Each rectangle's integral is the
+    # product of its x side's integral of the order-m factor and its y side's
+    # of the order-p factor, at the curvatures alpha n pi and beta n pi that
+    # mode_shape forms.  Each distinct (order, curvature, a, b) side is
+    # integrated once, and the sides of one order share one engine pass,
+    # whose integrand gathers each row's curvature by its interval index.
+    sides = [
+        [((mode.m, alpha * mode.n * math.pi, *xb), (mode.p, beta * mode.n * math.pi, *yb)) for xb, yb in mine]
+        for (mode, alpha, beta), mine in zip(cases, rects)
+    ]
+    orders: dict[int, list[tuple]] = {}
+    for side in dict.fromkeys(s for case in sides for rect in case for s in rect):
+        orders.setdefault(side[0], []).append(side)
+    value = {}
+    for order, mine in orders.items():
+        g = np.array([side[1] for side in mine])
 
-        def f(x, y, box):
-            fx = hermite_gaussian_1d(m, gx[box], x)
-            fy = hermite_gaussian_1d(p, gy[box], y)
-            return (fx**2, fy**2) if squared else (fx, fy)
+        def f(x, box):
+            u = hermite_gaussian_1d(order, g[box], x)
+            return u**2 if squared else u
 
-        vals = integrate_rectangles(f, [r for i in members for r in rects[i]], _ORACLE_QUAD)
-        for i, v in zip(owners, vals):
-            out[i].append(v)
-    return out
+        value.update(zip(mine, integrate_intervals(f, [side[2:] for side in mine], _ORACLE_QUAD)))
+    return [[value[x] * value[y] for x, y in case] for case in sides]
 
 
 def _plate_and_exterior(mode: ModeIndex, alpha: float, beta: float, L: float) -> list:
@@ -177,8 +180,8 @@ def escape_and_mass_oracles(cases, rho: float, h0: float) -> list[tuple[float, f
 
     ``cases`` is a sequence of ``(mode, alpha, beta, L)``.  The plate
     integral the mass needs is also the escape fraction's, so it is computed
-    once, and the rectangles of all cases of one (m, p) family are refined in
-    one pass.  Each pair equals (``escape_integral_oracle``,
+    once, and the sides of all cases' rectangles are integrated in one pass
+    per Hermite order.  Each pair equals (``escape_integral_oracle``,
     ``mass_integral_oracle``) of its case bit for bit.
     """
     return [(outside / (inner + outside), rho * h0 * inner) for inner, outside in _escape_parts(cases)]
@@ -187,9 +190,9 @@ def escape_and_mass_oracles(cases, rho: float, h0: float) -> list[tuple[float, f
 def overlap_integral_oracles(cases) -> list[float]:
     """Electrode overlap factor of each case by surface integration.
 
-    ``cases`` is a sequence of ``(mode, alpha, beta, L_tilde)``; the
-    electrodes of all cases of one (m, p) family are refined in one pass, and
-    each value equals ``overlap_integral_oracle`` of its case bit for bit.
+    ``cases`` is a sequence of ``(mode, alpha, beta, L_tilde)``; the sides
+    of all cases' electrodes are integrated in one pass per Hermite order,
+    and each value equals ``overlap_integral_oracle`` of its case bit for bit.
     """
     surfs = _shape_integrals(
         [c[:3] for c in cases], [[((-lt, lt), (-lt, lt))] for *_, lt in cases], False
@@ -276,10 +279,12 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
 
     Second-order central differences with Dirichlet boundaries, 1601 points
     over +-8 envelope widths; eigenvalues located by Sturm bisection, each
-    started from its harmonic level (2j + 1) sqrt(k M) +-1e-3, a bracket the
-    Sturm counts at its two ends confirm; eigenvectors by shifted inverse
-    iteration, one factorisation per eigenpair, with deflation against
-    already-converged pairs.  Raises OverflowError or FloatingPointError,
+    started from the stencil's own level, (2j + 1) sqrt(k M) (1 - (2j^2 +
+    2j + 1) h^2 / (16 (2j + 1))) with h the grid step in units of the
+    envelope width, +-1e-8 relative, a bracket the Sturm counts at its two
+    ends confirm; eigenvectors by shifted inverse iteration, one
+    factorisation per eigenpair, with deflation against already-converged
+    pairs.  Raises OverflowError or FloatingPointError,
     naming R and h0, when 8 R h0^3, k or (M / h^2)^2 leaves the normal
     double range.
     """
@@ -301,20 +306,23 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
     scale = float(np.max(np.abs(diag)) + 2.0 * abs(off))
     pivmin = 1e-14 * scale
 
-    # eigenvalue j is bisected from its harmonic level (2j + 1) sqrt(k M), to
-    # 1e-3 either side, once the Sturm counts at the two ends show that it
-    # alone lies there, as the one discretisation puts it.  Near an
+    # eigenvalue j is bisected from the 3-point stencil's level, its harmonic
+    # level (2j + 1) sqrt(k M) lowered by the stencil's leading error term,
+    # to 1e-8 either side, once the Sturm counts at the two ends show that
+    # it alone lies there, as the one discretisation puts it.  Near an
     # eigenvalue the shift moves by less than the diagonal's rounding, and
     # diag - mid can be bitwise the shifted diagonal of a bracket end, whose
     # count is then reused.
     level = math.sqrt(k_pot * m_n)
+    h_sigma = 2.0 * _DOMAIN_SIGMA / (npts + 1)  # the grid step in units of sigma
     lambdas, sturm_counts, bisection_steps = [], [], []
     for j in range(_EIGENPAIRS):
-        lo, hi = (2 * j + 1) * level * (1.0 - 1e-3), (2 * j + 1) * level * (1.0 + 1e-3)
+        stencil = (2 * j + 1) * level * (1.0 - (2 * j * j + 2 * j + 1) * h_sigma**2 / (16 * (2 * j + 1)))
+        lo, hi = stencil * (1.0 - 1e-8), stencil * (1.0 + 1e-8)
         at_lo, at_hi = ((end, _sturm_count(end.tolist(), off2, pivmin)) for end in (diag - lo, diag - hi))
         if (at_lo[1], at_hi[1]) != (j, j + 1):
             raise EigensolveConvergenceError(
-                f"eigenvalue {j} is not alone within 1e-3 of its harmonic level {where}"
+                f"eigenvalue {j} is not alone within 1e-8 of its stencil level {where}"
                 f" (Sturm counts {at_lo[1]} and {at_hi[1]})",
                 math.inf,
             )

@@ -16,11 +16,10 @@ integrand call, and treats each row on its own, so a box's value never
 depends on the other boxes refined with it.  It is independent of the
 functions above: ``integrate_1d`` stays as the test suite's reference for
 erf and the Hermite recurrences; ``integrate_2d`` takes one rectangle and
-an integrand of flat arrays, and ``integrate_rectangles``, the entry the
-oracles check every closed form with, takes several rectangles and an
-integrand that broadcasts over per-axis node arrays and reads each row's
-rectangle index.  An integrand that is a product of one factor per axis may
-return the factors: the engine then contracts each on its own axis' nodes.
+an integrand of flat arrays; ``integrate_intervals``, the entry the oracles
+check every closed form with, takes several intervals and an integrand that
+broadcasts over a row of nodes per pending sub-interval and reads each
+row's interval index.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ __all__ = [
     "hermite",
     "integrate_1d",
     "integrate_2d",
-    "integrate_rectangles",
+    "integrate_intervals",
 ]
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
@@ -284,36 +283,16 @@ def _contract_rows(vals: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (vals[:, None, :] @ w)[:, 0]
 
 
-def _finite_values(vals: np.ndarray) -> np.ndarray:
-    # vals, checked to hold only finite values
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand returned a non-finite value")
-    return vals
-
-
 def _grid_rules(vals, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     # each row's K15 and G7 sums of an integrand given on the rows' 15^d
     # grids; contiguous, so the contractions take one path whatever f returned
-    kr = ga = _finite_values(np.ascontiguousarray(np.broadcast_to(np.asarray(vals, dtype=float), (k,) + (15,) * d)))
+    kr = ga = np.ascontiguousarray(np.broadcast_to(np.asarray(vals, dtype=float), (k,) + (15,) * d))
+    if not np.all(np.isfinite(kr)):
+        raise ValueError("integrand returned a non-finite value")
     for _ in range(d - 1):  # stacked, so one matrix-vector product per row
         kr = kr @ _K15_W
         ga = ga[..., 1::2] @ _G7_W
     return _contract_rows(kr, _K15_W), _contract_rows(ga[..., 1::2], _G7_W)
-
-
-def _factor_rules(factors: tuple, axes: list) -> tuple[np.ndarray, np.ndarray]:
-    # the same sums of an integrand given as one factor per axis, each on
-    # that axis' 15 nodes: a tensor rule of a product is the product of the
-    # factors' one-axis rules, so no grid is formed
-    if len(factors) != len(axes):
-        raise ValueError(f"integrand returned {len(factors)} factors for {len(axes)} axes")
-    kron = gauss = 1.0
-    for axis, fac in zip(axes, factors):
-        fac = _finite_values(np.broadcast_to(np.asarray(fac, dtype=float), axis.shape).reshape(len(axis), 15))
-        with np.errstate(over="ignore"):  # an overflowing product is rejected below, as on a grid
-            kron = kron * _contract_rows(fac, _K15_W)
-            gauss = gauss * _contract_rows(fac[:, 1::2], _G7_W)
-    return _finite_values(kron), gauss
 
 
 def _integrate(f, boxes, spec: QuadratureSpec, name: str) -> list[float]:
@@ -321,15 +300,13 @@ def _integrate(f, boxes, spec: QuadratureSpec, name: str) -> list[float]:
     # axes.  Every pending sub-box of every box is one row of a table: its
     # lower corner and the index of the box it belongs to.  A sweep samples
     # each row on its 15^d Kronrod grid, _CHUNK_ROWS rows per integrand call:
-    # f gets one node array per axis, of shape (rows, 15, 1, ...) along axis
-    # 1, (rows, 1, 15, ...) along axis 2 and so on, then the rows' box
-    # indices, of shape (rows, 1, ..., 1).  Its values are broadcast onto the
-    # full grid, or, if it returns a tuple, taken as one factor per axis,
-    # each broadcast onto its axis' nodes.  The K15 tensor contraction is a
-    # row's estimate and its distance to the G7 contraction (odd nodes only)
-    # bounds the error; rows within their volume share of their box's
-    # tolerance are done, the rest split into their 2^d children.  All rows
-    # of one sweep share one depth,
+    # f gets one node array per axis, of shape (rows, 15) in one axis,
+    # (rows, 15, 1) and (rows, 1, 15) in two and so on, then the rows' box
+    # indices, of shape (rows, 1, ..., 1) with d ones.  Its values are broadcast onto the
+    # full grid.  The K15 tensor contraction is a row's estimate and its
+    # distance to the G7 contraction (odd nodes only) bounds the error; rows
+    # within their volume share of their box's tolerance are done, the rest
+    # split into their 2^d children.  All rows of one sweep share one depth,
     # hence each box's rows one width.  The sweep's bookkeeping (per-box
     # sums, the accept mask, the children) takes the same few numpy calls
     # however many boxes there are, and every step treats each row, or each
@@ -354,8 +331,7 @@ def _integrate(f, boxes, spec: QuadratureSpec, name: str) -> list[float]:
             k = len(own)
             nodes = low[chunk, :, None] + width[own, :, None] * _GK_NODES  # (rows, d, 15)
             axes = [nodes[:, j].reshape((k,) + (1,) * j + (15,) + (1,) * (d - j - 1)) for j in range(d)]
-            vals = f(*axes, own.reshape((k,) + (1,) * d))
-            kron[chunk], gauss[chunk] = _factor_rules(vals, axes) if isinstance(vals, tuple) else _grid_rules(vals, k, d)
+            kron[chunk], gauss[chunk] = _grid_rules(f(*axes, own.reshape((k,) + (1,) * d)), k, d)
         volume = np.prod(width, axis=1)
         kron *= volume[owner]
         err = np.abs(kron - gauss * volume[owner])
@@ -404,6 +380,15 @@ def _on_flat_nodes(f):
     return on_grid
 
 
+def _interval(a, b) -> tuple[tuple[float], tuple[float]]:
+    # the interval [a, b] as a one-axis box ((a,), (b,)), checked
+    a = float(a)
+    b = float(b)
+    if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
+        raise ValueError(f"bad interval [{a!r}, {b!r}]")
+    return (a,), (b,)
+
+
 def _rectangle(x_bounds, y_bounds) -> tuple[tuple[float, float], tuple[float, float]]:
     # the rectangle as ((ax, ay), (bx, by)), checked
     ax, bx = (float(v) for v in x_bounds)
@@ -430,11 +415,7 @@ def integrate_1d(
     QuadratureConvergenceError if the depth budget runs out, carrying the
     best estimate and error bound.
     """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
-        raise ValueError(f"bad interval [{a!r}, {b!r}]")
-    return _integrate(_on_flat_nodes(f), [((a,), (b,))], spec, "integrate_1d")[0]
+    return _integrate(_on_flat_nodes(f), [_interval(a, b)], spec, "integrate_1d")[0]
 
 
 def integrate_2d(
@@ -455,32 +436,27 @@ def integrate_2d(
     return _integrate(_on_flat_nodes(f), [box], spec, "integrate_2d")[0]
 
 
-def integrate_rectangles(
+def integrate_intervals(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    rects,
+    intervals,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> list[float]:
-    """Integrals of f over several rectangles, refined together in one pass.
+    """Integrals of f over several intervals, refined together in one pass.
 
-    ``rects`` is a sequence of ``(x_bounds, y_bounds)`` pairs.  ``f`` must
-    broadcast: it is called as ``f(x, y, box)`` with the nodes as an x array
-    of shape (k, 15, 1) and a y array of shape (k, 1, 15), one row per
-    pending sub-rectangle and at most 256 rows per call, and ``box``, an
-    integer array of shape (k, 1, 1) holding the index in ``rects`` of the
-    rectangle each row refines.  It returns either values that broadcast to
-    (k, 15, 15), or, for a product f = fx(x) fy(y), the pair ``(fx, fy)``
-    with ``fx`` broadcasting to (k, 15, 1) and ``fy`` to (k, 1, 15): each
-    row's tensor rule is then the product of the factors' one-axis rules,
-    (K fx)(K fy) times its area, and no 15 x 15 grid is formed.  One
-    integrand serves rectangles of different parameters by gathering them
-    as ``params[box]``.  Every value, or every factor, must be finite, else
-    ValueError.  Each value is bit for bit what this function returns for
-    that rectangle alone, whatever else is in the batch, and for a grid
-    integrand what ``integrate_2d`` returns; a rectangle that exhausts the
-    depth budget raises QuadratureConvergenceError with its own estimate
-    and error bound.
+    ``intervals`` is a sequence of ``(a, b)`` pairs.  ``f`` must broadcast:
+    it is called as ``f(x, box)`` with the nodes as an array x of shape
+    (k, 15), one row per pending sub-interval and at most 256 rows per call,
+    and ``box``, an integer array of shape (k, 1) holding the index in
+    ``intervals`` of the interval each row refines; it returns values that
+    broadcast to (k, 15).  One integrand serves intervals of different
+    parameters by gathering them as ``params[box]``.  Every value must be
+    finite, else ValueError.  Each value is bit for bit what this function
+    returns for that interval alone, whatever else is in the batch, and for
+    an elementwise integrand what ``integrate_1d`` returns; an interval that
+    exhausts the depth budget raises QuadratureConvergenceError with its own
+    estimate and error bound.
     """
-    boxes = [_rectangle(xb, yb) for xb, yb in rects]
+    boxes = [_interval(a, b) for a, b in intervals]
     if not boxes:
         return []
-    return _integrate(f, boxes, spec, "integrate_rectangles")
+    return _integrate(f, boxes, spec, "integrate_intervals")

@@ -6,7 +6,6 @@ failure) and asserts the criterion outcome; the same checks back the
 """
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -64,46 +63,49 @@ def test_criterion_08_oracle_equivalence():
 @pytest.fixture(scope="module")
 def counted_criterion_8():
     # criterion 8 with every integrand point its oracles request counted: the
-    # size of the grid each batch's broadcasting node arrays span
+    # nodes of each batch's rows
     sizes = []
-    integrate_rectangles = oracle.integrate_rectangles
+    integrate_intervals = oracle.integrate_intervals
 
-    def counting(f, *rects_and_spec):
-        def counted(x, y, box):
-            sizes.append(math.prod(np.broadcast_shapes(x.shape, y.shape)))
-            return f(x, y, box)
+    def counting(f, *intervals_and_spec):
+        def counted(x, box):
+            sizes.append(x.size)
+            return f(x, box)
 
-        return integrate_rectangles(counted, *rects_and_spec)
+        return integrate_intervals(counted, *intervals_and_spec)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "integrate_rectangles", counting)
+        mp.setattr(oracle, "integrate_intervals", counting)
         result = report.criterion_8(MAT, GEO, n_sets=20)
     return result, sum(sizes)
 
 
 def test_criterion_08_hands_the_oracles_one_group_of_sets_at_a_time(monkeypatch):
-    # 200 sets in groups of ORACLE_GROUP, three quadrature passes per group:
-    # (0, 0) escape and mass, (2, 2) escape and mass, (0, 0) overlap
+    # 200 sets in groups of ORACLE_GROUP, three one-dimensional quadrature
+    # passes per group, one per oracle call and Hermite order: the (0, 0)
+    # escape and mass sides (the plate's and the exterior's, along x and
+    # along y), the (2, 2) ones (x and y coincide, as alpha = beta), and the
+    # (0, 0) electrode's x and y sides
     calls = []
-    integrate_rectangles = oracle.integrate_rectangles
+    integrate_intervals = oracle.integrate_intervals
 
-    def counting(f, rects, spec):
-        calls.append(len(rects))
-        return integrate_rectangles(f, rects, spec)
+    def counting(f, intervals, spec):
+        calls.append(len(intervals))
+        return integrate_intervals(f, intervals, spec)
 
-    monkeypatch.setattr(oracle, "integrate_rectangles", counting)
+    monkeypatch.setattr(oracle, "integrate_intervals", counting)
     assert report.criterion_8(MAT, GEO, n_sets=200).passed
     group = report.ORACLE_GROUP
     assert 200 % group == 0
-    assert calls == [4 * group, 4 * group, group] * (200 // group)
+    assert calls == [4 * group, 2 * group, 2 * group] * (200 // group)
 
 
 def test_criterion_08_point_budget(counted_criterion_8):
-    # 2.78 M points at G7/K15 (3.3 M before the escape oracle's plate
-    # integral also gave the mass); the bound catches a slide back toward the
-    # 47.8 M that composite Boole panels need for the same tolerance
+    # 20,070 points, each rectangle's integral the product of its two
+    # sides' (2.78 M when the oracles refined 15 x 15 grids of the 2-D
+    # shape); the bound catches a slide back toward two-dimensional work
     _, points = counted_criterion_8
-    assert 0 < points <= 3_000_000
+    assert 0 < points <= 25_000
 
 
 def test_criterion_08_deviations_at_rounding_level(counted_criterion_8):

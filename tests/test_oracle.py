@@ -28,6 +28,7 @@ from bawcav.oracle import (
     overlap_integral_oracles,
     trap_eigensolve,
 )
+from bawcav.specfun import integrate_2d
 
 QUARTZ = load_material(bundled_material_path("quartz"))
 GEO = CavityGeometry(L=0.015, h0=5e-4, R=0.3)
@@ -154,6 +155,21 @@ class TestBatchedOracles:
             )
 
 
+@pytest.mark.parametrize("mode,eta_x,eta_y", [(ModeIndex(3), 1.1, 1.9), (ModeIndex(1, 2, 2), 1.4, 1.4)])
+def test_separable_integrals_are_the_2d_quadrature_of_the_shape(mode, eta_x, eta_y):
+    # Fubini: each of the plate's and the exterior's rectangles, integrated
+    # as the product of its two sides, is the two-dimensional quadrature of
+    # the composed mode shape squared
+    alpha = eta_x**2 / (math.pi * GEO.L**2)
+    beta = eta_y**2 / (math.pi * GEO.L**2)
+    rects = oracle._plate_and_exterior(mode, alpha, beta, GEO.L)
+    [separable] = oracle._shape_integrals([(mode, alpha, beta)], [rects], True)
+    u = mode_shape(mode, alpha, beta)
+    for rect, value in zip(rects, separable):
+        composed = integrate_2d(lambda x, y: u(x, y) ** 2, *rect, oracle._ORACLE_QUAD)
+        assert value == pytest.approx(composed, rel=1e-12)
+
+
 @pytest.mark.parametrize("m,p", [(0, 0), (2, 2), (4, 2)])
 def test_mode_shape_on_the_open_grid_is_the_flat_evaluation(m, p):
     # u on an x column and a y row: every grid value keeps the bits of the
@@ -234,17 +250,20 @@ class TestTrapEigensolve:
         # in units of the envelope sigma the grid step is h = 16/1602 for
         # every trap, and the 3-point stencil's -h^2 u^(4) / 12 error term
         # puts lambda_j below its harmonic level (2j + 1) sqrt(k M) by
-        # (2j^2 + 2j + 1) h^2 / 16, to first order
+        # (2j^2 + 2j + 1) h^2 / (16 (2j + 1)), to first order: the stencil
+        # level so lowered is off by the same 3.9e-11 ... 5.1e-10 on every
+        # trap, at least 19 times inside the +-1e-8 bracket the solve
+        # starts from
         h = 16.0 / 1602.0
-        for geo, n in itertools.product(SOLVER_GEOMETRIES, (1, 3)):
+        far = CavityGeometry(L=GEO.L, h0=1e-6, R=1e3)
+        for geo, n in itertools.product(SOLVER_GEOMETRIES + [far], (1, 3, 227)):
             _, c_hat = stiffened_constants(QUARTZ, n)
             m_n, _ = dispersion_parameters(QUARTZ, n)
             level = math.sqrt(math.pi**2 * n**2 * c_hat / (8.0 * geo.R * geo.h0**3) * m_n)
             res = trap_eigensolve(QUARTZ, geo, n)
             for j, lam in enumerate(res.lambdas):
-                offset = lam / ((2 * j + 1) * level) - 1.0
-                expected = -(2 * j * j + 2 * j + 1) * h * h / (16.0 * (2 * j + 1))
-                assert offset == pytest.approx(expected, rel=1e-3)
+                stencil = (2 * j + 1) * level * (1.0 - (2 * j * j + 2 * j + 1) * h * h / (16.0 * (2 * j + 1)))
+                assert abs(lam / stencil - 1.0) < 5.2e-10
 
     def test_eigenvectors_orthogonal(self):
         res = trap_eigensolve(QUARTZ, GEO, 1)
@@ -259,10 +278,10 @@ class TestTrapEigensolve:
         assert 1e-18 < err.value.residual < math.inf
 
     def test_unconfirmed_bracket_raises(self, monkeypatch):
-        # on 201 points lambda_2 and lambda_3 lie 1.02e-3 and 1.40e-3 below
-        # their harmonic levels, outside the bracket each bisection starts from
+        # on 201 points the stencil's higher-order error puts lambda_0 1.5e-7
+        # below its stencil level, outside the +-1e-8 bracket
         monkeypatch.setattr(oracle, "_GRID_POINTS", 201)
-        with pytest.raises(EigensolveConvergenceError, match="eigenvalue 2 is not alone") as err:
+        with pytest.raises(EigensolveConvergenceError, match="eigenvalue 0 is not alone") as err:
             trap_eigensolve(QUARTZ, GEO, 1)
         assert err.value.residual == math.inf
 
@@ -359,7 +378,7 @@ def reference_eigensolve(mat, geo, n):
 
 
 # Sturm counts evaluated per eigenpair on each of them
-STURM_COUNTS = dict(zip(SOLVER_GEOMETRIES, [(31, 32, 34, 33), (31, 34, 33, 34)]))
+STURM_COUNTS = dict(zip(SOLVER_GEOMETRIES, [(14, 16, 17, 17), (14, 16, 17, 17)]))
 
 
 class TestEigensolveWork:
@@ -393,9 +412,9 @@ class TestEigensolveWork:
         assert all(len(s) == k for s in (res.sturm_counts, res.bisection_steps,
                                          res.inverse_iterations, res.residuals))
         # every count made is reported: each eigenvalue's bisection starts
-        # from its harmonic level +-1e-3, whose two end counts it makes
+        # from its stencil level +-1e-8, whose two end counts it makes
         # first, and takes the count of a bracket end whose shifted diagonal
-        # a midpoint's equals bit for bit (the 38 steps of the first make 29
+        # a midpoint's equals bit for bit (the 21 steps of the first make 12
         # counts of their own)
         assert sum(res.sturm_counts) == len(calls)
         assert res.sturm_counts == STURM_COUNTS[geo]

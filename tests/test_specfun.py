@@ -16,7 +16,7 @@ from bawcav.specfun import (
     hermite,
     integrate_1d,
     integrate_2d,
-    integrate_rectangles,
+    integrate_intervals,
 )
 from bawcav import specfun
 from bawcav.specfun import _elementwise
@@ -295,11 +295,19 @@ class TestQuadrature2D:
 
 def gaussian_bump(x, y, box=None):
     # a broadcasting integrand, separable as the mode shapes are, that does
-    # not read the box index integrate_rectangles hands it
+    # not read the box index the engine hands it
     return np.exp(-x * x) * np.exp(-2.0 * y * y)
 
 
+def rectangles(f, rects, spec=DEFAULT_QUADRATURE):
+    # several rectangles refined together in one pass of the engine, as
+    # integrate_intervals refines intervals: f(x, y, box) gets x of shape
+    # (k, 15, 1), y of shape (k, 1, 15) and box of shape (k, 1, 1)
+    return specfun._integrate(f, [specfun._rectangle(*r) for r in rects], spec, "rectangles")
+
+
 class TestQuadratureRectangles:
+    # the engine's batching in two axes, where each row is a 15 x 15 grid
     # rectangles that converge at depths 1, 5 and 4 when refined alone
     RECTS = [((-0.5, 0.5), (-0.5, 0.5)), ((-6.0, 6.0), (-6.0, 6.0)), ((0.3, 9.0), (-7.5, 1.0))]
 
@@ -311,7 +319,7 @@ class TestQuadratureRectangles:
             boxes.append(box.ravel().tolist())
             return gaussian_bump(x, y)
 
-        integrate_rectangles(f, self.RECTS)
+        rectangles(f, self.RECTS)
         assert shapes[0] == ((3, 15, 1), (3, 1, 15), (3, 1, 1))
         assert boxes[0] == [0, 1, 2]
         assert all(sx[1:] == (15, 1) and sy[1:] == (1, 15) and sb[1:] == (1, 1) and sx[0] == sy[0] == sb[0]
@@ -329,7 +337,7 @@ class TestQuadratureRectangles:
             return gaussian_bump(x, y)
 
         rects = [((-6.0 + 0.01 * k, 6.0), (-6.0, 6.0)) for k in range(300)]
-        integrate_rectangles(f, rects)
+        rectangles(f, rects)
         assert max(rows) == specfun._CHUNK_ROWS
         assert rows[:2] == [specfun._CHUNK_ROWS, 300 - specfun._CHUNK_ROWS]
 
@@ -337,61 +345,45 @@ class TestQuadratureRectangles:
         # exp(-a x^2 - b y^2) cos(c x y + x) on 2-5 random rectangles each:
         # every value is what the rectangle alone gives, and one call for all
         # 60 integrands, each picked by its rectangles' box indices, gives
-        # the same values again.  So does the separable family
-        # exp(-a x^2) exp(-b y^2) cos(c y) handed over as its two factors,
-        # whose values are also those of its grid form to rounding
+        # the same values again
         spec = QuadratureSpec(rel_tol=1e-10)
         rng = np.random.default_rng(5)
-        cases, rects, alone, alone_pair = [], [], [], []
+        cases, rects, alone = [], [], []
         for _ in range(60):
             a, b = rng.uniform(0.2, 3.0, 2)
             c = rng.uniform(-3.0, 3.0)
             f = lambda x, y, *_, a=a, b=b, c=c: np.exp(-a * x * x - b * y * y) * np.cos(c * x * y + x)
-            pair = lambda x, y, *_, a=a, b=b, c=c: (np.exp(-a * x * x), np.exp(-b * y * y) * np.cos(c * y))
             mine = []
             for _ in range(rng.integers(2, 6)):
                 x0, y0 = rng.uniform(-4.0, 3.0, 2)
                 wx, wy = rng.uniform(0.1, 4.0, 2)
                 mine.append(((x0, x0 + wx), (y0, y0 + wy)))
-            assert integrate_rectangles(f, mine, spec) == [integrate_2d(f, *r, spec) for r in mine]
-            pair_alone = [integrate_rectangles(pair, [r], spec)[0] for r in mine]
-            assert integrate_rectangles(pair, mine, spec) == pair_alone
-            # to 1e-14 of the integral of the envelope exp(-a x^2 - b y^2),
-            # which bounds that of |f|: cos(c y) can cancel most of the value
-            for r, v in zip(mine, pair_alone):
-                grid = integrate_2d(lambda x, y: math.prod(pair(x, y)), *r, spec)
-                envelope = integrate_2d(lambda x, y: np.exp(-a * x * x - b * y * y), *r, spec)
-                assert abs(v - grid) <= 1e-14 * envelope
+            assert rectangles(f, mine, spec) == [integrate_2d(f, *r, spec) for r in mine]
             cases += [(a, b, c)] * len(mine)
             rects += mine
             alone += [integrate_2d(f, *r, spec) for r in mine]
-            alone_pair += pair_alone
         assert len(rects) == 216
         a, b, c = (np.array(v) for v in zip(*cases))
 
         def every(x, y, box):
             return np.exp(-a[box] * x * x - b[box] * y * y) * np.cos(c[box] * x * y + x)
 
-        def every_pair(x, y, box):
-            return np.exp(-a[box] * x * x), np.exp(-b[box] * y * y) * np.cos(c[box] * y)
-
-        assert integrate_rectangles(every, rects, spec) == alone
-        assert integrate_rectangles(every_pair, rects, spec) == alone_pair
+        assert rectangles(every, rects, spec) == alone
 
     def test_each_value_is_the_one_box_value(self):
         depths = []
         for rect in self.RECTS:
             f, sizes = counted(gaussian_bump)
-            integrate_rectangles(f, [rect])
+            rectangles(f, [rect])
             depths.append(len(sizes))
         assert len(set(depths)) == len(depths)  # each converges at its own depth
-        together = integrate_rectangles(gaussian_bump, self.RECTS, TIGHT)
+        together = rectangles(gaussian_bump, self.RECTS, TIGHT)
         alone = [integrate_2d(gaussian_bump, *rect, TIGHT) for rect in self.RECTS]
         assert together == alone
         assert together[1] == pytest.approx(math.pi / math.sqrt(2.0), rel=1e-13)
 
     def test_function_of_one_axis_is_broadcast(self):
-        val = integrate_rectangles(lambda x, y, box: x * x, [((0, 1), (0, 2))])[0]
+        val = rectangles(lambda x, y, box: x * x, [((0, 1), (0, 2))])[0]
         assert val == pytest.approx(2.0 / 3.0, rel=1e-14)
 
     def test_depth_exhaustion_names_its_own_box(self):
@@ -400,27 +392,79 @@ class TestQuadratureRectangles:
         with pytest.raises(QuadratureConvergenceError) as alone:
             integrate_2d(peak, (0, 1), (0, 1), shallow)
         with pytest.raises(QuadratureConvergenceError) as together:
-            integrate_rectangles(peak, [((2, 3), (2, 3)), ((0, 1), (0, 1)), ((-3, -2), (0, 1))], shallow)
+            rectangles(peak, [((2, 3), (2, 3)), ((0, 1), (0, 1)), ((-3, -2), (0, 1))], shallow)
         assert together.value.estimate == alone.value.estimate
         assert together.value.error_bound == alone.value.error_bound
 
     def test_non_finite_integrand(self):
-        for f in (
-            lambda x, y, box: 1.0 / (x * y),
-            lambda x, y, box: (x, 1.0 / y),  # a factor pair, its y factor infinite at y = 0
-            lambda x, y, box: (1e200 + 0 * x, 1e200 + 0 * y),  # finite factors whose product overflows
-        ):
-            with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                rectangles(lambda x, y, box: 1.0 / (x * y), [((1, 2), (1, 2)), ((-1, 1), (-1, 1))])
+
+
+def random_intervals(rng, count):
+    # count random (a, b) intervals of widths 0.1 to 6 on [-5, 7]
+    a = rng.uniform(-5.0, 1.0, count)
+    return list(zip(a.tolist(), (a + rng.uniform(0.1, 6.0, count)).tolist()))
+
+
+class TestQuadratureIntervals:
+    def test_nodes_are_rows_of_15(self):
+        shapes, boxes = [], []
+
+        def f(x, box):
+            shapes.append((x.shape, box.shape))
+            boxes.append(box.ravel().tolist())
+            return np.exp(-x * x)
+
+        vals = integrate_intervals(f, [(-0.5, 0.5), (-6.0, 6.0), (0.3, 9.0)])
+        assert shapes[0] == ((3, 15), (3, 1))
+        assert boxes[0] == [0, 1, 2]
+        assert all(sx[1:] == (15,) and sb[1:] == (1,) and sx[0] == sb[0] for sx, sb in shapes)
+        assert sorted(boxes[1]) == [1, 1, 2, 2]  # the first converges at once
+        assert vals[1] == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+
+    def test_batched_values_are_lone_calls_and_integrate_1d(self):
+        # exp(-a x^2) cos(c x + d), 40 random parameter sets on 1-6 random
+        # intervals each: one call for all of them, each set gathered by its
+        # rows' box indices, gives every value bit for bit as the interval
+        # alone does, and as integrate_1d does
+        rng = np.random.default_rng(11)
+        params, intervals = [], []
+        for _ in range(40):
+            a, c, d = rng.uniform(0.1, 3.0), rng.uniform(-4.0, 4.0), rng.uniform(0.0, 3.0)
+            for iv in random_intervals(rng, int(rng.integers(1, 7))):
+                params.append((a, c, d))
+                intervals.append(iv)
+        a, c, d = (np.array(v) for v in zip(*params))
+
+        def every(x, box):
+            return np.exp(-a[box] * x * x) * np.cos(c[box] * x + d[box])
+
+        together = integrate_intervals(every, intervals, TIGHT)
+        for k, (iv, (ak, ck, dk)) in enumerate(zip(intervals, params)):
+            one = lambda x, *_: np.exp(-ak * x * x) * np.cos(ck * x + dk)
+            assert together[k] == integrate_intervals(one, [iv], TIGHT)[0] == integrate_1d(one, *iv, TIGHT)
+
+    def test_depth_exhaustion_names_its_own_interval(self):
+        peak = lambda x, box=None: 1.0 / (1e-12 + (x - 0.3) ** 2)
+        shallow = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300, max_depth=3)
+        with pytest.raises(QuadratureConvergenceError) as alone:
+            integrate_1d(peak, 0.0, 1.0, shallow)
+        with pytest.raises(QuadratureConvergenceError, match="integrate_intervals") as together:
+            integrate_intervals(peak, [(2.0, 3.0), (0.0, 1.0), (-3.0, -2.0)], shallow)
+        assert together.value.estimate == alone.value.estimate
+        assert together.value.error_bound == alone.value.error_bound
+
+    def test_non_finite_integrand(self):
+        for f in (lambda x, box: 1.0 / x, lambda x, box: np.exp(1e3 * x)):
+            with np.errstate(divide="ignore", over="ignore"):
                 with pytest.raises(ValueError, match="non-finite"):
-                    integrate_rectangles(f, [((1, 2), (1, 2)), ((-1, 1), (-1, 1))])
+                    integrate_intervals(f, [(1.0, 2.0), (-1.0, 1.0)])
 
-    def test_one_factor_per_axis(self):
-        val = integrate_rectangles(lambda x, y, box: (x, y * y), [((0, 1), (0, 2))])[0]
-        assert val == pytest.approx(0.5 * 8.0 / 3.0, rel=1e-14)
-        with pytest.raises(ValueError, match="3 factors for 2 axes"):
-            integrate_rectangles(lambda x, y, box: (x, y, x), [((0, 1), (0, 2))])
-
-    def test_bad_rectangle_and_no_rectangle(self):
-        with pytest.raises(ValueError):
-            integrate_rectangles(gaussian_bump, [((0, 1), (0, 1)), ((1, 0), (0, 1))])
-        assert integrate_rectangles(gaussian_bump, []) == []
+    def test_bad_interval_and_no_interval(self):
+        f = lambda x, box: x
+        for bad in ((1.0, 0.0), (0.0, 0.0), (0.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="bad interval"):
+                integrate_intervals(f, [(0.0, 1.0), bad])
+        assert integrate_intervals(f, []) == []
