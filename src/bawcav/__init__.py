@@ -15,6 +15,7 @@ from .cavity import (
     envelope_curvatures,
     escape_probability,
     escape_probability_log10,
+    in_plane_quanta,
     mode_frequency,
     mode_shape,
     thermal_occupancy,

@@ -33,6 +33,7 @@ __all__ = [
     "escape_probability",
     "escape_probability_log10",
     "mode_frequency",
+    "in_plane_quanta",
     "effective_mass",
     "zpf",
     "thermal_occupancy",
@@ -400,17 +401,13 @@ def escape_probability_log10(mode: ModeIndex, eta_x: float, eta_y: float) -> flo
     return (hi + math.log1p(math.exp(lo - hi))) / math.log(10.0)
 
 
-def mode_frequency(
-    mat: MaterialParams, geo: CavityGeometry, mode: ModeIndex, leading_order: bool = False
-) -> float:
-    """Angular frequency (rad/s) of mode (n, m, p).
+def mode_frequency(mat: MaterialParams, geo: CavityGeometry, mode: ModeIndex) -> float:
+    """Leading-order angular frequency (rad/s) of mode (n, m, p).
 
-    omega^2 = (n pi / (2 h0))^2 (c_hat_z / rho) * bracket, where the bracket
-    carries the in-plane corrections (chi_x/n)(2m+1), (chi_y/n)(2p+1) set by
-    the curvature radius R: chi_x = sqrt(2 h0 M_n / (R c_hat)) / pi, chi_y
-    with P_n (Stevens and Tiersten, J. Acoust. Soc. Am. 79, 1811, 1986);
-    ``leading_order`` drops the bracket (exact n-proportionality).  Raises
-    OverflowError, naming n and h0, when omega^2 exceeds the double range.
+    omega^2 = (n pi / (2 h0))^2 c_hat_z / rho, exactly proportional to n
+    and the same for every (m, p); ``in_plane_quanta`` gives the in-plane
+    part of rho omega^2.  Raises OverflowError, naming n and h0, when
+    omega^2 exceeds the double range.
     """
     _, c_hat = stiffened_constants(mat, mode.n)
     try:
@@ -421,13 +418,22 @@ def mode_frequency(
         raise OverflowError(
             f"the frequency of overtone n = {mode.n} at h0 = {geo.h0!r} exceeds the double range"
         )
-    if leading_order:
-        return math.sqrt(lead)
-    m_n, p_n = dispersion_parameters(mat, mode.n)
-    chi_x = math.sqrt(2.0 * geo.h0 * m_n / (geo.R * c_hat)) / math.pi
-    chi_y = math.sqrt(2.0 * geo.h0 * p_n / (geo.R * c_hat)) / math.pi
-    bracket = 1.0 + (chi_x / mode.n) * (2 * mode.m + 1) + (chi_y / mode.n) * (2 * mode.p + 1)
-    return math.sqrt(lead * bracket)
+    return math.sqrt(lead)
+
+
+def in_plane_quanta(mat: MaterialParams, geo: CavityGeometry, n: int) -> tuple[float, float]:
+    """In-plane quanta (q_x, q_y) of overtone n, in Pa/m^2.
+
+    q_x = sqrt(k M_n) = pi n alpha M_n and q_y = pi n beta P_n, with k =
+    pi^2 n^2 c_hat_z / (8 R h0^3) the trap stiffness, so the in-plane part
+    of rho omega^2 of mode (n, m, p) is (2m+1) q_x + (2p+1) q_y, the
+    harmonic ladder of the plano-convex plate (Stevens and Tiersten, J.
+    Acoust. Soc. Am. 79, 1811, 1986), taken without a difference of
+    frequencies.  Raises where ``envelope_curvatures`` does.
+    """
+    alpha, beta = envelope_curvatures(mat, geo, n)
+    m_n, p_n = dispersion_parameters(mat, n)
+    return math.pi * n * alpha * m_n, math.pi * n * beta * p_n
 
 
 def effective_mass(mat: MaterialParams, geo: CavityGeometry, mode: ModeIndex, eta_x, eta_y):
@@ -499,7 +505,7 @@ def _zero_point(mat, geo, mode, ex, ey):
     # leading-order omega, m_eff, m_flat, xi and the spreads (x, p) of eta
     # arrays, every one range-checked: the core that characterize and zpf share
     m_eff, m_flat, xi = effective_mass(mat, geo, mode, ex, ey)
-    omega = mode_frequency(mat, geo, mode, leading_order=True)
+    omega = mode_frequency(mat, geo, mode)
     with np.errstate(all="ignore"):
         k = _first_bad((omega < math.inf) & (m_eff >= _DBL_MIN) & (m_eff < math.inf))
         if k is not None:

@@ -59,8 +59,8 @@ _TAIL_DECAY_LENGTHS = 10.0
 # eigenvalue lies a fixed fraction below its harmonic level (2j + 1)
 # sqrt(k M).  The 3-point stencil's leading error term gives that fraction,
 # (2j^2 + 2j + 1) h^2 / (16 (2j + 1)), to within 3.9e-11, 1.2e-10, 2.7e-10
-# and 5.1e-10 for j = 0..3, some 20 times inside the +-1e-8 bracket each
-# bisection starts from.
+# and 5.1e-10 for j = 0..3, some 20 times inside the +-1e-8 bracket whose
+# Sturm counts confirm it, and inverse iteration is shifted to that level.
 _GRID_POINTS = 1601
 _DOMAIN_SIGMA = 8.0  # half-width in units of the envelope sigma
 _EIGENPAIRS = 4
@@ -86,19 +86,14 @@ class TrapEigenResult:
     ``lambdas`` are operator eigenvalues, the in-plane part of rho omega^2
     (``trap_eigensolve``), ``vectors`` the grid eigenfunctions (one column
     each, peak-normalized, positive at the grid point just right of the
-    centre).
+    centre).  The work behind each eigenpair, beside the two Sturm counts
+    that confirm its bracket: ``inverse_iterations``, and in ``residuals``
+    the relative residual ||A v - lambda v|| / |lambda| it stopped at.
     """
 
     x: np.ndarray
     lambdas: np.ndarray
     vectors: np.ndarray
-    # the work behind each eigenpair: Sturm counts evaluated, the two at its
-    # bracket's ends among them (a shifted diagonal bitwise that of a
-    # bracket end takes that end's count, not a new one); bisection steps,
-    # inverse iterations, and the relative residual ||A v - lambda v|| /
-    # |lambda| it stopped at
-    sturm_counts: tuple[int, ...]
-    bisection_steps: tuple[int, ...]
     inverse_iterations: tuple[int, ...]
     residuals: tuple[float, ...]
 
@@ -275,16 +270,19 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
     discretized operator form the in-plane harmonic ladder, and the ground
     eigenvector reproduces the Gaussian envelope.  Eigenvalue j is the
     in-plane part of the mode's frequency, rho omega^2 = (n pi / (2 h0))^2
-    c_hat_z + lambda_j; ``cavity.mode_frequency`` gives omega itself.
+    c_hat_z + lambda_j, whose closed form is (2j + 1) q_x of
+    ``cavity.in_plane_quanta``.
 
     Second-order central differences with Dirichlet boundaries, 1601 points
-    over +-8 envelope widths; eigenvalues located by Sturm bisection, each
-    started from the stencil's own level, (2j + 1) sqrt(k M) (1 - (2j^2 +
-    2j + 1) h^2 / (16 (2j + 1))) with h the grid step in units of the
-    envelope width, +-1e-8 relative, a bracket the Sturm counts at its two
-    ends confirm; eigenvectors by shifted inverse iteration, one
-    factorisation per eigenpair, with deflation against already-converged
-    pairs.  Raises OverflowError or FloatingPointError,
+    over +-8 envelope widths.  Eigenpair j is found at the stencil's own
+    level, (2j + 1) sqrt(k M) (1 - (2j^2 + 2j + 1) h^2 / (16 (2j + 1)))
+    with h the grid step in units of the envelope width: the Sturm counts
+    at that level +-1e-8 relative confirm that eigenvalue j alone lies
+    there, and shifted inverse iteration from it, one factorisation per
+    eigenpair, with deflation against already-converged pairs, gives the
+    eigenvector and, as its Rayleigh quotient, the eigenvalue.  Raises
+    EigensolveConvergenceError when a bracket or the residual bound is not
+    reached, and OverflowError or FloatingPointError,
     naming R and h0, when 8 R h0^3, k or (M / h^2)^2 leaves the normal
     double range.
     """
@@ -306,55 +304,25 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
     scale = float(np.max(np.abs(diag)) + 2.0 * abs(off))
     pivmin = 1e-14 * scale
 
-    # eigenvalue j is bisected from the 3-point stencil's level, its harmonic
-    # level (2j + 1) sqrt(k M) lowered by the stencil's leading error term,
-    # to 1e-8 either side, once the Sturm counts at the two ends show that
-    # it alone lies there, as the one discretisation puts it.  Near an
-    # eigenvalue the shift moves by less than the diagonal's rounding, and
-    # diag - mid can be bitwise the shifted diagonal of a bracket end, whose
-    # count is then reused.
+    # the 3-point stencil's level of eigenvalue j is its harmonic level
+    # (2j + 1) sqrt(k M) lowered by the stencil's leading error term
     level = math.sqrt(k_pot * m_n)
     h_sigma = 2.0 * _DOMAIN_SIGMA / (npts + 1)  # the grid step in units of sigma
-    lambdas, sturm_counts, bisection_steps = [], [], []
-    for j in range(_EIGENPAIRS):
-        stencil = (2 * j + 1) * level * (1.0 - (2 * j * j + 2 * j + 1) * h_sigma**2 / (16 * (2 * j + 1)))
-        lo, hi = stencil * (1.0 - 1e-8), stencil * (1.0 + 1e-8)
-        at_lo, at_hi = ((end, _sturm_count(end.tolist(), off2, pivmin)) for end in (diag - lo, diag - hi))
-        if (at_lo[1], at_hi[1]) != (j, j + 1):
-            raise EigensolveConvergenceError(
-                f"eigenvalue {j} is not alone within 1e-8 of its stencil level {where}"
-                f" (Sturm counts {at_lo[1]} and {at_hi[1]})",
-                math.inf,
-            )
-        evaluated = 2
-        for step in range(1, 81):
-            mid = 0.5 * (lo + hi)
-            shifted = diag - mid
-            if np.array_equal(shifted, at_lo[0]):
-                count = at_lo[1]
-            elif np.array_equal(shifted, at_hi[0]):
-                count = at_hi[1]
-            else:
-                count = _sturm_count(shifted.tolist(), off2, pivmin)
-                evaluated += 1
-            if count <= j:
-                lo, at_lo = mid, (shifted, count)
-            else:
-                hi, at_hi = mid, (shifted, count)
-            if hi - lo <= 1e-14 * max(abs(lo), abs(hi)):
-                break
-        lambdas.append(0.5 * (lo + hi))
-        sturm_counts.append(evaluated)
-        bisection_steps.append(step)
-
     rng = np.random.default_rng(12345)
     vectors = np.empty((npts, _EIGENPAIRS))
-    lam_out, iterations, residuals = [], [], []
-    for j, lam in enumerate(lambdas):
-        shift = lam * (1.0 + 1e-11) + pivmin
-        factors = _thomas_factor((diag - shift).tolist(), off)
+    lambdas, iterations, residuals = [], [], []
+    for j in range(_EIGENPAIRS):
+        stencil = (2 * j + 1) * level * (1.0 - (2 * j * j + 2 * j + 1) * h_sigma**2 / (16 * (2 * j + 1)))
+        counts = [_sturm_count((diag - end).tolist(), off2, pivmin)
+                  for end in (stencil * (1.0 - 1e-8), stencil * (1.0 + 1e-8))]
+        if counts != [j, j + 1]:
+            raise EigensolveConvergenceError(
+                f"eigenvalue {j} is not alone within 1e-8 of its stencil level {where}"
+                f" (Sturm counts {counts[0]} and {counts[1]})",
+                math.inf,
+            )
+        factors = _thomas_factor((diag - stencil).tolist(), off)
         v = rng.standard_normal(npts)
-        rayleigh = lam
         residual = math.inf
         for it in range(1, 61):
             for q in range(j):  # deflation
@@ -376,16 +344,14 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
         if v[npts // 2 + 1] < 0:
             v = -v
         vectors[:, j] = v / np.max(np.abs(v))
-        lam_out.append(rayleigh)
+        lambdas.append(rayleigh)
         iterations.append(it)
         residuals.append(residual)
 
     return TrapEigenResult(
         x=x,
-        lambdas=np.array(lam_out),
+        lambdas=np.array(lambdas),
         vectors=vectors,
-        sturm_counts=tuple(sturm_counts),
-        bisection_steps=tuple(bisection_steps),
         inverse_iterations=tuple(iterations),
         residuals=tuple(residuals),
     )

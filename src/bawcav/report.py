@@ -127,8 +127,8 @@ def criterion_4(mat: MaterialParams, geo: CavityGeometry) -> CriterionResult:
 
 
 def criterion_5(mat: MaterialParams, geo: CavityGeometry) -> CriterionResult:
-    f1 = cavity.mode_frequency(mat, geo, ModeIndex(1), leading_order=True) / (2.0 * math.pi)
-    f227 = cavity.mode_frequency(mat, geo, ModeIndex(227), leading_order=True) / (2.0 * math.pi)
+    f1 = cavity.mode_frequency(mat, geo, ModeIndex(1)) / (2.0 * math.pi)
+    f227 = cavity.mode_frequency(mat, geo, ModeIndex(227)) / (2.0 * math.pi)
     return CriterionResult(
         5,
         CRITERION_NAMES[5],
@@ -246,19 +246,19 @@ def criterion_9(mat: MaterialParams, geo: CavityGeometry) -> CriterionResult:
     gfit = oracle.fit_gaussian_curvature(res.x, res.vectors[:, 0])
     vector_dev = _eigenvector_deviation(res, alpha)
 
-    # mode_frequency's in-plane spacing against the solved ladder, whose
-    # omega_j^2 = (lead + lambda_j) / rho: lambda_2 - lambda_0 is
-    # rho (omega^2(1, 2, 0) - omega^2(1, 0, 0))
-    omega_0 = cavity.mode_frequency(mat, geo, ModeIndex(1))
-    omega_2 = cavity.mode_frequency(mat, geo, ModeIndex(1, 2, 0))
-    spacing = mat.rho * (omega_2**2 - omega_0**2)
+    # the solved ladder against in_plane_quanta's (2j + 1) q_x: the spacing
+    # lambda_2 - lambda_0 is 4 q_x, and each level's ratio checks the
+    # zero-point offset, which a spacing cannot see
+    q_x, _ = cavity.in_plane_quanta(mat, geo, 1)
+    level_dev = max(abs(lam[j] / ((2 * j + 1) * q_x) - 1.0) for j in range(len(lam)))
     return CriterionResult(
         9,
         CRITERION_NAMES[9],
         [
             _row_abs("harmonic ladder ratio", ladder, 1.0, 1e-4),
             _row_rel("ground curvature fit", gfit, target, 1e-3),
-            _row_rel("in-plane spacing lambda_2 - lambda_0", lam[2] - lam[0], spacing, 1e-3),
+            _row_rel("in-plane spacing lambda_2 - lambda_0", lam[2] - lam[0], 4.0 * q_x, 1e-3),
+            _row_abs("max |lambda_j / ((2j+1) q_x) - 1| (j = 0..3)", level_dev, 0.0, 1e-4),
             _row_abs("max |v_j - u_j| (j = 0..3)", vector_dev, 0.0, 1e-4),
         ],
     )

@@ -120,8 +120,9 @@ def test_criterion_09_eigensolver():
 
 
 def test_criterion_09_checks_mode_frequency_on_its_one_solve(monkeypatch):
-    # the in-plane spacing row compares mode_frequency with the ladder of the
-    # default-geometry solve, the criterion's only one
+    # the in-plane spacing and level rows compare in_plane_quanta's ladder
+    # with that of the default-geometry solve, the criterion's only one; the
+    # levels lie 2.2e-5 below (2j + 1) q_x, the discretisation's offset
     calls = []
     trap_eigensolve = oracle.trap_eigensolve
 
@@ -130,11 +131,16 @@ def test_criterion_09_checks_mode_frequency_on_its_one_solve(monkeypatch):
         return trap_eigensolve(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "trap_eigensolve", counting)
-    row = report.criterion_9(MAT, GEO).rows[2]
+    spacing, levels = report.criterion_9(MAT, GEO).rows[2:4]
     assert calls == [(MAT, GEO, 1)]
-    assert (row.label, f"{row.measured:.9g}", f"{row.expected:.9g}", row.tolerance, row.passed) == (
+    assert (spacing.label, f"{spacing.measured:.9g}", f"{spacing.expected:.9g}", spacing.tolerance,
+            spacing.passed) == (
         "in-plane spacing lambda_2 - lambda_0", "1.20448229e+17", "1.20450481e+17", "rel 0.001", True
     )
+    assert (levels.label, levels.expected, levels.tolerance, levels.passed) == (
+        "max |lambda_j / ((2j+1) q_x) - 1| (j = 0..3)", 0.0, "abs 0.0001", True
+    )
+    assert 2e-5 < levels.measured < 2.5e-5
 
 
 def test_criterion_09_eigenvectors_are_the_hermite_gaussians():

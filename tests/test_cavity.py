@@ -14,6 +14,7 @@ from bawcav.cavity import (
     envelope_curvatures,
     escape_probability,
     escape_probability_log10,
+    in_plane_quanta,
     mode_frequency,
     mode_shape,
     thermal_occupancy,
@@ -22,7 +23,7 @@ from bawcav.cavity import (
 )
 from bawcav.cavity import _axis_deficit, _axis_energy_fraction
 from bawcav.constants import BOLTZMANN_K, HBAR
-from bawcav.material import bundled_material_path, load_material
+from bawcav.material import bundled_material_path, dispersion_parameters, load_material, stiffened_constants
 from bawcav.specfun import QuadratureSpec, erf, erfc, hermite, integrate_1d
 
 QUARTZ = load_material(bundled_material_path("quartz"))
@@ -172,25 +173,41 @@ class TestEscapeLog10:
 
 class TestModeFrequency:
     def test_fundamental_leading_order(self):
-        f = mode_frequency(QUARTZ, GEO, ModeIndex(1), leading_order=True) / (2 * math.pi)
+        f = mode_frequency(QUARTZ, GEO, ModeIndex(1)) / (2 * math.pi)
         assert f == pytest.approx(math.sqrt(105e9 / 2643) / (4 * 5e-4), rel=1e-14)
         assert f == pytest.approx(3151491.007953578, rel=1e-12)
         assert 3.10e6 <= f <= 3.20e6
 
     def test_overtone_scaling_exact(self):
-        f1 = mode_frequency(QUARTZ, GEO, ModeIndex(1), leading_order=True)
-        f227 = mode_frequency(QUARTZ, GEO, ModeIndex(227), leading_order=True)
+        f1 = mode_frequency(QUARTZ, GEO, ModeIndex(1))
+        f227 = mode_frequency(QUARTZ, GEO, ModeIndex(227))
         assert f227 / f1 == pytest.approx(227.0, rel=1e-14)
 
     def test_inplane_numbers_raise_frequency(self):
-        w00 = mode_frequency(QUARTZ, GEO, ModeIndex(1))
-        w22 = mode_frequency(QUARTZ, GEO, ModeIndex(1, 2, 2))
-        assert w22 > w00
+        # the leading-order frequency is the same for every (m, p); the
+        # in-plane numbers raise the in-plane part of rho omega^2
+        assert mode_frequency(QUARTZ, GEO, ModeIndex(1, 2, 2)) == mode_frequency(QUARTZ, GEO, ModeIndex(1))
+        q_x, q_y = in_plane_quanta(QUARTZ, GEO, 1)
+        assert 5 * q_x + 5 * q_y > q_x + q_y
 
     def test_bracket_above_leading_order(self):
-        assert mode_frequency(QUARTZ, GEO, ModeIndex(1)) > mode_frequency(
-            QUARTZ, GEO, ModeIndex(1), leading_order=True
-        )
+        assert min(in_plane_quanta(QUARTZ, GEO, 1)) > 0.0
+
+    @pytest.mark.parametrize("mode", [ModeIndex(1), ModeIndex(1, 2, 2), ModeIndex(227, 0, 4)])
+    def test_quanta_are_the_stevens_tiersten_bracket(self, mode):
+        # rho omega^2 = rho lead [1 + (chi_x/n)(2m+1) + (chi_y/n)(2p+1)],
+        # chi_x = sqrt(2 h0 M_n / (R c_hat)) / pi and chi_y with P_n, the
+        # plano-convex levels of Stevens and Tiersten (J. Acoust. Soc. Am.
+        # 79, 1811, 1986), whose in-plane part is the quanta's ladder
+        n, m, p = mode.n, mode.m, mode.p
+        _, c_hat = stiffened_constants(QUARTZ, n)
+        m_n, p_n = dispersion_parameters(QUARTZ, n)
+        lead = (n * math.pi / (2.0 * GEO.h0)) ** 2 * c_hat / QUARTZ.rho
+        chi_x = math.sqrt(2.0 * GEO.h0 * m_n / (GEO.R * c_hat)) / math.pi
+        chi_y = math.sqrt(2.0 * GEO.h0 * p_n / (GEO.R * c_hat)) / math.pi
+        bracket = QUARTZ.rho * lead * ((chi_x / n) * (2 * m + 1) + (chi_y / n) * (2 * p + 1))
+        q_x, q_y = in_plane_quanta(QUARTZ, GEO, n)
+        assert (2 * m + 1) * q_x + (2 * p + 1) * q_y == pytest.approx(bracket, rel=1e-13)
 
 
 class TestEffectiveMass:

@@ -183,7 +183,7 @@ class TestDetectionInvariants:
     def test_derived_impedance_composes_with_frequency(self, n, eta):
         # e_z = 0 material: module frequency conventions coincide exactly
         c0, _, z_derived = shunt_impedance(QUARTZ, GEO, eta, n)
-        omega = mode_frequency(QUARTZ, GEO, ModeIndex(n), leading_order=True)
+        omega = mode_frequency(QUARTZ, GEO, ModeIndex(n))
         assert z_derived == pytest.approx(1.0 / (omega * c0), rel=1e-12)
 
 
