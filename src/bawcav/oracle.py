@@ -149,7 +149,7 @@ def _escape_parts(cases) -> list[tuple[float, float]]:
 def mass_integral_oracle(
     mode: ModeIndex, alpha: float, beta: float, L: float, rho: float, h0: float
 ) -> float:
-    """Effective mass by 2-D quadrature of the squared mode shape.
+    """Effective mass by quadrature of the squared mode shape, one axis at a time.
 
     rho * h0 * integral of u^2 over the plate, with unit mode amplitude (the
     convention behind the closed forms) and the factor h0 coming from the
@@ -160,7 +160,7 @@ def mass_integral_oracle(
 
 
 def escape_integral_oracle(mode: ModeIndex, alpha: float, beta: float, L: float) -> float:
-    """Escape probability as exterior-energy fraction, by 2-D quadrature.
+    """Escape probability as exterior-energy fraction, by one-axis quadratures.
 
     Computed as I_outside / (I_plate + I_outside) so the result keeps full
     relative accuracy even when almost no energy escapes; the sum equals the

@@ -7,24 +7,25 @@ fraction for the range where erfc underflows.  All three take a float or a
 numpy array and apply the ``math`` function to each element, so an array
 gives exactly the values of the one-element calls.
 
-One adaptive engine sits behind all three integrators: a tensor-product
-Gauss-Kronrod (G7/K15) rule on boxes in any number of axes, with the
-Kronrod-Gauss difference as each box's error and bisection of the boxes
-that miss their share of the tolerance.  It refines every pending sub-box
-of every box as one row of an array-wide table, a bounded chunk of rows per
-integrand call, and treats each row on its own, so a box's value never
-depends on the other boxes refined with it.  It is independent of the
-functions above: ``integrate_1d`` stays as the test suite's reference for
-erf and the Hermite recurrences; ``integrate_2d`` takes one rectangle and
-an integrand of flat arrays; ``integrate_intervals``, the entry the oracles
-check every closed form with, takes several intervals and an integrand that
-broadcasts over a row of nodes per pending sub-interval and reads each
-row's interval index.
+One adaptive engine sits behind all three integrators: a one-dimensional
+Gauss-Kronrod (G7/K15) rule, with the Kronrod-Gauss difference as each
+interval's error and bisection of the intervals that miss their share of
+the tolerance.  It refines every pending sub-interval of every interval as
+one row of an array-wide table, a bounded chunk of rows per integrand call
+and a bounded number of rows per interval, and treats each row on its own,
+so an interval's value never depends on the intervals refined with it.  It
+is independent of the functions above: ``integrate_intervals``, the entry
+the oracles check every closed form with, takes several intervals and an
+integrand that broadcasts over a row of nodes per pending sub-interval and
+reads each row's interval index; ``integrate_1d`` takes one interval and an
+integrand of flat arrays, and stays as the test suite's reference for erf
+and the Hermite recurrences; ``integrate_2d`` integrates an integrand of
+flat x and y arrays over a rectangle as an iterated integral, one pass over
+y for each chunk of rows of the pass over x.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -243,7 +244,7 @@ def hermite(k: int, x):
 
 
 # ---------------------------------------------------------------------------
-# adaptive quadrature (tensor-product Gauss-Kronrod rule on bisected boxes)
+# adaptive quadrature (Gauss-Kronrod rule on bisected intervals)
 # ---------------------------------------------------------------------------
 
 # Gauss-Kronrod G7/K15 on [-1, 1] (QUADPACK qk15; Piessens et al. 1983):
@@ -270,10 +271,16 @@ _K15_W = 0.5 * np.concatenate([_WGK, _WGK[-2::-1]])
 _G7_W = 0.5 * np.concatenate([_WG, _WG[-2::-1]])
 
 
-# pending sub-boxes evaluated and contracted at a time: the integrand's
-# arrays, and the memory a sweep takes, stay this size however many boxes
-# are refined together
+# pending sub-intervals evaluated and contracted at a time: the integrand's
+# arrays, and the memory a sweep takes, stay this size however many
+# intervals are refined together
 _CHUNK_ROWS = 256
+
+# pending sub-intervals one interval may hold: a tolerance below the rule's
+# rounding floor bisects rows that never pass, up to 2^max_depth of them.
+# Converging runs hold at most 8 (the oracles) or 36 (the test suite).  Per
+# interval, so whether an interval raises does not depend on its batch.
+_MAX_PENDING_ROWS = 1024
 
 
 def _contract_rows(vals: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -283,42 +290,27 @@ def _contract_rows(vals: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (vals[:, None, :] @ w)[:, 0]
 
 
-def _grid_rules(vals, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    # each row's K15 and G7 sums of an integrand given on the rows' 15^d
-    # grids; contiguous, so the contractions take one path whatever f returned
-    kr = ga = np.ascontiguousarray(np.broadcast_to(np.asarray(vals, dtype=float), (k,) + (15,) * d))
-    if not np.all(np.isfinite(kr)):
-        raise ValueError("integrand returned a non-finite value")
-    for _ in range(d - 1):  # stacked, so one matrix-vector product per row
-        kr = kr @ _K15_W
-        ga = ga[..., 1::2] @ _G7_W
-    return _contract_rows(kr, _K15_W), _contract_rows(ga[..., 1::2], _G7_W)
-
-
-def _integrate(f, boxes, spec: QuadratureSpec, name: str) -> list[float]:
-    # Adaptive Gauss-Kronrod refinement of each box (lo, hi) in d = len(lo)
-    # axes.  Every pending sub-box of every box is one row of a table: its
-    # lower corner and the index of the box it belongs to.  A sweep samples
-    # each row on its 15^d Kronrod grid, _CHUNK_ROWS rows per integrand call:
-    # f gets one node array per axis, of shape (rows, 15) in one axis,
-    # (rows, 15, 1) and (rows, 1, 15) in two and so on, then the rows' box
-    # indices, of shape (rows, 1, ..., 1) with d ones.  Its values are broadcast onto the
-    # full grid.  The K15 tensor contraction is a row's estimate and its
-    # distance to the G7 contraction (odd nodes only) bounds the error; rows
-    # within their volume share of their box's tolerance are done, the rest
-    # split into their 2^d children.  All rows of one sweep share one depth,
-    # hence each box's rows one width.  The sweep's bookkeeping (per-box
-    # sums, the accept mask, the children) takes the same few numpy calls
-    # however many boxes there are, and every step treats each row, or each
-    # box's rows, on its own: a box's value is bit for bit that of a run of
-    # it alone.
-    d = len(boxes[0][0])
-    corners = np.array(list(itertools.product((0, 1), repeat=d)))
-    low = np.array([lo for lo, _ in boxes], dtype=float)
-    width = np.array([hi for _, hi in boxes], dtype=float) - low
-    total = np.prod(width, axis=1)
-    owner = np.arange(len(boxes))
-    done_sum = np.zeros(len(boxes))  # running sum of each box's accepted values
+def _integrate(f, intervals, spec: QuadratureSpec, name: str) -> list[float]:
+    # Adaptive Gauss-Kronrod refinement of each checked interval (a, b).
+    # Every pending sub-interval of every interval is one row of a table: its
+    # lower end and the index of the interval it belongs to.  A sweep calls
+    # f(x, box) on _CHUNK_ROWS rows at a time, with x the rows' Kronrod
+    # nodes, shape (rows, 15), and box their interval indices, shape
+    # (rows, 1); the values are broadcast onto x.  A row's K15 sum is its
+    # estimate and its distance to the G7 sum (odd nodes only) bounds its
+    # error; rows within their length share of their interval's tolerance
+    # are done, the rest split in two.  All rows of one sweep share one
+    # depth, hence each interval's rows one width.  The sweep's bookkeeping
+    # (per-interval sums, the accept mask, the children) takes the same few
+    # numpy calls however many intervals there are, and every step treats
+    # each row, or each interval's rows, on its own: an interval's value is
+    # bit for bit that of a run of it alone.
+    n = len(intervals)
+    low = np.array([a for a, _ in intervals])
+    width = np.array([b for _, b in intervals]) - low
+    total = width
+    owner = np.arange(n)
+    done_sum = np.zeros(n)  # running sum of each interval's accepted values
     done_vals, done_errs, done_owner = [], [], []
 
     for depth in range(spec.max_depth + 1):
@@ -328,76 +320,61 @@ def _integrate(f, boxes, spec: QuadratureSpec, name: str) -> list[float]:
         for start in range(0, rows, _CHUNK_ROWS):
             chunk = slice(start, start + _CHUNK_ROWS)
             own = owner[chunk]
-            k = len(own)
-            nodes = low[chunk, :, None] + width[own, :, None] * _GK_NODES  # (rows, d, 15)
-            axes = [nodes[:, j].reshape((k,) + (1,) * j + (15,) + (1,) * (d - j - 1)) for j in range(d)]
-            kron[chunk], gauss[chunk] = _grid_rules(f(*axes, own.reshape((k,) + (1,) * d)), k, d)
-        volume = np.prod(width, axis=1)
-        kron *= volume[owner]
-        err = np.abs(kron - gauss * volume[owner])
+            x = low[chunk, None] + width[own, None] * _GK_NODES
+            # contiguous, so the contractions take one path whatever f returned
+            vals = np.ascontiguousarray(np.broadcast_to(np.asarray(f(x, own[:, None]), dtype=float), x.shape))
+            if not np.all(np.isfinite(vals)):
+                raise ValueError("integrand returned a non-finite value")
+            kron[chunk] = _contract_rows(vals, _K15_W)
+            gauss[chunk] = _contract_rows(vals[:, 1::2], _G7_W)
+        kron *= width[owner]
+        err = np.abs(kron - gauss * width[owner])
 
-        est = done_sum + np.bincount(owner, kron, len(boxes))
+        est = done_sum + np.bincount(owner, kron, n)
         tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(est))
-        ok = err <= (tol * (volume / total))[owner]
-        done_sum += np.bincount(owner[ok], kron[ok], len(boxes))
+        ok = err <= (tol * (width / total))[owner]
+        done_sum += np.bincount(owner[ok], kron[ok], n)
         done_vals.append(kron[ok])
         done_errs.append(err[ok])
         done_owner.append(owner[ok])
         bad = ~ok
         if not bad.any():
-            return _sums_per_box(np.concatenate(done_vals), np.concatenate(done_owner), len(boxes))
+            return _sums_per_interval(np.concatenate(done_vals), np.concatenate(done_owner), n)
+        parents = owner[bad]
         if depth == spec.max_depth:
-            # the first box that missed, with its own estimate and bound
-            b = owner[bad].min()
-            mine, rest = np.concatenate(done_owner) == b, bad & (owner == b)
+            failed, why = parents, f"within depth {spec.max_depth}"
+        else:
+            pending = 2 * np.bincount(parents, minlength=n)
+            failed, why = np.flatnonzero(pending > _MAX_PENDING_ROWS), f"within {_MAX_PENDING_ROWS} pending rows"
+        if len(failed):
+            # the first interval that failed, with its own estimate and bound
+            i = failed.min()
+            mine, rest = np.concatenate(done_owner) == i, bad & (owner == i)
             raise QuadratureConvergenceError(
-                f"{name} did not converge within depth {spec.max_depth}",
+                f"{name} did not converge {why}",
                 math.fsum(np.concatenate(done_vals)[mine].tolist()) + float(np.sum(kron[rest])),
                 math.fsum(np.concatenate(done_errs)[mine].tolist()) + float(np.sum(err[rest])),
             )
         width = 0.5 * width
-        parents = owner[bad]
-        low = (low[bad] + corners[:, None, :] * width[parents]).reshape(-1, d)
-        owner = np.tile(parents, len(corners))
+        low = np.concatenate([low[bad], low[bad] + width[parents]])
+        owner = np.concatenate([parents, parents])
 
 
-def _sums_per_box(vals: np.ndarray, owner: np.ndarray, boxes: int) -> list[float]:
-    # math.fsum of each box's accepted values, in box order
+def _sums_per_interval(vals: np.ndarray, owner: np.ndarray, n: int) -> list[float]:
+    # math.fsum of each interval's accepted values, in interval order
     order = np.argsort(owner, kind="stable")
     flat = vals[order].tolist()
-    ends = np.cumsum(np.bincount(owner, minlength=boxes)).tolist()
+    ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
     return [math.fsum(flat[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
 
-def _on_flat_nodes(f):
-    # f of equal-shape 1-D arrays, as an integrand of the engine's
-    # broadcasting node arrays: the grid goes to f flattened, box by box,
-    # without the box indices
-    def on_grid(*axes_and_box):
-        grid = np.broadcast_arrays(*axes_and_box[:-1])
-        return np.asarray(f(*(g.ravel() for g in grid)), dtype=float).reshape(grid[0].shape)
-
-    return on_grid
-
-
-def _interval(a, b) -> tuple[tuple[float], tuple[float]]:
-    # the interval [a, b] as a one-axis box ((a,), (b,)), checked
+def _interval(a, b) -> tuple[float, float]:
+    # the interval [a, b] as floats, checked
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
         raise ValueError(f"bad interval [{a!r}, {b!r}]")
-    return (a,), (b,)
-
-
-def _rectangle(x_bounds, y_bounds) -> tuple[tuple[float, float], tuple[float, float]]:
-    # the rectangle as ((ax, ay), (bx, by)), checked
-    ax, bx = (float(v) for v in x_bounds)
-    ay, by = (float(v) for v in y_bounds)
-    if not (ax < bx and ay < by):
-        raise ValueError(f"bad rectangle [{ax}, {bx}] x [{ay}, {by}]")
-    if not all(math.isfinite(v) for v in (ax, bx, ay, by)):
-        raise ValueError("rectangle bounds must be finite")
-    return (ax, ay), (bx, by)
+    return a, b
 
 
 def integrate_1d(
@@ -412,10 +389,14 @@ def integrate_1d(
     panel's 15-point Kronrod sum is its estimate and the distance to the
     7-point Gauss sum its error; panels whose error exceeds their
     length-weighted share of the tolerance are bisected.  Raises
-    QuadratureConvergenceError if the depth budget runs out, carrying the
-    best estimate and error bound.
+    QuadratureConvergenceError, carrying the best estimate and error bound,
+    if the depth budget runs out or the interval holds more than 1024
+    pending panels.
     """
-    return _integrate(_on_flat_nodes(f), [_interval(a, b)], spec, "integrate_1d")[0]
+    def on_rows(x, box):
+        return np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+
+    return _integrate(on_rows, [_interval(a, b)], spec, "integrate_1d")[0]
 
 
 def integrate_2d(
@@ -424,16 +405,27 @@ def integrate_2d(
     y_bounds: tuple[float, float],
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
-    """Adaptive Gauss-Kronrod integration of f over an axis-aligned rectangle.
+    """Integral of f over an axis-aligned rectangle, as an iterated integral.
 
-    Tensor-product G7/K15 rule on 15 x 15 nodes per rectangle, with
-    |Kronrod - Gauss| as its error; rectangles that miss their area share of
-    the tolerance split into four.  All pending rectangles are evaluated in
-    one batched call per sweep, so ``f`` must be vectorized (equal-shape
-    1-D x, y arrays in, values out).
+    The outer adaptive pass integrates over x the inner integral over y,
+    which one pass computes for the x nodes of each chunk of up to 256 rows
+    at once (up to 3,840 intervals); both passes refine to ``spec`` on
+    their own.  ``f`` must be vectorized: equal-shape 1-D x, y arrays in,
+    values out.  Raises QuadratureConvergenceError, naming ``integrate_2d``,
+    if either pass runs out of budget.
     """
-    box = _rectangle(x_bounds, y_bounds)
-    return _integrate(_on_flat_nodes(f), [box], spec, "integrate_2d")[0]
+    x_iv, y_iv = _interval(*x_bounds), _interval(*y_bounds)
+
+    def over_y(x, box):
+        xs = x.ravel()
+
+        def on_rows(y, node):
+            xb, yb = np.broadcast_arrays(xs[node], y)
+            return np.asarray(f(xb.ravel(), yb.ravel()), dtype=float).reshape(y.shape)
+
+        return np.array(_integrate(on_rows, [y_iv] * len(xs), spec, "integrate_2d")).reshape(x.shape)
+
+    return _integrate(over_y, [x_iv], spec, "integrate_2d")[0]
 
 
 def integrate_intervals(
@@ -453,10 +445,11 @@ def integrate_intervals(
     finite, else ValueError.  Each value is bit for bit what this function
     returns for that interval alone, whatever else is in the batch, and for
     an elementwise integrand what ``integrate_1d`` returns; an interval that
-    exhausts the depth budget raises QuadratureConvergenceError with its own
-    estimate and error bound.
+    exhausts the depth budget, or holds more than 1024 pending
+    sub-intervals, raises QuadratureConvergenceError with its own estimate
+    and error bound.
     """
-    boxes = [_interval(a, b) for a, b in intervals]
-    if not boxes:
+    intervals = [_interval(a, b) for a, b in intervals]
+    if not intervals:
         return []
-    return _integrate(f, boxes, spec, "integrate_intervals")
+    return _integrate(f, intervals, spec, "integrate_intervals")

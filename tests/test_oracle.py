@@ -28,7 +28,7 @@ from bawcav.oracle import (
     overlap_integral_oracles,
     trap_eigensolve,
 )
-from bawcav.specfun import integrate_2d
+from bawcav.specfun import QuadratureSpec, integrate_2d
 
 QUARTZ = load_material(bundled_material_path("quartz"))
 GEO = CavityGeometry(L=0.015, h0=5e-4, R=0.3)
@@ -168,6 +168,25 @@ def test_separable_integrals_are_the_2d_quadrature_of_the_shape(mode, eta_x, eta
     for rect, value in zip(rects, separable):
         composed = integrate_2d(lambda x, y: u(x, y) ** 2, *rect, oracle._ORACLE_QUAD)
         assert value == pytest.approx(composed, rel=1e-12)
+
+
+def test_corner_at_a_tight_tolerance_is_the_erfc_product():
+    # the exterior corner of the (3, 0, 0) mode at rel 1e-13, where a
+    # tensor-product rule keeps splitting boxes in four without end:
+    # integrate_2d converges, to the product of its sides' closed forms,
+    # sqrt(pi / g) / 2 * (erfc(sqrt(g) a) - erfc(sqrt(g) b))
+    mode = ModeIndex(3)
+    alpha = 1.1**2 / (math.pi * GEO.L**2)
+    beta = 1.9**2 / (math.pi * GEO.L**2)
+    corner = oracle._plate_and_exterior(mode, alpha, beta, GEO.L)[3]
+    u = mode_shape(mode, alpha, beta)
+    tight = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300, max_depth=40)
+    value = integrate_2d(lambda x, y: u(x, y) ** 2, *corner, tight)
+    expected = 1.0
+    for c, (a, b) in zip((alpha, beta), corner):
+        g = c * mode.n * math.pi
+        expected *= math.sqrt(math.pi / g) / 2.0 * (math.erfc(math.sqrt(g) * a) - math.erfc(math.sqrt(g) * b))
+    assert value == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("m,p", [(0, 0), (2, 2), (4, 2)])

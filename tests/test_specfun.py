@@ -272,13 +272,14 @@ class TestQuadrature2D:
         assert len(sizes) > 1  # refined past depth 0
 
     def test_bad_rectangle(self):
-        with pytest.raises(ValueError):
-            integrate_2d(lambda x, y: x + y, (1, 0), (0, 1))
+        for x_bounds, y_bounds in (((1, 0), (0, 1)), ((0, math.inf), (0, 1)), ((0, 1), (math.nan, 1))):
+            with pytest.raises(ValueError):
+                integrate_2d(lambda x, y: x + y, x_bounds, y_bounds)
 
     def test_depth_exhaustion(self):
         f = lambda x, y: 1.0 / (1e-10 + (x - 0.3) ** 2 + (y - 0.6) ** 2)
         shallow = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300, max_depth=3)
-        with pytest.raises(QuadratureConvergenceError):
+        with pytest.raises(QuadratureConvergenceError, match="integrate_2d"):
             integrate_2d(f, (0, 1), (0, 1), shallow)
 
     def test_integrand_gets_equal_shape_1d_arrays(self):
@@ -293,113 +294,13 @@ class TestQuadrature2D:
         assert all(sx == sy and len(sx) == 1 for sx, sy in shapes)
 
 
-def gaussian_bump(x, y, box=None):
-    # a broadcasting integrand, separable as the mode shapes are, that does
-    # not read the box index the engine hands it
-    return np.exp(-x * x) * np.exp(-2.0 * y * y)
+def runaway(x, box=None):
+    # exp(-7 x^2 / 2) H_3(sqrt(7) x), squared: on [1, 6], rel_tol 1e-16 lies
+    # below the rule's rounding floor, so its rows never all pass
+    return (np.exp(-3.5 * x * x) * hermite(3, math.sqrt(7.0) * x)) ** 2
 
 
-def rectangles(f, rects, spec=DEFAULT_QUADRATURE):
-    # several rectangles refined together in one pass of the engine, as
-    # integrate_intervals refines intervals: f(x, y, box) gets x of shape
-    # (k, 15, 1), y of shape (k, 1, 15) and box of shape (k, 1, 1)
-    return specfun._integrate(f, [specfun._rectangle(*r) for r in rects], spec, "rectangles")
-
-
-class TestQuadratureRectangles:
-    # the engine's batching in two axes, where each row is a 15 x 15 grid
-    # rectangles that converge at depths 1, 5 and 4 when refined alone
-    RECTS = [((-0.5, 0.5), (-0.5, 0.5)), ((-6.0, 6.0), (-6.0, 6.0)), ((0.3, 9.0), (-7.5, 1.0))]
-
-    def test_nodes_broadcast_per_axis(self):
-        shapes, boxes = [], []
-
-        def f(x, y, box):
-            shapes.append((x.shape, y.shape, box.shape))
-            boxes.append(box.ravel().tolist())
-            return gaussian_bump(x, y)
-
-        rectangles(f, self.RECTS)
-        assert shapes[0] == ((3, 15, 1), (3, 1, 15), (3, 1, 1))
-        assert boxes[0] == [0, 1, 2]
-        assert all(sx[1:] == (15, 1) and sy[1:] == (1, 15) and sb[1:] == (1, 1) and sx[0] == sy[0] == sb[0]
-                   for sx, sy, sb in shapes)
-        # each sweep's rows name their rectangles: the four children of each
-        # at depth 1, then only those of the two still refining
-        assert sorted(boxes[1]) == [0] * 4 + [1] * 4 + [2] * 4
-        assert set(boxes[2]) == {1, 2}
-
-    def test_integrand_gets_at_most_a_chunk_of_rows(self):
-        rows = []
-
-        def f(x, y, box):
-            rows.append(len(box))
-            return gaussian_bump(x, y)
-
-        rects = [((-6.0 + 0.01 * k, 6.0), (-6.0, 6.0)) for k in range(300)]
-        rectangles(f, rects)
-        assert max(rows) == specfun._CHUNK_ROWS
-        assert rows[:2] == [specfun._CHUNK_ROWS, 300 - specfun._CHUNK_ROWS]
-
-    def test_batch_invariance_on_random_integrands(self):
-        # exp(-a x^2 - b y^2) cos(c x y + x) on 2-5 random rectangles each:
-        # every value is what the rectangle alone gives, and one call for all
-        # 60 integrands, each picked by its rectangles' box indices, gives
-        # the same values again
-        spec = QuadratureSpec(rel_tol=1e-10)
-        rng = np.random.default_rng(5)
-        cases, rects, alone = [], [], []
-        for _ in range(60):
-            a, b = rng.uniform(0.2, 3.0, 2)
-            c = rng.uniform(-3.0, 3.0)
-            f = lambda x, y, *_, a=a, b=b, c=c: np.exp(-a * x * x - b * y * y) * np.cos(c * x * y + x)
-            mine = []
-            for _ in range(rng.integers(2, 6)):
-                x0, y0 = rng.uniform(-4.0, 3.0, 2)
-                wx, wy = rng.uniform(0.1, 4.0, 2)
-                mine.append(((x0, x0 + wx), (y0, y0 + wy)))
-            assert rectangles(f, mine, spec) == [integrate_2d(f, *r, spec) for r in mine]
-            cases += [(a, b, c)] * len(mine)
-            rects += mine
-            alone += [integrate_2d(f, *r, spec) for r in mine]
-        assert len(rects) == 216
-        a, b, c = (np.array(v) for v in zip(*cases))
-
-        def every(x, y, box):
-            return np.exp(-a[box] * x * x - b[box] * y * y) * np.cos(c[box] * x * y + x)
-
-        assert rectangles(every, rects, spec) == alone
-
-    def test_each_value_is_the_one_box_value(self):
-        depths = []
-        for rect in self.RECTS:
-            f, sizes = counted(gaussian_bump)
-            rectangles(f, [rect])
-            depths.append(len(sizes))
-        assert len(set(depths)) == len(depths)  # each converges at its own depth
-        together = rectangles(gaussian_bump, self.RECTS, TIGHT)
-        alone = [integrate_2d(gaussian_bump, *rect, TIGHT) for rect in self.RECTS]
-        assert together == alone
-        assert together[1] == pytest.approx(math.pi / math.sqrt(2.0), rel=1e-13)
-
-    def test_function_of_one_axis_is_broadcast(self):
-        val = rectangles(lambda x, y, box: x * x, [((0, 1), (0, 2))])[0]
-        assert val == pytest.approx(2.0 / 3.0, rel=1e-14)
-
-    def test_depth_exhaustion_names_its_own_box(self):
-        peak = lambda x, y, box=None: 1.0 / (1e-10 + (x - 0.3) ** 2 + (y - 0.6) ** 2)
-        shallow = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300, max_depth=3)
-        with pytest.raises(QuadratureConvergenceError) as alone:
-            integrate_2d(peak, (0, 1), (0, 1), shallow)
-        with pytest.raises(QuadratureConvergenceError) as together:
-            rectangles(peak, [((2, 3), (2, 3)), ((0, 1), (0, 1)), ((-3, -2), (0, 1))], shallow)
-        assert together.value.estimate == alone.value.estimate
-        assert together.value.error_bound == alone.value.error_bound
-
-    def test_non_finite_integrand(self):
-        with np.errstate(divide="ignore"):
-            with pytest.raises(ValueError, match="non-finite"):
-                rectangles(lambda x, y, box: 1.0 / (x * y), [((1, 2), (1, 2)), ((-1, 1), (-1, 1))])
+BELOW_ROUNDING = QuadratureSpec(rel_tol=1e-16, abs_tol=1e-300, max_depth=40)
 
 
 def random_intervals(rng, count):
@@ -461,6 +362,46 @@ class TestQuadratureIntervals:
             with np.errstate(divide="ignore", over="ignore"):
                 with pytest.raises(ValueError, match="non-finite"):
                     integrate_intervals(f, [(1.0, 2.0), (-1.0, 1.0)])
+
+    def test_integrand_gets_at_most_a_chunk_of_rows(self):
+        rows = []
+
+        def f(x, box):
+            rows.append(len(box))
+            return np.exp(-x * x)
+
+        integrate_intervals(f, [(-6.0 + 0.01 * k, 6.0) for k in range(300)])
+        assert max(rows) == specfun._CHUNK_ROWS
+        assert rows[:2] == [specfun._CHUNK_ROWS, 300 - specfun._CHUNK_ROWS]
+
+    def test_value_per_row_is_broadcast(self):
+        # a (k, 1) value is constant along each row of nodes
+        scale = np.array([2.0, 3.0])
+        assert integrate_intervals(lambda x, box: scale[box], [(0.0, 1.0), (2.0, 5.0)]) == [2.0, 9.0]
+
+    def test_runaway_tolerance_stops_at_the_row_limit(self):
+        # more than _MAX_PENDING_ROWS pending rows raise with the best
+        # estimate after about 44,000 integrand points; without the limit
+        # the run bisects to max_depth through some 64 million
+        f, sizes = counted(runaway)
+        with pytest.raises(QuadratureConvergenceError, match=f"{specfun._MAX_PENDING_ROWS} pending rows") as err:
+            integrate_1d(f, 1.0, 6.0, BELOW_ROUNDING)
+        assert sum(sizes) <= 100_000
+        assert err.value.estimate == pytest.approx(integrate_1d(runaway, 1.0, 6.0, TIGHT), rel=1e-13)
+        assert 0.0 < err.value.error_bound < 1e-15
+
+    def test_row_limit_names_its_own_interval(self):
+        # in a batch whose other intervals converge, the runaway interval
+        # raises with bit for bit its lone call's estimate and bound
+        with pytest.raises(QuadratureConvergenceError) as alone:
+            integrate_1d(runaway, 1.0, 6.0, BELOW_ROUNDING)
+        converging = [(0.0, 1.0), (-1.0, 1.0), (0.5, 1.5)]
+        assert len(integrate_intervals(lambda x, box: np.exp(-x * x), converging, BELOW_ROUNDING)) == 3
+        f = lambda x, box: np.where(box == 1, runaway(x), np.exp(-x * x))
+        with pytest.raises(QuadratureConvergenceError, match="integrate_intervals.*pending rows") as together:
+            integrate_intervals(f, converging[:1] + [(1.0, 6.0)] + converging[1:], BELOW_ROUNDING)
+        assert together.value.estimate == alone.value.estimate
+        assert together.value.error_bound == alone.value.error_bound
 
     def test_bad_interval_and_no_interval(self):
         f = lambda x, box: x
