@@ -294,6 +294,102 @@ class TestQuadrature2D:
         assert all(sx == sy and len(sx) == 1 for sx, sy in shapes)
 
 
+def gaussian_bump(x, y):
+    # separable, as the mode shapes are
+    return np.exp(-x * x) * np.exp(-2.0 * y * y)
+
+
+def iterated(f, x_bounds, y_bounds, spec=DEFAULT_QUADRATURE):
+    # the integral over x of the integral over y, one lone integrate_1d per
+    # x node: what integrate_2d computes with its inner passes batched
+    def over_y(xs):
+        return np.array([integrate_1d(lambda y: f(np.full_like(y, x), y), *y_bounds, spec) for x in xs])
+
+    return integrate_1d(over_y, *x_bounds, spec)
+
+
+class TestQuadratureRectangles:
+    # integrate_2d's two passes: the inner pass refines the y integrals of
+    # all x nodes of a chunk of outer rows together
+    # rectangles that converge after 2, 31 and 20 integrand calls
+    RECTS = [((-0.5, 0.5), (-0.5, 0.5)), ((-6.0, 6.0), (-6.0, 6.0)), ((0.3, 9.0), (-7.5, 1.0))]
+
+    def test_nodes_broadcast_per_axis(self):
+        xs, ys = [], []
+
+        def f(x, y):
+            xs.append(x.reshape(-1, 15))
+            ys.append(y.reshape(-1, 15))
+            return gaussian_bump(x, y)
+
+        (ax, bx), (ay, by) = self.RECTS[1]
+        integrate_2d(f, (ax, bx), (ay, by))
+        # first call: each of the 15 x nodes of the whole x side against the
+        # 15 y nodes of the whole y side
+        np.testing.assert_array_equal(xs[0], np.repeat((ax + (bx - ax) * specfun._GK_NODES)[:, None], 15, axis=1))
+        np.testing.assert_array_equal(ys[0], np.tile(ay + (by - ay) * specfun._GK_NODES, (15, 1)))
+        # every row holds one x node against the 15 y nodes of one sub-interval
+        assert len(xs) > 1
+        for x, y in zip(xs, ys):
+            assert np.all(x == x[:, :1])
+            assert np.all((ax < x) & (x < bx) & (ay < y) & (y < by))
+            assert np.all(np.diff(y, axis=1) != 0.0)
+
+    def test_batch_invariance_on_random_integrands(self):
+        # exp(-a x^2 - b y^2) cos(c x y + x) on 2-3 random rectangles each:
+        # every value is bit for bit the iterated integral of lone 1-D calls
+        spec = QuadratureSpec(rel_tol=1e-10)
+        rng = np.random.default_rng(5)
+        count = 0
+        for _ in range(20):
+            a, b = rng.uniform(0.2, 3.0, 2)
+            c = rng.uniform(-3.0, 3.0)
+            f = lambda x, y, a=a, b=b, c=c: np.exp(-a * x * x - b * y * y) * np.cos(c * x * y + x)
+            for _ in range(rng.integers(2, 4)):
+                x0, y0 = rng.uniform(-4.0, 3.0, 2)
+                wx, wy = rng.uniform(0.1, 4.0, 2)
+                rect = ((x0, x0 + wx), (y0, y0 + wy))
+                assert integrate_2d(f, *rect, spec) == iterated(f, *rect, spec)
+                count += 1
+        assert count == 52
+
+    def test_each_value_is_the_one_box_value(self):
+        calls = []
+        for rect in self.RECTS:
+            f, sizes = counted(gaussian_bump)
+            integrate_2d(f, *rect)
+            calls.append(len(sizes))
+        assert calls == [2, 31, 20]  # each converges at its own depth
+        vals = [integrate_2d(gaussian_bump, *rect, TIGHT) for rect in self.RECTS]
+        assert vals == [iterated(gaussian_bump, *rect, TIGHT) for rect in self.RECTS]
+        assert vals[1] == pytest.approx(math.pi / math.sqrt(2.0), rel=1e-13)
+
+    def test_depth_exhaustion_names_its_own_box(self):
+        # the raise carries, bit for bit, the estimate and bound of the lone
+        # inner call at the first x node whose y integral fails alone
+        peak = lambda x, y: 1.0 / (1e-10 + (x - 0.3) ** 2 + (y - 0.6) ** 2)
+        shallow = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300, max_depth=3)
+        with pytest.raises(QuadratureConvergenceError, match="integrate_2d did not converge within depth 3") as err:
+            integrate_2d(peak, (0, 1), (0, 1), shallow)
+        lone = []
+        for x in specfun._GK_NODES:
+            try:
+                integrate_1d(lambda y: peak(np.full_like(y, x), y), 0.0, 1.0, shallow)
+            except QuadratureConvergenceError as e:
+                lone.append(e)
+        assert len(lone) == 5
+        assert err.value.estimate == lone[0].estimate
+        assert err.value.error_bound == lone[0].error_bound
+
+    def test_non_finite_integrand(self):
+        f = lambda x, y: 1.0 / (x * y)
+        assert integrate_2d(f, (1, 2), (1, 2)) == pytest.approx(math.log(2.0) ** 2, rel=1e-13)
+        with np.errstate(divide="ignore", over="ignore"):
+            for g, rect in ((f, ((-1, 1), (-1, 1))), (lambda x, y: np.exp(1e3 * x * y), ((1, 2), (1, 2)))):
+                with pytest.raises(ValueError, match="non-finite"):
+                    integrate_2d(g, *rect)
+
+
 def runaway(x, box=None):
     # exp(-7 x^2 / 2) H_3(sqrt(7) x), squared: on [1, 6], rel_tol 1e-16 lies
     # below the rule's rounding floor, so its rows never all pass
