@@ -585,7 +585,7 @@ def characterize(
         ex, ey, scalar = _trapping(*(eta_override if isinstance(eta_override, tuple)
                                      else (eta_override,)))
         for eta in (ex, ey):
-            _reject(eta, (eta > 0) & _finite(eta), "eta override must be positive")
+            _reject(eta, (eta > 0) & _finite(eta), "eta override must be positive and finite")
         with np.errstate(all="ignore"):
             area = math.pi * _square_of_L(geo)
             alpha = ex * ex / area

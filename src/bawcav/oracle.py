@@ -280,11 +280,13 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
     at that level +-1e-8 relative confirm that eigenvalue j alone lies
     there, and shifted inverse iteration from it, one factorisation per
     eigenpair, with deflation against already-converged pairs, gives the
-    eigenvector and, as its Rayleigh quotient, the eigenvalue.  Raises
-    EigensolveConvergenceError when a bracket or the residual bound is not
-    reached, and OverflowError or FloatingPointError,
-    naming R and h0, when 8 R h0^3, k or (M / h^2)^2 leaves the normal
-    double range.
+    eigenvector and, as its Rayleigh quotient, the eigenvalue.  The
+    iteration starts from the harmonic eigenvector exp(-s^2/2) H_j(s), s
+    the grid in envelope widths, and stops after one step at every
+    geometry tried.  Raises EigensolveConvergenceError when a bracket or
+    the residual bound is not reached, and OverflowError or
+    FloatingPointError, naming R and h0, when 8 R h0^3, k or (M / h^2)^2
+    leaves the normal double range.
     """
     _, c_hat = stiffened_constants(mat, n)
     m_n, _ = dispersion_parameters(mat, n)
@@ -308,7 +310,7 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
     # (2j + 1) sqrt(k M) lowered by the stencil's leading error term
     level = math.sqrt(k_pot * m_n)
     h_sigma = 2.0 * _DOMAIN_SIGMA / (npts + 1)  # the grid step in units of sigma
-    rng = np.random.default_rng(12345)
+    x_sigma = -_DOMAIN_SIGMA + h_sigma * np.arange(1, npts + 1)  # the grid in units of sigma
     vectors = np.empty((npts, _EIGENPAIRS))
     lambdas, iterations, residuals = [], [], []
     for j in range(_EIGENPAIRS):
@@ -322,7 +324,9 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
                 math.inf,
             )
         factors = _thomas_factor((diag - stencil).tolist(), off)
-        v = rng.standard_normal(npts)
+        # start from the harmonic eigenvector, in units of sigma so that it
+        # is representable at any geometry
+        v = hermite_gaussian_1d(j, 1.0, x_sigma)
         residual = math.inf
         for it in range(1, 61):
             for q in range(j):  # deflation

@@ -9,6 +9,7 @@ and deterministic so two runs produce identical reports.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,14 +170,13 @@ def criterion_7(variant: MaterialParams, geo: CavityGeometry) -> CriterionResult
 
 
 def _oracle_sweep_cases(n_sets: int, seed: int):
-    rng = np.random.default_rng(seed)
-    odd = np.array([1, 3, 5, 7, 9, 11])
+    rng = random.Random(seed)
     for _ in range(n_sets):
-        n = int(rng.choice(odd))
-        L = float(rng.uniform(0.008, 0.025))
-        tx = float(rng.uniform(0.4, 4.2))
-        ty = float(rng.uniform(0.4, 4.2))
-        frac = float(rng.uniform(0.1, 0.9))
+        n = rng.choice([1, 3, 5, 7, 9, 11])
+        L = rng.uniform(0.008, 0.025)
+        tx = rng.uniform(0.4, 4.2)
+        ty = rng.uniform(0.4, 4.2)
+        frac = rng.uniform(0.1, 0.9)
         yield n, L, tx, ty, frac
 
 
@@ -280,10 +280,10 @@ def criterion_10(mat: MaterialParams, geo: CavityGeometry) -> CriterionResult:
     as one array call per overtone (and mode), whose values are bit for bit
     those of the float calls.
     """
-    rng = np.random.default_rng(SWEEP_SEED + 1)
+    rng = random.Random(SWEEP_SEED + 1)
     rows = []
 
-    draws = [(int(rng.choice([1, 3, 7, 15, 227])), float(rng.uniform(0.5, 12.0))) for _ in range(20)]
+    draws = [(rng.choice([1, 3, 7, 15, 227]), rng.uniform(0.5, 12.0)) for _ in range(20)]
     worst_unc = 0.0
     for n, (eta,) in _by_overtone(draws).items():
         char = cavity.characterize(mat, geo, ModeIndex(n), 0.02, eta_override=eta)
@@ -291,7 +291,8 @@ def criterion_10(mat: MaterialParams, geo: CavityGeometry) -> CriterionResult:
     rows.append(_row_abs("uncertainty product dev", worst_unc, 0.0, 1e-12))
 
     # xi rises with eta at fixed n, and with n (to n + 2) at fixed eta
-    draws = [(int(rng.choice([1, 3, 7, 15])), *sorted(rng.uniform(0.5, 12.0, 2))) for _ in range(40)]
+    draws = [(rng.choice([1, 3, 7, 15]), *sorted([rng.uniform(0.5, 12.0), rng.uniform(0.5, 12.0)]))
+             for _ in range(40)]
     mono = True
     for n, (e1, e2) in _by_overtone(d for d in draws if d[2] - d[1] >= 1e-9).items():
         x1 = cavity.effective_mass(mat, geo, ModeIndex(n), e1, e1)[2]
@@ -316,9 +317,9 @@ def criterion_10(mat: MaterialParams, geo: CavityGeometry) -> CriterionResult:
 
     worst_rt = 0.0
     for _ in range(20):
-        n = int(rng.choice([1, 3, 7, 37, 227]))
-        eta = float(rng.uniform(2.0, 12.0))
-        mu_opt = float(rng.uniform(0.3, 0.999))
+        n = rng.choice([1, 3, 7, 37, 227])
+        eta = rng.uniform(2.0, 12.0)
+        mu_opt = rng.uniform(0.3, 0.999)
         lt = detection.optimal_electrode(geo, eta, n, mu_opt)
         alpha = eta**2 / (math.pi * geo.L**2)
         mu = detection.overlap_factor(ModeIndex(n), alpha, alpha, lt)

@@ -80,6 +80,15 @@ def counted_criterion_8():
     return result, sum(sizes)
 
 
+def test_criterion_08_first_sets_are_the_pinned_stdlib_stream():
+    # criterion 8 and oracle --sets draw from random.Random(SWEEP_SEED): a
+    # change of that stream fails here by name, not as a moved report cell
+    assert list(report._oracle_sweep_cases(2, report.SWEEP_SEED)) == [
+        (1, 0.024986450067973377, 1.6472027465328778, 2.824716271220005, 0.6891730324982926),
+        (11, 0.00942405141509209, 1.7169015081645975, 3.88421863526186, 0.35195015412799024),
+    ]
+
+
 def test_criterion_08_hands_the_oracles_one_group_of_sets_at_a_time(monkeypatch):
     # 200 sets in groups of ORACLE_GROUP, three one-dimensional quadrature
     # passes per group, one per oracle call and Hermite order: the (0, 0)
@@ -161,6 +170,25 @@ def test_criterion_09_eigenvectors_are_the_hermite_gaussians():
 
 def test_criterion_10_invariant_suite():
     _assert_criterion(report.criterion_10(MAT, GEO))
+
+
+def test_criterion_10_first_draw_is_the_pinned_stdlib_stream(monkeypatch):
+    # criterion 10 draws from random.Random(SWEEP_SEED + 1); its first
+    # characterize call takes the first drawn overtone's etas, the first
+    # drawn one first
+    drawn = []
+
+    class Drawn(Exception):
+        pass
+
+    def first_call(mat, geo, mode, temperature, eta_override=None):
+        drawn.append((mode.n, float(eta_override[0])))
+        raise Drawn
+
+    monkeypatch.setattr(cavity, "characterize", first_call)
+    with pytest.raises(Drawn):
+        report.criterion_10(MAT, GEO)
+    assert drawn == [(1, 1.2690323183219723)]
 
 
 def test_full_report_is_green():

@@ -28,6 +28,12 @@ from bawcav.cli import CHARACTERIZE_COLUMNS, MAX_ORACLE_SETS, SWEEP_COLUMNS, mai
 from bawcav.material import bundled_material_path, load_material
 
 
+def source_env():
+    # the environment of a child interpreter that imports this bawcav
+    src = str(Path(bawcav.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -100,6 +106,11 @@ class TestCharacterize:
         assert out == ""
         assert repr(float(eta)) in err
         assert "(m, p) = (0, 0)" in err
+
+    @pytest.mark.parametrize("command", ["characterize", "membrane"])
+    def test_infinite_eta_is_rejected_as_not_finite(self, capsys, command):
+        assert run_cli(capsys, command, "--eta", "inf") == (
+            2, "", "error: eta override must be positive and finite, got inf\n")
 
     def test_underflowing_temperature_is_zero_occupancy(self, capsys):
         # k * 5e-324 rounds to 0, which reads as the T -> 0 limit of 1e-300 K
@@ -408,6 +419,27 @@ class TestPaperReport:
         failed = [l for l in out.strip().split("\n") if l.endswith("FAIL")]
         assert any("f(1)" in l for l in failed)
 
+    def test_report_and_oracle_leave_numpy_random_unimported(self, tmp_path):
+        # numpy 2 imports numpy.random lazily, at its first use, and that
+        # import cost more than any criterion: the seeded draws come from the
+        # stdlib's random, already imported with bawcav.cli. numpy 1.24
+        # imports numpy.random with numpy itself, so there is nothing to check
+        env = source_env()
+        script = (
+            "import sys\n"
+            "from bawcav import cli\n"
+            "before = 'numpy.random' in sys.modules\n"
+            f"assert cli.main(['paper-report', '--out', {str(tmp_path / 'report.csv')!r}]) == 0\n"
+            f"assert cli.main(['oracle', '--sets', '3', '--out', {str(tmp_path / 'oracle.csv')!r}]) == 0\n"
+            "print(before, 'numpy.random' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        before, after = proc.stdout.splitlines()[-1].split()
+        if before == "True":
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        assert after == "False"
+
 
 class TestOracleCmd:
     def test_small_suite_passes(self, capsys):
@@ -472,8 +504,7 @@ class TestConsoleEntry:
     def test_closed_pipe_exits_141_quietly(self):
         # `bawcav sweep ... | head -n 1`: the reader leaves after one line and
         # the writer stops at once, without a message or a usage-error code
-        src = str(Path(bawcav.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = source_env()
         argv = ["sweep", "--n", "1,3", "--eta-range", "0.1:12:0.001"]
         proc = subprocess.Popen([sys.executable, "-m", "bawcav", *argv], env=env,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)

@@ -401,9 +401,10 @@ class TestEigensolveWork:
     @pytest.mark.parametrize("geo", SOLVER_GEOMETRIES)
     def test_same_eigenpairs_as_the_reference_solver(self, geo):
         # the solve shifts by the stencil level, within 5.1e-10 of each
-        # eigenvalue, where the reference shifts just above the bisected
-        # eigenvalue: they differ by at most 1.2e-13 (lambda, relative) and
-        # 1.5e-11 (peak-normalised vectors)
+        # eigenvalue, and starts from the harmonic eigenvector, where the
+        # reference shifts just above the bisected eigenvalue and starts
+        # from a random vector: they differ by at most 1.5e-13 (lambda,
+        # relative) and 3.8e-12 (peak-normalised vectors)
         res = trap_eigensolve(QUARTZ, geo, 1)
         lambdas, vectors = reference_eigensolve(QUARTZ, geo, 1)
         assert np.max(np.abs(res.lambdas / lambdas - 1.0)) <= 5e-13
@@ -434,6 +435,17 @@ class TestEigensolveWork:
         assert len(calls) == 2 * k
         assert all(1 <= i <= 60 for i in res.inverse_iterations)
         assert all(0.0 < r <= oracle._RESIDUAL_TOL for r in res.residuals)
+
+    @pytest.mark.parametrize("R,h0", [(GEO.R, GEO.h0), (GEO.L, GEO.h0), (1e3, 1e-6), (1.0, 1e-30), (1e200, 1e-30)])
+    @pytest.mark.parametrize("n", [1, 3, 227])
+    def test_harmonic_start_converges_in_one_iteration(self, R, h0, n):
+        # the start vector is the harmonic eigenvector, whose part off the
+        # solved one is under 5e-5 of its norm, and the shift lies
+        # within 5.1e-10 of the eigenvalue: one inverse iteration reaches
+        # the residual bound, at the geometries the oracle command is run at
+        res = trap_eigensolve(QUARTZ, CavityGeometry(L=GEO.L, h0=h0, R=R), n)
+        assert res.inverse_iterations == (1, 1, 1, 1)
+        assert all(r <= 1e-9 for r in res.residuals)
 
     def test_sturm_count_takes_tiny_pivots_as_minus_pivmin(self):
         def reference(shifted, off2, pivmin):
