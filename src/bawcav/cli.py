@@ -17,6 +17,7 @@ import collections
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -326,39 +327,142 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec(a: np.ndarray) -> str:
-    # the %-format of a column of ints or of floats
-    return "%d" if a.dtype.kind in "iu" else "%.9g"
+# '%.9g' % v of doubles as fixed-width records of 32 bytes, four 8-byte
+# words: '-0.000' and the first significant digit, the next eight digits,
+# each followed by '.', and 'e', the exponent's sign and three digits.  A
+# keep-mask, picked by sign, layout and the number of significant digits,
+# sets every byte that '%.9g' does not write to NUL, and the writers drop
+# the NULs.
+_TENS = list(itertools.accumulate(range(160), lambda t, _: 10 * t, initial=1))  # exact
+_POW10 = np.array([1 / t for t in _TENS[:0:-1]] + [float(t) for t in _TENS])  # 1e-160..1e160
+_BYTE = np.eye(8, dtype=np.uint8).view(np.uint64).reshape(-1)  # [i]: the word with byte i = 1
 
 
-def _shared_cells(blocks, cells) -> dict:
-    # cells(a), made once, by the id of each array a that appears in more
-    # than one block, as an --eta-range sweep's eta column does in every
-    # overtone's block
-    arrays = [v for block in blocks for v in block if isinstance(v, np.ndarray)]
-    counts = collections.Counter(map(id, arrays))
-    unique = {id(a): a for a in arrays}
-    return {k: cells(a) for k, a in unique.items() if counts[k] > 1}
+def _words(text: bytes, digits: dict) -> np.ndarray:
+    # 8-byte words: text, plus at each byte i the digits of array digits[i],
+    # the arrays broadcast against each other
+    return sum((np.asarray(d, np.uint64) * _BYTE[i] for i, d in digits.items()),
+               np.frombuffer(text, np.uint64)).reshape(-1)
 
 
-def _chunks(block, cells, shared):
-    # The rows of the block's array columns, BLOCK_ROWS at a time, each
-    # column turned into its cells by cells(array), or sliced from its
-    # cells in shared; a block without an array column is one row.
-    arrays = [v for v in block if isinstance(v, np.ndarray)]
-    if not arrays:
-        yield [()]
-        return
-    for lo in range(0, len(arrays[0]), BLOCK_ROWS):
-        hi = lo + BLOCK_ROWS
-        yield zip(*(shared[id(a)][lo:hi] if id(a) in shared else cells(a[lo:hi])
-                    for a in arrays))
+_TENS_DIGIT, _ONES_DIGIT = divmod(np.arange(100), 10)  # of the pairs 00..99
+_QUADS = (_words(b"0.0.0.0.", {0: _TENS_DIGIT, 2: _ONES_DIGIT})[:, None]
+          + _words(bytes(8), {4: _TENS_DIGIT, 6: _ONES_DIGIT})).reshape(-1)  # [q]: 'd.d.d.d.'
+_PAIR_ZEROS = (_ONES_DIGIT == 0) * (1 + (_TENS_DIGIT == 0))  # trailing zeros, 2 for 00
+_QUAD_ZEROS = np.where(_ONES_DIGIT + _TENS_DIGIT == 0, 2 + _PAIR_ZEROS[:, None],
+                       _PAIR_ZEROS).reshape(-1)  # [q]: trailing zeros, 4 for 0
+_LEADS = _words(b"-0.0000.", {6: np.arange(10)})
+_EXP_MAX = 330  # beyond the decimal exponents of doubles, -324..308
+_EXP = np.arange(-_EXP_MAX, _EXP_MAX + 1)
+_EXPS = _words(b"e+000\0\0\0", {1: 2 * (_EXP < 0), 2: abs(_EXP) // 100,  # '-' is '+' + 2
+                                  3: abs(_EXP) // 10 % 10, 4: abs(_EXP) % 10})
+_LAYOUTS = 15  # fixed with exponent -4..8, exponent form with 2 or 3 digits
+_LAYOUT_KEYS = 9 * np.where((_EXP >= -4) & (_EXP < 9), _EXP + 4, np.where(abs(_EXP) < 100, 13, 14))
 
 
-def _formatted(a: np.ndarray) -> list[str]:
-    # each element of a column of ints or floats as its CSV cell
-    values = a.tolist()
-    return ((_spec(a) + "\n") * len(values) % tuple(values)).split("\n")[:-1]
+def _keep_masks() -> np.ndarray:
+    # [sign * 9 * _LAYOUTS + 9 * layout + significant digits - 1] -> 32
+    # bytes, 0xFF where '%.9g' writes the record's byte
+    layout, digits = np.ix_(range(_LAYOUTS), range(1, 10))
+    exp, fixed = layout - 4, layout < 13  # the exponent of a fixed layout
+    shown = np.where(fixed, np.maximum(digits, exp + 1), digits)  # digits before the 'e'
+    point = np.where(fixed, exp + 1, 1)  # the digit the '.' follows, if any
+    keep = np.zeros((2, _LAYOUTS, 9, 32), bool)
+    keep[1, ..., 0] = True  # '-'
+    keep[..., 1:6] = ((layout < 4) & (np.arange(1, 6) < 2 - exp))[:, None]  # '0.000'
+    keep[..., 6:24:2] = np.arange(1, 10) <= shown[..., None]
+    keep[..., 7:24:2] = (np.arange(1, 10) == point[..., None]) & (digits > point)[..., None]
+    keep[..., 24:29] = (~fixed & ((np.arange(24, 29) != 26) | (layout == 14)))[:, None]
+    return (keep * np.uint8(0xFF)).reshape(-1, 32).view(np.uint64)
+
+
+_KEEP = _keep_masks()
+
+
+def _g9(x) -> np.ndarray:
+    """'%.9g' % v of each element v of x, as NUL-padded bytes (dtype S32).
+
+    The digits come from s = |v| 10**(8 - e), rounded, where e is the
+    floor of log10 |v|; the two powers of ten that make 10**(8 - e) are
+    each correctly rounded, so s is off by at most four roundings, below
+    4.5e-7.  Where that could decide the rounding, because s lies within
+    1e-6 of a tie, and for non-finite and subnormal values, Python's '%'
+    makes the cell.  Where log10 rounds across a power of ten, v lies
+    within 1e-15 of it, and s rounds to 1e8 or 1e9: both are that power.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.reshape(-1)
+    mag = np.abs(flat)
+    with np.errstate(invalid="ignore"):  # NaN is not normal
+        normal = (mag >= sys.float_info.min) & (mag <= sys.float_info.max)
+    zero = mag == 0.0
+    mag = np.where(normal, mag, 1.0)
+    exp = np.floor(np.log10(mag)).astype(np.intp)
+    k = 8 - exp
+    s = mag * np.take(_POW10, 160 + k // 2) * np.take(_POW10, 160 + k - k // 2)
+    unsure = np.flatnonzero(~(normal | zero) | (np.abs(s - np.floor(s) - 0.5) < 1e-6))
+    r = np.rint(s)
+    carry = r >= 1e9  # 999999999.5 and up round to the next decade
+    exp = np.where(zero, 0, exp + carry) + _EXP_MAX  # as an index of _EXPS
+    r = np.where(zero, 0, np.where(carry, 1e8, r)).astype(np.intp)
+    lead, mid, low = r // 100000000, r // 10000 % 10000, r % 10000
+    zeros = np.take(_QUAD_ZEROS, low) + (low == 0) * np.take(_QUAD_ZEROS, mid)  # 8 for 0
+    key = np.signbit(flat) * (9 * _LAYOUTS) + np.take(_LAYOUT_KEYS, exp) + (8 - zeros)
+    words = np.empty((flat.size, 4), np.uint64)
+    words[:, 0] = np.take(_LEADS, lead)
+    words[:, 1] = np.take(_QUADS, mid)
+    words[:, 2] = np.take(_QUADS, low)
+    words[:, 3] = np.take(_EXPS, exp)
+    words &= np.take(_KEEP, key, axis=0)
+    cells = words.view("S32")[:, 0]
+    for i in unsure.tolist():
+        cells[i] = b"%.9g" % flat[i]
+    return cells.reshape(x.shape)
+
+
+def _records(columns: list) -> list:
+    # each column's cells: an integer column's %d, and '%.9g' of all the
+    # other columns from one _g9 call
+    floats = [c for c in columns if c.dtype.kind not in "iu"]
+    made = iter(_g9(np.stack(floats, axis=-1)).T if floats else ())
+    return [c.astype("S") if c.dtype.kind in "iu" else next(made) for c in columns]
+
+
+def _cell_chunks(table: Table):
+    """Each block, with the cells of its array columns BLOCK_ROWS rows at a
+    time: (block, first row, records per array column).
+
+    An array in more than one block, as an --eta-range sweep's eta column
+    is in every overtone's block, is formatted whole once and sliced; a
+    block without an array column is one row.
+    """
+    counts = collections.Counter(
+        id(v) for block in table.blocks for v in block if isinstance(v, np.ndarray)
+    )
+    shared = {}
+    for block in table.blocks:
+        arrays = [v for v in block if isinstance(v, np.ndarray)]
+        for a in arrays:
+            if counts[id(a)] > 1 and id(a) not in shared:
+                shared[id(a)] = _records([a])[0]
+        own = [a for a in arrays if id(a) not in shared]
+        for lo in range(0, len(arrays[0]) if arrays else 1, BLOCK_ROWS):
+            hi = lo + BLOCK_ROWS
+            made = iter(_records([a[lo:hi] for a in own]))
+            yield block, lo, [shared[id(a)][lo:hi] if id(a) in shared else next(made)
+                              for a in arrays]
+
+
+def _rows(texts: list[bytes], cells: list) -> str:
+    # one row per record: texts[0], cells[0], texts[1], ..., cells[-1],
+    # texts[-1], with the records' NULs dropped
+    parts = [p for pair in zip(texts, cells + [b""]) for p in pair if len(p)]  # no empty field
+    rows = np.empty(len(cells[0]),
+                    [(f"f{i}", f"S{len(p) if isinstance(p, bytes) else p.dtype.itemsize}")
+                     for i, p in enumerate(parts)])
+    for i, p in enumerate(parts):
+        rows[f"f{i}"] = p
+    return rows.tobytes().translate(None, b"\0").decode()
 
 
 def _csv_line(fields) -> str:
@@ -367,20 +471,29 @@ def _csv_line(fields) -> str:
     return buf.getvalue()
 
 
+def _csv_texts(block) -> list[bytes]:
+    # the text of the block's rows before, between and after its array
+    # cells, each other cell quoted as csv.writer quotes it in a row
+    texts = [""]
+    for i, v in enumerate(block):
+        texts[-1] += "," if i else ""
+        if isinstance(v, np.ndarray):
+            texts.append("")
+        else:
+            texts[-1] += _csv_line([_fmt(v), ""])[:-2]  # a field among others
+    texts[-1] += "\n"
+    return [t.encode() for t in texts]
+
+
 def _csv_text(table: Table):
     yield _csv_line(table.columns)
-    shared = _shared_cells(table.blocks, _formatted)
-    for block in table.blocks:
-        # one %-template, quoted by csv.writer, makes each row: a value all
-        # rows share goes in as its cell with % doubled, an array as its
-        # %-format, or as %s when it is in more than one block (shared cells)
-        template = _csv_line(
-            ("%s" if id(v) in shared else _spec(v)) if isinstance(v, np.ndarray)
-            else _fmt(v).replace("%", "%%")
-            for v in block
-        )
-        for rows in _chunks(block, np.ndarray.tolist, shared):
-            yield "".join(template % row for row in rows)
+    for block, lo, cells in _cell_chunks(table):
+        if not cells:  # a block without array columns is one row
+            yield _csv_line(map(_fmt, block))
+            continue
+        if lo == 0:
+            texts = _csv_texts(block)
+        yield _rows(texts, cells)
 
 
 def _json_value(v) -> str:
@@ -388,23 +501,22 @@ def _json_value(v) -> str:
     return json.dumps(_round9(v))
 
 
-def _json_cells(a: np.ndarray) -> list[str]:
-    # _json_value of each element, with no repr per element for floats:
-    # %.9g prints the nine-digit value with the very digits repr gives it,
-    # laid out alike but for the '.0' repr adds to whole numbers.  Where
-    # more differs -- repr prints subnormals with fewer digits, and %.9g
-    # writes 1e9 to 1e16 with an exponent -- and for non-finite values,
-    # _json_value makes the cell.
-    values = a.tolist()
+def _json_cells(a: np.ndarray, records: np.ndarray) -> list[str]:
+    # _json_value of each element of a, from its records: %.9g prints the
+    # nine-digit value with the very digits repr gives it, laid out alike
+    # but for the '.0' repr adds to whole numbers.  Where more differs --
+    # repr prints subnormals with fewer digits, and %.9g writes 1e9 to 1e16
+    # with an exponent -- and for non-finite values, _json_value makes the
+    # cell.
     if a.dtype.kind != "f":
-        return [_json_value(v) for v in values]
-    cells = ("%.9g\n" * len(values) % tuple(values)).split("\n")
-    cells = [c if "." in c or "e" in c else c + ".0" for c in cells[:-1]]
+        return [_json_value(v) for v in a.tolist()]
+    cells = _rows([b"", b"\n"], [records]).split("\n")[:-1]
+    cells = [c if "." in c or "e" in c else c + ".0" for c in cells]
     mag = np.abs(a)
     with np.errstate(invalid="ignore"):
         plain = (mag < 1e8) & ((mag >= sys.float_info.min) | (mag == 0.0))
     for i in np.flatnonzero(~plain).tolist():
-        cells[i] = _json_value(values[i])
+        cells[i] = _json_value(a[i].item())
     return cells
 
 
@@ -416,16 +528,17 @@ def _json_text(table: Table, command: str):
     # the bytes json.dumps(indent=2) writes for a "rows" list of row objects
     yield json.dumps(head, indent=2)[:-2] + ',\n  "rows": ['
     sep = "\n    "
-    shared = _shared_cells(table.blocks, _json_cells)
-    for block in table.blocks:
-        template = "{\n" + ",\n".join(
-            f"      {json.dumps(c)}: ".replace("%", "%%")
-            + ("%s" if isinstance(v, np.ndarray) else _json_value(v).replace("%", "%%"))
-            for c, v in zip(table.columns, block)
-        ) + "\n    }"
-        for rows in _chunks(block, _json_cells, shared):
-            yield sep + ",\n    ".join(template % row for row in rows)
-            sep = ",\n    "
+    for block, lo, cells in _cell_chunks(table):
+        if lo == 0:
+            template = "{\n" + ",\n".join(
+                f"      {json.dumps(c)}: ".replace("%", "%%")
+                + ("%s" if isinstance(v, np.ndarray) else _json_value(v).replace("%", "%%"))
+                for c, v in zip(table.columns, block)
+            ) + "\n    }"
+            arrays = [v for v in block if isinstance(v, np.ndarray)]
+        rows = zip(*(_json_cells(a[lo:lo + BLOCK_ROWS], c) for a, c in zip(arrays, cells)))
+        yield sep + ",\n    ".join(template % row for row in (rows if arrays else [()]))
+        sep = ",\n    "
     yield "]\n}\n" if sep == "\n    " else "\n  ]\n}\n"
 
 

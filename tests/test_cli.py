@@ -232,11 +232,10 @@ class TestWorkDoneOnce:
 
         copies = render(self.table(share=False))
         made = []
-        for name in ("_formatted", "_json_cells"):
-            real = getattr(cli, name)
-            monkeypatch.setattr(cli, name, lambda a, real=real: made.append(len(a)) or real(a))
+        real = cli._g9
+        monkeypatch.setattr(cli, "_g9", lambda a: made.append(len(a)) or real(a))
         assert render(self.table(share=True)) == copies
-        # the shared eta column is made whole once, all else chunk by chunk
+        # the shared eta column is formatted whole once, all else chunk by chunk
         assert made.count(5000) == 1
         assert len(copies.splitlines()) > 3 * 5000
 
@@ -304,6 +303,50 @@ class TestWorkDoneOnce:
     ])
     def test_failing_radius_ranges_keep_their_message(self, capsys, argv, code, err):
         assert run_cli(capsys, "sweep", *argv) == (code, "", err)
+
+
+# The edges of the double range, 9-digit ties and carries, doubles within
+# 1e-16 of a 9-digit tie (scaled to nine digits in floating point, they
+# read as exact ties), the bounds of the fixed layout, and one negative
+# value per layout: fixed with exponent -4..8, then the exponent form with
+# 2 and with 3 digits
+NINE_DIGIT_VALUES = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    1234567895.0, 123456789.5, 99999999.95, 999999999.5,
+    6.413485215e134, 7.409550335e-184, 4.129719754999999e-118,
+    1e-5, 1e-4, 1e8, 1e9, 1e16, 1e100, 1e-100,
+    9.999999999999999e22, 1.0000000000000001e23, 9.999999999999999e-301, 1.0000000000000001e-300,
+] + [-1.25 * 10.0**k for k in range(-4, 9)] + [-2.5e-7, -6.02e23, -1.6e-219, -3.3e300]
+
+
+def _nine_digit_cells(values):
+    # the formatter's cells, NULs dropped, and the writers' JSON cells
+    a = np.array(values, dtype=np.float64)
+    records = cli._g9(a)
+    return [c.replace(b"\0", b"").decode() for c in records.tolist()], cli._json_cells(a, records)
+
+
+class TestNineDigitCells:
+    # Each cell is '%.9g' % v, the correctly rounded conversion Python's %
+    # makes, and each JSON cell is json.dumps of the value rounded to it
+
+    def test_edge_values(self):
+        cells, json_cells = _nine_digit_cells(NINE_DIGIT_VALUES)
+        assert cells == ["%.9g" % v for v in NINE_DIGIT_VALUES]
+        assert json_cells == [cli._json_value(v) for v in NINE_DIGIT_VALUES]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(width=64, allow_nan=True, allow_infinity=True,
+                              allow_subnormal=True), min_size=1, max_size=40))
+    def test_any_double(self, values):
+        cells, json_cells = _nine_digit_cells(values)
+        assert cells == ["%.9g" % v for v in values]
+        assert json_cells == [cli._json_value(v) for v in values]
+
+    def test_chunk_of_columns_is_each_column(self):
+        # the writers format a block's columns together, as a 2-D array
+        x = np.random.default_rng(5).standard_normal((7, 3)) * 10.0 ** np.arange(-6, 15, 7)
+        assert cli._g9(x).tolist() == [cli._g9(row).tolist() for row in x]
 
 
 class TestElectrode:
