@@ -333,8 +333,9 @@ def _build_parser() -> argparse.ArgumentParser:
 # keep-mask, picked by sign, layout and the number of significant digits,
 # sets every byte that '%.9g' does not write to NUL, and the writers drop
 # the NULs.
-_TENS = list(itertools.accumulate(range(160), lambda t, _: 10 * t, initial=1))  # exact
-_POW10 = np.array([1 / t for t in _TENS[:0:-1]] + [float(t) for t in _TENS])  # 1e-160..1e160
+_EXACT_POWERS = list(itertools.accumulate(range(160), lambda t, _: 10 * t, initial=1))
+# 1e-160..1e160, each correctly rounded: int -> float and int / int round once
+_POW10 = np.array([1 / t for t in _EXACT_POWERS[:0:-1]] + [float(t) for t in _EXACT_POWERS])
 _BYTE = np.eye(8, dtype=np.uint8).view(np.uint64).reshape(-1)  # [i]: the word with byte i = 1
 
 
