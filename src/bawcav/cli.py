@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import collections
 import csv
-import functools
 import io
 import itertools
 import json
@@ -254,58 +253,66 @@ COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--material", default=None, metavar="PATH",
-                        help="material file (default: bundled quartz constants)")
-    common.add_argument("--L", type=float, default=0.015, help="plate half-width (m)")
-    common.add_argument("--h0", type=float, default=5e-4, help="plate half-thickness (m)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--out", default="-", metavar="PATH", help="output file ('-' = stdout)")
-    eta = argparse.ArgumentParser(add_help=False)
-    eta.add_argument("--eta", type=float, default=None,
-                     help="override the trapping parameter (both axes)")
-    temp = argparse.ArgumentParser(add_help=False)
-    temp.add_argument("--temp-k", type=float, default=0.02, help="temperature (K)")
+# the flag groups commands share, each added to a parser or group of one
+def _common(p):
+    p.add_argument("--material", default=None, metavar="PATH",
+                   help="material file (default: bundled quartz constants)")
+    p.add_argument("--L", type=float, default=0.015, help="plate half-width (m)")
+    p.add_argument("--h0", type=float, default=5e-4, help="plate half-thickness (m)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", default="-", metavar="PATH", help="output file ('-' = stdout)")
 
-    def radius(container):
-        container.add_argument("--R", type=float, default=0.3, help="radius of curvature (m)")
 
-    curved = argparse.ArgumentParser(add_help=False)
-    radius(curved)
+def _radius(container):
+    container.add_argument("--R", type=float, default=0.3, help="radius of curvature (m)")
 
-    parser = argparse.ArgumentParser(
-        prog="bawcav",
-        description="Near-ground-state figures of curved phonon-trapping acoustic cavities.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # flags are spelled in full, so that --eta cannot stand for sweep's --eta-range
-    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = add("characterize", parents=[common, curved, eta, temp],
-                       help="single-mode characterization row")
+def _eta(p):
+    p.add_argument("--eta", type=float, default=None,
+                   help="override the trapping parameter (both axes)")
+
+
+def _temp(p):
+    p.add_argument("--temp-k", type=float, default=0.02, help="temperature (K)")
+
+
+def _characterize_flags(p):
+    _common(p)
+    _radius(p)
+    _eta(p)
+    _temp(p)
     p.add_argument("--n", type=int, default=1, help="overtone number (odd)")
     p.add_argument("--m", type=int, default=0, help="in-plane number along x (even)")
     p.add_argument("--p", type=int, default=0, help="in-plane number along y (even)")
 
-    p = add("sweep", parents=[common, temp],
-                       help="characterization grid over overtones and trapping/curvature")
+
+def _sweep_flags(p):
+    _common(p)
+    _temp(p)
     p.add_argument("--n", default="1", metavar="LIST", help="comma-separated odd overtones")
     p.add_argument("--m", type=int, default=0, help="in-plane number along x (even)")
     p.add_argument("--p", type=int, default=0, help="in-plane number along y (even)")
     p.add_argument("--eta-range", default=None, metavar="A:B:STEP")
     # --R sets the radius of an --eta-range sweep; an --R-range sweep has its own
     radii = p.add_mutually_exclusive_group()
-    radius(radii)
+    _radius(radii)
     radii.add_argument("--R-range", default=None, metavar="A:B:STEP")
 
-    p = add("electrode", parents=[common, curved, eta], help="optimal electrode sizing table")
+
+def _electrode_flags(p):
+    _common(p)
+    _radius(p)
+    _eta(p)
     p.add_argument("--n", default="7,37,227", metavar="LIST")
     p.add_argument("--mu-opt", type=float, default=MU_OPT_3SIGMA,
                    help="target overlap factor (default: 3-sigma coverage)")
 
-    p = add("membrane", parents=[common, curved, eta, temp],
-                       help="side-by-side comparison with a stressed membrane")
+
+def _membrane_flags(p):
+    _common(p)
+    _radius(p)
+    _eta(p)
+    _temp(p)
     p.add_argument("--n", type=int, default=227)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--p", type=int, default=0)
@@ -316,14 +323,49 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mem-m", type=int, default=1, help="membrane mode number m")
     p.add_argument("--mem-n", type=int, default=1, help="membrane mode number n")
 
-    p = add("paper-report", parents=[common, curved],
-                       help="check library output against published reference values")
+
+def _paper_report_flags(p):
+    _common(p)
+    _radius(p)
     p.add_argument("--variant-material", default=None, metavar="PATH",
                    help="piezoelectric material file for readout checks")
 
-    p = add("oracle", parents=[common, curved],
-                       help="run the brute-force validation suite")
+
+def _oracle_flags(p):
+    _common(p)
+    _radius(p)
     p.add_argument("--sets", type=int, default=20, help="random parameter sets (seeded, >= 1)")
+
+
+# each command's help line and the function that adds its flags
+_SUBPARSERS = {
+    "characterize": ("single-mode characterization row", _characterize_flags),
+    "sweep": ("characterization grid over overtones and trapping/curvature", _sweep_flags),
+    "electrode": ("optimal electrode sizing table", _electrode_flags),
+    "membrane": ("side-by-side comparison with a stressed membrane", _membrane_flags),
+    "paper-report": ("check library output against published reference values",
+                     _paper_report_flags),
+    "oracle": ("run the brute-force validation suite", _oracle_flags),
+}
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of only ``command`` if it names one.
+
+    A one-command parser names all the commands in its usage line, so that
+    its usage errors read as the full parser's do.
+    """
+    parser = argparse.ArgumentParser(
+        prog="bawcav",
+        description="Near-ground-state figures of curved phonon-trapping acoustic cavities.",
+    )
+    one = command in COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if one else None)
+    for name in [command] if one else COMMANDS:
+        help, add_flags = _SUBPARSERS[name]
+        # flags are spelled in full, so that --eta cannot stand for sweep's --eta-range
+        add_flags(sub.add_parser(name, help=help, allow_abbrev=False))
     return parser
 
 
@@ -544,7 +586,9 @@ def _json_text(table: Table, command: str):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         table = COMMANDS[args.command](args)
         if args.format == "csv":

@@ -5,7 +5,9 @@ safe for concurrent callers.  ``erf`` and ``erfc`` are input-checked
 wrappers of ``math.erf`` and ``math.erfc``; ``erfcx`` adds a continued
 fraction for the range where erfc underflows.  All three take a float or a
 numpy array and apply the ``math`` function to each element, so an array
-gives exactly the values of the one-element calls.
+gives exactly the values of the one-element calls; an array call to erf or
+erfc fills the tails where the ``math`` function is constant without
+calling it.
 
 One adaptive engine sits behind all three integrators: a one-dimensional
 Gauss-Kronrod (G7/K15) rule, with the Kronrod-Gauss difference as each
@@ -145,8 +147,29 @@ def _reject(x, ok, message: str):
         raise ValueError(f"{message}, got {float(np.ravel(x)[np.argmin(ok)])!r}")
 
 
-_ERF = _elementwise(math.erf)
-_ERFC = _elementwise(math.erfc)
+def _with_tails(fn: Callable[[float], float], lo: float, hi: float,
+                below: float, above: float) -> Callable:
+    # _elementwise(fn), for a fn that returns exactly the constant below at
+    # every x <= lo and above at every x >= hi: an array call runs fn only
+    # on the elements strictly between, and fills the rest
+    inner = _elementwise(fn)
+
+    def apply(x):
+        if isinstance(x, float):
+            return fn(x)
+        out = np.where(x <= lo, below, above)
+        inside = (x > lo) & (x < hi)
+        out[inside] = inner(x[inside])
+        return out
+
+    return apply
+
+
+# fdlibm's cut-offs, which glibc keeps: in double precision erf is exactly
+# -1.0 at x <= -6 and 1.0 at x >= 6, erfc exactly 2.0 at x <= -6 and 0.0 at
+# x >= 28
+_ERF = _with_tails(math.erf, -6.0, 6.0, -1.0, 1.0)
+_ERFC = _with_tails(math.erfc, -6.0, 28.0, 2.0, 0.0)
 _ERFCX = _elementwise(lambda x: math.exp(x * x) * math.erfc(x) if x < 2.0 else _erfcx_cf(x))
 
 

@@ -625,13 +625,71 @@ def test_flag_a_command_does_not_read_is_a_usage_error(command, flag):
     assert exc.value.code == 2
 
 
+def _subparser(parser, command):
+    return next(a for a in parser._actions if a.dest == "command").choices[command]
+
+
+def _flag_specs(parser):
+    # each flag as argparse holds it, and the flags it excludes
+    return ([(a.option_strings, a.dest, a.default, a.type, a.choices, a.metavar, a.help)
+             for a in parser._actions],
+            [[a.option_strings for a in g._group_actions]
+             for g in parser._mutually_exclusive_groups])
+
+
 @pytest.mark.parametrize("command", FLAGS)
 def test_each_command_takes_exactly_its_flags(command):
-    from bawcav.cli import _build_parser
-
-    sub = next(a for a in _build_parser()._actions if a.dest == "command")
-    options = {o for a in sub.choices[command]._actions for o in a.option_strings}
+    full = _subparser(cli._build_parser(), command)
+    options = {o for a in full._actions for o in a.option_strings}
     assert options - {"-h", "--help"} == set(FLAGS[command])
+    # the one-command parser main builds holds the very same flags
+    assert _flag_specs(_subparser(cli._build_parser(command), command)) == _flag_specs(full)
+    assert _flag_specs(full)[1] == ([[["--R"], ["--R-range"]]] if command == "sweep" else [])
+
+
+# usage errors and help of every kind: main builds only the parser of the
+# command argv[0] names, and must print what the parser of every command does
+PARSER_ARGVS = [
+    [], ["--help"], ["nosuch"],
+    *([command, "--help"] for command in FLAGS),
+    ["sweep", "--bogus", "1"], ["sweep", "--eta", "1"], ["characterize", "--n", "x"],
+    ["sweep", "--R", "1", "--R-range", "1:2:1"], ["oracle", "--sets", "x"],
+    ["characterize", "--temp", "1"],
+]
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_one_command_parser_prints_as_the_full_parser(monkeypatch, argv):
+    got = _main_output(argv)
+    full_parser = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full_parser())
+    assert got == _main_output(argv)
+    assert got[0] in (0, 2)
+
+
+def test_main_builds_only_the_parser_it_runs(monkeypatch, tmp_path):
+    built = []
+    build = cli._build_parser
+
+    def spy(command=None):
+        built.append(build(command))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    out = str(tmp_path / "grid.csv")
+    assert main(["sweep", "--n", "1", "--eta-range", "1:2:1", "--out", out]) == 0
+    assert [list(next(a for a in p._actions if a.dest == "command").choices)
+            for p in built] == [["sweep"]]
 
 
 # SHA-256 of stdout for the README commands; the output contract is

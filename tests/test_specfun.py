@@ -19,7 +19,7 @@ from bawcav.specfun import (
     integrate_intervals,
 )
 from bawcav import specfun
-from bawcav.specfun import _elementwise
+from bawcav.specfun import _elementwise, _with_tails
 
 TIGHT = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300, max_depth=40)
 
@@ -68,6 +68,53 @@ class TestErf:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError):
             erf(bad)
+
+
+# erf and erfc, each bound past which an array call fills a constant, and
+# that constant; the bound itself is in the tail
+TAILS = [
+    (math.erf, -6.0, -1.0, -1),
+    (math.erf, 6.0, 1.0, 1),
+    (math.erfc, -6.0, 2.0, -1),
+    (math.erfc, 28.0, 0.0, 1),
+]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestErfTails:
+    @pytest.mark.parametrize("fn, bound, constant, side", TAILS)
+    def test_libm_is_the_constant_beyond_each_bound(self, fn, bound, constant, side):
+        # dense beyond the bound, then out to the largest double
+        beyond = np.concatenate([np.linspace(abs(bound), abs(bound) + 2.0, 200_001),
+                                 np.geomspace(abs(bound) + 2.0, 1e308, 20_001),
+                                 [np.nextafter(abs(bound), np.inf), np.finfo(float).max]])
+        assert {fn(v) for v in (side * beyond).tolist()} == {constant}
+
+    @pytest.mark.parametrize("fn", [erf, erfc])
+    def test_array_call_is_each_element_call_bit_for_bit(self, fn):
+        edges = [-0.0, 0.0, 1e308, -1e308, 28.0, -28.0]
+        for bound in (6.0, -6.0, 28.0):
+            edges += [bound, np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf)]
+        x = np.concatenate([edges, np.linspace(-40.0, 40.0, 8001)])
+        assert _bits(fn(x)) == _bits([fn(float(v)) for v in x.tolist()])
+        transposed = fn(x.reshape(-1, 3).T)  # a strided view keeps its shape
+        assert transposed.shape == (3, x.size // 3)
+        assert _bits(transposed.T.ravel()) == _bits(fn(x))
+
+    def test_function_runs_only_strictly_inside(self):
+        seen = []
+
+        def fn(v):
+            seen.append(v)
+            return 0.5
+
+        x = np.array([-7.0, -6.0, -5.9, 0.0, 27.9, 28.0, 1e300])
+        got = _with_tails(fn, -6.0, 28.0, 2.0, 0.0)(x)
+        assert seen == [-5.9, 0.0, 27.9]
+        assert got.tolist() == [2.0, 2.0, 0.5, 0.5, 0.5, 0.0, 0.0]
 
 
 class TestErfInv:
