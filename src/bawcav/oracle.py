@@ -61,6 +61,11 @@ _TAIL_DECAY_LENGTHS = 10.0
 # (2j^2 + 2j + 1) h^2 / (16 (2j + 1)), to within 3.9e-11, 1.2e-10, 2.7e-10
 # and 5.1e-10 for j = 0..3, some 20 times inside the +-1e-8 bracket whose
 # Sturm counts confirm it, and inverse iteration is shifted to that level.
+# The grid and the potential are symmetric about the centre point, so the
+# even eigenvectors (j = 0, 2) are solved on the 801 points from the centre
+# on and the odd ones (j = 1, 3) on the 800 past it, the centre being their
+# node: three half-grid Sturm counts confirm each bracket, and one half-grid
+# factorisation serves its inverse iteration.
 _GRID_POINTS = 1601
 _DOMAIN_SIGMA = 8.0  # half-width in units of the envelope sigma
 _EIGENPAIRS = 4
@@ -86,9 +91,11 @@ class TrapEigenResult:
     ``lambdas`` are operator eigenvalues, the in-plane part of rho omega^2
     (``trap_eigensolve``), ``vectors`` the grid eigenfunctions (one column
     each, peak-normalized, positive at the grid point just right of the
-    centre).  The work behind each eigenpair, beside the two Sturm counts
-    that confirm its bracket: ``inverse_iterations``, and in ``residuals``
-    the relative residual ||A v - lambda v|| / |lambda| it stopped at.
+    centre; each even vector is mirror-symmetric about the centre, each
+    odd one antisymmetric with a node there).  The work behind each
+    eigenpair, beside the three half-grid Sturm counts that confirm its
+    bracket: ``inverse_iterations``, and in ``residuals`` the relative
+    residual ||A v - lambda v|| / |lambda| it stopped at.
     """
 
     x: np.ndarray
@@ -213,16 +220,19 @@ def overlap_integral_oracle(
 # finite-difference eigensolver for the in-plane trap
 # ---------------------------------------------------------------------------
 
-def _sturm_count(shifted: list[float], off2: float, pivmin: float) -> int:
+def _sturm_count(shifted: list[float], off2: float, pivmin: float, first: float) -> int:
     # number of eigenvalues below the shift of the symmetric tridiagonal
-    # matrix whose shifted diagonal is given, by the sign count of its LDL^T
-    # pivots, a pivot within pivmin of 0 taken as -pivmin; Python floats, as
-    # numpy scalars cost several times more per step
+    # matrix whose shifted diagonal is given and whose squared off-diagonal
+    # is off2, but first * off2 between rows 0 and 1, by the sign count of
+    # its LDL^T pivots, a pivot within pivmin of 0 taken as -pivmin; first
+    # is 1 or 2, so dividing the first pivot by it is exact.  Python
+    # floats, as numpy scalars cost several times more per step
     neg_pivmin = -pivmin
     d = shifted[0]
     if neg_pivmin < d < pivmin:
         d = neg_pivmin
     count = 1 if d < 0.0 else 0
+    d /= first
     for a in itertools.islice(shifted, 1, None):
         d = a - off2 / d
         if d < pivmin:  # negative once a tiny pivot is replaced
@@ -232,19 +242,21 @@ def _sturm_count(shifted: list[float], off2: float, pivmin: float) -> int:
     return count
 
 
-def _thomas_factor(diag: list[float], off: float) -> tuple[list[float], list[float]]:
+def _thomas_factor(diag: list[float], off: float, first: float) -> tuple[list[float], list[float]]:
     # forward pivots and multipliers of the tridiagonal matrix with the given
-    # diagonal and constant off-diagonal, no pivoting (the shifted systems
-    # here are diagonally dominated away from exact eigenvalues); they
-    # depend on the shift only, so one factorisation serves every solve
-    pivots = [diag[0]]
-    mults = [off / diag[0]]
+    # diagonal and constant off-diagonal, but first * off from row 0 to row
+    # 1, no pivoting (the shifted systems here are diagonally dominated away
+    # from exact eigenvalues); they depend on the shift only, so one
+    # factorisation serves every solve
+    m = first * off / diag[0]
+    pivots, mults = [diag[0]], [m]
     for a in itertools.islice(diag, 1, None):
-        denom = a - off * mults[-1]
+        denom = a - off * m
         if denom == 0.0:
             denom = 1e-300
+        m = off / denom
         pivots.append(denom)
-        mults.append(off / denom)
+        mults.append(m)
     return pivots, mults
 
 
@@ -252,14 +264,25 @@ def _thomas_solve(factors: tuple[list[float], list[float]], off: float, rhs: lis
     # the solve with a _thomas_factor factorisation: forward sweep, then
     # back substitution
     pivots, mults = factors
-    d = [rhs[0] / pivots[0]]
+    y = rhs[0] / pivots[0]
+    d = [y]
     for p, r in zip(itertools.islice(pivots, 1, None), itertools.islice(rhs, 1, None)):
-        d.append((r - off * d[-1]) / p)
-    x = [d[-1]]
+        y = (r - off * y) / p
+        d.append(y)
+    x = [y]
     for ci, di in zip(reversed(mults[:-1]), reversed(d[:-1])):
-        x.append(di - ci * x[-1])
+        y = di - ci * y
+        x.append(y)
     x.reverse()
     return np.array(x)
+
+
+def _mirror(half: np.ndarray, parity: int) -> np.ndarray:
+    # the whole-grid vector of the given parity whose values from the centre
+    # on (even) or past it (odd, with a node at the centre) are half
+    if parity == 0:
+        return np.concatenate((half[:0:-1], half))
+    return np.concatenate((-half[::-1], [0.0], half))
 
 
 def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEigenResult:
@@ -283,10 +306,23 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
     eigenvector and, as its Rayleigh quotient, the eigenvalue.  The
     iteration starts from the harmonic eigenvector exp(-s^2/2) H_j(s), s
     the grid in envelope widths, and stops after one step at every
-    geometry tried.  Raises EigensolveConvergenceError when a bracket or
-    the residual bound is not reached, and OverflowError or
-    FloatingPointError, naming R and h0, when 8 R h0^3, k or (M / h^2)^2
-    leaves the normal double range.
+    geometry tried.
+
+    The grid and the potential are symmetric about the centre point, so
+    eigenpair j is solved on the half-grid block of its parity: the even
+    block, the centre and the 800 points right of it, whose centre row
+    couples to its neighbour with 2 off (the mirror image's coupling added
+    in), and the odd block, the 800 points right of the centre, whose node
+    the centre is.  The counts at a bracket end are the sum of the two
+    blocks' counts.  The other parity's count at the lower end lies
+    between its counts at the previous pair's upper end and this pair's,
+    as a computed Sturm count is monotone in the shift (Demmel, Dhillon
+    and Ren, ETNA 3, 1995), so it is computed only when those two differ.
+    The solved half is mirrored onto the whole grid by its parity.
+
+    Raises EigensolveConvergenceError when a bracket or the residual bound
+    is not reached, and OverflowError or FloatingPointError, naming R and
+    h0, when 8 R h0^3, k or (M / h^2)^2 leaves the normal double range.
     """
     _, c_hat = stiffened_constants(mat, n)
     m_n, _ = dispersion_parameters(mat, n)
@@ -296,6 +332,9 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
     sigma = 1.0 / math.sqrt(gamma)
 
     npts = _GRID_POINTS
+    if npts % 2 == 0:
+        raise ValueError(f"the trap grid has no centre point to split at: {npts} points, an even number")
+    centre = npts // 2
     half_width = _DOMAIN_SIGMA * sigma
     h = 2.0 * half_width / (npts + 1)
     off = -m_n / (h * h)
@@ -306,6 +345,15 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
     scale = float(np.max(np.abs(diag)) + 2.0 * abs(off))
     pivmin = 1e-14 * scale
 
+    # parity p's block starts at the centre + p; the even block's centre
+    # row couples to its neighbour with 2 off.  The blocks take the right
+    # half's diagonal, which the left half's mirrors up to rounding in x
+    starts = (centre, centre + 1)
+    firsts = (2.0, 1.0)
+
+    def count(p: int, end: float) -> int:
+        return _sturm_count((diag[starts[p]:] - end).tolist(), off2, pivmin, firsts[p])
+
     # the 3-point stencil's level of eigenvalue j is its harmonic level
     # (2j + 1) sqrt(k M) lowered by the stencil's leading error term
     level = math.sqrt(k_pot * m_n)
@@ -313,25 +361,32 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
     x_sigma = -_DOMAIN_SIGMA + h_sigma * np.arange(1, npts + 1)  # the grid in units of sigma
     vectors = np.empty((npts, _EIGENPAIRS))
     lambdas, iterations, residuals = [], [], []
+    upper = [0, 0]  # each block's count at the previous pair's upper bracket end
     for j in range(_EIGENPAIRS):
+        p, q = j % 2, 1 - j % 2
+        start = starts[p]
         stencil = (2 * j + 1) * level * (1.0 - (2 * j * j + 2 * j + 1) * h_sigma**2 / (16 * (2 * j + 1)))
-        counts = [_sturm_count((diag - end).tolist(), off2, pivmin)
-                  for end in (stencil * (1.0 - 1e-8), stencil * (1.0 + 1e-8))]
+        lo, hi = stencil * (1.0 - 1e-8), stencil * (1.0 + 1e-8)
+        own = count(p, lo), count(p, hi)
+        other_hi = count(q, hi)
+        other_lo = upper[q] if upper[q] == other_hi else count(q, lo)
+        counts = [own[0] + other_lo, own[1] + other_hi]
         if counts != [j, j + 1]:
             raise EigensolveConvergenceError(
                 f"eigenvalue {j} is not alone within 1e-8 of its stencil level {where}"
                 f" (Sturm counts {counts[0]} and {counts[1]})",
                 math.inf,
             )
-        factors = _thomas_factor((diag - stencil).tolist(), off)
+        upper[p], upper[q] = own[1], other_hi
+        factors = _thomas_factor((diag[start:] - stencil).tolist(), off, firsts[p])
         # start from the harmonic eigenvector, in units of sigma so that it
         # is representable at any geometry
-        v = hermite_gaussian_1d(j, 1.0, x_sigma)
+        v = _mirror(hermite_gaussian_1d(j, 1.0, x_sigma[start:]), p)
         residual = math.inf
         for it in range(1, 61):
-            for q in range(j):  # deflation
-                v -= (vectors[:, q] @ v) * vectors[:, q]
-            w = _thomas_solve(factors, off, v.tolist())
+            for r in range(p, j, 2):  # deflation; the other parity's are orthogonal
+                v -= (vectors[:, r] @ v) * vectors[:, r]
+            w = _mirror(_thomas_solve(factors, off, v[start:].tolist()), p)
             v = w / np.linalg.norm(w)
             av = diag * v
             av[:-1] += off * v[1:]
@@ -344,8 +399,8 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
             raise EigensolveConvergenceError(
                 f"eigenpair {j} stalled at relative residual {residual:.3e} {where}", residual
             )
-        # not signed at the centre: a node of each odd vector, rounding noise
-        if v[npts // 2 + 1] < 0:
+        # not signed at the centre: a node of each odd vector
+        if v[centre + 1] < 0:
             v = -v
         vectors[:, j] = v / np.max(np.abs(v))
         lambdas.append(rayleigh)

@@ -151,14 +151,17 @@ def _with_tails(fn: Callable[[float], float], lo: float, hi: float,
                 below: float, above: float) -> Callable:
     # _elementwise(fn), for a fn that returns exactly the constant below at
     # every x <= lo and above at every x >= hi: an array call runs fn only
-    # on the elements strictly between, and fills the rest
+    # on the elements strictly between, and fills the rest; with no element
+    # in a tail it is the _elementwise call itself
     inner = _elementwise(fn)
 
     def apply(x):
         if isinstance(x, float):
             return fn(x)
-        out = np.where(x <= lo, below, above)
         inside = (x > lo) & (x < hi)
+        if inside.all():
+            return inner(x)
+        out = np.where(x <= lo, below, above)
         out[inside] = inner(x[inside])
         return out
 

@@ -327,11 +327,10 @@ def test_gaussian_curvature_fit_is_scale_free(k):
     assert fit_gaussian_curvature(np.ldexp(x, k), v) == pytest.approx(math.ldexp(g, -2 * k), rel=1e-12)
 
 
-def reference_eigensolve(mat, geo, n):
-    # independent reference for trap_eigensolve: each eigenvalue bisected
-    # to 1e-14 from the whole spectrum's bounds, one Sturm count per step,
-    # inverse iteration shifted just above it, and the Thomas sweep on
-    # numpy arrays element by element
+def solver_grid(mat, geo, n):
+    # trap_eigensolve's whole grid, written out: the operator's diagonal and
+    # off-diagonal, the scale its Sturm counts take pivmin from, and the
+    # harmonic level sqrt(k M)
     _, c_hat = stiffened_constants(mat, n)
     m_n, _ = dispersion_parameters(mat, n)
     k_pot = math.pi**2 * n**2 * c_hat / (8.0 * geo.R * geo.h0**3)
@@ -343,16 +342,29 @@ def reference_eigensolve(mat, geo, n):
     off = -m_n / (h * h)
     diag = 2.0 * m_n / (h * h) + k_pot * x * x
     scale = float(np.max(np.abs(diag)) + 2.0 * abs(off))
-    pivmin = 1e-14 * scale
+    return diag, off, scale, math.sqrt(k_pot * m_n)
 
-    def count(shift):
-        below = 0
-        for i in range(npts):
-            d = diag[0] - shift if i == 0 else (diag[i] - shift) - off * off / d
-            if abs(d) < pivmin:
-                d = -pivmin
-            below += d < 0.0
-        return below
+
+def reference_sturm_count(shifted, off2, pivmin, first=1.0):
+    # eigenvalues below the shift, one LDL^T pivot at a time, the squared
+    # coupling of rows 0 and 1 being first * off2
+    count = 0
+    for i, a in enumerate(shifted):
+        d = a if i == 0 else a - (first * off2 if i == 1 else off2) / d
+        if abs(d) < pivmin:
+            d = -pivmin
+        count += d < 0.0
+    return count
+
+
+def reference_eigensolve(mat, geo, n):
+    # independent reference for trap_eigensolve: each eigenvalue bisected
+    # to 1e-14 from the whole spectrum's bounds, one Sturm count per step,
+    # inverse iteration shifted just above it, and the Thomas sweep on
+    # numpy arrays element by element, all on the whole grid
+    diag, off, scale, _ = solver_grid(mat, geo, n)
+    npts = len(diag)
+    pivmin = 1e-14 * scale
 
     def thomas(dg, rhs):
         c, d, out = np.empty(npts), np.empty(npts), np.empty(npts)
@@ -373,7 +385,7 @@ def reference_eigensolve(mat, geo, n):
         lo, hi = float(np.min(diag)) - 2.0 * abs(off), scale
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if count(mid) <= j else (lo, mid)
+            lo, hi = (mid, hi) if reference_sturm_count(diag - mid, off * off, pivmin) <= j else (lo, mid)
             if hi - lo <= 1e-14 * max(abs(lo), abs(hi)):
                 break
         lam = 0.5 * (lo + hi)
@@ -423,18 +435,84 @@ class TestEigensolveWork:
         calls = []
         sturm_count = oracle._sturm_count
 
-        def counting(shifted, off2, pivmin):
-            calls.append(1)
-            return sturm_count(shifted, off2, pivmin)
+        def counting(shifted, off2, pivmin, first):
+            calls.append((len(shifted), first))
+            return sturm_count(shifted, off2, pivmin, first)
 
         monkeypatch.setattr(oracle, "_sturm_count", counting)
         res = trap_eigensolve(QUARTZ, geo, 1)
         k = oracle._EIGENPAIRS
         assert all(len(s) == k for s in (res.inverse_iterations, res.residuals))
-        # the two counts that confirm each eigenvalue's bracket, no others
-        assert len(calls) == 2 * k
+        # the three half-grid counts that confirm each eigenvalue's bracket,
+        # no others: its own block's at both ends and the other block's at
+        # the upper end, the lower one being pinned by the previous pair's
+        assert len(calls) == 3 * k
+        assert calls.count((801, 2.0)) == calls.count((800, 1.0)) == 3 * k // 2
         assert all(1 <= i <= 60 for i in res.inverse_iterations)
         assert all(0.0 < r <= oracle._RESIDUAL_TOL for r in res.residuals)
+
+    @pytest.mark.parametrize("geo", SOLVER_GEOMETRIES)
+    def test_vectors_have_the_parity_of_their_block(self, geo):
+        # each vector is mirrored from its half-grid block: even ones
+        # bitwise mirror-symmetric, odd ones bitwise antisymmetric with an
+        # exact 0 at the centre
+        res = trap_eigensolve(QUARTZ, geo, 1)
+        c = len(res.x) // 2
+        for j in range(res.vectors.shape[1]):
+            v = res.vectors[:, j]
+            left = v[:c][::-1].tobytes()
+            if j % 2 == 0:
+                assert left == v[c + 1:].tobytes()
+            else:
+                assert left == (-v[c + 1:]).tobytes()
+                assert v[c] == 0.0
+
+    @pytest.mark.parametrize("geo", SOLVER_GEOMETRIES)
+    def test_block_counts_add_up_to_the_whole_grid_count(self, geo):
+        # the even block (the centre on, its first coupling doubled) and the
+        # odd one (past the centre) split the whole grid's spectrum: their
+        # counts add up to the whole grid's at seeded shifts over the four
+        # solved levels, each kept 1e-6 away from every stencil level, and
+        # at every bracket end the solve confirms
+        diag, off, scale, level = solver_grid(QUARTZ, geo, 1)
+        pivmin = 1e-14 * scale
+        c = len(diag) // 2
+        h = 16.0 / 1602.0
+        stencils = [(2 * j + 1) * level * (1.0 - (2 * j * j + 2 * j + 1) * h * h / (16.0 * (2 * j + 1)))
+                    for j in range(4)]
+        rng = np.random.default_rng(21)
+        shifts = [s for s in rng.uniform(0.0, 8.0 * level, 40)
+                  if all(abs(s / t - 1.0) >= 1e-6 for t in stencils)][:16]
+        ends = [t * (1.0 + e) for t in stencils for e in (-1e-8, 1e-8)]
+        for shift in shifts + ends:
+            halves = (oracle._sturm_count((diag[c:] - shift).tolist(), off * off, pivmin, 2.0)
+                      + oracle._sturm_count((diag[c + 1:] - shift).tolist(), off * off, pivmin, 1.0))
+            assert halves == reference_sturm_count(diag - shift, off * off, pivmin)
+        assert len(shifts) == 16
+
+    def test_lower_count_is_computed_when_the_other_block_moved(self, monkeypatch):
+        # the even block is given a copy of each odd eigenvalue 1.5 sqrt(k M)
+        # lower, so lambda_1's copy lies between pair 0's bracket and pair
+        # 1's: the even count at pair 1's lower end is then 2, not the 1 of
+        # pair 0's upper end, and the solve must count it rather than infer it
+        sturm_count = oracle._sturm_count
+
+        def with_copies(shifted, off2, pivmin, first):
+            count = sturm_count(shifted, off2, pivmin, first)
+            if first == 2.0:
+                drop = 1.5 * math.sqrt(off2) * (16.0 / 1602.0) ** 2
+                count += sturm_count([a - drop for a in shifted[1:]], off2, pivmin, 1.0)
+            return count
+
+        monkeypatch.setattr(oracle, "_sturm_count", with_copies)
+        with pytest.raises(EigensolveConvergenceError, match=r"eigenvalue 1 is not alone.*\(Sturm counts 2 and 3\)"):
+            trap_eigensolve(QUARTZ, GEO, 1)
+
+    def test_even_grid_raises(self, monkeypatch):
+        # an even grid has no centre point to split the blocks at
+        monkeypatch.setattr(oracle, "_GRID_POINTS", 1600)
+        with pytest.raises(ValueError, match="no centre point"):
+            trap_eigensolve(QUARTZ, GEO, 1)
 
     @pytest.mark.parametrize("R,h0", [(GEO.R, GEO.h0), (GEO.L, GEO.h0), (1e3, 1e-6), (1.0, 1e-30), (1e200, 1e-30)])
     @pytest.mark.parametrize("n", [1, 3, 227])
@@ -448,21 +526,15 @@ class TestEigensolveWork:
         assert all(r <= 1e-9 for r in res.residuals)
 
     def test_sturm_count_takes_tiny_pivots_as_minus_pivmin(self):
-        def reference(shifted, off2, pivmin):
-            count = 0
-            for i, a in enumerate(shifted):
-                d = a if i == 0 else a - off2 / d
-                if abs(d) < pivmin:
-                    d = -pivmin
-                count += d < 0.0
-            return count
-
         pivmin = 1e-3
         # with off2 = 0 each pivot is its diagonal entry, so the entries
-        # below hit the pivmin boundary exactly
+        # below hit the pivmin boundary exactly; first = 2 is the even
+        # block's doubled coupling of rows 0 and 1
         values = [-2.0, -pivmin, -0.5 * pivmin, -0.0, 0.0, 0.5 * pivmin, pivmin, 2.0]
         rng = np.random.default_rng(3)
-        for off2 in (0.0, 0.5, 3.0):
+        for off2, first in itertools.product((0.0, 0.5, 3.0), (1.0, 2.0)):
             for _ in range(200):
                 shifted = rng.choice(values, 12).tolist()
-                assert oracle._sturm_count(shifted, off2, pivmin) == reference(shifted, off2, pivmin)
+                assert oracle._sturm_count(shifted, off2, pivmin, first) == reference_sturm_count(
+                    shifted, off2, pivmin, first
+                )

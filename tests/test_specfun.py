@@ -103,6 +103,11 @@ class TestErfTails:
         transposed = fn(x.reshape(-1, 3).T)  # a strided view keeps its shape
         assert transposed.shape == (3, x.size // 3)
         assert _bits(transposed.T.ravel()) == _bits(fn(x))
+        # with no element in a tail, and with no element at all
+        inside = np.linspace(-5.9, 5.9, 199)
+        assert _bits(fn(inside)) == _bits([fn(float(v)) for v in inside.tolist()])
+        assert _bits(fn(inside[:198].reshape(-1, 2).T).T.ravel()) == _bits(fn(inside[:198]))
+        assert fn(np.empty((0, 2))).shape == (0, 2)
 
     def test_function_runs_only_strictly_inside(self):
         seen = []
