@@ -483,12 +483,12 @@ class TestEigensolveWork:
         rng = np.random.default_rng(21)
         shifts = [s for s in rng.uniform(0.0, 8.0 * level, 40)
                   if all(abs(s / t - 1.0) >= 1e-6 for t in stencils)][:16]
+        assert len(shifts) == 16
         ends = [t * (1.0 + e) for t in stencils for e in (-1e-8, 1e-8)]
         for shift in shifts + ends:
             halves = (oracle._sturm_count((diag[c:] - shift).tolist(), off * off, pivmin, 2.0)
                       + oracle._sturm_count((diag[c + 1:] - shift).tolist(), off * off, pivmin, 1.0))
             assert halves == reference_sturm_count(diag - shift, off * off, pivmin)
-        assert len(shifts) == 16
 
     def test_lower_count_is_computed_when_the_other_block_moved(self, monkeypatch):
         # the even block is given a copy of each odd eigenvalue 1.5 sqrt(k M)
