@@ -371,10 +371,11 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
 
 # '%.9g' % v of doubles as fixed-width records of 32 bytes, four 8-byte
 # words: '-0.000' and the first significant digit, the next eight digits,
-# each followed by '.', and 'e', the exponent's sign and three digits.  A
+# each followed by '.', 'e', the exponent's sign and three digits, and the
+# '.0' that repr, and so json.dumps, writes after a whole number.  A
 # keep-mask, picked by sign, layout and the number of significant digits,
-# sets every byte that '%.9g' does not write to NUL, and the writers drop
-# the NULs.
+# sets every byte that '%.9g' (or json.dumps) does not write to NUL, and
+# the writer drops the NULs.
 _EXACT_POWERS = list(itertools.accumulate(range(160), lambda t, _: 10 * t, initial=1))
 # 1e-160..1e160, each correctly rounded: int -> float and int / int round once
 _POW10 = np.array([1 / t for t in _EXACT_POWERS[:0:-1]] + [float(t) for t in _EXACT_POWERS])
@@ -397,15 +398,16 @@ _QUAD_ZEROS = np.where(_ONES_DIGIT + _TENS_DIGIT == 0, 2 + _PAIR_ZEROS[:, None],
 _LEADS = _words(b"-0.0000.", {6: np.arange(10)})
 _EXP_MAX = 330  # beyond the decimal exponents of doubles, -324..308
 _EXP = np.arange(-_EXP_MAX, _EXP_MAX + 1)
-_EXPS = _words(b"e+000\0\0\0", {1: 2 * (_EXP < 0), 2: abs(_EXP) // 100,  # '-' is '+' + 2
+_EXPS = _words(b"e+000\0.0", {1: 2 * (_EXP < 0), 2: abs(_EXP) // 100,  # '-' is '+' + 2
                                   3: abs(_EXP) // 10 % 10, 4: abs(_EXP) % 10})
 _LAYOUTS = 15  # fixed with exponent -4..8, exponent form with 2 or 3 digits
 _LAYOUT_KEYS = 9 * np.where((_EXP >= -4) & (_EXP < 9), _EXP + 4, np.where(abs(_EXP) < 100, 13, 14))
 
 
-def _keep_masks() -> np.ndarray:
+def _keep_masks() -> tuple[np.ndarray, np.ndarray]:
     # [sign * 9 * _LAYOUTS + 9 * layout + significant digits - 1] -> 32
-    # bytes, 0xFF where '%.9g' writes the record's byte
+    # bytes, 0xFF where '%.9g' writes the record's byte; and the same for
+    # JSON, which also keeps the '.0' of records with neither '.' nor 'e'
     layout, digits = np.ix_(range(_LAYOUTS), range(1, 10))
     exp, fixed = layout - 4, layout < 13  # the exponent of a fixed layout
     shown = np.where(fixed, np.maximum(digits, exp + 1), digits)  # digits before the 'e'
@@ -416,22 +418,32 @@ def _keep_masks() -> np.ndarray:
     keep[..., 6:24:2] = np.arange(1, 10) <= shown[..., None]
     keep[..., 7:24:2] = (np.arange(1, 10) == point[..., None]) & (digits > point)[..., None]
     keep[..., 24:29] = (~fixed & ((np.arange(24, 29) != 26) | (layout == 14)))[:, None]
-    return (keep * np.uint8(0xFF)).reshape(-1, 32).view(np.uint64)
+    finished = keep.copy()
+    finished[..., 30:32] = ~keep[..., [2, *range(7, 24, 2), 24]].any(-1, keepdims=True)  # '.', 'e'
+    return tuple((k * np.uint8(0xFF)).reshape(-1, 32).view(np.uint64) for k in (keep, finished))
 
 
-_KEEP = _keep_masks()
+_KEEP, _KEEP_JSON = _keep_masks()
 
 
-def _g9(x) -> np.ndarray:
-    """'%.9g' % v of each element v of x, as NUL-padded bytes (dtype S32).
+def _g9(x, as_json: bool) -> np.ndarray:
+    """'%.9g' % v of each element v of x, or with as_json the text
+    json.dumps writes for v rounded to nine digits, as NUL-padded bytes
+    (dtype S32).
 
     The digits come from s = |v| 10**(8 - e), rounded, where e is the
     floor of log10 |v|; the two powers of ten that make 10**(8 - e) are
     each correctly rounded, so s is off by at most four roundings, below
     4.5e-7.  Where that could decide the rounding, because s lies within
     1e-6 of a tie, and for non-finite and subnormal values, Python's '%'
-    makes the cell.  Where log10 rounds across a power of ten, v lies
-    within 1e-15 of it, and s rounds to 1e8 or 1e9: both are that power.
+    (or _json_value) makes the cell.  Where log10 rounds across a power of
+    ten, v lies within 1e-15 of it, and s rounds to 1e8 or 1e9: both are
+    that power.
+
+    json.dumps writes the digits of '%.9g' in its layout, with '.0' after a
+    whole number, but for non-finite values, subnormals, whose repr has
+    fewer digits, and |v| >= 1e8, where repr writes up to 1e16 without an
+    exponent: _json_value makes those cells.
     """
     x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1)
@@ -439,11 +451,14 @@ def _g9(x) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # NaN is not normal
         normal = (mag >= sys.float_info.min) & (mag <= sys.float_info.max)
     zero = mag == 0.0
+    redo = ~(normal | zero)
     mag = np.where(normal, mag, 1.0)
+    if as_json:
+        redo |= mag >= 1e8
     exp = np.floor(np.log10(mag)).astype(np.intp)
     k = 8 - exp
     s = mag * np.take(_POW10, 160 + k // 2) * np.take(_POW10, 160 + k - k // 2)
-    unsure = np.flatnonzero(~(normal | zero) | (np.abs(s - np.floor(s) - 0.5) < 1e-6))
+    redo = np.flatnonzero(redo | (np.abs(s - np.floor(s) - 0.5) < 1e-6))
     r = np.rint(s)
     carry = r >= 1e9  # 999999999.5 and up round to the next decade
     exp = np.where(zero, 0, exp + carry) + _EXP_MAX  # as an index of _EXPS
@@ -456,22 +471,23 @@ def _g9(x) -> np.ndarray:
     words[:, 1] = np.take(_QUADS, mid)
     words[:, 2] = np.take(_QUADS, low)
     words[:, 3] = np.take(_EXPS, exp)
-    words &= np.take(_KEEP, key, axis=0)
+    words &= np.take(_KEEP_JSON if as_json else _KEEP, key, axis=0)
     cells = words.view("S32")[:, 0]
-    for i in unsure.tolist():
-        cells[i] = b"%.9g" % flat[i]
+    for i in redo.tolist():
+        v = flat[i].item()
+        cells[i] = _json_value(v).encode() if as_json else b"%.9g" % v
     return cells.reshape(x.shape)
 
 
-def _records(columns: list) -> list:
-    # each column's cells: an integer column's %d, and '%.9g' of all the
+def _records(columns: list, as_json: bool) -> list:
+    # each column's cells: an integer column's %d, and those of all the
     # other columns from one _g9 call
     floats = [c for c in columns if c.dtype.kind not in "iu"]
-    made = iter(_g9(np.stack(floats, axis=-1)).T if floats else ())
+    made = iter(_g9(np.stack(floats, axis=-1), as_json).T if floats else ())
     return [c.astype("S") if c.dtype.kind in "iu" else next(made) for c in columns]
 
 
-def _cell_chunks(table: Table):
+def _cell_chunks(table: Table, as_json: bool):
     """Each block, with the cells of its array columns BLOCK_ROWS rows at a
     time: (block, first row, records per array column).
 
@@ -487,18 +503,20 @@ def _cell_chunks(table: Table):
         arrays = [v for v in block if isinstance(v, np.ndarray)]
         for a in arrays:
             if counts[id(a)] > 1 and id(a) not in shared:
-                shared[id(a)] = _records([a])[0]
+                shared[id(a)] = _records([a], as_json)[0]
         own = [a for a in arrays if id(a) not in shared]
         for lo in range(0, len(arrays[0]) if arrays else 1, BLOCK_ROWS):
             hi = lo + BLOCK_ROWS
-            made = iter(_records([a[lo:hi] for a in own]))
+            made = iter(_records([a[lo:hi] for a in own], as_json))
             yield block, lo, [shared[id(a)][lo:hi] if id(a) in shared else next(made)
                               for a in arrays]
 
 
 def _rows(texts: list[bytes], cells: list) -> str:
     # one row per record: texts[0], cells[0], texts[1], ..., cells[-1],
-    # texts[-1], with the records' NULs dropped
+    # texts[-1], with the records' NULs dropped; without cells, one row
+    if not cells:
+        return texts[0].decode()
     parts = [p for pair in zip(texts, cells + [b""]) for p in pair if len(p)]  # no empty field
     rows = np.empty(len(cells[0]),
                     [(f"f{i}", f"S{len(p) if isinstance(p, bytes) else p.dtype.itemsize}")
@@ -514,29 +532,18 @@ def _csv_line(fields) -> str:
     return buf.getvalue()
 
 
-def _csv_texts(block) -> list[bytes]:
+_ARRAY_CELL = "\x1f"  # stands for each array cell in the text written around them
+
+
+def _texts(columns: list[str], block, as_json: bool) -> list[bytes]:
     # the text of the block's rows before, between and after its array
-    # cells, each other cell quoted as csv.writer quotes it in a row
-    texts = [""]
-    for i, v in enumerate(block):
-        texts[-1] += "," if i else ""
-        if isinstance(v, np.ndarray):
-            texts.append("")
-        else:
-            texts[-1] += _csv_line([_fmt(v), ""])[:-2]  # a field among others
-    texts[-1] += "\n"
-    return [t.encode() for t in texts]
-
-
-def _csv_text(table: Table):
-    yield _csv_line(table.columns)
-    for block, lo, cells in _cell_chunks(table):
-        if not cells:  # a block without array columns is one row
-            yield _csv_line(map(_fmt, block))
-            continue
-        if lo == 0:
-            texts = _csv_texts(block)
-        yield _rows(texts, cells)
+    # cells: the row csv.writer writes, or the row object json.dumps(indent=2)
+    # writes in a "rows" list, with a ',' before it, split at the array cells
+    cells = [_ARRAY_CELL if isinstance(v, np.ndarray) else v for v in block]
+    if as_json:
+        row = json.dumps(dict(zip(columns, map(_round9, cells))), indent=2).replace("\n", "\n    ")
+        return (",\n    " + row).encode().split(json.dumps(_ARRAY_CELL).encode())
+    return _csv_line(map(_fmt, cells)).encode().split(_ARRAY_CELL.encode())
 
 
 def _json_value(v) -> str:
@@ -544,45 +551,25 @@ def _json_value(v) -> str:
     return json.dumps(_round9(v))
 
 
-def _json_cells(a: np.ndarray, records: np.ndarray) -> list[str]:
-    # _json_value of each element of a, from its records: %.9g prints the
-    # nine-digit value with the very digits repr gives it, laid out alike
-    # but for the '.0' repr adds to whole numbers.  Where more differs --
-    # repr prints subnormals with fewer digits, and %.9g writes 1e9 to 1e16
-    # with an exponent -- and for non-finite values, _json_value makes the
-    # cell.
-    if a.dtype.kind != "f":
-        return [_json_value(v) for v in a.tolist()]
-    cells = _rows([b"", b"\n"], [records]).split("\n")[:-1]
-    cells = [c if "." in c or "e" in c else c + ".0" for c in cells]
-    mag = np.abs(a)
-    with np.errstate(invalid="ignore"):
-        plain = (mag < 1e8) & ((mag >= sys.float_info.min) | (mag == 0.0))
-    for i in np.flatnonzero(~plain).tolist():
-        cells[i] = _json_value(a[i].item())
-    return cells
-
-
-def _json_text(table: Table, command: str):
-    head = {"schema_version": JSON_SCHEMA_VERSION, "command": command}
-    if table.body is not None:
-        yield json.dumps({**head, **table.body}, indent=2) + "\n"
-        return
-    # the bytes json.dumps(indent=2) writes for a "rows" list of row objects
-    yield json.dumps(head, indent=2)[:-2] + ',\n  "rows": ['
-    sep = "\n    "
-    for block, lo, cells in _cell_chunks(table):
+def _text(table: Table, command: str, as_json: bool):
+    """The table as CSV, or as JSON byte-identical to json.dumps(indent=2),
+    BLOCK_ROWS rows at a time."""
+    if not as_json:
+        yield _csv_line(table.columns)
+    else:
+        head = {"schema_version": JSON_SCHEMA_VERSION, "command": command}
+        if table.body is not None:
+            yield json.dumps({**head, **table.body}, indent=2) + "\n"
+            return
+        yield json.dumps({**head, "rows": []}, indent=2)[:-3]  # up to the '['
+    skip = as_json  # the ',' before the first row object
+    for block, lo, cells in _cell_chunks(table, as_json):
         if lo == 0:
-            template = "{\n" + ",\n".join(
-                f"      {json.dumps(c)}: ".replace("%", "%%")
-                + ("%s" if isinstance(v, np.ndarray) else _json_value(v).replace("%", "%%"))
-                for c, v in zip(table.columns, block)
-            ) + "\n    }"
-            arrays = [v for v in block if isinstance(v, np.ndarray)]
-        rows = zip(*(_json_cells(a[lo:lo + BLOCK_ROWS], c) for a, c in zip(arrays, cells)))
-        yield sep + ",\n    ".join(template % row for row in (rows if arrays else [()]))
-        sep = ",\n    "
-    yield "]\n}\n" if sep == "\n    " else "\n  ]\n}\n"
+            texts = _texts(table.columns, block, as_json)
+        yield _rows(texts, cells)[skip:]
+        skip = False
+    if as_json:
+        yield "]\n}\n" if skip else "\n  ]\n}\n"
 
 
 def main(argv=None) -> int:
@@ -591,10 +578,7 @@ def main(argv=None) -> int:
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         table = COMMANDS[args.command](args)
-        if args.format == "csv":
-            parts = _csv_text(table)
-        else:
-            parts = _json_text(table, args.command)
+        parts = _text(table, args.command, args.format == "json")
         if args.out == "-":
             sys.stdout.writelines(parts)
         else:

@@ -302,11 +302,10 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
     with h the grid step in units of the envelope width: the Sturm counts
     at that level +-1e-8 relative confirm that eigenvalue j alone lies
     there, and shifted inverse iteration from it, one factorisation per
-    eigenpair, with deflation against already-converged pairs, gives the
-    eigenvector and, as its Rayleigh quotient, the eigenvalue.  The
-    iteration starts from the harmonic eigenvector exp(-s^2/2) H_j(s), s
-    the grid in envelope widths, and stops after one step at every
-    geometry tried.
+    eigenpair, gives the eigenvector and, as its Rayleigh quotient, the
+    eigenvalue.  The iteration starts from the harmonic eigenvector
+    exp(-s^2/2) H_j(s), s the grid in envelope widths, and stops after one
+    step at every geometry tried.
 
     The grid and the potential are symmetric about the centre point, so
     eigenpair j is solved on the half-grid block of its parity: the even
@@ -384,8 +383,6 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
         v = _mirror(hermite_gaussian_1d(j, 1.0, x_sigma[start:]), p)
         residual = math.inf
         for it in range(1, 61):
-            for r in range(p, j, 2):  # deflation; the other parity's are orthogonal
-                v -= (vectors[:, r] @ v) * vectors[:, r]
             w = _mirror(_thomas_solve(factors, off, v[start:].tolist()), p)
             v = w / np.linalg.norm(w)
             av = diag * v

@@ -226,35 +226,43 @@ class TestWorkDoneOnce:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_shared_arrays_render_as_equal_copies(self, monkeypatch, fmt):
         def render(table):
-            if fmt == "csv":
-                return "".join(cli._csv_text(table))
-            return "".join(cli._json_text(table, "sweep"))
+            return "".join(cli._text(table, "sweep", fmt == "json"))
 
         copies = render(self.table(share=False))
         made = []
         real = cli._g9
-        monkeypatch.setattr(cli, "_g9", lambda a: made.append(len(a)) or real(a))
+        monkeypatch.setattr(cli, "_g9", lambda a, as_json: made.append(len(a)) or real(a, as_json))
         assert render(self.table(share=True)) == copies
         # the shared eta column is formatted whole once, all else chunk by chunk
         assert made.count(5000) == 1
         assert len(copies.splitlines()) > 3 * 5000
 
+    # text that needs quoting and holds %, numbers all rows share, and int
+    # and float arrays across the 4,096-row chunks, one of them in both
+    # blocks
+    INTS = np.arange(5000) * 7
+    FLOATS = np.random.default_rng(3).random(5000) * 1e-12
+    MIXED = cli.Table(["text", "x", "k", "f", "n"], [['5% of "a, b" %s', 2.5, INTS, FLOATS, 1],
+                                                     ["100%", 1e300, INTS[::-1].copy(), FLOATS, 3]])
+
     def test_mixed_blocks_render_as_csv_writer_writes_their_cells(self):
-        # text that needs quoting and holds %, numbers all rows share, and
-        # int and float arrays across the 4,096-row chunks, one of them in
-        # both blocks: each row as csv.writer writes the _fmt of its cells
-        ints = np.arange(5000) * 7
-        floats = np.random.default_rng(3).random(5000) * 1e-12
-        blocks = [['5% of "a, b" %s', 2.5, ints, floats, 1],
-                  ["100%", 1e300, ints[::-1].copy(), floats, 3]]
-        table = cli.Table(["text", "x", "k", "f", "n"], blocks)
+        # each row as csv.writer writes the _fmt of its cells
+        table, blocks = self.MIXED, self.MIXED.blocks
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(table.columns)
         for text, x, k, f, n in blocks:
             writer.writerows([cli._fmt(text), cli._fmt(x), cli._fmt(a), cli._fmt(b), cli._fmt(n)]
                              for a, b in zip(k.tolist(), f.tolist()))
-        assert "".join(cli._csv_text(table)) == buf.getvalue()
+        assert "".join(cli._text(table, "table", False)) == buf.getvalue()
+
+    def test_mixed_blocks_render_as_json_dumps_writes_their_cells(self):
+        # each row as json.dumps(indent=2) writes the _round9 of its cells
+        rows = [dict(zip(self.MIXED.columns, map(cli._round9, cells)))
+                for text, x, k, f, n in self.MIXED.blocks
+                for cells in zip([text] * 5000, [x] * 5000, k.tolist(), f.tolist(), [n] * 5000)]
+        want = json.dumps({"schema_version": 1, "command": "table", "rows": rows}, indent=2)
+        assert "".join(cli._text(self.MIXED, "table", True)) == want + "\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_radius_sweep_is_the_scalar_chain_of_each_radius(self, capsys, fmt):
@@ -275,8 +283,7 @@ class TestWorkDoneOnce:
             blocks.append([n, 2, 2, char.eta_x, char.chi_inv, char.xi, char.omega / (2 * np.pi),
                            char.m_eff, char.x_zpf, char.p_zpf, char.n_thermal])
         table = cli.Table(SWEEP_COLUMNS, blocks)
-        want = cli._csv_text(table) if fmt == "csv" else cli._json_text(table, "sweep")
-        assert out == "".join(want)
+        assert out == "".join(cli._text(table, "sweep", fmt == "json"))
 
     @pytest.mark.parametrize("argv, code, err", [
         (["--R-range", "0.001:0.01:0.001"], 2,
@@ -307,28 +314,32 @@ class TestWorkDoneOnce:
 
 # The edges of the double range, 9-digit ties and carries, doubles within
 # 1e-16 of a 9-digit tie (scaled to nine digits in floating point, they
-# read as exact ties), the bounds of the fixed layout, and one negative
-# value per layout: fixed with exponent -4..8, then the exponent form with
-# 2 and with 3 digits
+# read as exact ties), the bounds of the fixed layout, one negative value
+# per layout: fixed with exponent -4..8, then the exponent form with 2 and
+# with 3 digits, and whole numbers, which JSON writes with '.0': some only
+# at nine digits, one of them 1e8
 NINE_DIGIT_VALUES = [
     0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
     1234567895.0, 123456789.5, 99999999.95, 999999999.5,
     6.413485215e134, 7.409550335e-184, 4.129719754999999e-118,
     1e-5, 1e-4, 1e8, 1e9, 1e16, 1e100, 1e-100,
     9.999999999999999e22, 1.0000000000000001e23, 9.999999999999999e-301, 1.0000000000000001e-300,
-] + [-1.25 * 10.0**k for k in range(-4, 9)] + [-2.5e-7, -6.02e23, -1.6e-219, -3.3e300]
+] + [-1.25 * 10.0**k for k in range(-4, 9)] + [-2.5e-7, -6.02e23, -1.6e-219, -3.3e300] + [
+    1.0, -7.0, 99999999.0, 2.0000000004, -12345678.96, 99999999.96,
+]
 
 
 def _nine_digit_cells(values):
-    # the formatter's cells, NULs dropped, and the writers' JSON cells
+    # the formatter's '%.9g' cells and its JSON cells, NULs dropped
     a = np.array(values, dtype=np.float64)
-    records = cli._g9(a)
-    return [c.replace(b"\0", b"").decode() for c in records.tolist()], cli._json_cells(a, records)
+    return ([c.replace(b"\0", b"").decode() for c in cli._g9(a, as_json).tolist()]
+            for as_json in (False, True))
 
 
 class TestNineDigitCells:
     # Each cell is '%.9g' % v, the correctly rounded conversion Python's %
-    # makes, and each JSON cell is json.dumps of the value rounded to it
+    # makes, and each JSON cell is json.dumps of the value rounded to it,
+    # as _json_value writes it
 
     def test_edge_values(self):
         cells, json_cells = _nine_digit_cells(NINE_DIGIT_VALUES)
@@ -344,9 +355,11 @@ class TestNineDigitCells:
         assert json_cells == [cli._json_value(v) for v in values]
 
     def test_chunk_of_columns_is_each_column(self):
-        # the writers format a block's columns together, as a 2-D array
+        # the writer formats a block's columns together, as a 2-D array
         x = np.random.default_rng(5).standard_normal((7, 3)) * 10.0 ** np.arange(-6, 15, 7)
-        assert cli._g9(x).tolist() == [cli._g9(row).tolist() for row in x]
+        x[0] = [3.0, -0.0, 1e12]
+        for as_json in (False, True):
+            assert cli._g9(x, as_json).tolist() == [cli._g9(row, as_json).tolist() for row in x]
 
 
 class TestElectrode:
@@ -430,6 +443,30 @@ class TestJsonDeterminism:
                          "--format", "json", "--out", str(target)])
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    # a sweep whose cells include whole numbers, 0, a subnormal and values
+    # of 1e8 and above
+    EDGE_SWEEP = "sweep --n 1,501 --eta-range 0.5:40:0.5 --m 4 --p 6"
+
+    @pytest.mark.parametrize("command", [
+        "characterize --n 227",
+        "characterize --n 3 --eta 100 --m 4",
+        "electrode",
+        "electrode --eta 10.7 --n 1,3,7,15,37,65,227,501",
+        "sweep --n 1,3 --eta-range 0.1:5:0.1 --m 2 --p 2",
+        "sweep --n 1 --R-range 0.1:1.0:0.1",
+        EDGE_SWEEP,
+    ])
+    def test_rows_are_what_json_dumps_writes(self, capsys, command):
+        code, out, _ = run_cli(capsys, *command.split(), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n"
+        if command == self.EDGE_SWEEP:
+            cells = [v for row in doc["rows"] for v in row.values() if isinstance(v, float)]
+            assert 0.0 in cells and any(v.is_integer() and 0 < v < 1e8 for v in cells)
+            assert any(0 < v < sys.float_info.min for v in cells)
+            assert any(v >= 1e8 for v in cells)
 
 
 class TestPaperReport:

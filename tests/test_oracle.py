@@ -416,11 +416,22 @@ class TestEigensolveWork:
         # eigenvalue, and starts from the harmonic eigenvector, where the
         # reference shifts just above the bisected eigenvalue and starts
         # from a random vector: they differ by at most 1.5e-13 (lambda,
-        # relative) and 3.8e-12 (peak-normalised vectors)
+        # relative) and 3.3e-13 (peak-normalised vectors)
         res = trap_eigensolve(QUARTZ, geo, 1)
         lambdas, vectors = reference_eigensolve(QUARTZ, geo, 1)
         assert np.max(np.abs(res.lambdas / lambdas - 1.0)) <= 5e-13
-        assert np.max(np.abs(res.vectors - vectors)) <= 1e-10
+        assert np.max(np.abs(res.vectors - vectors)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 3, 227])
+    @pytest.mark.parametrize("geo", SOLVER_GEOMETRIES)
+    def test_same_parity_vectors_are_orthogonal(self, geo, n):
+        # each pair's shift isolates its eigenvalue, and the other parity's
+        # lie in the other block, so no vector is deflated against another:
+        # as unit vectors, |u0 . u2| and |u1 . u3| stay below 5e-14
+        res = trap_eigensolve(QUARTZ, geo, n)
+        u = res.vectors / np.linalg.norm(res.vectors, axis=0)
+        assert abs(u[:, 0] @ u[:, 2]) <= 1e-13
+        assert abs(u[:, 1] @ u[:, 3]) <= 1e-13
 
     @pytest.mark.parametrize("geo", SOLVER_GEOMETRIES)
     def test_vectors_are_positive_right_of_the_centre(self, geo):
