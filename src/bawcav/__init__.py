@@ -17,7 +17,6 @@ from .cavity import (
     escape_probability_log10,
     in_plane_quanta,
     mode_frequency,
-    mode_shape,
     thermal_occupancy,
     trapping_over_radii,
     trapping_parameters,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from typing import Callable
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "envelope_curvatures",
     "trapping_parameters",
     "trapping_over_radii",
-    "mode_shape",
     "hermite_gaussian_1d",
     "escape_probability",
     "escape_probability_log10",
@@ -42,6 +40,8 @@ __all__ = [
 
 _PI_M14 = math.pi**-0.25  # pi^{-1/4} = psi_0(0), orthonormal Hermite functions
 _DBL_MIN = sys.float_info.min  # smallest normal double
+_LN2 = math.log(2.0)
+_RESCALE_ABOVE = 2.0**256  # where a float Hermite tail rescales its psi_k
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,6 @@ class ModeCharacterization:
     """
 
     omega: float  # angular frequency (rad/s)
-    alpha: float  # envelope curvature along x (1/m^2)
-    beta: float  # envelope curvature along y (1/m^2)
     eta_x: float  # trapping parameter along x
     eta_y: float  # trapping parameter along y
     chi_inv: float  # escape probability, in [0, 1]
@@ -220,26 +218,14 @@ def trapping_over_radii(mat: MaterialParams, geo: CavityGeometry, n: int, radii)
     return np.sqrt(math.pi * alpha) * geo.L, np.sqrt(math.pi * beta) * geo.L
 
 
-def mode_shape(mode: ModeIndex, alpha: float, beta: float) -> Callable:
-    """In-plane displacement profile u(x, y), unit amplitude.
-
-    u = exp(-alpha n pi x^2/2) H_m(sqrt(alpha n pi) x) * (same along y with
-    beta, p); u(0, 0) = 1 for the fundamental family m = p = 0.  The returned
-    callable accepts scalars or numpy arrays that broadcast against each
-    other, and multiplies the ``hermite_gaussian_1d`` factors of the two
-    axes, at gx = alpha n pi and gy = beta n pi.
-    """
-    gx = alpha * mode.n * math.pi
-    gy = beta * mode.n * math.pi
-    m, p = mode.m, mode.p
-    return lambda x, y: hermite_gaussian_1d(m, gx, x) * hermite_gaussian_1d(p, gy, y)
-
-
 def hermite_gaussian_1d(m: int, g, x):
     """exp(-g x^2/2) H_m(sqrt(g) x): one axis' factor of the mode shape.
 
-    Both ``g`` and ``x`` may be arrays, broadcasting together, each element
-    with the bits of its own scalar call.
+    The unit-amplitude in-plane profile of mode (n, m, p) is the product
+    u(x, y) = hermite_gaussian_1d(m, alpha n pi, x) *
+    hermite_gaussian_1d(p, beta n pi, y).  Both ``g`` and ``x`` may be
+    arrays, broadcasting together, each element with the bits of its own
+    scalar call.
     """
     x = np.asarray(x)
     return np.exp(-0.5 * g * x**2) * hermite(m, np.sqrt(g) * x)
@@ -260,8 +246,8 @@ def _trapping(eta_x, eta_y=None):
     # (eta_x, eta_y) as two float64 scalars or two 1-D float arrays of one
     # length, and whether they are scalars, whose figures go back as floats.
     # Without eta_y, or with eta_y the very object eta_x is, both axes share
-    # one eta object: characterize then evaluates its curvature once, and
-    # the escape and mass closed forms their erfc and erf (see _per_axis).
+    # one eta object: the escape and mass closed forms then evaluate their
+    # erfc and erf once (see _per_axis).
     if eta_y is None or eta_y is eta_x:
         eta = _real(eta_x)
         return eta, eta, eta.ndim == 0
@@ -288,26 +274,38 @@ def _at(x, k: int) -> float:
     return float(np.ravel(x)[k])
 
 
-def _hermite_tail(m: int, t, log_psi0):
+def _hermite_tail(m: int, t, log_psi0) -> tuple:
     # sum_{k=1}^{m} sqrt(2/k) psi_k(t) psi_{k-1}(t) over the orthonormal
     # Hermite functions psi_k = psi0 H_k / sqrt(2^k k!), built by their own
     # three-term recurrence so no 2^k k! overflows.  With psi0 =
     # pi^{-1/4} e^{-t^2/2} each term is e^{-t^2} H_k H_{k-1} / (sqrt(pi)
     # 2^{k-1} k!), the step D_k - D_{k-1} of the per-axis deficit.  psi0 =
     # pi^{-1/4} e^{log_psi0} is only evaluated for a non-empty sum (m > 0).
+    # Returned as (total, e), the sum being total * 4^e: a float psi_k above
+    # 2^256 is scaled into [1/2, 1) by a power of two 2^-s, with psi_{k-1}
+    # and the sum so far by 2^-s and 2^-2s, and e counts the s.  A step
+    # multiplies psi_k by at most sqrt(2) t, so no product overflows for t
+    # up to 1e154.  From psi0 = pi^{-1/4} e^{-t^2/2}, |psi_k| <= pi^{-1/4}
+    # (Cramér's bound): the linear-scale deficit and energy fraction never
+    # rescale, and their arrays skip the test.
     total, prev, cur = 0.0, 0.0, _PI_M14 * _exp(log_psi0) if m else 0.0
+    e, scalar = 0, not isinstance(t, np.ndarray)
     for k in range(1, m + 1):
         a = math.sqrt(2.0 / k)
         prev, cur = cur, a * t * cur - math.sqrt((k - 1) / k) * prev
+        if scalar and abs(cur) > _RESCALE_ABOVE:
+            s = math.frexp(cur)[1]
+            prev, cur, total = math.ldexp(prev, -s), math.ldexp(cur, -s), math.ldexp(total, -2 * s)
+            e += s
         total += a * cur * prev
-    return total
+    return total, e
 
 
 def _axis_deficit(m: int, t, erfc_t):
     # Fraction of one axis' modal energy beyond |z| = t: D_0 = erfc_t =
     # erfc(t) plus the Hermite steps, which are all positive beyond the last
     # zero of H_m, so strong trapping does not cancel digits.
-    return erfc_t + _hermite_tail(m, t, -0.5 * t * t)
+    return erfc_t + _hermite_tail(m, t, -0.5 * t * t)[0]
 
 
 def _axis_energy_fraction(m: int, t, erf_t):
@@ -316,7 +314,7 @@ def _axis_energy_fraction(m: int, t, erf_t):
     # I_k = 2k I_{k-1} - 2 e^{-t^2} H_k H_{k-1} from I_0 = sqrt(pi) erf_t,
     # erf_t = erf(t), divided through by the norm so weak trapping does not
     # cancel digits.
-    return erf_t - _hermite_tail(m, t, -0.5 * t * t)
+    return erf_t - _hermite_tail(m, t, -0.5 * t * t)[0]
 
 
 def _per_axis(axis, head, mode: ModeIndex, ex, ey):
@@ -374,19 +372,24 @@ def _log_axis_deficit(m: int, t: float) -> float:
     # The tail is run from psi0 = pi^{-1/4} e^{-c} instead, with e^c the
     # size (sqrt(2) t)^m / sqrt(m!) of its leading term, so that large m and
     # t cannot overflow it; the factor e^{-2c} is taken back out of the log.
+    # c stops at 700, where e^{-c} would near the end of the double range:
+    # past it the tail grows beyond 1 and rescales, and the 4^e it carries
+    # goes into the log as well.
     if t < 2.0:
         return math.log(_axis_deficit(m, t, erfc(t)))
-    c = max(0.0, m * math.log(math.sqrt(2.0) * t) - 0.5 * math.lgamma(m + 1.0))
-    s = erfcx(t) * math.exp(-2.0 * c) + _hermite_tail(m, t, -c)
-    return math.log(s) - t * t + 2.0 * c
+    c = min(700.0, max(0.0, m * math.log(math.sqrt(2.0) * t) - 0.5 * math.lgamma(m + 1.0)))
+    total, e = _hermite_tail(m, t, -c)
+    s = math.ldexp(erfcx(t) * math.exp(-2.0 * c), -2 * e) + total
+    return math.log(s) - t * t + 2.0 * c + 2 * e * _LN2
 
 
 def escape_probability_log10(mode: ModeIndex, eta_x: float, eta_y: float) -> float:
     """log10 of the escape probability via complementary asymptotics.
 
     Stays finite long after the linear-scale value underflows to zero, for
-    every even (m, p): each axis' deficit is factored as
-    e^{-t^2} (erfcx(t) + P_m(t)) with P_m a polynomial in t.
+    every even (m, p) and every t = sqrt(n) eta whose t^2 is a double: each
+    axis' deficit is factored as e^{-t^2} (erfcx(t) + P_m(t)) with P_m a
+    polynomial in t, summed with power-of-two rescaling.
     """
     _check_eta(*_trapping(eta_x, eta_y)[:2])
     if not (eta_x > 0 and eta_y > 0):
@@ -494,7 +497,7 @@ def _spreads(omega: float, mass, mode: ModeIndex, ex, ey):
     p_sq = HBAR * omega * mass / 2.0
     k = _first_bad((x_sq >= _DBL_MIN) & (p_sq >= _DBL_MIN))
     if k is not None:
-        raise ValueError(
+        raise FloatingPointError(
             f"a squared zero-point spread of {_mode_at(mode, ex, ey, k)}"
             " is below the normal double range"
         )
@@ -574,8 +577,8 @@ def characterize(
     """Full deterministic characterization of one mode at one temperature.
 
     ``eta_override`` replaces the first-principles trapping parameter with a
-    measured/assumed value, re-deriving the envelope curvature from it; this
-    mirrors how experimental device figures are quoted.  It is one value for
+    measured/assumed value; this mirrors how experimental device figures
+    are quoted.  It is one value for
     both axes or a tuple (eta_x, eta_y), each a float or an array.  Over
     arrays every eta-dependent figure is an array of their length, and
     omega, m_flat and n_thermal, which do not depend on eta, stay floats.
@@ -586,24 +589,12 @@ def characterize(
                                      else (eta_override,)))
         for eta in (ex, ey):
             _reject(eta, (eta > 0) & _finite(eta), "eta override must be positive and finite")
-        with np.errstate(all="ignore"):
-            area = math.pi * _square_of_L(geo)
-            alpha = ex * ex / area
-            beta = alpha if ey is ex else ey * ey / area
-        k = _first_bad((alpha < math.inf) & (beta < math.inf))
-        if k is not None:
-            raise OverflowError(
-                f"the envelope curvature of {_mode_at(mode, ex, ey, k)} exceeds the double range"
-            )
     else:
-        alpha, beta = envelope_curvatures(mat, geo, mode.n)
-        ex, ey, scalar = _trapping(*trapping_parameters(alpha, beta, geo.L))
+        ex, ey, scalar = _trapping(*trapping_parameters(*envelope_curvatures(mat, geo, mode.n), geo.L))
     chi = escape_probability(mode, ex, ey)
     omega, m_eff, m_flat, xi, x, p = _zero_point(mat, geo, mode, ex, ey)
     return ModeCharacterization(
         omega=omega,
-        alpha=_figure(alpha, scalar),
-        beta=_figure(beta, scalar),
         eta_x=_figure(ex, scalar),
         eta_y=_figure(ey, scalar),
         chi_inv=_figure(chi, scalar),

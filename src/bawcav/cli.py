@@ -190,7 +190,7 @@ def cmd_membrane(args) -> Table:
                         mode_m=args.mem_m, mode_n=args.mem_n)
     mode = ModeIndex(args.n, args.m, args.p)
     char = characterize(mat, _geometry(args), mode, args.temp_k, eta_override=args.eta)
-    rows = compare(char, spec, args.temp_k).rows()
+    rows = compare(char, spec, args.temp_k)
     return Table(MEMBRANE_COLUMNS, rows, {
         "temperature_K": _round9(args.temp_k),
         "cavity": {label: _round9(cav) for label, cav, _ in rows},
@@ -241,16 +241,6 @@ def cmd_oracle(args) -> Table:
     return _report_table(
         [report_mod.criterion_8(mat, geo, n_sets=args.sets), report_mod.criterion_9(mat, geo)]
     )
-
-
-COMMANDS = {
-    "characterize": cmd_characterize,
-    "sweep": cmd_sweep,
-    "electrode": cmd_electrode,
-    "membrane": cmd_membrane,
-    "paper-report": cmd_paper_report,
-    "oracle": cmd_oracle,
-}
 
 
 # the flag groups commands share, each added to a parser or group of one
@@ -337,15 +327,17 @@ def _oracle_flags(p):
     p.add_argument("--sets", type=int, default=20, help="random parameter sets (seeded, >= 1)")
 
 
-# each command's help line and the function that adds its flags
-_SUBPARSERS = {
-    "characterize": ("single-mode characterization row", _characterize_flags),
-    "sweep": ("characterization grid over overtones and trapping/curvature", _sweep_flags),
-    "electrode": ("optimal electrode sizing table", _electrode_flags),
-    "membrane": ("side-by-side comparison with a stressed membrane", _membrane_flags),
-    "paper-report": ("check library output against published reference values",
+# each command's function, its help line and the function that adds its flags
+COMMANDS = {
+    "characterize": (cmd_characterize, "single-mode characterization row", _characterize_flags),
+    "sweep": (cmd_sweep, "characterization grid over overtones and trapping/curvature",
+              _sweep_flags),
+    "electrode": (cmd_electrode, "optimal electrode sizing table", _electrode_flags),
+    "membrane": (cmd_membrane, "side-by-side comparison with a stressed membrane",
+                 _membrane_flags),
+    "paper-report": (cmd_paper_report, "check library output against published reference values",
                      _paper_report_flags),
-    "oracle": ("run the brute-force validation suite", _oracle_flags),
+    "oracle": (cmd_oracle, "run the brute-force validation suite", _oracle_flags),
 }
 
 
@@ -363,7 +355,7 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="{" + ",".join(COMMANDS) + "}" if one else None)
     for name in [command] if one else COMMANDS:
-        help, add_flags = _SUBPARSERS[name]
+        _, help, add_flags = COMMANDS[name]
         # flags are spelled in full, so that --eta cannot stand for sweep's --eta-range
         add_flags(sub.add_parser(name, help=help, allow_abbrev=False))
     return parser
@@ -577,7 +569,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        table = COMMANDS[args.command](args)
+        table = COMMANDS[args.command][0](args)
         parts = _text(table, args.command, args.format == "json")
         if args.out == "-":
             sys.stdout.writelines(parts)

@@ -14,8 +14,6 @@ from .constants import HBAR
 
 __all__ = [
     "MembraneSpec",
-    "ResonatorFigures",
-    "MembraneComparison",
     "membrane_frequency",
     "membrane_effective_mass",
     "membrane_zpf",
@@ -54,33 +52,6 @@ class MembraneSpec:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 
-@dataclass(frozen=True)
-class ResonatorFigures:
-    """The four figures the comparison table is built from."""
-
-    f_hz: float
-    m_eff_kg: float
-    x_zpf_m: float
-    n_thermal: float
-
-
-@dataclass(frozen=True)
-class MembraneComparison:
-    """Side-by-side cavity-mode vs membrane-mode figures at one temperature."""
-
-    temperature: float
-    cavity: ResonatorFigures
-    membrane: ResonatorFigures
-
-    def rows(self) -> list[tuple[str, float, float]]:
-        return [
-            ("f_Hz", self.cavity.f_hz, self.membrane.f_hz),
-            ("m_eff_kg", self.cavity.m_eff_kg, self.membrane.m_eff_kg),
-            ("x_zpf_m", self.cavity.x_zpf_m, self.membrane.x_zpf_m),
-            ("n_thermal", self.cavity.n_thermal, self.membrane.n_thermal),
-        ]
-
-
 def membrane_frequency(spec: MembraneSpec) -> float:
     """Angular frequency omega = pi c sqrt(m^2/a^2 + n^2/b^2), c = sqrt(tau/rho)."""
     c = math.sqrt(spec.tau / spec.rho)
@@ -109,13 +80,15 @@ def membrane_zpf(spec: MembraneSpec) -> tuple[float, float]:
 
 def compare(
     cavity_char: ModeCharacterization, spec: MembraneSpec, temperature: float
-) -> MembraneComparison:
+) -> list[tuple[str, float, float]]:
     """Cavity mode vs membrane mode at the same temperature.
 
-    Highlights the opposing design pressures: the cavity's occupancy falls
-    with the overtone number at constant displacement spread, while the
-    membrane's displacement spread falls with its mode numbers.  Raises
-    OverflowError when a membrane figure leaves the normal double range.
+    Returns the rows (quantity, cavity, membrane) of f_Hz, m_eff_kg, x_zpf_m
+    and n_thermal.  Highlights the opposing design pressures: the cavity's
+    occupancy falls with the overtone number at constant displacement
+    spread, while the membrane's displacement spread falls with its mode
+    numbers.  Raises OverflowError when a membrane figure leaves the normal
+    double range.
     """
     omega_m = membrane_frequency(spec)
     f_hz = omega_m / (2.0 * math.pi)
@@ -126,13 +99,10 @@ def compare(
             f"the figures of the {spec.a!r} m x {spec.b!r} m membrane"
             " are outside the normal double range"
         )
-    mem = ResonatorFigures(
-        f_hz=f_hz, m_eff_kg=m_eff, x_zpf_m=x_zpf, n_thermal=thermal_occupancy(omega_m, temperature)
-    )
-    cavf = ResonatorFigures(
-        f_hz=cavity_char.omega / (2.0 * math.pi),
-        m_eff_kg=cavity_char.m_eff,
-        x_zpf_m=cavity_char.x_zpf,
-        n_thermal=thermal_occupancy(cavity_char.omega, temperature),
-    )
-    return MembraneComparison(temperature=temperature, cavity=cavf, membrane=mem)
+    n_membrane = thermal_occupancy(omega_m, temperature)
+    return [
+        ("f_Hz", cavity_char.omega / (2.0 * math.pi), f_hz),
+        ("m_eff_kg", cavity_char.m_eff, m_eff),
+        ("x_zpf_m", cavity_char.x_zpf, x_zpf),
+        ("n_thermal", thermal_occupancy(cavity_char.omega, temperature), n_membrane),
+    ]

@@ -1,12 +1,12 @@
 """Independent brute-force validators for the closed-form mode figures.
 
-Quadrature oracles integrate the mode shape of ``cavity.mode_shape``
-(``u`` for the electrode overlap, ``u**2`` for mass and escape) over the
-plate in two dimensions.  The shape is a product u = fx(x) fy(y) of
-``cavity.hermite_gaussian_1d`` factors, so by Fubini's theorem its integral
-over a rectangle is the product of one integral per side: each distinct
-(Hermite order, curvature, interval) is integrated once, and those of one
-order share one pass of the one-dimensional engine.  The closed forms never
+Quadrature oracles integrate the mode shape (``u`` for the electrode
+overlap, ``u**2`` for mass and escape) over the plate in two dimensions.
+The shape is a product u = fx(x) fy(y) of ``cavity.hermite_gaussian_1d``
+factors, so by Fubini's theorem its integral over a rectangle is the
+product of one integral per side: each distinct (Hermite order,
+curvature, interval) is integrated once, and those of one order share one
+pass of the one-dimensional engine.  The closed forms never
 evaluate that shape, so a disagreement here shows a defect in a closed
 form, or a mode shape that is not the one the closed forms describe.  The
 batched oracles (``escape_and_mass_oracles``, ``overlap_integral_oracles``)
@@ -64,8 +64,8 @@ _TAIL_DECAY_LENGTHS = 10.0
 # The grid and the potential are symmetric about the centre point, so the
 # even eigenvectors (j = 0, 2) are solved on the 801 points from the centre
 # on and the odd ones (j = 1, 3) on the 800 past it, the centre being their
-# node: three half-grid Sturm counts confirm each bracket, and one half-grid
-# factorisation serves its inverse iteration.
+# node: three half-grid Sturm counts confirm each bracket, and its inverse
+# iteration solves half-grid systems.
 _GRID_POINTS = 1601
 _DOMAIN_SIGMA = 8.0  # half-width in units of the envelope sigma
 _EIGENPAIRS = 4
@@ -110,8 +110,8 @@ def _shape_integrals(cases, rects, squared: bool) -> list[list[float]]:
     # each of its rectangles: cases holds (mode, alpha, beta) triples, rects
     # one list of rectangles per case.  Each rectangle's integral is the
     # product of its x side's integral of the order-m factor and its y side's
-    # of the order-p factor, at the curvatures alpha n pi and beta n pi that
-    # mode_shape forms.  Each distinct (order, curvature, a, b) side is
+    # of the order-p factor, at the curvatures alpha n pi and beta n pi of
+    # the mode shape.  Each distinct (order, curvature, a, b) side is
     # integrated once, and the sides of one order share one engine pass,
     # whose integrand gathers each row's curvature by its interval index.
     sides = [
@@ -242,32 +242,21 @@ def _sturm_count(shifted: list[float], off2: float, pivmin: float, first: float)
     return count
 
 
-def _thomas_factor(diag: list[float], off: float, first: float) -> tuple[list[float], list[float]]:
-    # forward pivots and multipliers of the tridiagonal matrix with the given
-    # diagonal and constant off-diagonal, but first * off from row 0 to row
-    # 1, no pivoting (the shifted systems here are diagonally dominated away
-    # from exact eigenvalues); they depend on the shift only, so one
-    # factorisation serves every solve
+def _thomas_solve(diag: list[float], off: float, first: float, rhs: list[float]) -> np.ndarray:
+    # solution of the tridiagonal system with the given diagonal and
+    # constant off-diagonal, but first * off from row 0 to row 1, without
+    # pivoting (the shifted systems here are diagonally dominated away from
+    # exact eigenvalues): forward elimination, then back substitution
     m = first * off / diag[0]
-    pivots, mults = [diag[0]], [m]
-    for a in itertools.islice(diag, 1, None):
+    y = rhs[0] / diag[0]
+    mults, d = [m], [y]
+    for a, r in zip(itertools.islice(diag, 1, None), itertools.islice(rhs, 1, None)):
         denom = a - off * m
         if denom == 0.0:
             denom = 1e-300
         m = off / denom
-        pivots.append(denom)
+        y = (r - off * y) / denom
         mults.append(m)
-    return pivots, mults
-
-
-def _thomas_solve(factors: tuple[list[float], list[float]], off: float, rhs: list[float]) -> np.ndarray:
-    # the solve with a _thomas_factor factorisation: forward sweep, then
-    # back substitution
-    pivots, mults = factors
-    y = rhs[0] / pivots[0]
-    d = [y]
-    for p, r in zip(itertools.islice(pivots, 1, None), itertools.islice(rhs, 1, None)):
-        y = (r - off * y) / p
         d.append(y)
     x = [y]
     for ci, di in zip(reversed(mults[:-1]), reversed(d[:-1])):
@@ -301,11 +290,10 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
     level, (2j + 1) sqrt(k M) (1 - (2j^2 + 2j + 1) h^2 / (16 (2j + 1)))
     with h the grid step in units of the envelope width: the Sturm counts
     at that level +-1e-8 relative confirm that eigenvalue j alone lies
-    there, and shifted inverse iteration from it, one factorisation per
-    eigenpair, gives the eigenvector and, as its Rayleigh quotient, the
-    eigenvalue.  The iteration starts from the harmonic eigenvector
-    exp(-s^2/2) H_j(s), s the grid in envelope widths, and stops after one
-    step at every geometry tried.
+    there, and shifted inverse iteration from it gives the eigenvector and,
+    as its Rayleigh quotient, the eigenvalue.  The iteration starts from
+    the harmonic eigenvector exp(-s^2/2) H_j(s), s the grid in envelope
+    widths, and stops after one step at every geometry tried.
 
     The grid and the potential are symmetric about the centre point, so
     eigenpair j is solved on the half-grid block of its parity: the even
@@ -377,13 +365,13 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
                 math.inf,
             )
         upper[p], upper[q] = own[1], other_hi
-        factors = _thomas_factor((diag[start:] - stencil).tolist(), off, firsts[p])
+        shifted = (diag[start:] - stencil).tolist()
         # start from the harmonic eigenvector, in units of sigma so that it
         # is representable at any geometry
         v = _mirror(hermite_gaussian_1d(j, 1.0, x_sigma[start:]), p)
         residual = math.inf
         for it in range(1, 61):
-            w = _mirror(_thomas_solve(factors, off, v[start:].tolist()), p)
+            w = _mirror(_thomas_solve(shifted, off, firsts[p], v[start:].tolist()), p)
             v = w / np.linalg.norm(w)
             av = diag * v
             av[:-1] += off * v[1:]

@@ -153,7 +153,7 @@ def test_criterion_09_checks_mode_frequency_on_its_one_solve(monkeypatch):
 
 
 def test_criterion_09_eigenvectors_are_the_hermite_gaussians():
-    # the eigenvectors j = 0..3 against mode_shape's (1, j, 0): the O(h^2)
+    # the eigenvectors j = 0..3 against the mode shape of (1, j, 0): the O(h^2)
     # finite-difference error, under the row's 1e-4, whatever sign each
     # vector was solved with; a trap 1% too strong or weak shows
     res = oracle.trap_eigensolve(MAT, GEO, 1)

@@ -1,6 +1,7 @@
 """Trapped-mode physics: envelopes, escape, frequency, mass, ZPF, occupancy."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,17 +15,17 @@ from bawcav.cavity import (
     envelope_curvatures,
     escape_probability,
     escape_probability_log10,
+    hermite_gaussian_1d,
     in_plane_quanta,
     mode_frequency,
-    mode_shape,
     thermal_occupancy,
     trapping_parameters,
     zpf,
 )
-from bawcav.cavity import _axis_deficit, _axis_energy_fraction
+from bawcav.cavity import _axis_deficit, _axis_energy_fraction, _log_axis_deficit
 from bawcav.constants import BOLTZMANN_K, HBAR
 from bawcav.material import bundled_material_path, dispersion_parameters, load_material, stiffened_constants
-from bawcav.specfun import QuadratureSpec, erf, erfc, hermite, integrate_1d
+from bawcav.specfun import QuadratureSpec, erf, erfc, erfcx, hermite, integrate_1d
 
 QUARTZ = load_material(bundled_material_path("quartz"))
 GEO = CavityGeometry(L=0.015, h0=5e-4, R=0.3)
@@ -69,6 +70,13 @@ class TestEnvelopeAndTrapping:
     def test_trapping_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             trapping_parameters(-1.0, 1.0, 0.015)
+
+
+def mode_shape(mode, alpha, beta):
+    # the in-plane profile u(x, y) of the mode, unit amplitude: the product
+    # of the hermite_gaussian_1d factors at alpha n pi and beta n pi
+    gx, gy = alpha * mode.n * math.pi, beta * mode.n * math.pi
+    return lambda x, y: hermite_gaussian_1d(mode.m, gx, x) * hermite_gaussian_1d(mode.p, gy, y)
 
 
 class TestModeShape:
@@ -169,6 +177,39 @@ class TestEscapeLog10:
         # polynomial factor e^{t^2} D_200(t) alone exceeds the double range
         lg = escape_probability_log10(ModeIndex(1, 200, 0), 60.0, 60.0)
         assert lg == pytest.approx(-1171.3618416031234, abs=1e-9)
+
+    # (m, t = 10^k) whose tail starts below the double range, e^{-c} with c > 745
+    @pytest.mark.parametrize("m, k", [(40, 9), (60, 7), (10, 33), (4, 82)])
+    def test_tail_beyond_the_double_range_is_the_exact_integer_value(self, m, k):
+        t = 10**k
+        ln_x, ln_y = exact_log_deficit(m, t), exact_log_deficit(0, t)
+        want = (ln_x + math.log1p(math.exp(ln_y - ln_x))) / math.log(10.0)
+        lg = escape_probability_log10(ModeIndex(1, m, 0), float(t), float(t))
+        assert lg == pytest.approx(want, rel=1e-12)
+
+    def test_rescaling_keeps_the_bits_of_a_tail_that_needs_none(self):
+        # ln D_84(1e4) needs no rescaling and keeps its value, one ulp from
+        # exact; ln D_40(1e9) rescales, to the exact value
+        want = exact_log_deficit(84, 10**4)
+        assert want == pytest.approx(-99998695.5451437, rel=1e-15)
+        assert abs(_log_axis_deficit(84, 1e4) - want) <= math.ulp(want)
+        assert _log_axis_deficit(40, 1e9) == -9.999999999999985e17
+
+
+def exact_log_deficit(m: int, t: int) -> float:
+    # ln D_m(t) = -t^2 + ln(erfcx(t) + P_m(t)) at an integer t, with
+    # sqrt(pi) P_m(t) = sum_k H_k H_{k-1} / (2^{k-1} k!) summed exactly: the
+    # Hermite values at an integer are integers
+    h = [1, 2 * t]
+    for k in range(1, m):
+        h.append(2 * t * h[k] - 2 * k * h[k - 1])
+    p = sum(Fraction(h[k] * h[k - 1], 2 ** (k - 1) * math.factorial(k)) for k in range(1, m + 1))
+    ln_e = math.log(erfcx(float(t)))
+    if p == 0:
+        return -t * t + ln_e
+    ln_p = math.log(p.numerator) - math.log(p.denominator) - 0.5 * math.log(math.pi)
+    hi, lo = max(ln_p, ln_e), min(ln_p, ln_e)
+    return -t * t + hi + math.log1p(math.exp(lo - hi))
 
 
 class TestModeFrequency:
@@ -348,7 +389,6 @@ class TestCharacterize:
     def test_eta_override(self):
         char = characterize(QUARTZ, GEO, ModeIndex(227), 0.02, eta_override=10.7)
         assert char.eta_x == 10.7
-        assert char.alpha == pytest.approx(10.7**2 / (math.pi * GEO.L**2), rel=1e-14)
         assert char.xi == pytest.approx(33090.5153732, rel=1e-11)
         assert char.n_thermal == pytest.approx(0.219, abs=2e-3)
 
@@ -365,7 +405,7 @@ class TestCharacterize:
     def test_record_invariants_enforced(self):
         with pytest.raises(ValueError, match="chi_inv"):
             ModeCharacterization(
-                omega=1.0, alpha=1.0, beta=1.0, eta_x=1.0, eta_y=1.0, chi_inv=1.5,
+                omega=1.0, eta_x=1.0, eta_y=1.0, chi_inv=1.5,
                 xi=1.0, m_eff=1.0, m_flat=1.0, x_zpf=math.sqrt(HBAR / 2),
                 p_zpf=math.sqrt(HBAR / 2), n_thermal=1.0,
             )

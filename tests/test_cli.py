@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from bawcav.cavity import (
     ModeIndex,
     characterize,
     envelope_curvatures,
+    escape_probability_log10,
     trapping_parameters,
 )
 from bawcav.cli import CHARACTERIZE_COLUMNS, MAX_ORACLE_SETS, SWEEP_COLUMNS, main
@@ -626,11 +628,31 @@ class TestSweepModes:
         assert out == ""
         assert "(m, p) = (200, 0)" in err
 
-    def test_subnormal_zero_point_spread_exits_2(self, capsys):
+    def test_subnormal_zero_point_spread_exits_3(self, capsys):
+        # a result outside the double range, as every other such check
         code, out, err = run_cli(capsys, "characterize", "--n", "1", "--m", "150", "--eta", "60")
-        assert code == 2
+        assert code == 3
         assert out == ""
-        assert "(m, p) = (150, 0)" in err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "(m, p) = (150, 0) at eta = (60.0, 60.0)" in err
+
+    @pytest.mark.parametrize("m, eta", [("40", "1e9"), ("60", "1e7"), ("10", "1e33"), ("4", "1e82")])
+    def test_log10_escape_of_a_tail_beyond_the_double_range(self, capsys, m, eta):
+        code, out, err = run_cli(capsys, "characterize", "--m", m, "--eta", eta)
+        assert (code, err) == (0, "")
+        row = dict(zip(*[l.split(",") for l in out.strip().split("\n")]))
+        log10_chi = escape_probability_log10(ModeIndex(1, int(m), 0), float(eta), float(eta))
+        assert row["log10_chi_inv"] == f"{log10_chi:.9g}"
+        assert math.isfinite(log10_chi) and log10_chi < -1e10
+
+    def test_override_with_representable_figures_prints_them(self, capsys):
+        # eta^2 / (pi L^2) overflows here, but no printed figure does
+        code, out, err = run_cli(capsys, "sweep", "--n", "1", "--m", "84", "--p", "84",
+                                 "--eta-range", "1e5:1.00002e5:1", "--L", "1e-150")
+        assert (code, err) == (0, "")
+        rows = [r.split(",") for r in out.strip().split("\n")[1:]]
+        assert len(rows) == 3
+        assert all(math.isfinite(float(v)) for r in rows for v in r)
 
     def test_odd_inplane_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--n", "1", "--m", "1", "--eta-range", "1:2:0.5")

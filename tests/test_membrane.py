@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from bawcav.cavity import CavityGeometry, ModeIndex, characterize
+from bawcav.cavity import CavityGeometry, ModeIndex, characterize, thermal_occupancy
 from bawcav.material import bundled_material_path, load_material
 from bawcav.membrane import (
     MembraneSpec,
@@ -93,10 +93,11 @@ class TestSpecValidation:
 class TestCompare:
     def test_reference_comparison(self):
         char = characterize(QUARTZ, GEO, ModeIndex(227), 0.02, eta_override=10.7)
-        out = compare(char, DEFAULT, 0.02)
-        assert out.cavity.n_thermal == pytest.approx(0.22, abs=0.01)
-        assert 2.8e3 < out.membrane.n_thermal < 3.2e3
-        assert out.membrane.n_thermal == pytest.approx(2804.59412173, rel=1e-9)
+        label, cavity, membrane = compare(char, DEFAULT, 0.02)[-1]
+        assert label == "n_thermal"
+        assert cavity == pytest.approx(0.22, abs=0.01)
+        assert 2.8e3 < membrane < 3.2e3
+        assert membrane == pytest.approx(2804.59412173, rel=1e-9)
 
     def test_deterministic(self):
         char = characterize(QUARTZ, GEO, ModeIndex(227), 0.02, eta_override=10.7)
@@ -109,5 +110,13 @@ class TestCompare:
 
     def test_rows_layout(self):
         char = characterize(QUARTZ, GEO, ModeIndex(1), 0.02)
-        rows = compare(char, DEFAULT, 0.02).rows()
+        rows = compare(char, DEFAULT, 0.02)
         assert [r[0] for r in rows] == ["f_Hz", "m_eff_kg", "x_zpf_m", "n_thermal"]
+        # the cavity's figures and the membrane's, each as its own function gives it
+        omega = membrane_frequency(DEFAULT)
+        assert [r[1:] for r in rows] == [
+            (char.omega / (2.0 * math.pi), omega / (2.0 * math.pi)),
+            (char.m_eff, membrane_effective_mass(DEFAULT)),
+            (char.x_zpf, membrane_zpf(DEFAULT)[0]),
+            (thermal_occupancy(char.omega, 0.02), thermal_occupancy(omega, 0.02)),
+        ]

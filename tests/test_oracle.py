@@ -13,8 +13,8 @@ from bawcav.cavity import (
     effective_mass,
     envelope_curvatures,
     escape_probability,
+    hermite_gaussian_1d,
     in_plane_quanta,
-    mode_shape,
 )
 from bawcav.detection import overlap_factor
 from bawcav.material import bundled_material_path, dispersion_parameters, load_material, stiffened_constants
@@ -43,6 +43,13 @@ HIGHER_ORDER_CASES = [
     (ModeIndex(3, 0, 6), 1.7, 2.2),
     (ModeIndex(3, 4, 4), 2.0, 1.6),
 ]
+
+
+def mode_shape(mode, alpha, beta):
+    # the in-plane profile u(x, y) of the mode, unit amplitude: the product
+    # of the hermite_gaussian_1d factors at alpha n pi and beta n pi
+    gx, gy = alpha * mode.n * math.pi, beta * mode.n * math.pi
+    return lambda x, y: hermite_gaussian_1d(mode.m, gx, x) * hermite_gaussian_1d(mode.p, gy, y)
 
 
 def geometry_for(eta: float, n: int, L: float = 0.015):
