@@ -389,7 +389,9 @@ def escape_probability_log10(mode: ModeIndex, eta_x: float, eta_y: float) -> flo
     Stays finite long after the linear-scale value underflows to zero, for
     every even (m, p) and every t = sqrt(n) eta whose t^2 is a double: each
     axis' deficit is factored as e^{-t^2} (erfcx(t) + P_m(t)) with P_m a
-    polynomial in t, summed with power-of-two rescaling.
+    polynomial in t, summed with power-of-two rescaling.  Raises
+    OverflowError, naming eta and (m, p), where neither axis' t^2 is a
+    double; where one axis' is, that axis decides the value.
     """
     _check_eta(*_trapping(eta_x, eta_y)[:2])
     if not (eta_x > 0 and eta_y > 0):
@@ -397,6 +399,11 @@ def escape_probability_log10(mode: ModeIndex, eta_x: float, eta_y: float) -> flo
     lx = _log_axis_deficit(mode.m, math.sqrt(mode.n) * eta_x)
     ly = _log_axis_deficit(mode.p, math.sqrt(mode.n) * eta_y)
     hi, lo = max(lx, ly), min(lx, ly)
+    if hi == -math.inf:  # -t^2 overflowed on both axes
+        raise OverflowError(
+            f"t^2 = n eta^2 of {_mode_at(mode, eta_x, eta_y, 0)} exceeds the double range"
+            " on both axes"
+        )
     if hi > -700.0:
         dx, dy = math.exp(lx), math.exp(ly)
         return math.log10(dx + dy - dx * dy)
@@ -449,8 +456,8 @@ def effective_mass(mat: MaterialParams, geo: CavityGeometry, mode: ModeIndex, et
     (Erf Erf).  Unit-amplitude convention: the mode shape is e^{-z^2/2}
     H_m(z) along each axis, not normalised, so I_m -> 2^m m! sqrt(pi) for
     strong trapping and xi falls by 2^m m! 2^p p!; xi(1, 60, 0) ~ 2.7e-99
-    at eta = 1 by design.  Raises ValueError when that mass integral is not
-    representable as a double, and FloatingPointError, naming eta and
+    at eta = 1 by design.  Raises OverflowError when that mass integral is
+    not representable as a double, and FloatingPointError, naming eta and
     (m, p), when xi or the product of the on-plate energy fractions leaves
     the normal double range (naming h0 and L when m_flat does).  Takes
     floats or arrays of eta; m_flat stays a float.
@@ -462,7 +469,7 @@ def effective_mass(mat: MaterialParams, geo: CavityGeometry, mode: ModeIndex, et
     # 2^m m! 2^p p!, exact as an integer product of 2, 4, ..., 2m
     norm = math.prod(range(2, 2 * mode.m + 1, 2)) * math.prod(range(2, 2 * mode.p + 1, 2))
     if norm > sys.float_info.max:
-        raise ValueError(
+        raise OverflowError(
             f"the unit-amplitude mass integral of in-plane numbers (m, p) = ({mode.m}, {mode.p})"
             " exceeds the double range"
         )

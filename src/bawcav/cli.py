@@ -361,16 +361,16 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
     return parser
 
 
-# '%.9g' % v of doubles as fixed-width records of 32 bytes, four 8-byte
-# words: '-0.000' and the first significant digit, the next eight digits,
-# each followed by '.', 'e', the exponent's sign and three digits, and the
-# '.0' that repr, and so json.dumps, writes after a whole number.  A
-# keep-mask, picked by sign, layout and the number of significant digits,
-# sets every byte that '%.9g' (or json.dumps) does not write to NUL, and
-# the writer drops the NULs.
-_EXACT_POWERS = list(itertools.accumulate(range(160), lambda t, _: 10 * t, initial=1))
-# 1e-160..1e160, each correctly rounded: int -> float and int / int round once
-_POW10 = np.array([1 / t for t in _EXACT_POWERS[:0:-1]] + [float(t) for t in _EXACT_POWERS])
+# '%.9g' % v of doubles as fixed-width records of 24 bytes, three 8-byte
+# words: '-0.000', the first significant digit and '.'; the next eight
+# digits; and a slot for a ninth digit, 'e', the exponent's sign and three
+# digits, and the '.0' that repr, and so json.dumps, writes after a whole
+# number.  The fixed layouts of exponent e = 1..7 write a '.' after digit
+# e + 1: it is shifted in at byte e of the eight digits, and the digits
+# above it move up a byte, the last into the slot.  A keep-mask, picked by
+# sign, layout and the number of significant digits, sets every byte that
+# '%.9g' (or json.dumps) does not write to NUL, and the writer drops the
+# NULs.
 _BYTE = np.eye(8, dtype=np.uint8).view(np.uint64).reshape(-1)  # [i]: the word with byte i = 1
 
 
@@ -381,38 +381,65 @@ def _words(text: bytes, digits: dict) -> np.ndarray:
                np.frombuffer(text, np.uint64)).reshape(-1)
 
 
-_TENS_DIGIT, _ONES_DIGIT = divmod(np.arange(100), 10)  # of the pairs 00..99
-_QUADS = (_words(b"0.0.0.0.", {0: _TENS_DIGIT, 2: _ONES_DIGIT})[:, None]
-          + _words(bytes(8), {4: _TENS_DIGIT, 6: _ONES_DIGIT})).reshape(-1)  # [q]: 'd.d.d.d.'
-_PAIR_ZEROS = (_ONES_DIGIT == 0) * (1 + (_TENS_DIGIT == 0))  # trailing zeros, 2 for 00
-_QUAD_ZEROS = np.where(_ONES_DIGIT + _TENS_DIGIT == 0, 2 + _PAIR_ZEROS[:, None],
-                       _PAIR_ZEROS).reshape(-1)  # [q]: trailing zeros, 4 for 0
+def _bytes_set(at, value: int) -> np.ndarray:
+    # 8-byte words with byte i = value where at[..., i]
+    return (at * np.uint8(value)).view(np.uint64).reshape(-1)
+
+
+def _quad_tables() -> tuple:
+    # [q] for q = 0..9999: 'dddd' in bytes 0..3 and in bytes 4..7; and the
+    # significant digits after the first that the eight digits have with q
+    # as their last quad, or with q followed by 0000: of the two, the larger
+    # is right, as only a last quad of 0 gives less than 5
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1)  # [i, q]: digit i of q
+    zeros = np.logical_and.accumulate(digits[::-1] == 0).sum(0, np.intp)  # trailing, 4 for 0
+    quads = _words(b"0000\0\0\0\0", dict(enumerate(digits)))
+    return quads, quads << np.uint64(32), np.where(zeros < 4, 8 - zeros, 0), 4 - zeros
+
+
+_QUADS, _QUADS_HIGH, _LOW_DIGITS, _MID_DIGITS = _quad_tables()
 _LEADS = _words(b"-0.0000.", {6: np.arange(10)})
+_EXACT_POWERS = list(itertools.accumulate(range(170), lambda t, _: 10 * t, initial=1))
+# 1e-170..1e170, each correctly rounded: int -> float and int / int round once
+_POW10 = np.array([1 / t for t in _EXACT_POWERS[:0:-1]] + [float(t) for t in _EXACT_POWERS])
 _EXP_MAX = 330  # beyond the decimal exponents of doubles, -324..308
 _EXP = np.arange(-_EXP_MAX, _EXP_MAX + 1)
-_EXPS = _words(b"e+000\0.0", {1: 2 * (_EXP < 0), 2: abs(_EXP) // 100,  # '-' is '+' + 2
-                                  3: abs(_EXP) // 10 % 10, 4: abs(_EXP) % 10})
+# the tables below are indexed by e + _EXP_MAX, for the exponent e
+# two powers of ten whose product is 10**(8 - e)
+_SCALES_LOW = _POW10[170 + (8 - _EXP) // 2]
+_SCALES_HIGH = _POW10[170 + 8 - _EXP - (8 - _EXP) // 2]
+# the third word, its slot for the ninth digit empty
+_EXPS = _words(b"\0e+000.0", {2: 2 * (_EXP < 0), 3: abs(_EXP) // 100,  # '-' is '+' + 2
+                                  4: abs(_EXP) // 10 % 10, 5: abs(_EXP) % 10})
+# the bytes of the eight digits at and above the '.' shifted in at byte e,
+# and that '.'; neither where the '.' is not among the eight
+_POINT_AT = np.where((_EXP >= 1) & (_EXP <= 7), _EXP, 8)[:, None]
+_MOVED = _bytes_set(np.arange(8) >= _POINT_AT, 0xFF)
+_POINTS = _bytes_set(np.arange(8) == _POINT_AT, ord("."))
 _LAYOUTS = 15  # fixed with exponent -4..8, exponent form with 2 or 3 digits
 _LAYOUT_KEYS = 9 * np.where((_EXP >= -4) & (_EXP < 9), _EXP + 4, np.where(abs(_EXP) < 100, 13, 14))
 
 
 def _keep_masks() -> tuple[np.ndarray, np.ndarray]:
-    # [sign * 9 * _LAYOUTS + 9 * layout + significant digits - 1] -> 32
+    # [sign * 9 * _LAYOUTS + 9 * layout + significant digits - 1] -> 24
     # bytes, 0xFF where '%.9g' writes the record's byte; and the same for
-    # JSON, which also keeps the '.0' of records with neither '.' nor 'e'
+    # JSON, which also keeps the '.0' of whole numbers, which have neither
+    # '.' nor 'e'
     layout, digits = np.ix_(range(_LAYOUTS), range(1, 10))
     exp, fixed = layout - 4, layout < 13  # the exponent of a fixed layout
     shown = np.where(fixed, np.maximum(digits, exp + 1), digits)  # digits before the 'e'
-    point = np.where(fixed, exp + 1, 1)  # the digit the '.' follows, if any
-    keep = np.zeros((2, _LAYOUTS, 9, 32), bool)
+    keep = np.zeros((2, _LAYOUTS, 9, 24), bool)
     keep[1, ..., 0] = True  # '-'
     keep[..., 1:6] = ((layout < 4) & (np.arange(1, 6) < 2 - exp))[:, None]  # '0.000'
-    keep[..., 6:24:2] = np.arange(1, 10) <= shown[..., None]
-    keep[..., 7:24:2] = (np.arange(1, 10) == point[..., None]) & (digits > point)[..., None]
-    keep[..., 24:29] = (~fixed & ((np.arange(24, 29) != 26) | (layout == 14)))[:, None]
+    keep[..., [6, *range(8, 16)]] = np.arange(1, 10) <= shown[..., None]
+    keep[..., 7] = (~fixed | (exp == 0)) & (digits > 1)  # the '.' after the first digit
+    for e in range(1, 8):  # the '.' after digit e + 1, shifted in at byte 8 + e
+        keep[:, e + 4, :, 9 + e:17] = keep[:, e + 4, :, 8 + e:16]
+        keep[:, e + 4, :, 8 + e] = digits[0] > e + 1
+    keep[..., 17:22] = (~fixed & ((np.arange(17, 22) != 19) | (layout == 14)))[:, None]
     finished = keep.copy()
-    finished[..., 30:32] = ~keep[..., [2, *range(7, 24, 2), 24]].any(-1, keepdims=True)  # '.', 'e'
-    return tuple((k * np.uint8(0xFF)).reshape(-1, 32).view(np.uint64) for k in (keep, finished))
+    finished[..., 22:24] = (fixed & (exp >= 0) & (digits <= exp + 1))[..., None]  # '.0'
+    return tuple((k * np.uint8(0xFF)).reshape(-1, 24).view(np.uint64) for k in (keep, finished))
 
 
 _KEEP, _KEEP_JSON = _keep_masks()
@@ -421,7 +448,7 @@ _KEEP, _KEEP_JSON = _keep_masks()
 def _g9(x, as_json: bool) -> np.ndarray:
     """'%.9g' % v of each element v of x, or with as_json the text
     json.dumps writes for v rounded to nine digits, as NUL-padded bytes
-    (dtype S32).
+    (dtype S24).
 
     The digits come from s = |v| 10**(8 - e), rounded, where e is the
     floor of log10 |v|; the two powers of ten that make 10**(8 - e) are
@@ -430,12 +457,14 @@ def _g9(x, as_json: bool) -> np.ndarray:
     1e-6 of a tie, and for non-finite and subnormal values, Python's '%'
     (or _json_value) makes the cell.  Where log10 rounds across a power of
     ten, v lies within 1e-15 of it, and s rounds to 1e8 or 1e9: both are
-    that power.
+    that power.  The first digit picks the record's first word, the next
+    eight are two 4-digit lookups in the second, and e picks the third and
+    where, if anywhere, a '.' goes among the eight.
 
     json.dumps writes the digits of '%.9g' in its layout, with '.0' after a
     whole number, but for non-finite values, subnormals, whose repr has
     fewer digits, and |v| >= 1e8, where repr writes up to 1e16 without an
-    exponent: _json_value makes those cells.
+    exponent: _json_value makes those cells, each at most 24 bytes.
     """
     x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1)
@@ -444,27 +473,41 @@ def _g9(x, as_json: bool) -> np.ndarray:
         normal = (mag >= sys.float_info.min) & (mag <= sys.float_info.max)
     zero = mag == 0.0
     redo = ~(normal | zero)
-    mag = np.where(normal, mag, 1.0)
+    np.copyto(mag, 1.0, where=~normal)
     if as_json:
         redo |= mag >= 1e8
     exp = np.floor(np.log10(mag)).astype(np.intp)
-    k = 8 - exp
-    s = mag * np.take(_POW10, 160 + k // 2) * np.take(_POW10, 160 + k - k // 2)
-    redo = np.flatnonzero(redo | (np.abs(s - np.floor(s) - 0.5) < 1e-6))
-    r = np.rint(s)
+    exp += _EXP_MAX  # as an index of the exponent tables
+    s = mag * np.take(_SCALES_LOW, exp)
+    s *= np.take(_SCALES_HIGH, exp)
+    r = np.rint(s, out=mag)
+    redo |= np.abs(np.subtract(s, r, out=s), out=s) > 0.5 - 1e-6  # within 1e-6 of a tie
+    redo = np.flatnonzero(redo)
     carry = r >= 1e9  # 999999999.5 and up round to the next decade
-    exp = np.where(zero, 0, exp + carry) + _EXP_MAX  # as an index of _EXPS
-    r = np.where(zero, 0, np.where(carry, 1e8, r)).astype(np.intp)
-    lead, mid, low = r // 100000000, r // 10000 % 10000, r % 10000
-    zeros = np.take(_QUAD_ZEROS, low) + (low == 0) * np.take(_QUAD_ZEROS, mid)  # 8 for 0
-    key = np.signbit(flat) * (9 * _LAYOUTS) + np.take(_LAYOUT_KEYS, exp) + (8 - zeros)
-    words = np.empty((flat.size, 4), np.uint64)
-    words[:, 0] = np.take(_LEADS, lead)
-    words[:, 1] = np.take(_QUADS, mid)
-    words[:, 2] = np.take(_QUADS, low)
-    words[:, 3] = np.take(_EXPS, exp)
-    words &= np.take(_KEEP_JSON if as_json else _KEEP, key, axis=0)
-    cells = words.view("S32")[:, 0]
+    exp += carry
+    np.copyto(r, 1e8, where=carry)
+    np.copyto(r, 0.0, where=zero)  # whose exponent is that of 1.0
+    low = r.astype(np.intp)
+    mid = low // 10000  # '%' costs several times '//' on numpy integers
+    low -= mid * 10000
+    lead = mid // 10000
+    mid -= lead * 10000
+    key = np.take(_LAYOUT_KEYS, exp)
+    key += np.maximum(np.take(_LOW_DIGITS, low), np.take(_MID_DIGITS, mid))
+    np.add(key, 9 * _LAYOUTS, out=key, where=np.signbit(flat))
+    words = np.take(_KEEP_JSON if as_json else _KEEP, key, axis=0)
+    words[:, 0] &= np.take(_LEADS, lead)
+    eight = np.take(_QUADS, mid)
+    eight |= np.take(_QUADS_HIGH, low)
+    moved = np.take(_MOVED, exp)
+    moved &= eight
+    eight ^= moved
+    eight |= np.take(_POINTS, exp)
+    words[:, 2] &= np.take(_EXPS, exp) | moved >> np.uint64(56)
+    moved <<= np.uint64(8)
+    eight |= moved
+    words[:, 1] &= eight
+    cells = words.view("S24")[:, 0]
     for i in redo.tolist():
         v = flat[i].item()
         cells[i] = _json_value(v).encode() if as_json else b"%.9g" % v
@@ -510,12 +553,15 @@ def _rows(texts: list[bytes], cells: list) -> str:
     if not cells:
         return texts[0].decode()
     parts = [p for pair in zip(texts, cells + [b""]) for p in pair if len(p)]  # no empty field
-    rows = np.empty(len(cells[0]),
-                    [(f"f{i}", f"S{len(p) if isinstance(p, bytes) else p.dtype.itemsize}")
-                     for i, p in enumerate(parts)])
+    # the rows are laid out in a bytearray, which translate reads as it is:
+    # a bytes copy of them would be one more large block for the chunk
+    dtype = np.dtype([(f"f{i}", f"S{len(p) if isinstance(p, bytes) else p.dtype.itemsize}")
+                      for i, p in enumerate(parts)])
+    text = bytearray(len(cells[0]) * dtype.itemsize)
+    rows = np.frombuffer(text, dtype)
     for i, p in enumerate(parts):
         rows[f"f{i}"] = p
-    return rows.tobytes().translate(None, b"\0").decode()
+    return text.translate(None, b"\0").decode()
 
 
 def _csv_line(fields) -> str:

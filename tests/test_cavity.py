@@ -187,6 +187,17 @@ class TestEscapeLog10:
         lg = escape_probability_log10(ModeIndex(1, m, 0), float(t), float(t))
         assert lg == pytest.approx(want, rel=1e-12)
 
+    def test_both_axes_beyond_the_double_range_name_eta_and_the_mode(self):
+        # t^2 overflows on both axes, so both ln D are -inf, and their
+        # difference, NaN, is no value
+        with pytest.raises(OverflowError, match=r"\(m, p\) = \(0, 2\) at eta = \(1e\+160, 1e\+200\)"):
+            escape_probability_log10(ModeIndex(1, 0, 2), 1e160, 1e200)
+
+    @pytest.mark.parametrize("eta_x, eta_y", [(1e200, 1.0), (1.0, 1e200)])
+    def test_one_axis_beyond_the_double_range_leaves_the_other(self, eta_x, eta_y):
+        # the other axis decides: log10 erfc(1)
+        assert escape_probability_log10(ModeIndex(1), eta_x, eta_y) == -0.80327346666186
+
     def test_rescaling_keeps_the_bits_of_a_tail_that_needs_none(self):
         # ln D_84(1e4) needs no rescaling and keeps its value, one ulp from
         # exact; ln D_40(1e9) rescales, to the exact value
@@ -281,7 +292,7 @@ class TestEffectiveMass:
         assert xi == pytest.approx(2.7150505425784908e-99, rel=1e-12)
 
     def test_unrepresentable_mass_integral_names_the_mode(self):
-        with pytest.raises(ValueError, match=r"\(m, p\) = \(200, 0\)"):
+        with pytest.raises(OverflowError, match=r"\(m, p\) = \(200, 0\)"):
             effective_mass(QUARTZ, GEO, ModeIndex(1, 200, 0), 1.0, 1.0)
 
     @pytest.mark.parametrize("m", [0, 2])

@@ -348,6 +348,20 @@ class TestNineDigitCells:
         assert cells == ["%.9g" % v for v in NINE_DIGIT_VALUES]
         assert json_cells == [cli._json_value(v) for v in NINE_DIGIT_VALUES]
 
+    def test_every_sign_layout_and_digit_count(self):
+        # one value per keep-mask key: each sign, each layout (fixed with
+        # exponent -4..8, the exponent form with 2 and with 3 digits, both
+        # below 1e8, which JSON writes as '%.9g' does) and each count of
+        # significant digits, the last one non-zero, so that each place of
+        # a shifted-in '.' and of a displaced ninth digit shows
+        values = [float(f"{sign}{d[0]}.{d[1:]}e{e}") for sign in "+-"
+                  for e in (*range(-4, 9), -42, -123)
+                  for d in ("123456789"[:k] for k in range(1, 10))]
+        assert len(values) == 270
+        cells, json_cells = _nine_digit_cells(values)
+        assert cells == ["%.9g" % v for v in values]
+        assert json_cells == [cli._json_value(v) for v in values]
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.lists(st.floats(width=64, allow_nan=True, allow_infinity=True,
                               allow_subnormal=True), min_size=1, max_size=40))
@@ -622,10 +636,12 @@ class TestSweepModes:
         assert float(row["chi_inv"]) == 0.0
         assert -600 < float(row["log10_chi_inv"]) < -400
 
-    def test_unrepresentable_mass_exits_2(self, capsys):
+    def test_unrepresentable_mass_exits_3(self, capsys):
+        # a result outside the double range, as every other such check
         code, out, err = run_cli(capsys, "characterize", "--n", "1", "--m", "200", "--eta", "1")
-        assert code == 2
+        assert code == 3
         assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
         assert "(m, p) = (200, 0)" in err
 
     def test_subnormal_zero_point_spread_exits_3(self, capsys):
