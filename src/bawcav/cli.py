@@ -243,7 +243,8 @@ def cmd_oracle(args) -> Table:
     )
 
 
-# the flag groups commands share, each added to a parser or group of one
+# the flag groups commands share, each added to a parser, an exclusive group
+# or the _Flags that records them for _plain_args
 def _common(p):
     p.add_argument("--material", default=None, metavar="PATH",
                    help="material file (default: bundled quartz constants)")
@@ -341,24 +342,68 @@ COMMANDS = {
 }
 
 
-def _build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every command, or of only ``command`` if it names one.
-
-    A one-command parser names all the commands in its usage line, so that
-    its usage errors read as the full parser's do.
-    """
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, which main builds only for help and
+    usage errors: _plain_args reads every other command line."""
     parser = argparse.ArgumentParser(
         prog="bawcav",
         description="Near-ground-state figures of curved phonon-trapping acoustic cavities.",
     )
-    one = command in COMMANDS
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(COMMANDS) + "}" if one else None)
-    for name in [command] if one else COMMANDS:
-        _, help, add_flags = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help, add_flags) in COMMANDS.items():
         # flags are spelled in full, so that --eta cannot stand for sweep's --eta-range
         add_flags(sub.add_parser(name, help=help, allow_abbrev=False))
     return parser
+
+
+class _Flags:
+    """Stands in for the parser a command's ``_*_flags`` function adds its
+    flags to, and records them: each flag's dest, type, choices and
+    default, in the order added, and the flags of each exclusive group."""
+
+    def __init__(self, table=None):
+        self.table = {} if table is None else table  # shared with its groups
+        self.own = set()
+        self.groups = []
+
+    def add_argument(self, flag, type=None, choices=None, default=None, **_):
+        self.table[flag] = (flag.lstrip("-").replace("-", "_"), type, choices, default)
+        self.own.add(flag)
+
+    def add_mutually_exclusive_group(self):
+        self.groups.append(_Flags(self.table))
+        return self.groups[-1]
+
+
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace _build_parser() returns for a plain command line, read
+    without building it; None for any other.
+
+    A plain command line is a command followed by distinct ``--flag value``
+    pairs of that command's flags, each value not starting with '-' (but
+    '-' itself), converted by the flag's type and among its choices, and no
+    two flags of one exclusive group.  Help, usage errors and every other
+    spelling, such as ``--flag=value``, are the parser's.
+    """
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    flags = _Flags()
+    COMMANDS[argv[0]][2](flags)
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) < len(argv) // 2 or any(len(g.own & given.keys()) > 1 for g in flags.groups):
+        return None
+    values = {dest: default for dest, _, _, default in flags.table.values()}
+    for flag, text in given.items():
+        if flag not in flags.table or text.startswith("-") and text != "-":
+            return None
+        dest, type, choices, _ = flags.table[flag]
+        try:
+            values[dest] = text if type is None else type(text)
+        except ValueError:
+            return None
+        if choices is not None and values[dest] not in choices:
+            return None
+    return argparse.Namespace(command=argv[0], **values)
 
 
 # '%.9g' % v of doubles as fixed-width records of 24 bytes, three 8-byte
@@ -613,7 +658,7 @@ def _text(table: Table, command: str, as_json: bool):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _plain_args(argv) or _build_parser().parse_args(argv)
     try:
         table = COMMANDS[args.command][0](args)
         parts = _text(table, args.command, args.format == "json")

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -717,13 +718,10 @@ def test_each_command_takes_exactly_its_flags(command):
     full = _subparser(cli._build_parser(), command)
     options = {o for a in full._actions for o in a.option_strings}
     assert options - {"-h", "--help"} == set(FLAGS[command])
-    # the one-command parser main builds holds the very same flags
-    assert _flag_specs(_subparser(cli._build_parser(command), command)) == _flag_specs(full)
     assert _flag_specs(full)[1] == ([[["--R"], ["--R-range"]]] if command == "sweep" else [])
 
 
-# usage errors and help of every kind: main builds only the parser of the
-# command argv[0] names, and must print what the parser of every command does
+# usage errors and help of every kind, which main leaves to the full parser
 PARSER_ARGVS = [
     [], ["--help"], ["nosuch"],
     *([command, "--help"] for command in FLAGS),
@@ -733,38 +731,96 @@ PARSER_ARGVS = [
 ]
 
 
-def _main_output(argv):
+def _output(call):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            code = main(list(argv))
+            code = call()
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
-def test_one_command_parser_prints_as_the_full_parser(monkeypatch, argv):
-    got = _main_output(argv)
-    full_parser = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full_parser())
-    assert got == _main_output(argv)
-    assert got[0] in (0, 2)
+def test_one_command_parser_prints_as_the_full_parser(argv):
+    # main, which reads a plain command line from one command's flags,
+    # prints the full parser's help and usage errors and exits with its code
+    got = _output(lambda: main(list(argv)))
+    assert got == _output(lambda: cli._build_parser().parse_args(argv))
+    assert got[0] == (0 if "--help" in argv else 2)
+    assert got[1 if got[0] == 0 else 2].startswith("usage: bawcav ")
 
 
 def test_main_builds_only_the_parser_it_runs(monkeypatch, tmp_path):
     built = []
     build = cli._build_parser
 
-    def spy(command=None):
-        built.append(build(command))
+    def spy():
+        built.append(build())
         return built[-1]
 
     monkeypatch.setattr(cli, "_build_parser", spy)
     out = str(tmp_path / "grid.csv")
     assert main(["sweep", "--n", "1", "--eta-range", "1:2:1", "--out", out]) == 0
-    assert [list(next(a for a in p._actions if a.dest == "command").choices)
-            for p in built] == [["sweep"]]
+    assert built == []  # a plain command line builds no parser
+    for argv in (["sweep", "--help"], ["sweep", "--bogus", "1"]):
+        assert _output(lambda: main(argv))[0] == (0 if "--help" in argv else 2)
+    assert len(built) == 2
+
+
+# tokens for command lines that _plain_args reads and that it leaves to the
+# parser: flags in full, repeated, abbreviated, unknown or with '=value',
+# and values of every kind the parser treats apart
+VALUES = ["-", "-1", "-1e3", "", " 2 ", "07", "nan", "inf", "1", "0.5", "1,3", "x",
+          "1:2:1", "0.1:1:0.1", "csv", "json", "xml", "out.csv"]
+OTHER_FLAGS = ["--bogus", "--help", "-h", "--", "--te", "--eta", "--R-", "--L-tilde", "--format"]
+
+
+def _random_argv(rng, command):
+    flags = FLAGS[command]
+    argv = [command]
+    for _ in range(rng.randrange(7)):
+        kind = rng.random()
+        flag = rng.choice(flags)
+        if kind < 0.1:
+            flag = rng.choice(OTHER_FLAGS)
+        elif kind < 0.15:
+            flag = flag[:rng.randrange(2, len(flag))]  # an abbreviation
+        elif kind < 0.25 and len(argv) > 1:
+            flag = rng.choice(argv[1::2])  # a repeat
+        value = rng.choice(VALUES)
+        argv += [f"{flag}={value}"] if rng.random() < 0.05 else [flag, value]
+    if command == "sweep" and rng.random() < 0.2:
+        argv += ["--R", "1", "--R-range", "1:2:1"]
+    if rng.random() < 0.05:
+        argv.append(rng.choice(VALUES))  # an odd token count
+    return argv
+
+
+def _same(a, b):
+    # equal values of the same type, NaN equal to NaN
+    return type(a) is type(b) and (a == b or a != a and b != b)
+
+
+@pytest.mark.parametrize("command", FLAGS)
+def test_plain_read_is_the_parsers_namespace(command):
+    rng = random.Random(command)
+    parser = cli._build_parser()
+    plain = 0
+    for _ in range(400):
+        argv = _random_argv(rng, command)
+        got = cli._plain_args(argv)
+        if got is None:
+            continue
+        plain += 1
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                parsed = parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"the parser refuses {argv}, which _plain_args reads")
+        assert list(vars(got)) == list(vars(parsed)), argv
+        assert all(_same(v, getattr(parsed, k)) for k, v in vars(got).items()), argv
+    assert plain >= 40  # the lines read plainly are not a handful
 
 
 # SHA-256 of stdout for the README commands; the output contract is
