@@ -17,7 +17,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .constants import BOLTZMANN_K, HBAR
-from .material import MaterialParams, _require_odd_overtone, dispersion_parameters, stiffened_constants
+from .material import (MaterialParams, _require_odd_overtone, _require_positive_finite,
+                       dispersion_parameters, stiffened_constants)
 from .specfun import _elementwise, _finite, _real, _reject, erf, erfc, erfcx, hermite
 
 __all__ = [
@@ -57,10 +58,7 @@ class CavityGeometry:
     R: float
 
     def __post_init__(self):
-        for name in ("L", "h0", "R"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+        _require_positive_finite(self, ("L", "h0", "R"))
         if not 2.0 * self.h0 < self.R / 10.0:
             raise ValueError(
                 f"plate thickness 2*h0={2 * self.h0!r} must stay below R/10={self.R / 10.0!r}"

@@ -243,102 +243,66 @@ def cmd_oracle(args) -> Table:
     )
 
 
-# the flag groups commands share, each added to a parser, an exclusive group
-# or the _Flags that records them for _plain_args
-def _common(p):
-    p.add_argument("--material", default=None, metavar="PATH",
-                   help="material file (default: bundled quartz constants)")
-    p.add_argument("--L", type=float, default=0.015, help="plate half-width (m)")
-    p.add_argument("--h0", type=float, default=5e-4, help="plate half-thickness (m)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default="-", metavar="PATH", help="output file ('-' = stdout)")
+# each command's flags, in order, as (flag, add_argument keywords): the
+# parser's declaration, which _plain_args also reads; the flags several
+# commands take are declared once
+_COMMON = [
+    ("--material", dict(default=None, metavar="PATH",
+                        help="material file (default: bundled quartz constants)")),
+    ("--L", dict(type=float, default=0.015, help="plate half-width (m)")),
+    ("--h0", dict(type=float, default=5e-4, help="plate half-thickness (m)")),
+    ("--format", dict(choices=("csv", "json"), default="csv")),
+    ("--out", dict(default="-", metavar="PATH", help="output file ('-' = stdout)")),
+]
+_R = ("--R", dict(type=float, default=0.3, help="radius of curvature (m)"))
+_ETA = ("--eta", dict(type=float, default=None, help="override the trapping parameter (both axes)"))
+_TEMP = ("--temp-k", dict(type=float, default=0.02, help="temperature (K)"))
+_M_P = [
+    ("--m", dict(type=int, default=0, help="in-plane number along x (even)")),
+    ("--p", dict(type=int, default=0, help="in-plane number along y (even)")),
+]
+# --R sets the radius of an --eta-range sweep; an --R-range sweep has its own
+_EXCLUSIVE = {"--R", "--R-range"}
 
-
-def _radius(container):
-    container.add_argument("--R", type=float, default=0.3, help="radius of curvature (m)")
-
-
-def _eta(p):
-    p.add_argument("--eta", type=float, default=None,
-                   help="override the trapping parameter (both axes)")
-
-
-def _temp(p):
-    p.add_argument("--temp-k", type=float, default=0.02, help="temperature (K)")
-
-
-def _characterize_flags(p):
-    _common(p)
-    _radius(p)
-    _eta(p)
-    _temp(p)
-    p.add_argument("--n", type=int, default=1, help="overtone number (odd)")
-    p.add_argument("--m", type=int, default=0, help="in-plane number along x (even)")
-    p.add_argument("--p", type=int, default=0, help="in-plane number along y (even)")
-
-
-def _sweep_flags(p):
-    _common(p)
-    _temp(p)
-    p.add_argument("--n", default="1", metavar="LIST", help="comma-separated odd overtones")
-    p.add_argument("--m", type=int, default=0, help="in-plane number along x (even)")
-    p.add_argument("--p", type=int, default=0, help="in-plane number along y (even)")
-    p.add_argument("--eta-range", default=None, metavar="A:B:STEP")
-    # --R sets the radius of an --eta-range sweep; an --R-range sweep has its own
-    radii = p.add_mutually_exclusive_group()
-    _radius(radii)
-    radii.add_argument("--R-range", default=None, metavar="A:B:STEP")
-
-
-def _electrode_flags(p):
-    _common(p)
-    _radius(p)
-    _eta(p)
-    p.add_argument("--n", default="7,37,227", metavar="LIST")
-    p.add_argument("--mu-opt", type=float, default=MU_OPT_3SIGMA,
-                   help="target overlap factor (default: 3-sigma coverage)")
-
-
-def _membrane_flags(p):
-    _common(p)
-    _radius(p)
-    _eta(p)
-    _temp(p)
-    p.add_argument("--n", type=int, default=227)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--p", type=int, default=0)
-    p.add_argument("--a", type=float, default=0.03, help="membrane side a (m)")
-    p.add_argument("--b", type=float, default=0.03, help="membrane side b (m)")
-    p.add_argument("--mem-h", type=float, default=5e-4, help="membrane thickness (m)")
-    p.add_argument("--tau", type=float, default=105e9, help="membrane stress (Pa)")
-    p.add_argument("--mem-m", type=int, default=1, help="membrane mode number m")
-    p.add_argument("--mem-n", type=int, default=1, help="membrane mode number n")
-
-
-def _paper_report_flags(p):
-    _common(p)
-    _radius(p)
-    p.add_argument("--variant-material", default=None, metavar="PATH",
-                   help="piezoelectric material file for readout checks")
-
-
-def _oracle_flags(p):
-    _common(p)
-    _radius(p)
-    p.add_argument("--sets", type=int, default=20, help="random parameter sets (seeded, >= 1)")
-
-
-# each command's function, its help line and the function that adds its flags
+# each command's function, its help line and its flags
 COMMANDS = {
-    "characterize": (cmd_characterize, "single-mode characterization row", _characterize_flags),
-    "sweep": (cmd_sweep, "characterization grid over overtones and trapping/curvature",
-              _sweep_flags),
-    "electrode": (cmd_electrode, "optimal electrode sizing table", _electrode_flags),
-    "membrane": (cmd_membrane, "side-by-side comparison with a stressed membrane",
-                 _membrane_flags),
-    "paper-report": (cmd_paper_report, "check library output against published reference values",
-                     _paper_report_flags),
-    "oracle": (cmd_oracle, "run the brute-force validation suite", _oracle_flags),
+    "characterize": (cmd_characterize, "single-mode characterization row", [
+        *_COMMON, _R, _ETA, _TEMP,
+        ("--n", dict(type=int, default=1, help="overtone number (odd)")), *_M_P,
+    ]),
+    "sweep": (cmd_sweep, "characterization grid over overtones and trapping/curvature", [
+        *_COMMON, _TEMP,
+        ("--n", dict(default="1", metavar="LIST", help="comma-separated odd overtones")), *_M_P,
+        ("--eta-range", dict(default=None, metavar="A:B:STEP")),
+        _R, ("--R-range", dict(default=None, metavar="A:B:STEP")),
+    ]),
+    "electrode": (cmd_electrode, "optimal electrode sizing table", [
+        *_COMMON, _R, _ETA,
+        ("--n", dict(default="7,37,227", metavar="LIST")),
+        ("--mu-opt", dict(type=float, default=MU_OPT_3SIGMA,
+                          help="target overlap factor (default: 3-sigma coverage)")),
+    ]),
+    "membrane": (cmd_membrane, "side-by-side comparison with a stressed membrane", [
+        *_COMMON, _R, _ETA, _TEMP,
+        ("--n", dict(type=int, default=227)),
+        ("--m", dict(type=int, default=0)),
+        ("--p", dict(type=int, default=0)),
+        ("--a", dict(type=float, default=0.03, help="membrane side a (m)")),
+        ("--b", dict(type=float, default=0.03, help="membrane side b (m)")),
+        ("--mem-h", dict(type=float, default=5e-4, help="membrane thickness (m)")),
+        ("--tau", dict(type=float, default=105e9, help="membrane stress (Pa)")),
+        ("--mem-m", dict(type=int, default=1, help="membrane mode number m")),
+        ("--mem-n", dict(type=int, default=1, help="membrane mode number n")),
+    ]),
+    "paper-report": (cmd_paper_report, "check library output against published reference values", [
+        *_COMMON, _R,
+        ("--variant-material", dict(default=None, metavar="PATH",
+                                    help="piezoelectric material file for readout checks")),
+    ]),
+    "oracle": (cmd_oracle, "run the brute-force validation suite", [
+        *_COMMON, _R,
+        ("--sets", dict(type=int, default=20, help="random parameter sets (seeded, >= 1)")),
+    ]),
 }
 
 
@@ -350,60 +314,46 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Near-ground-state figures of curved phonon-trapping acoustic cavities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help, add_flags) in COMMANDS.items():
+    for name, (_, help, flags) in COMMANDS.items():
         # flags are spelled in full, so that --eta cannot stand for sweep's --eta-range
-        add_flags(sub.add_parser(name, help=help, allow_abbrev=False))
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        group = p.add_mutually_exclusive_group() if _EXCLUSIVE <= dict(flags).keys() else p
+        for flag, kwargs in flags:
+            (group if flag in _EXCLUSIVE else p).add_argument(flag, **kwargs)
     return parser
-
-
-class _Flags:
-    """Stands in for the parser a command's ``_*_flags`` function adds its
-    flags to, and records them: each flag's dest, type, choices and
-    default, in the order added, and the flags of each exclusive group."""
-
-    def __init__(self, table=None):
-        self.table = {} if table is None else table  # shared with its groups
-        self.own = set()
-        self.groups = []
-
-    def add_argument(self, flag, type=None, choices=None, default=None, **_):
-        self.table[flag] = (flag.lstrip("-").replace("-", "_"), type, choices, default)
-        self.own.add(flag)
-
-    def add_mutually_exclusive_group(self):
-        self.groups.append(_Flags(self.table))
-        return self.groups[-1]
 
 
 def _plain_args(argv: list[str]) -> argparse.Namespace | None:
     """The namespace _build_parser() returns for a plain command line, read
-    without building it; None for any other.
+    from COMMANDS without building it; None for any other.
 
     A plain command line is a command followed by distinct ``--flag value``
     pairs of that command's flags, each value not starting with '-' (but
-    '-' itself), converted by the flag's type and among its choices, and no
-    two flags of one exclusive group.  Help, usage errors and every other
-    spelling, such as ``--flag=value``, are the parser's.
+    '-' itself), converted by the flag's type and among its choices, and not
+    both _EXCLUSIVE flags.  Help, usage errors and every other spelling,
+    such as ``--flag=value``, are the parser's.
     """
     if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
         return None
-    flags = _Flags()
-    COMMANDS[argv[0]][2](flags)
     given = dict(zip(argv[1::2], argv[2::2]))
-    if len(given) < len(argv) // 2 or any(len(g.own & given.keys()) > 1 for g in flags.groups):
+    if len(given) < len(argv) // 2 or _EXCLUSIVE <= given.keys():
         return None
-    values = {dest: default for dest, _, _, default in flags.table.values()}
-    for flag, text in given.items():
-        if flag not in flags.table or text.startswith("-") and text != "-":
+    values = {}
+    for flag, kwargs in COMMANDS[argv[0]][2]:
+        text = given.pop(flag, None)
+        if text is None:
+            value = kwargs.get("default")
+        elif text.startswith("-") and text != "-":
             return None
-        dest, type, choices, _ = flags.table[flag]
-        try:
-            values[dest] = text if type is None else type(text)
-        except ValueError:
-            return None
-        if choices is not None and values[dest] not in choices:
-            return None
-    return argparse.Namespace(command=argv[0], **values)
+        else:
+            try:
+                value = kwargs.get("type", str)(text)
+            except ValueError:
+                return None
+            if "choices" in kwargs and value not in kwargs["choices"]:
+                return None
+        values[flag[2:].replace("-", "_")] = value
+    return None if given else argparse.Namespace(command=argv[0], **values)
 
 
 # '%.9g' % v of doubles as fixed-width records of 24 bytes, three 8-byte

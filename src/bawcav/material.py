@@ -67,10 +67,7 @@ class MaterialParams:
     kappa_y: float = 1.0
 
     def __post_init__(self):
-        for name in ("rho", "c_bar_z", "eps_z", "M", "P"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+        _require_positive_finite(self, ("rho", "c_bar_z", "eps_z", "M", "P"))
         if not (math.isfinite(self.e_z) and self.e_z >= 0):
             raise ValueError(f"e_z must be non-negative, got {self.e_z!r}")
         for name in ("a_x", "a_y"):
@@ -81,6 +78,13 @@ class MaterialParams:
             v = getattr(self, name)
             if not (0.0 < v < 2.0):
                 raise ValueError(f"{name} must lie in (0, 2), got {v!r}")
+
+
+def _require_positive_finite(obj, names):
+    for name in names:
+        v = getattr(obj, name)
+        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
 
 def _require_odd_overtone(n: int):

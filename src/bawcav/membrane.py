@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .cavity import _DBL_MIN, ModeCharacterization, thermal_occupancy
 from .constants import HBAR
+from .material import _require_positive_finite
 
 __all__ = [
     "MembraneSpec",
@@ -38,10 +39,7 @@ class MembraneSpec:
     mode_n: int = 1
 
     def __post_init__(self):
-        for name in ("a", "b", "h", "tau", "rho"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+        _require_positive_finite(self, ("a", "b", "h", "tau", "rho"))
         if not self.h < min(self.a, self.b) / 20.0:
             raise ValueError(
                 f"membrane must be thin: h={self.h!r} >= min(a, b)/20={min(self.a, self.b) / 20.0!r}"

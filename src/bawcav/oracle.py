@@ -84,7 +84,7 @@ class EigensolveConvergenceError(ArithmeticError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # of array fields: equal only to itself, hashed by identity
 class TrapEigenResult:
     """Lowest eigenpairs of the in-plane trapping operator (x slice).
 

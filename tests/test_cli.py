@@ -713,12 +713,28 @@ def _flag_specs(parser):
              for g in parser._mutually_exclusive_groups])
 
 
+# SHA-256 of repr(_flag_specs(...)) of each command, recorded from the
+# flag-adder functions that cli.COMMANDS' flag lists replaced: each flag's
+# option strings, dest, default, type, choices, metavar and help, in order,
+# and the exclusive groups
+FLAG_SPECS = {
+    "characterize": "bad0196575909526cc46c45731e89287d2dbb2c94bded8df9fec875cf304dca0",
+    "sweep": "fabd1f09a7aaea474a95ed75f76d8213b3301c51d08886752eb4e7f2cc61085a",
+    "electrode": "8948ca645f0061034141945bd5cba957c39143b7c29abaa230d940ae3ba704d9",
+    "membrane": "35a92f81aa3a7f8670ba822933922de1a4ae76e105b92835c06d210080e12723",
+    "paper-report": "638a844f98b0347acd447259fe9eade66601f616b4718d0e282b30bec08d1c70",
+    "oracle": "800c7893815adb4eeac0547a69460d8b6458bf69d35f0ad12a8369fd82457192",
+}
+
+
 @pytest.mark.parametrize("command", FLAGS)
 def test_each_command_takes_exactly_its_flags(command):
     full = _subparser(cli._build_parser(), command)
     options = {o for a in full._actions for o in a.option_strings}
     assert options - {"-h", "--help"} == set(FLAGS[command])
-    assert _flag_specs(full)[1] == ([[["--R"], ["--R-range"]]] if command == "sweep" else [])
+    specs = _flag_specs(full)
+    assert specs[1] == ([[["--R"], ["--R-range"]]] if command == "sweep" else [])
+    assert hashlib.sha256(repr(specs).encode()).hexdigest() == FLAG_SPECS[command], specs
 
 
 # usage errors and help of every kind, which main leaves to the full parser
@@ -743,8 +759,8 @@ def _output(call):
 
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
 def test_one_command_parser_prints_as_the_full_parser(argv):
-    # main, which reads a plain command line from one command's flags,
-    # prints the full parser's help and usage errors and exits with its code
+    # main, which reads plain command lines without argparse, leaves help
+    # and usage errors to the parser: it prints them and exits with its code
     got = _output(lambda: main(list(argv)))
     assert got == _output(lambda: cli._build_parser().parse_args(argv))
     assert got[0] == (0 if "--help" in argv else 2)

@@ -248,6 +248,11 @@ class TestTrapEigensolve:
         gfit = fit_gaussian_curvature(res.x, res.vectors[:, 0])
         assert gfit == pytest.approx(math.pi * alpha, rel=1e-3)
 
+    def test_results_compare_and_hash_by_identity(self):
+        a, b = trap_eigensolve(QUARTZ, GEO, 1), trap_eigensolve(QUARTZ, GEO, 1)
+        assert (a == a) is True and (a == b) is False and (a != b) is True
+        assert len({a, b, a}) == 2
+
     def test_higher_overtone_curvature(self):
         res = trap_eigensolve(QUARTZ, GEO, 3)
         alpha, _ = envelope_curvatures(QUARTZ, GEO, 3)
