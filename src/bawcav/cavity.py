@@ -19,7 +19,7 @@ import numpy as np
 from .constants import BOLTZMANN_K, HBAR
 from .material import (MaterialParams, _require_odd_overtone, _require_positive_finite,
                        dispersion_parameters, stiffened_constants)
-from .specfun import _elementwise, _finite, _real, _reject, erf, erfc, erfcx, hermite
+from .specfun import _at, _elementwise, _finite, _real, _reject, _require, erf, erfc, erfcx, hermite
 
 __all__ = [
     "CavityGeometry",
@@ -115,8 +115,8 @@ class ModeCharacterization:
         _reject(chi, (chi >= 0.0) & (chi <= 1.0), "chi_inv must lie in [0, 1]")
         _reject(self.xi, self.xi > 0, "xi must be positive")
         prod = self.x_zpf * self.p_zpf
-        if _first_bad(abs(prod - HBAR / 2.0) <= 1e-12 * (HBAR / 2.0)) is not None:
-            raise ValueError("x_zpf * p_zpf must equal hbar/2 (minimum uncertainty)")
+        _require(abs(prod - HBAR / 2.0) <= 1e-12 * (HBAR / 2.0), ValueError,
+                 lambda k: "x_zpf * p_zpf must equal hbar/2 (minimum uncertainty)")
 
     # the generated field-tuple comparison asks an array for one truth value
     def __eq__(self, other):
@@ -131,9 +131,22 @@ class ModeCharacterization:
         return hash(values)
 
 
+def _is_normal(x):
+    # elementwise: x is a positive normal double
+    return (x >= _DBL_MIN) & (x < math.inf)
+
+
+def _power(x: float, k: int) -> float:
+    # x ** k, or inf where the float power overflows (x >= 0)
+    try:
+        return x**k
+    except OverflowError:
+        return math.inf
+
+
 def _normal(value: float, what: str) -> float:
     # value when it is a positive normal double, else an error naming what
-    if not _DBL_MIN <= value < math.inf:
+    if not _is_normal(value):
         error = OverflowError if value == math.inf else FloatingPointError
         raise error(f"{what} is outside the normal double range")
     return value
@@ -141,20 +154,15 @@ def _normal(value: float, what: str) -> float:
 
 def _square_of_L(geo: CavityGeometry) -> float:
     # L^2 as a normal double, or an error that names L
-    try:
-        l_sq = geo.L**2
-    except OverflowError:
-        l_sq = math.inf
-    return _normal(l_sq, f"L^2 at L = {geo.L!r}")
+    return _normal(_power(geo.L, 2), f"L^2 at L = {geo.L!r}")
 
 
 def _trap_denominator(geo: CavityGeometry) -> float:
-    # 8 R h0^3 as a normal double, or an error that names R and h0
-    try:
-        denom = 8.0 * geo.R * geo.h0**3
-    except OverflowError:
-        denom = math.inf
-    return _normal(denom, f"8 R h0^3 at R = {geo.R!r}, h0 = {geo.h0!r}")
+    # 8 R h0^3 as a normal double, or an error naming R and h0; h0^3 must be
+    # one too, as 8 R can lift a subnormal h0^3, digits lost, back into range
+    what = f"8 R h0^3 at R = {geo.R!r}, h0 = {geo.h0!r}"
+    h0_cubed = _normal(_power(geo.h0, 3), what)
+    return _normal(8.0 * geo.R * h0_cubed, what)
 
 
 def envelope_curvatures(mat: MaterialParams, geo: CavityGeometry, n: int) -> tuple[float, float]:
@@ -162,8 +170,8 @@ def envelope_curvatures(mat: MaterialParams, geo: CavityGeometry, n: int) -> tup
 
     alpha^2 = c_hat_z / (8 R h0^3 M_n) and analogously with P_n for beta;
     both scale as R^(-1/2).  Raises OverflowError or FloatingPointError,
-    naming R and h0, when 8 R h0^3, 8 R h0^3 M_n or 8 R h0^3 P_n leaves the
-    normal double range (a negative M_n or P_n gives math's domain error).
+    naming R and h0, when h0^3, 8 R h0^3, 8 R h0^3 M_n or 8 R h0^3 P_n leaves
+    the normal double range (a negative M_n or P_n gives math's domain error).
     """
     _, c_hat = stiffened_constants(mat, n)
     m_n, p_n = dispersion_parameters(mat, n)
@@ -195,24 +203,23 @@ def trapping_over_radii(mat: MaterialParams, geo: CavityGeometry, n: int, radii)
     """
     _, c_hat = stiffened_constants(mat, n)
     m_n, p_n = dispersion_parameters(mat, n)
-    try:
-        h0_cubed = geo.h0**3
-    except OverflowError:
-        h0_cubed = math.inf
+    h0_cubed = _power(geo.h0, 3)
     radii = np.asarray(radii, dtype=float)
     with np.errstate(all="ignore"):
         denom = 8.0 * radii * h0_cubed
         qx, qy = denom * m_n, denom * p_n
         alpha, beta = np.sqrt(c_hat / qx), np.sqrt(c_hat / qy)
-        # where the chain raises: denom, |qx| or |qy| not a normal double, or
-        # a curvature that is not positive (a NaN from a negative square root)
-        ok = ((denom >= _DBL_MIN) & (denom < math.inf) & (abs(qx) >= _DBL_MIN)
+        # where the chain raises: h0^3, denom, |qx| or |qy| not a normal double,
+        # or a curvature that is not positive (a NaN from a negative square root)
+        ok = (_is_normal(h0_cubed) & _is_normal(denom) & (abs(qx) >= _DBL_MIN)
               & (abs(qy) >= _DBL_MIN) & (alpha > 0) & (beta > 0))
-    k = _first_bad(ok)
-    if k is not None:
+
+    def scalar_chain(k):  # raises the scalar chain's error at radius k
         g = replace(geo, R=_at(radii, k))
         trapping_parameters(*envelope_curvatures(mat, g, n), g.L)
-        raise AssertionError(f"the trapping chain at R = {g.R!r} did not raise")
+        return f"the trapping chain at R = {g.R!r} did not raise"
+
+    _require(ok, AssertionError, scalar_chain)
     return np.sqrt(math.pi * alpha) * geo.L, np.sqrt(math.pi * beta) * geo.L
 
 
@@ -258,18 +265,6 @@ def _trapping(eta_x, eta_y=None):
 
 def _figure(x, scalar: bool):
     return float(x) if scalar else x
-
-
-def _first_bad(ok) -> int | None:
-    # index of the first element that fails the elementwise check ok
-    if isinstance(ok, np.ndarray):
-        return None if ok.all() else int(ok.argmin())
-    return None if ok else 0
-
-
-def _at(x, k: int) -> float:
-    # element k of x, which may be a scalar, as a plain float for messages
-    return float(np.ravel(x)[k])
 
 
 def _hermite_tail(m: int, t, log_psi0) -> tuple:
@@ -338,11 +333,8 @@ def _mode_at(mode: ModeIndex, ex, ey, k: int) -> str:
 
 
 def _check_eta(ex, ey):
-    k = _first_bad((ex >= 0) & (ey >= 0) & _finite(ex) & _finite(ey))
-    if k is not None:
-        raise ValueError(
-            f"trapping parameters must be non-negative, got {_at(ex, k)!r}, {_at(ey, k)!r}"
-        )
+    _require((ex >= 0) & (ey >= 0) & _finite(ex) & _finite(ey), ValueError,
+             lambda k: f"trapping parameters must be non-negative, got {_at(ex, k)!r}, {_at(ey, k)!r}")
 
 
 def escape_probability(mode: ModeIndex, eta_x, eta_y):
@@ -415,17 +407,17 @@ def mode_frequency(mat: MaterialParams, geo: CavityGeometry, mode: ModeIndex) ->
     omega^2 = (n pi / (2 h0))^2 c_hat_z / rho, exactly proportional to n
     and the same for every (m, p); ``in_plane_quanta`` gives the in-plane
     part of rho omega^2.  Raises OverflowError, naming n and h0, when
-    omega^2 exceeds the double range.
+    omega^2 exceeds the double range, and FloatingPointError, naming them
+    too, when (n pi / (2 h0))^2 or omega^2 is below the normal range.
     """
     _, c_hat = stiffened_constants(mat, mode.n)
-    try:
-        lead = (mode.n * math.pi / (2.0 * geo.h0)) ** 2 * c_hat / mat.rho
-    except OverflowError:
-        lead = math.inf
+    square = _power(mode.n * math.pi / (2.0 * geo.h0), 2)
+    lead = square * c_hat / mat.rho
+    where = f"the frequency of overtone n = {mode.n} at h0 = {geo.h0!r}"
     if lead == math.inf:
-        raise OverflowError(
-            f"the frequency of overtone n = {mode.n} at h0 = {geo.h0!r} exceeds the double range"
-        )
+        raise OverflowError(f"{where} exceeds the double range")
+    if not (_is_normal(square) and _is_normal(lead)):
+        raise FloatingPointError(f"{where} is below the normal double range")
     return math.sqrt(lead)
 
 
@@ -461,8 +453,8 @@ def effective_mass(mat: MaterialParams, geo: CavityGeometry, mode: ModeIndex, et
     floats or arrays of eta; m_flat stays a float.
     """
     ex, ey, scalar = _trapping(eta_x, eta_y)
-    if _first_bad((ex > 0) & (ey > 0)) is not None:
-        raise ValueError("effective mass requires strictly positive trapping parameters")
+    _require((ex > 0) & (ey > 0), ValueError,
+             lambda k: "effective mass requires strictly positive trapping parameters")
     n = mode.n
     # 2^m m! 2^p p!, exact as an integer product of 2, 4, ..., 2m
     norm = math.prod(range(2, 2 * mode.m + 1, 2)) * math.prod(range(2, 2 * mode.p + 1, 2))
@@ -479,18 +471,12 @@ def effective_mass(mat: MaterialParams, geo: CavityGeometry, mode: ModeIndex, et
         )
         # a subnormal fx * fy would cost xi digits without a sign
         fxy = fx * fy
-        k = _first_bad(fxy >= _DBL_MIN)
-        if k is not None:
-            raise FloatingPointError(
-                f"the on-plate energy fractions of {_mode_at(mode, ex, ey, k)}"
-                " are below the normal double range"
-            )
+        _require(fxy >= _DBL_MIN, FloatingPointError,
+                 lambda k: f"the on-plate energy fractions of {_mode_at(mode, ex, ey, k)}"
+                 " are below the normal double range")
         xi = (4.0 / math.pi) * ex * ey * n / (fxy * float(norm))
-        k = _first_bad((xi >= _DBL_MIN) & (xi < math.inf))
-        if k is not None:
-            raise FloatingPointError(
-                f"xi of {_mode_at(mode, ex, ey, k)} is outside the normal double range"
-            )
+        _require(_is_normal(xi), FloatingPointError,
+                 lambda k: f"xi of {_mode_at(mode, ex, ey, k)} is outside the normal double range")
         m_eff = m_flat / xi
     return _figure(m_eff, scalar), m_flat, _figure(xi, scalar)
 
@@ -500,12 +486,9 @@ def _spreads(omega: float, mass, mode: ModeIndex, ex, ey):
     mass = np.asarray(mass)
     x_sq = HBAR / (2.0 * omega * mass)
     p_sq = HBAR * omega * mass / 2.0
-    k = _first_bad((x_sq >= _DBL_MIN) & (p_sq >= _DBL_MIN))
-    if k is not None:
-        raise FloatingPointError(
-            f"a squared zero-point spread of {_mode_at(mode, ex, ey, k)}"
-            " is below the normal double range"
-        )
+    _require((x_sq >= _DBL_MIN) & (p_sq >= _DBL_MIN), FloatingPointError,
+             lambda k: f"a squared zero-point spread of {_mode_at(mode, ex, ey, k)}"
+             " is below the normal double range")
     return np.sqrt(x_sq), np.sqrt(p_sq)
 
 
@@ -515,12 +498,9 @@ def _zero_point(mat, geo, mode, ex, ey):
     m_eff, m_flat, xi = effective_mass(mat, geo, mode, ex, ey)
     omega = mode_frequency(mat, geo, mode)
     with np.errstate(all="ignore"):
-        k = _first_bad((omega < math.inf) & (m_eff >= _DBL_MIN) & (m_eff < math.inf))
-        if k is not None:
-            raise OverflowError(
-                f"the frequency or the mass of overtone n = {mode.n},"
-                f" {_mode_at(mode, ex, ey, k)}, is outside the normal double range"
-            )
+        _require((omega < math.inf) & _is_normal(m_eff), OverflowError,
+                 lambda k: f"the frequency or the mass of overtone n = {mode.n},"
+                 f" {_mode_at(mode, ex, ey, k)}, is outside the normal double range")
         x, p = _spreads(omega, m_eff, mode, ex, ey)
     return omega, m_eff, m_flat, xi, x, p
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cavity import _DBL_MIN, CavityGeometry, ModeIndex, _square_of_L, effective_mass
+from .cavity import (CavityGeometry, ModeIndex, _is_normal, _normal, _power, _square_of_L,
+                     effective_mass)
 from .constants import HBAR
 from .material import MaterialParams, _require_odd_overtone
 from .specfun import erf, erf_inv, hermite
@@ -108,7 +109,9 @@ def piezo_current_zpf(
 
     I_rms = e_z * pi * mu / (sqrt(alpha beta) h0 m_flat) * sqrt(xi)
     * p_zpf_flat; linear in mu, and the geometric part grows as sqrt(xi).
-    Requires a piezoelectric material (e_z > 0).
+    Requires a piezoelectric material (e_z > 0).  Raises where
+    ``effective_mass`` does, then an ArithmeticError naming eta where a
+    square, a square root, a divisor or the current is not a normal double.
     """
     if mat.e_z <= 0.0:
         raise ValueError(
@@ -119,12 +122,12 @@ def piezo_current_zpf(
     if not (eta_x > 0 and eta_y > 0):
         raise ValueError("trapping parameters must be positive")
     area = math.pi * _square_of_L(geo)
-    alpha = eta_x**2 / area
-    beta = eta_y**2 / area
     _, m_flat, xi = effective_mass(mat, geo, mode, eta_x, eta_y)
-    p_flat = math.sqrt(HBAR * _omega_ref(mat, geo, mode.n) * m_flat / 2.0)
-    prefactor = mat.e_z * math.pi * mu / (math.sqrt(alpha * beta) * geo.h0 * m_flat)
-    return prefactor * math.sqrt(xi) * p_flat
+    what = f"the zero-point current of overtone n = {mode.n} at eta = ({eta_x!r}, {eta_y!r})"
+    alpha, beta = (_normal(_normal(_power(eta, 2), what) / area, what) for eta in (eta_x, eta_y))
+    p_sq = _normal(HBAR * _omega_ref(mat, geo, mode.n) * m_flat / 2.0, what)
+    denom = _normal(math.sqrt(_normal(alpha * beta, what)) * geo.h0 * m_flat, what)
+    return _normal(mat.e_z * math.pi * mu / denom * math.sqrt(xi) * math.sqrt(p_sq), what)
 
 
 def optimal_electrode(geo: CavityGeometry, eta: float, n: int, mu_opt: float = MU_OPT_3SIGMA) -> float:
@@ -156,23 +159,24 @@ def shunt_impedance(
     since C0 is proportional to 1/n this is exactly overtone-independent.
     Z_closed_form evaluates the published closed-form impedance expression
     verbatim; the two conventions disagree by an O(1) factor and are both
-    reported.  Raises OverflowError, naming eta and n, when a figure leaves
-    the normal double range.
+    reported.  Raises OverflowError, naming eta and n, when a figure, or a
+    square or divisor it is made from, is not a normal double.
     """
     lt = optimal_electrode(geo, eta, n, mu_opt)
-    c0 = mat.eps_z * (2.0 * lt) ** 2 / (2.0 * geo.h0)
-    z_derived = 1.0 / (_omega_ref(mat, geo, n) * c0)
-    z_closed = (
-        (2.0 * geo.h0**2 / (mat.eps_z * geo.L**2))
-        * math.sqrt(mat.rho / mat.c_bar_z)
-        * eta**2
-        * erf(math.sqrt(mu_opt)) ** 2
-    )
-    if not all(_DBL_MIN <= v < math.inf for v in (c0, z_closed, z_derived)):
-        raise OverflowError(
-            f"the shunt figures of overtone n = {n} at eta = {eta!r} are outside the normal"
-            " double range"
-        )
+    side_sq, h0_sq, eta_sq = _power(2.0 * lt, 2), _power(geo.h0, 2), _power(eta, 2)
+    c0 = mat.eps_z * side_sq / (2.0 * geo.h0)
+    omega_c0 = _omega_ref(mat, geo, n) * c0
+    eps_l_sq = mat.eps_z * _power(geo.L, 2)
+    what = (f"the shunt figures of overtone n = {n} at eta = {eta!r} are outside the normal"
+            " double range")
+    # every square and divisor a normal double first: none divides by zero or costs digits
+    if not all(_is_normal(v) for v in (side_sq, h0_sq, eta_sq, c0, omega_c0, eps_l_sq)):
+        raise OverflowError(what)
+    z_derived = 1.0 / omega_c0
+    z_closed = ((2.0 * h0_sq / eps_l_sq) * math.sqrt(mat.rho / mat.c_bar_z) * eta_sq
+                * erf(math.sqrt(mu_opt)) ** 2)
+    if not (_is_normal(z_closed) and _is_normal(z_derived)):
+        raise OverflowError(what)
     return c0, z_closed, z_derived
 
 
@@ -194,11 +198,7 @@ def design_electrode(
         raise ValueError(
             f"optimal electrode half-width {lt:.4g} m does not fit the plate (L={geo.L:.4g} m)"
         )
-    area = math.pi * _square_of_L(geo)
-    try:
-        alpha = eta**2 / area
-    except OverflowError:
-        alpha = math.inf
+    alpha = _power(eta, 2) / (math.pi * _square_of_L(geo))
     if alpha == math.inf:
         raise OverflowError(
             f"the envelope curvature of overtone n = {n} at eta = {eta!r} exceeds the double range"

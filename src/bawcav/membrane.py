@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cavity import _DBL_MIN, ModeCharacterization, thermal_occupancy
+from .cavity import ModeCharacterization, _is_normal, thermal_occupancy
 from .constants import HBAR
 from .material import _require_positive_finite
 
@@ -61,6 +61,15 @@ def membrane_effective_mass(spec: MembraneSpec) -> float:
     return spec.rho * spec.h * spec.a * spec.b / 4.0
 
 
+def _require_normal(spec: MembraneSpec, *figures: float):
+    # OverflowError naming the membrane unless every figure is a positive normal double
+    if not all(_is_normal(v) for v in figures):
+        raise OverflowError(
+            f"the figures of the {spec.a!r} m x {spec.b!r} m membrane"
+            " are outside the normal double range"
+        )
+
+
 def membrane_zpf(spec: MembraneSpec) -> tuple[float, float]:
     """Displacement zero-point spread, two conventions.
 
@@ -68,11 +77,15 @@ def membrane_zpf(spec: MembraneSpec) -> tuple[float, float]:
     closed form <x^2> = 4 hbar / (pi sqrt(tau rho) h sqrt(m^2 a^2 + n^2 b^2))
     verbatim, the second the oscillator expression hbar / (2 omega m_eff).
     For a square membrane the former variance is exactly twice the latter;
-    both are reported rather than silently picking one.
+    both are reported rather than silently picking one.  Raises as
+    ``compare`` does when a divisor or a variance is not a normal double.
     """
     s = math.hypot(spec.mode_m * spec.a, spec.mode_n * spec.b)
-    var_verbatim = 4.0 * HBAR / (math.pi * math.sqrt(spec.tau * spec.rho) * spec.h * s)
-    var_osc = HBAR / (2.0 * membrane_frequency(spec) * membrane_effective_mass(spec))
+    d_verbatim = math.pi * math.sqrt(spec.tau * spec.rho) * spec.h * s
+    d_osc = 2.0 * membrane_frequency(spec) * membrane_effective_mass(spec)
+    _require_normal(spec, d_verbatim, d_osc)
+    var_verbatim, var_osc = 4.0 * HBAR / d_verbatim, HBAR / d_osc
+    _require_normal(spec, var_verbatim, var_osc)
     return math.sqrt(var_verbatim), math.sqrt(var_osc)
 
 
@@ -91,12 +104,8 @@ def compare(
     omega_m = membrane_frequency(spec)
     f_hz = omega_m / (2.0 * math.pi)
     m_eff = membrane_effective_mass(spec)
-    x_zpf, _ = membrane_zpf(spec)
-    if not all(_DBL_MIN <= v < math.inf for v in (f_hz, m_eff, x_zpf)):
-        raise OverflowError(
-            f"the figures of the {spec.a!r} m x {spec.b!r} m membrane"
-            " are outside the normal double range"
-        )
+    x_zpf, _ = membrane_zpf(spec)  # the square root of a normal variance is normal
+    _require_normal(spec, f_hz, m_eff)
     n_membrane = thermal_occupancy(omega_m, temperature)
     return [
         ("f_Hz", cavity_char.omega / (2.0 * math.pi), f_hz),

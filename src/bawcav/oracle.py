@@ -309,7 +309,7 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
 
     Raises EigensolveConvergenceError when a bracket or the residual bound
     is not reached, and OverflowError or FloatingPointError, naming R and
-    h0, when 8 R h0^3, k or (M / h^2)^2 leaves the normal double range.
+    h0, when h0^3, 8 R h0^3, k or (M / h^2)^2 leaves the normal double range.
     """
     _, c_hat = stiffened_constants(mat, n)
     m_n, _ = dispersion_parameters(mat, n)

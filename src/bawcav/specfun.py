@@ -139,12 +139,22 @@ def _elementwise(fn: Callable[[float], float]) -> Callable:
     return apply
 
 
-def _reject(x, ok, message: str):
-    # ValueError naming the first element of x where the elementwise check
-    # ok fails, as a plain float, so that an array call names the failing
-    # element exactly as a call with that element alone would
+def _at(x, k: int) -> float:
+    # element k of x, which may be a scalar, as a plain float for messages
+    return float(np.ravel(x)[k])
+
+
+def _require(ok, error: type, message: Callable[[int], str]):
+    # error(message(k)) for the first element k where the elementwise check
+    # ok fails; the message is only built then
     if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-        raise ValueError(f"{message}, got {float(np.ravel(x)[np.argmin(ok)])!r}")
+        raise error(message(int(np.argmin(ok))))
+
+
+def _reject(x, ok, message: str):
+    # ValueError naming the first element of x where ok fails, as a plain
+    # float, exactly as a call with that element alone would name it
+    _require(ok, ValueError, lambda k: f"{message}, got {_at(x, k)!r}")
 
 
 def _with_tails(fn: Callable[[float], float], lo: float, hi: float,

@@ -1,6 +1,7 @@
 """Trapped-mode physics: envelopes, escape, frequency, mass, ZPF, occupancy."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from bawcav.cavity import (
     in_plane_quanta,
     mode_frequency,
     thermal_occupancy,
+    trapping_over_radii,
     trapping_parameters,
     zpf,
 )
@@ -70,6 +72,16 @@ class TestEnvelopeAndTrapping:
     def test_trapping_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             trapping_parameters(-1.0, 1.0, 0.015)
+
+    @pytest.mark.parametrize("h0, R", [(1e-107, 1e14), (1e-105, 1e10)])
+    def test_subnormal_h0_cubed_names_r_and_h0(self, h0, R):
+        # h0^3 is subnormal, and 8 R h0^3 a normal double that has lost digits
+        geo = CavityGeometry(L=0.015, h0=h0, R=R)
+        message = re.escape(f"8 R h0^3 at R = {R!r}, h0 = {h0!r} is outside the normal double range")
+        with pytest.raises(FloatingPointError, match=message):
+            envelope_curvatures(QUARTZ, geo, 1)
+        with pytest.raises(FloatingPointError, match=message):
+            trapping_over_radii(QUARTZ, geo, 1, np.array([R, 2 * R]))
 
 
 def mode_shape(mode, alpha, beta):
@@ -260,6 +272,15 @@ class TestModeFrequency:
         bracket = QUARTZ.rho * lead * ((chi_x / n) * (2 * m + 1) + (chi_y / n) * (2 * p + 1))
         q_x, q_y = in_plane_quanta(QUARTZ, GEO, n)
         assert (2 * m + 1) * q_x + (2 * p + 1) * q_y == pytest.approx(bracket, rel=1e-13)
+
+
+    @pytest.mark.parametrize("h0", [1e160, 1e200])
+    def test_frequency_below_the_normal_range_names_n_and_h0(self, h0):
+        # (n pi / (2 h0))^2 is subnormal at h0 = 1e160 and 0 at 1e200
+        geo = CavityGeometry(L=0.015, h0=h0, R=100 * h0)
+        with pytest.raises(FloatingPointError, match=re.escape(
+                f"the frequency of overtone n = 3 at h0 = {h0!r} is below the normal double range")):
+            mode_frequency(QUARTZ, geo, ModeIndex(3))
 
 
 class TestEffectiveMass:

@@ -452,6 +452,38 @@ class TestMembraneCmd:
         assert "thin" in err
 
 
+# each intermediate or figure outside the normal double range exits 3 with
+# one line that names its input: a subnormal h0^3 or (n pi / 2 h0)^2 cost
+# digits silently, and a zero omega C0 or membrane divisor divided by zero
+UNREPRESENTABLE_ARGVS = [
+    (["characterize", "--h0", "1e-107", "--R", "1e14"],
+     "8 R h0^3 at R = 100000000000000.0, h0 = 1e-107 is outside the normal double range"),
+    (["characterize", "--h0", "1e-105", "--R", "1e10"],
+     "8 R h0^3 at R = 10000000000.0, h0 = 1e-105 is outside the normal double range"),
+    (["sweep", "--h0", "1e-107", "--R-range", "1e14:1e15:1e14"],
+     "8 R h0^3 at R = 100000000000000.0, h0 = 1e-107 is outside the normal double range"),
+    (["oracle", "--h0", "1e-107", "--R", "1e14"],
+     "8 R h0^3 at R = 100000000000000.0, h0 = 1e-107 is outside the normal double range"),
+    (["characterize", "--h0", "1e160", "--R", "1e162", "--eta", "1"],
+     "the frequency of overtone n = 1 at h0 = 1e+160 is below the normal double range"),
+    (["characterize", "--h0", "1e200", "--R", "1e202", "--eta", "1"],
+     "the frequency of overtone n = 1 at h0 = 1e+200 is below the normal double range"),
+    (["electrode", "--h0", "1e200", "--R", "1e202", "--eta", "5"],
+     "the shunt figures of overtone n = 7 at eta = 5.0 are outside the normal double range"),
+    (["membrane", "--a", "1e-300", "--b", "1e-300", "--mem-h", "1e-320"],
+     "the figures of the 1e-300 m x 1e-300 m membrane are outside the normal double range"),
+    # a subnormal variance: x_zpf printed 8.97675369e-161 for 8.97783303e-161
+    (["membrane", "--a", "1e285", "--b", "2e-5", "--mem-h", "1e-6"],
+     "the figures of the 1e+285 m x 2e-05 m membrane are outside the normal double range"),
+]
+
+
+@pytest.mark.parametrize("argv, err", UNREPRESENTABLE_ARGVS,
+                         ids=[" ".join(argv) for argv, _ in UNREPRESENTABLE_ARGVS])
+def test_unrepresentable_intermediates_exit_3_naming_their_input(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (3, "", f"error: {err}\n")
+
+
 class TestJsonDeterminism:
     def test_byte_identical_json_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

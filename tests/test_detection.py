@@ -132,6 +132,18 @@ class TestPiezoCurrent:
         with pytest.raises(ValueError, match="e_z > 0"):
             piezo_current_zpf(QUARTZ, GEO, ModeIndex(1), ETA_1, ETA_1, 0.5)
 
+    @pytest.mark.parametrize("eta_x, eta_y, error, message", [
+        # xi overflows first, and effective_mass names eta
+        (1e200, 1e200, FloatingPointError, r"xi of \(m, p\) = \(0, 0\) at eta = \(1e\+200, 1e\+200\)"),
+        # eta_y^2 overflows: sqrt(alpha beta) is inf and the current would be 0
+        (5.0, 1e170, OverflowError, r"current of overtone n = 1 at eta = \(5.0, 1e\+170\)"),
+        # eta_x^2 is subnormal
+        (1e-155, 1.0, FloatingPointError, r"current of overtone n = 1 at eta = \(1e-155, 1.0\)"),
+    ])
+    def test_unrepresentable_factor_names_eta(self, eta_x, eta_y, error, message):
+        with pytest.raises(error, match=message):
+            piezo_current_zpf(VARIANT, GEO, ModeIndex(1), eta_x, eta_y, 0.5)
+
 
 class TestOptimalElectrode:
     def test_three_sigma_simplification(self):
@@ -190,6 +202,12 @@ class TestShuntImpedance:
         z1 = shunt_impedance(VARIANT, GEO, 5.0, 7)[2]
         z2 = shunt_impedance(VARIANT, GEO, 10.0, 7)[2]
         assert z2 / z1 == pytest.approx(4.0, rel=1e-12)
+
+    def test_vanishing_omega_c0_names_eta_and_n(self):
+        # omega C0 underflows to 0, which 1 / (omega C0) would divide by
+        geo = CavityGeometry(L=0.015, h0=1e200, R=1e202)
+        with pytest.raises(OverflowError, match=r"shunt figures of overtone n = 7 at eta = 5.0 "):
+            shunt_impedance(VARIANT, geo, 5.0, 7)
 
     def test_derived_consistent_with_capacitance(self):
         c0, _, z_derived = shunt_impedance(QUARTZ, GEO, 6.0, 7)

@@ -1,6 +1,7 @@
 """Stressed-membrane baseline figures and the comparison report."""
 
 import math
+import re
 
 import pytest
 
@@ -78,6 +79,14 @@ class TestZpf:
     def test_decreasing_in_mode_numbers(self):
         xs = [membrane_zpf(MembraneSpec(mode_m=m, mode_n=1))[0] for m in (1, 2, 4, 8)]
         assert all(b < a for a, b in zip(xs, xs[1:]))
+
+    @pytest.mark.parametrize("a, b, h", [(1e-300, 1e-300, 1e-320), (1e140, 1e140, 1e130),
+                                         (1e285, 2e-5, 1e-6)])
+    def test_unrepresentable_variance_names_the_membrane(self, a, b, h):
+        # the divisors underflow to 0 at a = 1e-300; at a = 1e140 and 1e285
+        # the verbatim variance is subnormal, and x_zpf would lose digits
+        with pytest.raises(OverflowError, match=re.escape(f"the figures of the {a!r} m x {b!r} m membrane")):
+            membrane_zpf(MembraneSpec(a=a, b=b, h=h))
 
 
 class TestSpecValidation:
