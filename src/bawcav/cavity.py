@@ -498,7 +498,7 @@ def _zero_point(mat, geo, mode, ex, ey):
     m_eff, m_flat, xi = effective_mass(mat, geo, mode, ex, ey)
     omega = mode_frequency(mat, geo, mode)
     with np.errstate(all="ignore"):
-        _require((omega < math.inf) & _is_normal(m_eff), OverflowError,
+        _require(_is_normal(m_eff), OverflowError,
                  lambda k: f"the frequency or the mass of overtone n = {mode.n},"
                  f" {_mode_at(mode, ex, ey, k)}, is outside the normal double range")
         x, p = _spreads(omega, m_eff, mode, ex, ey)

@@ -51,9 +51,13 @@ class MembraneSpec:
 
 
 def membrane_frequency(spec: MembraneSpec) -> float:
-    """Angular frequency omega = pi c sqrt(m^2/a^2 + n^2/b^2), c = sqrt(tau/rho)."""
-    c = math.sqrt(spec.tau / spec.rho)
-    return math.pi * c * math.hypot(spec.mode_m / spec.a, spec.mode_n / spec.b)
+    """Angular frequency omega = pi c sqrt(m^2/a^2 + n^2/b^2), c = sqrt(tau/rho).
+
+    Raises as ``compare`` does when tau / rho is not a normal double.
+    """
+    c_squared = spec.tau / spec.rho
+    _require_normal(spec, c_squared)
+    return math.pi * math.sqrt(c_squared) * math.hypot(spec.mode_m / spec.a, spec.mode_n / spec.b)
 
 
 def membrane_effective_mass(spec: MembraneSpec) -> float:
@@ -78,12 +82,14 @@ def membrane_zpf(spec: MembraneSpec) -> tuple[float, float]:
     verbatim, the second the oscillator expression hbar / (2 omega m_eff).
     For a square membrane the former variance is exactly twice the latter;
     both are reported rather than silently picking one.  Raises as
-    ``compare`` does when a divisor or a variance is not a normal double.
+    ``compare`` does when tau rho, a divisor or a variance is not a normal
+    double.
     """
     s = math.hypot(spec.mode_m * spec.a, spec.mode_n * spec.b)
-    d_verbatim = math.pi * math.sqrt(spec.tau * spec.rho) * spec.h * s
+    tau_rho = spec.tau * spec.rho
+    d_verbatim = math.pi * math.sqrt(tau_rho) * spec.h * s
     d_osc = 2.0 * membrane_frequency(spec) * membrane_effective_mass(spec)
-    _require_normal(spec, d_verbatim, d_osc)
+    _require_normal(spec, tau_rho, d_verbatim, d_osc)
     var_verbatim, var_osc = 4.0 * HBAR / d_verbatim, HBAR / d_osc
     _require_normal(spec, var_verbatim, var_osc)
     return math.sqrt(var_verbatim), math.sqrt(var_osc)

@@ -14,7 +14,7 @@ integrate the sides of all their cases in those passes, an integrand that
 gathers each row's curvature by its interval index; each one-case oracle
 is the batched call of its one case, and a batched value equals it bit for
 bit.  The trapped-mode eigenproblem is additionally solved by finite
-differences, on one grid fixed in units of the envelope width, to validate
+differences, in units of the envelope width and the trap quantum, to validate
 the envelope curvature and the harmonic level structure from the
 underlying wave equation rather than from its known solution.
 """
@@ -54,10 +54,11 @@ _ORACLE_QUAD = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-280, max_depth=40)
 _TAIL_DECAY_LENGTHS = 10.0
 
 # The trap eigensolver's one discretisation.  In units of the envelope sigma
-# the discretised operator is sqrt(k M) (-u'' + s^2 u) on the same grid,
-# step h = 16/1602, for every geometry, overtone and material, so each
-# eigenvalue lies a fixed fraction below its harmonic level (2j + 1)
-# sqrt(k M).  The 3-point stencil's leading error term gives that fraction,
+# the operator is sqrt(k M) (-u'' + s^2 u), so the solve builds -u'' + s^2 u
+# alone, one matrix on one grid, step h = 16/1602, for every geometry,
+# overtone and material, and scales its grid by sigma and its eigenvalues by
+# sqrt(k M).  Each eigenvalue lies a fixed fraction below its harmonic level
+# 2j + 1, and the 3-point stencil's leading error term gives that fraction,
 # (2j^2 + 2j + 1) h^2 / (16 (2j + 1)), to within 3.9e-11, 1.2e-10, 2.7e-10
 # and 5.1e-10 for j = 0..3, some 20 times inside the +-1e-8 bracket whose
 # Sturm counts confirm it, and inverse iteration is shifted to that level.
@@ -285,15 +286,18 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
     c_hat_z + lambda_j, whose closed form is (2j + 1) q_x of
     ``cavity.in_plane_quanta``.
 
-    Second-order central differences with Dirichlet boundaries, 1601 points
-    over +-8 envelope widths.  Eigenpair j is found at the stencil's own
-    level, (2j + 1) sqrt(k M) (1 - (2j^2 + 2j + 1) h^2 / (16 (2j + 1)))
-    with h the grid step in units of the envelope width: the Sturm counts
-    at that level +-1e-8 relative confirm that eigenvalue j alone lies
-    there, and shifted inverse iteration from it gives the eigenvector and,
-    as its Rayleigh quotient, the eigenvalue.  The iteration starts from
-    the harmonic eigenvector exp(-s^2/2) H_j(s), s the grid in envelope
-    widths, and stops after one step at every geometry tried.
+    With x = sigma s, sigma = (M / k)^(1/4) the envelope width, the operator
+    is sqrt(k M) (-u'' + s^2 u), so the solve discretises -u'' + s^2 u alone,
+    the same matrix for every geometry, overtone and material, and returns
+    the grid sigma s and the eigenvalues times sqrt(k M); the vectors need no
+    scaling.  Second-order central differences with Dirichlet boundaries,
+    1601 points over s in +-8.  Eigenpair j is found at the stencil's own
+    level, (2j + 1) (1 - (2j^2 + 2j + 1) h^2 / (16 (2j + 1))) with h the
+    grid step: the Sturm counts at that level +-1e-8 relative confirm that
+    eigenvalue j alone lies there, and shifted inverse iteration from it
+    gives the eigenvector and, as its Rayleigh quotient, the eigenvalue.
+    The iteration starts from the harmonic eigenvector exp(-s^2/2) H_j(s)
+    and stops after one step at every geometry tried.
 
     The grid and the potential are symmetric about the centre point, so
     eigenpair j is solved on the half-grid block of its parity: the even
@@ -309,50 +313,46 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
 
     Raises EigensolveConvergenceError when a bracket or the residual bound
     is not reached, and OverflowError or FloatingPointError, naming R and
-    h0, when h0^3, 8 R h0^3, k or (M / h^2)^2 leaves the normal double range.
+    h0, when h0^3, 8 R h0^3, k, sqrt(k M_n) or a scaled eigenvalue leaves
+    the normal double range.
     """
     _, c_hat = stiffened_constants(mat, n)
     m_n, _ = dispersion_parameters(mat, n)
     where = f"at R = {geo.R!r}, h0 = {geo.h0!r}"
     k_pot = _normal(math.pi**2 * n**2 * c_hat / _trap_denominator(geo), f"the trap stiffness k {where}")
-    gamma = math.sqrt(k_pot / m_n)  # expected ground curvature n*pi*alpha
-    sigma = 1.0 / math.sqrt(gamma)
+    # from the roots of k and M_n, so that no product or quotient of the two
+    # leaves the double range first; sigma is normal where sqrt(k M_n) is
+    root_k, root_m = math.sqrt(k_pot), math.sqrt(m_n)
+    quantum = _normal(root_k * root_m, f"the trap quantum sqrt(k M_n) {where}")
+    sigma = math.sqrt(root_m / root_k)
 
     npts = _GRID_POINTS
     if npts % 2 == 0:
         raise ValueError(f"the trap grid has no centre point to split at: {npts} points, an even number")
     centre = npts // 2
-    half_width = _DOMAIN_SIGMA * sigma
-    h = 2.0 * half_width / (npts + 1)
-    off = -m_n / (h * h)
-    off2 = _normal(off * off, f"the squared grid coupling (M / h^2)^2 {where}")
-    x = -half_width + h * np.arange(1, npts + 1)
-    diag = 2.0 * m_n / (h * h) + k_pot * x * x
-
-    scale = float(np.max(np.abs(diag)) + 2.0 * abs(off))
-    pivmin = 1e-14 * scale
+    h = 2.0 * _DOMAIN_SIGMA / (npts + 1)
+    s = -_DOMAIN_SIGMA + h * np.arange(1, npts + 1)
+    off = -1.0 / (h * h)
+    diag = 2.0 / (h * h) + s * s
+    pivmin = 1e-14 * float(np.max(np.abs(diag)) + 2.0 * abs(off))
 
     # parity p's block starts at the centre + p; the even block's centre
     # row couples to its neighbour with 2 off.  The blocks take the right
-    # half's diagonal, which the left half's mirrors up to rounding in x
+    # half's diagonal, which the left half's mirrors up to rounding in s
     starts = (centre, centre + 1)
     firsts = (2.0, 1.0)
 
     def count(p: int, end: float) -> int:
-        return _sturm_count((diag[starts[p]:] - end).tolist(), off2, pivmin, firsts[p])
+        return _sturm_count((diag[starts[p]:] - end).tolist(), off * off, pivmin, firsts[p])
 
-    # the 3-point stencil's level of eigenvalue j is its harmonic level
-    # (2j + 1) sqrt(k M) lowered by the stencil's leading error term
-    level = math.sqrt(k_pot * m_n)
-    h_sigma = 2.0 * _DOMAIN_SIGMA / (npts + 1)  # the grid step in units of sigma
-    x_sigma = -_DOMAIN_SIGMA + h_sigma * np.arange(1, npts + 1)  # the grid in units of sigma
     vectors = np.empty((npts, _EIGENPAIRS))
     lambdas, iterations, residuals = [], [], []
     upper = [0, 0]  # each block's count at the previous pair's upper bracket end
     for j in range(_EIGENPAIRS):
         p, q = j % 2, 1 - j % 2
         start = starts[p]
-        stencil = (2 * j + 1) * level * (1.0 - (2 * j * j + 2 * j + 1) * h_sigma**2 / (16 * (2 * j + 1)))
+        # the harmonic level 2j + 1 lowered by the stencil's leading error term
+        stencil = (2 * j + 1) * (1.0 - (2 * j * j + 2 * j + 1) * h * h / (16 * (2 * j + 1)))
         lo, hi = stencil * (1.0 - 1e-8), stencil * (1.0 + 1e-8)
         own = count(p, lo), count(p, hi)
         other_hi = count(q, hi)
@@ -366,9 +366,7 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
             )
         upper[p], upper[q] = own[1], other_hi
         shifted = (diag[start:] - stencil).tolist()
-        # start from the harmonic eigenvector, in units of sigma so that it
-        # is representable at any geometry
-        v = _mirror(hermite_gaussian_1d(j, 1.0, x_sigma[start:]), p)
+        v = _mirror(hermite_gaussian_1d(j, 1.0, s[start:]), p)
         residual = math.inf
         for it in range(1, 61):
             w = _mirror(_thomas_solve(shifted, off, firsts[p], v[start:].tolist()), p)
@@ -388,12 +386,12 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
         if v[centre + 1] < 0:
             v = -v
         vectors[:, j] = v / np.max(np.abs(v))
-        lambdas.append(rayleigh)
+        lambdas.append(_normal(quantum * rayleigh, f"the trap eigenvalue lambda_{j} {where}"))
         iterations.append(it)
         residuals.append(residual)
 
     return TrapEigenResult(
-        x=x,
+        x=sigma * s,
         lambdas=np.array(lambdas),
         vectors=vectors,
         inverse_iterations=tuple(iterations),

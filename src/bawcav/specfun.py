@@ -89,23 +89,17 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 
 def _erfcx_cf(x: float) -> float:
     # Scaled complementary error function by Laplace continued fraction,
-    # evaluated with the modified Lentz algorithm.  Reliable for x >= 2.
-    tiny = 1e-300
-    b = x
-    f = b if b != 0.0 else tiny
-    c = f
+    # evaluated with the modified Lentz algorithm, for x >= 2 only: there
+    # b = x and every a_j are positive, so the Lentz terms c and d stay
+    # positive and need no guard against 0.
+    f = c = x
     d = 0.0
     j = 0
     while True:
         j += 1
         a = 0.5 * j
-        d = b + a * d
-        if d == 0.0:
-            d = tiny
-        c = b + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
+        d = 1.0 / (x + a * d)
+        c = x + a / c
         delta = c * d
         f *= delta
         if abs(delta - 1.0) < 1e-16 or j > 300:

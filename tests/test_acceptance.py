@@ -6,6 +6,7 @@ failure) and asserts the criterion outcome; the same checks back the
 """
 
 import dataclasses
+import random
 
 import numpy as np
 import pytest
@@ -150,6 +151,24 @@ def test_criterion_09_checks_mode_frequency_on_its_one_solve(monkeypatch):
         "max |lambda_j / ((2j+1) q_x) - 1| (j = 0..3)", 0.0, "abs 0.0001", True
     )
     assert 2e-5 < levels.measured < 2.5e-5
+
+
+def test_criterion_09_dimensionless_rows_print_the_same_at_every_geometry():
+    # the solve runs on one matrix, -u'' + s^2 u, and geometry enters only
+    # as the factors sigma and sqrt(k M): the ladder ratio and the level and
+    # vector deviations print the same bytes over seeded geometries from
+    # h0 = 1e-90 to 1e-2 and R = 1e-15 to 1e200
+    rng = random.Random(29)
+
+    def cells(geo):
+        rows = report.criterion_9(MAT, geo).rows
+        return [f"{rows[i].label},{rows[i].measured:.9g}" for i in (0, 3, 4)]
+
+    expected = cells(GEO)
+    for _ in range(40):
+        e = rng.uniform(-90.0, -2.0)
+        geo = cavity.CavityGeometry(L=GEO.L, h0=10.0**e, R=10.0 ** rng.uniform(max(-15.0, e + 2.0), 200.0))
+        assert cells(geo) == expected, geo
 
 
 def test_criterion_09_eigenvectors_are_the_hermite_gaussians():

@@ -410,6 +410,16 @@ class TestThermalOccupancy:
             thermal_occupancy(1e-300, 0.02)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: thermal_occupancy(0.0, 1.0), "omega must be positive, got 0.0"),
+    (lambda: escape_probability_log10(ModeIndex(1), 0.0, 1.0),
+     "log-scale escape requires strictly positive trapping"),
+], ids=["thermal_occupancy", "escape_probability_log10"])
+def test_nonpositive_argument_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 class TestCharacterize:
     def test_quartz_fundamental(self):
         char = characterize(QUARTZ, GEO, ModeIndex(1), 0.02)

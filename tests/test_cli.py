@@ -70,6 +70,16 @@ class TestCharacterize:
         assert code == 2
         assert "material" in err
 
+    @pytest.mark.parametrize("line, err", [
+        ("rho 2643", "error: line 1: expected key=value, got 'rho 2643'\n"),
+        ("rho = 2643\ne_z = -1", "error: e_z must be non-negative, got -1.0\n"),
+        ("rho = 2643\na_x = inf", "error: a_x must be finite, got inf\n"),
+    ], ids=["no-equals", "negative-e_z", "infinite-a_x"])
+    def test_bad_material_file_exits_2(self, capsys, tmp_path, line, err):
+        path = tmp_path / "m.dat"
+        path.write_text(f"{line}\nc_bar_z = 1.05e11\neps_z = 4.06e-11\nM = 2.625e11\nP = 2.625e11\n")
+        assert run_cli(capsys, "characterize", "--material", str(path)) == (2, "", err)
+
     @pytest.mark.parametrize("argv, expected", [
         (["--temp-k", "inf"], 2),
         (["--eta", "1e200"], 3),
@@ -168,12 +178,18 @@ class TestSweep:
         ("1:1e9:1e-9", "more than 1000000 points"),
         ("1:inf:1", "finite"),
         ("nan:2:1", "finite"),
+        ("1:2", "range must be start:stop:step"),
+        ("1:2:0", "range step must be positive"),
     ])
     def test_unbounded_range_exits_2(self, capsys, grid, message):
         code, out, err = run_cli(capsys, "sweep", "--n", "1", "--eta-range", grid)
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_empty_overtone_list_exits_2(self, capsys):
+        assert run_cli(capsys, "sweep", "--n", ",", "--eta-range", "1:2:1") == (
+            2, "", "error: --n needs at least one overtone number\n")
 
     def test_both_ranges_rejected(self, capsys):
         code, _, _ = run_cli(
@@ -464,6 +480,8 @@ UNREPRESENTABLE_ARGVS = [
      "8 R h0^3 at R = 100000000000000.0, h0 = 1e-107 is outside the normal double range"),
     (["oracle", "--h0", "1e-107", "--R", "1e14"],
      "8 R h0^3 at R = 100000000000000.0, h0 = 1e-107 is outside the normal double range"),
+    (["characterize", "--h0", "1e-300", "--eta", "1"],
+     "the frequency of overtone n = 1 at h0 = 1e-300 exceeds the double range"),
     (["characterize", "--h0", "1e160", "--R", "1e162", "--eta", "1"],
      "the frequency of overtone n = 1 at h0 = 1e+160 is below the normal double range"),
     (["characterize", "--h0", "1e200", "--R", "1e202", "--eta", "1"],
@@ -472,6 +490,9 @@ UNREPRESENTABLE_ARGVS = [
      "the shunt figures of overtone n = 7 at eta = 5.0 are outside the normal double range"),
     (["membrane", "--a", "1e-300", "--b", "1e-300", "--mem-h", "1e-320"],
      "the figures of the 1e-300 m x 1e-300 m membrane are outside the normal double range"),
+    # a subnormal tau / rho: f_Hz printed 4.59728511e-160 for 4.58474192e-160
+    (["membrane", "--tau", "1e-318"],
+     "the figures of the 0.03 m x 0.03 m membrane are outside the normal double range"),
     # a subnormal variance: x_zpf printed 8.97675369e-161 for 8.97783303e-161
     (["membrane", "--a", "1e285", "--b", "2e-5", "--mem-h", "1e-6"],
      "the figures of the 1e+285 m x 2e-05 m membrane are outside the normal double range"),
@@ -597,15 +618,22 @@ class TestOracleCmd:
         assert out == ""
         assert "at least one parameter set" in err
 
-    @pytest.mark.parametrize("h0,R", [("1e-110", "1"), ("1e-100", "1e-3"), ("1e-90", "1e-15")])
+    @pytest.mark.parametrize("h0,R", [("1e-110", "1"), ("1e-100", "1e-3")])
     def test_unrepresentable_trap_exits_3_naming_R_and_h0(self, capsys, h0, R):
-        # 8 R h0^3, the trap stiffness and the grid coupling each leave the
-        # double range: one error line, no numpy warning, no traceback
+        # 8 R h0^3 and the trap stiffness each leave the double range: one
+        # error line, no numpy warning, no traceback
         code, out, err = run_cli(capsys, "oracle", "--sets", "1", "--h0", h0, "--R", R)
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"R = {float(R)!r}, h0 = {float(h0)!r}" in err
+
+    def test_far_trap_passes_every_criterion(self, capsys):
+        # every figure of this trap is a normal double, though an operator
+        # built in SI units would square a grid coupling M / h^2 of 6e158
+        code, out, err = run_cli(capsys, "oracle", "--sets", "1", "--h0", "1e-90", "--R", "1e-15")
+        assert (code, err) == (0, "")
+        assert "FAIL" not in out and out.count(",PASS\n") == out.count("\n") - 1
 
     def test_curvature_out_of_range_exits_3_naming_R_and_h0(self, capsys):
         # 8 R h0^3 is normal but 8 R h0^3 M_n overflows: criterion 9's

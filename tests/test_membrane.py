@@ -88,6 +88,21 @@ class TestZpf:
         with pytest.raises(OverflowError, match=re.escape(f"the figures of the {a!r} m x {b!r} m membrane")):
             membrane_zpf(MembraneSpec(a=a, b=b, h=h))
 
+    @pytest.mark.parametrize("figure", [membrane_frequency, membrane_zpf])
+    def test_subnormal_stress_ratio_names_the_membrane(self, figure):
+        # at tau = 1e-318, tau / rho = 3.8e-322 is subnormal: f_Hz would
+        # print 4.59728511e-160 for 4.58474192e-160
+        with pytest.raises(OverflowError, match=re.escape("the figures of the 0.03 m x 0.03 m membrane")):
+            figure(MembraneSpec(tau=1e-318))
+
+    def test_subnormal_stress_product_names_the_membrane(self):
+        # at tau = 1e-300, rho = 1e-15 the frequency is exact, as tau / rho
+        # is normal, but tau rho = 1e-315 is not
+        spec = MembraneSpec(tau=1e-300, rho=1e-15)
+        assert membrane_frequency(spec) == pytest.approx(math.pi * math.sqrt(2.0 * 1e-285) / 0.03, rel=1e-15)
+        with pytest.raises(OverflowError, match=re.escape("the figures of the 0.03 m x 0.03 m membrane")):
+            membrane_zpf(spec)
+
 
 class TestSpecValidation:
     def test_thick_membrane_rejected(self):

@@ -1,5 +1,6 @@
 """Brute-force validators against the closed forms they exist to check."""
 
+import dataclasses
 import itertools
 import math
 
@@ -260,12 +261,14 @@ class TestTrapEigensolve:
         assert gfit == pytest.approx(3 * math.pi * alpha, rel=1e-3)
 
     @pytest.mark.parametrize("R,h0", [pytest.param(R, GEO.h0, id=str(R)) for R in (GEO.R, 0.1, 1.0)]
-                             + [(1.0, 1e-30), (1e200, 1e-30)])
+                             + [(1.0, 1e-30), (1e200, 1e-30), (1e-15, 1e-90)])
     def test_mode_frequency_spacing_is_the_solved_spacing(self, R, h0):
         # the solved lambda_2 - lambda_0 is in_plane_quanta's 4 q_x at every
         # curvature radius, also where the thickness term of rho omega^2 is
         # 1.4e15 (h0 = 1e-30, R = 1) or 1.4e115 (R = 1e200) times q_x, and a
-        # difference of two frequencies keeps none of the spacing's digits
+        # difference of two frequencies keeps none of the spacing's digits;
+        # at h0 = 1e-90, R = 1e-15 the SI operator's squared coupling
+        # (M / h^2)^2 would overflow, the solved one's is (1602 / 16)^4
         geo = CavityGeometry(L=GEO.L, h0=h0, R=R)
         res = trap_eigensolve(QUARTZ, geo, 1)
         q_x, _ = in_plane_quanta(QUARTZ, geo, 1)
@@ -319,12 +322,25 @@ class TestTrapEigensolve:
     @pytest.mark.parametrize("h0,R,what", [
         (1e-110, 1.0, "8 R h0^3"),
         (1e-100, 1e-3, "the trap stiffness k"),
-        (1e-90, 1e-15, "the squared grid coupling (M / h^2)^2"),
     ])
     def test_unrepresentable_trap_names_R_and_h0(self, h0, R, what):
         geo = CavityGeometry(L=GEO.L, h0=h0, R=R)
         with pytest.raises((OverflowError, FloatingPointError)) as err:
             trap_eigensolve(QUARTZ, geo, 1)
+        assert str(err.value) == f"{what} at R = {R!r}, h0 = {h0!r} is outside the normal double range"
+
+    @pytest.mark.parametrize("change,h0,R,what", [
+        # M_n = M + a_x cot(kappa_x pi / 2) = inf: sqrt(k M_n) overflows
+        (dict(a_x=1e308, kappa_x=0.01), GEO.h0, GEO.R, "the trap quantum sqrt(k M_n)"),
+        # sqrt(k M_n) = 4.7e307 and lambda_1 are normal, lambda_2 is not
+        (dict(M=1.7e308), 1e-100, 1e4, "the trap eigenvalue lambda_2"),
+    ], ids=["quantum", "eigenvalue"])
+    def test_unrepresentable_scaling_names_R_and_h0(self, change, h0, R, what):
+        # no geometry of the bundled quartz reaches these: with M_n = 2.6e11
+        # and k normal, sqrt(k M_n) lies within 3.9e-143 ... 6.9e159
+        mat = dataclasses.replace(QUARTZ, **change)
+        with pytest.raises(OverflowError) as err:
+            trap_eigensolve(mat, CavityGeometry(L=GEO.L, h0=h0, R=R), 1)
         assert str(err.value) == f"{what} at R = {R!r}, h0 = {h0!r} is outside the normal double range"
 
 
@@ -547,6 +563,28 @@ class TestEigensolveWork:
         res = trap_eigensolve(QUARTZ, CavityGeometry(L=GEO.L, h0=h0, R=R), n)
         assert res.inverse_iterations == (1, 1, 1, 1)
         assert all(r <= 1e-9 for r in res.residuals)
+
+    def test_unit_solve_is_the_same_at_every_trap(self):
+        # geometry and overtone enter only as sigma and sqrt(k M): the
+        # vectors and the work are the default trap's bit for bit, and the
+        # eigenvalues and the grid in units of sqrt(k M) and sigma are its
+        # to rounding, also where an SI-unit operator's squared grid
+        # coupling would overflow (h0 = 1e-90, R = 1e-15)
+        def unit(geo, n):
+            res = trap_eigensolve(QUARTZ, geo, n)
+            _, c_hat = stiffened_constants(QUARTZ, n)
+            m_n, _ = dispersion_parameters(QUARTZ, n)
+            k_pot = math.pi**2 * n**2 * c_hat / (8.0 * geo.R * geo.h0**3)
+            work = res.vectors.tobytes(), res.inverse_iterations, res.residuals
+            return work, res.lambdas / (math.sqrt(k_pot) * math.sqrt(m_n)), res.x * (k_pot / m_n) ** 0.25
+
+        work, lambdas, s = unit(GEO, 1)
+        for (R, h0), n in itertools.product([(GEO.L, GEO.h0), (1e3, 1e-6), (1e200, 1e-30), (1e-15, 1e-90)],
+                                            (1, 3, 227)):
+            other = unit(CavityGeometry(L=GEO.L, h0=h0, R=R), n)
+            assert other[0] == work, (R, h0, n)
+            np.testing.assert_allclose(other[1], lambdas, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(other[2], s, rtol=1e-14, atol=1e-14)
 
     def test_sturm_count_takes_tiny_pivots_as_minus_pivmin(self):
         pivmin = 1e-3
