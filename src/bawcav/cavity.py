@@ -171,14 +171,14 @@ def envelope_curvatures(mat: MaterialParams, geo: CavityGeometry, n: int) -> tup
     alpha^2 = c_hat_z / (8 R h0^3 M_n) and analogously with P_n for beta;
     both scale as R^(-1/2).  Raises OverflowError or FloatingPointError,
     naming R and h0, when h0^3, 8 R h0^3, 8 R h0^3 M_n or 8 R h0^3 P_n leaves
-    the normal double range (a negative M_n or P_n gives math's domain error).
+    the normal double range.
     """
     _, c_hat = stiffened_constants(mat, n)
     m_n, p_n = dispersion_parameters(mat, n)
     denom = _trap_denominator(geo)
     curvatures = []
     for name, q in (("M_n", denom * m_n), ("P_n", denom * p_n)):
-        _normal(abs(q), f"8 R h0^3 {name} at R = {geo.R!r}, h0 = {geo.h0!r}")
+        _normal(q, f"8 R h0^3 {name} at R = {geo.R!r}, h0 = {geo.h0!r}")
         curvatures.append(math.sqrt(c_hat / q))
     return tuple(curvatures)
 
@@ -209,10 +209,10 @@ def trapping_over_radii(mat: MaterialParams, geo: CavityGeometry, n: int, radii)
         denom = 8.0 * radii * h0_cubed
         qx, qy = denom * m_n, denom * p_n
         alpha, beta = np.sqrt(c_hat / qx), np.sqrt(c_hat / qy)
-        # where the chain raises: h0^3, denom, |qx| or |qy| not a normal double,
-        # or a curvature that is not positive (a NaN from a negative square root)
-        ok = (_is_normal(h0_cubed) & _is_normal(denom) & (abs(qx) >= _DBL_MIN)
-              & (abs(qy) >= _DBL_MIN) & (alpha > 0) & (beta > 0))
+        # where the chain raises: h0^3, denom, qx or qy not a normal double,
+        # or a curvature that is not positive (c_hat / qx or c_hat / qy rounds to 0)
+        ok = (_is_normal(h0_cubed) & _is_normal(denom) & (qx >= _DBL_MIN)
+              & (qy >= _DBL_MIN) & (alpha > 0) & (beta > 0))
 
     def scalar_chain(k):  # raises the scalar chain's error at radius k
         g = replace(geo, R=_at(radii, k))
@@ -499,7 +499,7 @@ def _zero_point(mat, geo, mode, ex, ey):
     omega = mode_frequency(mat, geo, mode)
     with np.errstate(all="ignore"):
         _require(_is_normal(m_eff), OverflowError,
-                 lambda k: f"the frequency or the mass of overtone n = {mode.n},"
+                 lambda k: f"the effective mass of overtone n = {mode.n},"
                  f" {_mode_at(mode, ex, ey, k)}, is outside the normal double range")
         x, p = _spreads(omega, m_eff, mode, ex, ey)
     return omega, m_eff, m_flat, xi, x, p

@@ -92,17 +92,25 @@ def _require_odd_overtone(n: int):
         raise ValueError(f"overtone must be odd and positive, got {n!r}")
 
 
+def _require_positive_at(n: int, **values: float):
+    for name, v in values.items():
+        if not v > 0.0:
+            raise ValueError(f"{name} of overtone n = {n} must be positive, got {v!r}")
+
+
 def stiffened_constants(mat: MaterialParams, n: int) -> tuple[float, float]:
     """Piezoelectrically corrected elastic coefficients (c_z, c_hat_z) in Pa.
 
     The correction subtracts e_z^2 / eps_z (which has units of Pa); the
     thickness-mode coefficient carries an extra 8/(n pi)^2 factor that fades
-    for high overtones.  With e_z = 0 both equal c_bar_z.
+    for high overtones.  With e_z = 0 both equal c_bar_z.  Raises ValueError,
+    naming n, when c_hat_z is not positive.
     """
     _require_odd_overtone(n)
     corr = mat.e_z * mat.e_z / mat.eps_z
     c_z = mat.c_bar_z - corr
     c_hat_z = mat.c_bar_z - corr * 8.0 / (n * n * math.pi * math.pi)
+    _require_positive_at(n, c_hat_z=c_hat_z)
     return c_z, c_hat_z
 
 
@@ -111,7 +119,8 @@ def dispersion_parameters(mat: MaterialParams, n: int) -> tuple[float, float]:
 
     Each picks up cot-type corrections that vanish when kappa_x = kappa_y = 1
     and n is odd (cot of an odd multiple of pi/2 is zero), so weakly
-    anisotropic materials reduce to (M, P) exactly.
+    anisotropic materials reduce to (M, P) exactly.  Raises ValueError,
+    naming n, when M_n or P_n is not positive.
     """
     _require_odd_overtone(n)
     shift = 0.0
@@ -125,7 +134,9 @@ def dispersion_parameters(mat: MaterialParams, n: int) -> tuple[float, float]:
                 f"(kappa_{axis}={kappa!r}, n={n})"
             )
         shift += (a / n) / math.tan(theta)
-    return mat.M + shift, mat.P + shift
+    m_n, p_n = mat.M + shift, mat.P + shift
+    _require_positive_at(n, M_n=m_n, P_n=p_n)
+    return m_n, p_n
 
 
 _REQUIRED_KEYS = ("rho", "c_bar_z", "eps_z", "M", "P")

@@ -65,8 +65,8 @@ _TAIL_DECAY_LENGTHS = 10.0
 # The grid and the potential are symmetric about the centre point, so the
 # even eigenvectors (j = 0, 2) are solved on the 801 points from the centre
 # on and the odd ones (j = 1, 3) on the 800 past it, the centre being their
-# node: three half-grid Sturm counts confirm each bracket, and its inverse
-# iteration solves half-grid systems.
+# node: four half-grid Sturm counts, both blocks' at each end, confirm each
+# bracket, and its inverse iteration solves half-grid systems.
 _GRID_POINTS = 1601
 _DOMAIN_SIGMA = 8.0  # half-width in units of the envelope sigma
 _EIGENPAIRS = 4
@@ -94,7 +94,7 @@ class TrapEigenResult:
     each, peak-normalized, positive at the grid point just right of the
     centre; each even vector is mirror-symmetric about the centre, each
     odd one antisymmetric with a node there).  The work behind each
-    eigenpair, beside the three half-grid Sturm counts that confirm its
+    eigenpair, beside the four half-grid Sturm counts that confirm its
     bracket: ``inverse_iterations``, and in ``residuals`` the relative
     residual ||A v - lambda v|| / |lambda| it stopped at.
     """
@@ -253,8 +253,6 @@ def _thomas_solve(diag: list[float], off: float, first: float, rhs: list[float])
     mults, d = [m], [y]
     for a, r in zip(itertools.islice(diag, 1, None), itertools.islice(rhs, 1, None)):
         denom = a - off * m
-        if denom == 0.0:
-            denom = 1e-300
         m = off / denom
         y = (r - off * y) / denom
         mults.append(m)
@@ -304,12 +302,9 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
     block, the centre and the 800 points right of it, whose centre row
     couples to its neighbour with 2 off (the mirror image's coupling added
     in), and the odd block, the 800 points right of the centre, whose node
-    the centre is.  The counts at a bracket end are the sum of the two
-    blocks' counts.  The other parity's count at the lower end lies
-    between its counts at the previous pair's upper end and this pair's,
-    as a computed Sturm count is monotone in the shift (Demmel, Dhillon
-    and Ren, ETNA 3, 1995), so it is computed only when those two differ.
-    The solved half is mirrored onto the whole grid by its parity.
+    the centre is.  The count at a bracket end is the whole grid's, the sum
+    of the two blocks' counts.  The solved half is mirrored onto the whole
+    grid by its parity.
 
     Raises EigensolveConvergenceError when a bracket or the residual bound
     is not reached, and OverflowError or FloatingPointError, naming R and
@@ -347,24 +342,18 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
 
     vectors = np.empty((npts, _EIGENPAIRS))
     lambdas, iterations, residuals = [], [], []
-    upper = [0, 0]  # each block's count at the previous pair's upper bracket end
     for j in range(_EIGENPAIRS):
-        p, q = j % 2, 1 - j % 2
+        p = j % 2
         start = starts[p]
         # the harmonic level 2j + 1 lowered by the stencil's leading error term
         stencil = (2 * j + 1) * (1.0 - (2 * j * j + 2 * j + 1) * h * h / (16 * (2 * j + 1)))
-        lo, hi = stencil * (1.0 - 1e-8), stencil * (1.0 + 1e-8)
-        own = count(p, lo), count(p, hi)
-        other_hi = count(q, hi)
-        other_lo = upper[q] if upper[q] == other_hi else count(q, lo)
-        counts = [own[0] + other_lo, own[1] + other_hi]
+        counts = [count(0, end) + count(1, end) for end in (stencil * (1.0 - 1e-8), stencil * (1.0 + 1e-8))]
         if counts != [j, j + 1]:
             raise EigensolveConvergenceError(
-                f"eigenvalue {j} is not alone within 1e-8 of its stencil level {where}"
+                f"eigenvalue {j} is not alone within 1e-8 of its stencil level"
                 f" (Sturm counts {counts[0]} and {counts[1]})",
                 math.inf,
             )
-        upper[p], upper[q] = own[1], other_hi
         shifted = (diag[start:] - stencil).tolist()
         v = _mirror(hermite_gaussian_1d(j, 1.0, s[start:]), p)
         residual = math.inf
@@ -380,7 +369,7 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
                 break
         if residual > _RESIDUAL_TOL:
             raise EigensolveConvergenceError(
-                f"eigenpair {j} stalled at relative residual {residual:.3e} {where}", residual
+                f"eigenpair {j} stalled at relative residual {residual:.3e}", residual
             )
         # not signed at the centre: a node of each odd vector
         if v[centre + 1] < 0:

@@ -185,8 +185,9 @@ def _first_failure(mat, geo, n, radii):
     (None, 5e-4, np.array([0.1, 3e307, 2e307]), r"8 R h0\^3 at R = 3e\+307"),
     # 8 R h0^3 below the double range
     (None, 1e-200, np.array([1e-100, 2e-100]), r"8 R h0\^3 at R = 1e-100, h0 = 1e-200"),
-    # a negative M_n: the square root of a negative number
-    ({"a_x": -500e9, "kappa_x": 0.5}, 5e-4, np.array([0.1, 0.2]), "math domain error"),
+    # a negative M_n, rejected before any radius is tried
+    ({"a_x": -500e9, "kappa_x": 0.5}, 5e-4, np.array([0.1, 0.2]),
+     "M_n of overtone n = 1 must be positive, got -2375"),
     # M_n so small that 8 R h0^3 M_n is 0
     ({"M": 1e-300, "P": 1e-300}, 1e-100, np.array([2e-8, 3e-8]),
      r"8 R h0\^3 M_n at R = 2e-08, h0 = 1e-100"),

@@ -1,5 +1,6 @@
 """Trapped-mode physics: envelopes, escape, frequency, mass, ZPF, occupancy."""
 
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -26,10 +27,12 @@ from bawcav.cavity import (
 )
 from bawcav.cavity import _axis_deficit, _axis_energy_fraction, _log_axis_deficit
 from bawcav.constants import BOLTZMANN_K, HBAR
+from bawcav.detection import design_electrode, optimal_electrode, overlap_factor, piezo_current_zpf
 from bawcav.material import bundled_material_path, dispersion_parameters, load_material, stiffened_constants
 from bawcav.specfun import QuadratureSpec, erf, erfc, erfcx, hermite, integrate_1d
 
 QUARTZ = load_material(bundled_material_path("quartz"))
+PIEZO = load_material(bundled_material_path("quartz-piezo"))
 GEO = CavityGeometry(L=0.015, h0=5e-4, R=0.3)
 TIGHT = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300, max_depth=40)
 
@@ -414,7 +417,28 @@ class TestThermalOccupancy:
     (lambda: thermal_occupancy(0.0, 1.0), "omega must be positive, got 0.0"),
     (lambda: escape_probability_log10(ModeIndex(1), 0.0, 1.0),
      "log-scale escape requires strictly positive trapping"),
-], ids=["thermal_occupancy", "escape_probability_log10"])
+    (lambda: overlap_factor(ModeIndex(1), 0.0, 1.0, 1e-3), "alpha, beta and L_tilde must be positive"),
+    (lambda: overlap_factor(ModeIndex(1), 1.0, -1.0, 1e-3), "alpha, beta and L_tilde must be positive"),
+    (lambda: overlap_factor(ModeIndex(1), 1.0, 1.0, 0.0), "alpha, beta and L_tilde must be positive"),
+    (lambda: piezo_current_zpf(PIEZO, GEO, ModeIndex(1), 5.0, 5.0, 0.0), "mu must lie in (0, 1], got 0.0"),
+    (lambda: piezo_current_zpf(PIEZO, GEO, ModeIndex(1), 5.0, 5.0, 1.5), "mu must lie in (0, 1], got 1.5"),
+    (lambda: piezo_current_zpf(PIEZO, GEO, ModeIndex(1), 0.0, 5.0, 0.5),
+     "trapping parameters must be positive"),
+    (lambda: piezo_current_zpf(PIEZO, GEO, ModeIndex(1), 5.0, -1.0, 0.5),
+     "trapping parameters must be positive"),
+    (lambda: optimal_electrode(GEO, math.inf, 1), "eta must be positive and finite, got inf"),
+    # a valid design with one field changed, built again through __init__
+    (lambda: dataclasses.replace(design_electrode(PIEZO, GEO, 10.7, 227), L_tilde=0.0),
+     "L_tilde must be positive, got 0.0"),
+    (lambda: dataclasses.replace(design_electrode(PIEZO, GEO, 10.7, 227), mu=1.0),
+     "mu must lie in (0, 1), got 1.0"),
+    (lambda: dataclasses.replace(design_electrode(PIEZO, GEO, 10.7, 227), mu=0.0),
+     "mu must lie in (0, 1), got 0.0"),
+    (lambda: dataclasses.replace(design_electrode(PIEZO, GEO, 10.7, 227), C0=0.0), "C0 must be positive"),
+], ids=["thermal_occupancy", "escape_probability_log10", "overlap_factor-alpha", "overlap_factor-beta",
+        "overlap_factor-L_tilde", "piezo_current_zpf-mu-0", "piezo_current_zpf-mu-above-1",
+        "piezo_current_zpf-eta_x", "piezo_current_zpf-eta_y", "optimal_electrode-eta-inf",
+        "ElectrodeDesign-L_tilde", "ElectrodeDesign-mu-1", "ElectrodeDesign-mu-0", "ElectrodeDesign-C0"])
 def test_nonpositive_argument_raises_value_error(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

@@ -37,6 +37,16 @@ def source_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+def material_file(tmp_path, lines):
+    # the bundled constants, with the keys that lines set replaced by lines
+    given = {line.split("=")[0].strip() for line in lines.splitlines()}
+    kept = [line for line in bundled_material_path("quartz").read_text().splitlines()
+            if line.split("=")[0].strip() not in given]
+    path = tmp_path / "m.dat"
+    path.write_text("\n".join([lines] + kept) + "\n")
+    return path
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -70,15 +80,37 @@ class TestCharacterize:
         assert code == 2
         assert "material" in err
 
-    @pytest.mark.parametrize("line, err", [
-        ("rho 2643", "error: line 1: expected key=value, got 'rho 2643'\n"),
-        ("rho = 2643\ne_z = -1", "error: e_z must be non-negative, got -1.0\n"),
-        ("rho = 2643\na_x = inf", "error: a_x must be finite, got inf\n"),
-    ], ids=["no-equals", "negative-e_z", "infinite-a_x"])
-    def test_bad_material_file_exits_2(self, capsys, tmp_path, line, err):
-        path = tmp_path / "m.dat"
-        path.write_text(f"{line}\nc_bar_z = 1.05e11\neps_z = 4.06e-11\nM = 2.625e11\nP = 2.625e11\n")
-        assert run_cli(capsys, "characterize", "--material", str(path)) == (2, "", err)
+    # M_n = M + a_x / (n tan(kappa_x n pi / 2)), and P_n alike: -9.74e12 at
+    # n = 1, positive at n = 7 and negative again at n = 37
+    NEGATIVE_M = "a_x = -1e13\nkappa_x = 0.5"
+    NEGATIVE_M_1 = "error: M_n of overtone n = 1 must be positive, got -9737500000000.002\n"
+    # c_hat_z = c_bar_z - 8 e_z^2 / (eps_z (n pi)^2): -7.06e11 at n = 1
+    NEGATIVE_C_HAT = "e_z = 1\neps_z = 1e-12"
+    NEGATIVE_C_HAT_1 = "error: c_hat_z of overtone n = 1 must be positive, got -705569469138.7023\n"
+
+    @pytest.mark.parametrize("line, argv, err", [
+        ("rho 2643", "characterize", "error: line 1: expected key=value, got 'rho 2643'\n"),
+        ("e_z = -1", "characterize", "error: e_z must be non-negative, got -1.0\n"),
+        ("a_x = inf", "characterize", "error: a_x must be finite, got inf\n"),
+        (NEGATIVE_M, "characterize", NEGATIVE_M_1),
+        (NEGATIVE_M, "oracle --sets 1", NEGATIVE_M_1),
+        (NEGATIVE_M, "electrode", "error: M_n of overtone n = 37 must be positive, got -7770270270.270386\n"),
+        (NEGATIVE_M, "paper-report", NEGATIVE_M_1),
+        (NEGATIVE_M, "sweep --n 1 --R-range 0.1:0.3:0.1", NEGATIVE_M_1),
+        (NEGATIVE_C_HAT, "characterize", NEGATIVE_C_HAT_1),
+        (NEGATIVE_C_HAT, "characterize --eta 3", NEGATIVE_C_HAT_1),
+        (NEGATIVE_C_HAT, "oracle --sets 1", NEGATIVE_C_HAT_1),
+    ], ids=["no-equals", "negative-e_z", "infinite-a_x", "negative-M_n", "negative-M_n-oracle",
+            "negative-M_n-electrode", "negative-M_n-paper-report", "negative-M_n-sweep", "negative-c_hat_z",
+            "negative-c_hat_z-eta", "negative-c_hat_z-oracle"])
+    def test_bad_material_file_exits_2(self, capsys, tmp_path, line, argv, err):
+        path = material_file(tmp_path, line)
+        assert run_cli(capsys, *argv.split(), "--material", str(path)) == (2, "", err)
+
+    def test_constants_are_checked_at_the_overtones_asked_for(self, capsys, tmp_path):
+        # c_hat_z is negative at n = 1 only: electrode's n = 7, 37 and 227 run
+        path = material_file(tmp_path, self.NEGATIVE_C_HAT)
+        assert run_cli(capsys, "electrode", "--material", str(path))[0] == 0
 
     @pytest.mark.parametrize("argv, expected", [
         (["--temp-k", "inf"], 2),
@@ -486,6 +518,10 @@ UNREPRESENTABLE_ARGVS = [
      "the frequency of overtone n = 1 at h0 = 1e+160 is below the normal double range"),
     (["characterize", "--h0", "1e200", "--R", "1e202", "--eta", "1"],
      "the frequency of overtone n = 1 at h0 = 1e+200 is below the normal double range"),
+    # m_flat = 4 rho h0 L^2 = 5.3e300 is normal, m_eff = m_flat / xi overflows
+    (["characterize", "--m", "60", "--eta", "1", "--L", "1e150"],
+     "the effective mass of overtone n = 1, (m, p) = (60, 0) at eta = (1.0, 1.0),"
+     " is outside the normal double range"),
     (["electrode", "--h0", "1e200", "--R", "1e202", "--eta", "5"],
      "the shunt figures of overtone n = 7 at eta = 5.0 are outside the normal double range"),
     (["membrane", "--a", "1e-300", "--b", "1e-300", "--mem-h", "1e-320"],

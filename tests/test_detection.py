@@ -209,6 +209,13 @@ class TestShuntImpedance:
         with pytest.raises(OverflowError, match=r"shunt figures of overtone n = 7 at eta = 5.0 "):
             shunt_impedance(VARIANT, geo, 5.0, 7)
 
+    def test_overflowing_closed_form_names_eta_and_n(self):
+        # every square and divisor is normal, but 2 h0^2 / (eps_z L^2), the
+        # closed form's first factor, overflows
+        geo = CavityGeometry(L=1e-100, h0=1e50, R=1e52)
+        with pytest.raises(OverflowError, match=r"shunt figures of overtone n = 1 at eta = 1e-100 "):
+            shunt_impedance(QUARTZ, geo, 1e-100, 1)
+
     def test_derived_consistent_with_capacitance(self):
         c0, _, z_derived = shunt_impedance(QUARTZ, GEO, 6.0, 7)
         omega = 7 * math.pi / (2 * GEO.h0) * math.sqrt(QUARTZ.c_bar_z / QUARTZ.rho)

@@ -310,6 +310,7 @@ class TestTrapEigensolve:
         with pytest.raises(EigensolveConvergenceError, match="eigenpair 0 stalled") as err:
             trap_eigensolve(QUARTZ, GEO, 1)
         assert 1e-18 < err.value.residual < math.inf
+        assert "R =" not in str(err.value)
 
     def test_unconfirmed_bracket_raises(self, monkeypatch):
         # on 201 points the stencil's higher-order error puts lambda_0 1.5e-7
@@ -318,6 +319,7 @@ class TestTrapEigensolve:
         with pytest.raises(EigensolveConvergenceError, match="eigenvalue 0 is not alone") as err:
             trap_eigensolve(QUARTZ, GEO, 1)
         assert err.value.residual == math.inf
+        assert "R =" not in str(err.value)
 
     @pytest.mark.parametrize("h0,R,what", [
         (1e-110, 1.0, "8 R h0^3"),
@@ -482,11 +484,10 @@ class TestEigensolveWork:
         res = trap_eigensolve(QUARTZ, geo, 1)
         k = oracle._EIGENPAIRS
         assert all(len(s) == k for s in (res.inverse_iterations, res.residuals))
-        # the three half-grid counts that confirm each eigenvalue's bracket,
-        # no others: its own block's at both ends and the other block's at
-        # the upper end, the lower one being pinned by the previous pair's
-        assert len(calls) == 3 * k
-        assert calls.count((801, 2.0)) == calls.count((800, 1.0)) == 3 * k // 2
+        # the four half-grid counts that confirm each eigenvalue's bracket,
+        # no others: both blocks' at both ends
+        assert len(calls) == 4 * k
+        assert calls.count((801, 2.0)) == calls.count((800, 1.0)) == 2 * k
         assert all(1 <= i <= 60 for i in res.inverse_iterations)
         assert all(0.0 < r <= oracle._RESIDUAL_TOL for r in res.residuals)
 
@@ -529,11 +530,11 @@ class TestEigensolveWork:
                       + oracle._sturm_count((diag[c + 1:] - shift).tolist(), off * off, pivmin, 1.0))
             assert halves == reference_sturm_count(diag - shift, off * off, pivmin)
 
-    def test_lower_count_is_computed_when_the_other_block_moved(self, monkeypatch):
+    def test_eigenvalue_between_brackets_is_counted_at_the_next_one(self, monkeypatch):
         # the even block is given a copy of each odd eigenvalue 1.5 sqrt(k M)
         # lower, so lambda_1's copy lies between pair 0's bracket and pair
-        # 1's: the even count at pair 1's lower end is then 2, not the 1 of
-        # pair 0's upper end, and the solve must count it rather than infer it
+        # 1's: the whole-grid count at pair 1's lower end is then 2, not 1,
+        # and the solve rejects that bracket
         sturm_count = oracle._sturm_count
 
         def with_copies(shifted, off2, pivmin, first):
