@@ -19,6 +19,8 @@ from .cavity import (
     mode_frequency,
     thermal_occupancy,
     trapping_over_radii,
+    trap_anharmonicity,
+    trap_level_shifts,
     trapping_parameters,
     zpf,
 )
@@ -42,7 +44,6 @@ from .material import (
 )
 from .membrane import MembraneSpec, compare, membrane_effective_mass, membrane_frequency, membrane_zpf
 from .oracle import (
-    EigensolveConvergenceError,
     escape_integral_oracle,
     mass_integral_oracle,
     overlap_integral_oracle,

@@ -33,6 +33,8 @@ __all__ = [
     "escape_probability_log10",
     "mode_frequency",
     "in_plane_quanta",
+    "trap_anharmonicity",
+    "trap_level_shifts",
     "effective_mass",
     "zpf",
     "thermal_occupancy",
@@ -434,6 +436,62 @@ def in_plane_quanta(mat: MaterialParams, geo: CavityGeometry, n: int) -> tuple[f
     alpha, beta = envelope_curvatures(mat, geo, n)
     m_n, p_n = dispersion_parameters(mat, n)
     return math.pi * n * alpha * m_n, math.pi * n * beta * p_n
+
+
+def trap_anharmonicity(mat: MaterialParams, geo: CavityGeometry, n: int) -> float:
+    """Anharmonicity epsilon = sigma^2 / (R h0) = sqrt(8 M_n h0 / (pi^2 n^2 c_hat_z R)).
+
+    sigma = (M_n / k)^(1/4) is the envelope width; epsilon falls as 1/n.
+    Raises OverflowError, naming n, R and h0, where it is not finite.
+    """
+    _, c_hat = stiffened_constants(mat, n)
+    m_n, _ = dispersion_parameters(mat, n)
+    epsilon = math.sqrt(8.0 * (geo.h0 / geo.R)) * math.sqrt(m_n / c_hat) / (math.pi * n)
+    if not epsilon < math.inf:
+        raise OverflowError(f"the trap anharmonicity epsilon of overtone n = {n} at R = {geo.R!r},"
+                            f" h0 = {geo.h0!r} is outside the double range")
+    return epsilon
+
+
+def trap_level_shifts(epsilon: float, h0_over_R: float) -> tuple[np.ndarray, float]:
+    """Shifts delta_j, j = 0..3, of the exact profile's levels, and their remainder bound.
+
+    In-plane level j of the plano-convex plate, h = h0 - (R - sqrt(R^2 -
+    x^2)) / 2 (Stevens and Tiersten, J. Acoust. Soc. Am. 79, 1811, 1986), is
+    (2j + 1) q_x (1 + delta_j), q_x of ``in_plane_quanta``, epsilon of
+    ``trap_anharmonicity``, and to second order
+
+        delta_j = (9/32) (2j^2 + 2j + 1) / (2j + 1) epsilon (1 + 2 h0 / (3R))
+                  + c_j epsilon^2,
+        c_j = [(5/64)(4j^3 + 6j^2 + 8j + 3) + (9/64) S_j] / (2j + 1).
+
+    Derivation.  With xi = x / sigma, u = 1 - h / h0 the thinning and
+    c = sqrt(1 - epsilon (h0/R) xi^2), the resonance's rise (n pi /
+    2)^2 c_hat_z (1/h^2 - 1/h0^2) is q_x (xi^2 + W), W = xi^4 / (1 + c)^2
+    ((epsilon / 2)(3 - 2u) / (1 - u)^2 + epsilon h0/R) = (3/8) epsilon (1 +
+    2 h0 / (3R)) xi^4 + (1/8) epsilon^2 xi^6 + (5/128) epsilon^3 xi^8 + ...
+    On the levels 2j + 1 of -u'' + xi^2 u, with xi = (a + a^dagger) /
+    sqrt(2), the first term is the quartic's <xi^4>_j = (3/4)(2j^2 + 2j +
+    1); c_j adds the sextic's <xi^6>_j = (5/8)(4j^3 + 6j^2 + 8j + 3) and the
+    quartic's second order, S_j = sum over k = j +- 2, j +- 4 of
+    |<k|xi^4|j>|^2 / (2j - 2k) = -(34j^3 + 51j^2 + 59j + 21) / 16, whose
+    S_0 is the -(21/16) lambda^2 of the anharmonic oscillator (Bender and
+    Wu, Phys. Rev. 184, 1231, 1969).  So c_j = (14j^3 + 21j^2 + 109j + 51)
+    / (1024 (2j + 1)): 0.04980, 0.06348, 0.09082 and 0.13184.
+
+    Remainder.  The epsilon^2 h0/R terms left out, (18j^3 + 27j^2 + 63j +
+    27) / (256 (2j + 1)), are at most 0.527 (j = 3), 0.59 with their own
+    h0/R terms at h0/R < 1/20; the third order, with the octic, is (111,
+    -135, -3387, -15165) / (32768 (2j + 1)) epsilon^3, at most 0.0662.  The
+    bound is 2 (0.6 epsilon^2 h0/R + 0.07 epsilon^3), for the orders
+    beyond, plus 1e-13 for rounding; up to epsilon = 0.6 the solved levels
+    (``oracle.trap_eigensolve``) stay within half of it.
+    """
+    j = np.arange(4.0)
+    first = (9.0 / 32.0) * (2.0 * j * j + 2.0 * j + 1.0) / (2.0 * j + 1.0) * epsilon * (1.0 + 2.0 * h0_over_R / 3.0)
+    second = (14.0 * j**3 + 21.0 * j * j + 109.0 * j + 51.0) / (1024.0 * (2.0 * j + 1.0)) * epsilon * epsilon
+    bound = 2.0 * (0.6 * epsilon * epsilon * h0_over_R + 0.07 * epsilon**3) + 1e-13
+    return first + second, bound
 
 
 def effective_mass(mat: MaterialParams, geo: CavityGeometry, mode: ModeIndex, eta_x, eta_y):

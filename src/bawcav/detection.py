@@ -163,18 +163,24 @@ def shunt_impedance(
     square or divisor it is made from, is not a normal double.
     """
     lt = optimal_electrode(geo, eta, n, mu_opt)
-    side_sq, h0_sq, eta_sq = _power(2.0 * lt, 2), _power(geo.h0, 2), _power(eta, 2)
+    side_sq = _power(2.0 * lt, 2)
     c0 = mat.eps_z * side_sq / (2.0 * geo.h0)
     omega_c0 = _omega_ref(mat, geo, n) * c0
-    eps_l_sq = mat.eps_z * _power(geo.L, 2)
     what = (f"the shunt figures of overtone n = {n} at eta = {eta!r} are outside the normal"
             " double range")
     # every square and divisor a normal double first: none divides by zero or costs digits
-    if not all(_is_normal(v) for v in (side_sq, h0_sq, eta_sq, c0, omega_c0, eps_l_sq)):
+    if not all(_is_normal(v) for v in (side_sq, c0, omega_c0)):
         raise OverflowError(what)
     z_derived = 1.0 / omega_c0
-    z_closed = ((2.0 * h0_sq / eps_l_sq) * math.sqrt(mat.rho / mat.c_bar_z) * eta_sq
-                * erf(math.sqrt(mu_opt)) ** 2)
+    # 2 (h0 eta / L)^2 / eps_z sqrt(rho / c_bar_z) erf(sqrt(mu))^2, h0 eta / L
+    # from mantissas and a power of two: no product of lengths leaves the range
+    (m_h0, e_h0), (m_eta, e_eta), (m_L, e_L) = (math.frexp(v) for v in (geo.h0, eta, geo.L))
+    ratio = m_h0 * m_eta / m_L
+    scale = 2.0 / mat.eps_z * math.sqrt(mat.rho / mat.c_bar_z) * erf(math.sqrt(mu_opt)) ** 2
+    try:
+        z_closed = math.ldexp(scale * ratio * ratio, 2 * (e_h0 + e_eta - e_L))
+    except OverflowError:
+        z_closed = math.inf
     if not (_is_normal(z_closed) and _is_normal(z_derived)):
         raise OverflowError(what)
     return c0, z_closed, z_derived

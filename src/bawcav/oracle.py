@@ -13,26 +13,25 @@ batched oracles (``escape_and_mass_oracles``, ``overlap_integral_oracles``)
 integrate the sides of all their cases in those passes, an integrand that
 gathers each row's curvature by its interval index; each one-case oracle
 is the batched call of its one case, and a batched value equals it bit for
-bit.  The trapped-mode eigenproblem is additionally solved by finite
-differences, in units of the envelope width and the trap quantum, to validate
-the envelope curvature and the harmonic level structure from the
-underlying wave equation rather than from its known solution.
+bit.  The trapped-mode eigenproblem of the exact plano-convex profile is
+solved in a basis of Hermite functions (``trap_eigensolve``), whose levels
+check the anharmonic level shifts of ``cavity.trap_level_shifts``: the
+closed forms take the harmonic trap, the solve does not.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityGeometry, ModeIndex, _normal, _trap_denominator, hermite_gaussian_1d
+from .cavity import (CavityGeometry, ModeIndex, _normal, _trap_denominator, hermite_gaussian_1d,
+                     trap_anharmonicity, trap_level_shifts)
 from .material import MaterialParams, dispersion_parameters, stiffened_constants
 from .specfun import QuadratureSpec, integrate_intervals
 
 __all__ = [
-    "EigensolveConvergenceError",
     "TrapEigenResult",
     "mass_integral_oracle",
     "escape_integral_oracle",
@@ -40,7 +39,6 @@ __all__ = [
     "overlap_integral_oracle",
     "overlap_integral_oracles",
     "trap_eigensolve",
-    "fit_gaussian_curvature",
 ]
 
 # Relative-accuracy-dominated budget: oracle values back 1e-8 comparisons,
@@ -53,57 +51,37 @@ _ORACLE_QUAD = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-280, max_depth=40)
 # plate edge; the leftover tail is below 1e-20 of the captured value.
 _TAIL_DECAY_LENGTHS = 10.0
 
-# The trap eigensolver's one discretisation.  In units of the envelope sigma
-# the operator is sqrt(k M) (-u'' + s^2 u), so the solve builds -u'' + s^2 u
-# alone, one matrix on one grid, step h = 16/1602, for every geometry,
-# overtone and material, and scales its grid by sigma and its eigenvalues by
-# sqrt(k M).  Each eigenvalue lies a fixed fraction below its harmonic level
-# 2j + 1, and the 3-point stencil's leading error term gives that fraction,
-# (2j^2 + 2j + 1) h^2 / (16 (2j + 1)), to within 3.9e-11, 1.2e-10, 2.7e-10
-# and 5.1e-10 for j = 0..3, some 20 times inside the +-1e-8 bracket whose
-# Sturm counts confirm it, and inverse iteration is shifted to that level.
-# The grid and the potential are symmetric about the centre point, so the
-# even eigenvectors (j = 0, 2) are solved on the 801 points from the centre
-# on and the odd ones (j = 1, 3) on the 800 past it, the centre being their
-# node: four half-grid Sturm counts, both blocks' at each end, confirm each
-# bracket, and its inverse iteration solves half-grid systems.
-_GRID_POINTS = 1601
-_DOMAIN_SIGMA = 8.0  # half-width in units of the envelope sigma
-_EIGENPAIRS = 4
-_RESIDUAL_TOL = 1e-9  # relative residual bound per eigenpair
-
-
-class EigensolveConvergenceError(ArithmeticError):
-    """An eigenpair's bracket or its residual bound was not reached.
-
-    ``residual`` is the relative residual inverse iteration stopped at, or
-    inf when the Sturm counts did not confirm the eigenvalue's bracket.
-    """
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
+# The trap solve: Hermite functions k < _BASIS on _NODES Gauss-Hermite
+# nodes, levels j < _LEVELS.  Past _MAX_EPSILON the zero-thickness point
+# nears level 3's turning point, and the bound of cavity.trap_level_shifts
+# was not checked against the solve.
+_BASIS = 32
+_NODES = 64
+_LEVELS = 4
+_MAX_EPSILON = 0.6
 
 
 @dataclass(frozen=True, eq=False)  # of array fields: equal only to itself, hashed by identity
 class TrapEigenResult:
-    """Lowest eigenpairs of the in-plane trapping operator (x slice).
+    """Lowest levels j = 0..3 of the in-plane trap of the exact plate profile.
 
-    ``lambdas`` are operator eigenvalues, the in-plane part of rho omega^2
-    (``trap_eigensolve``), ``vectors`` the grid eigenfunctions (one column
-    each, peak-normalized, positive at the grid point just right of the
-    centre; each even vector is mirror-symmetric about the centre, each
-    odd one antisymmetric with a node there).  The work behind each
-    eigenpair, beside the four half-grid Sturm counts that confirm its
-    bracket: ``inverse_iterations``, and in ``residuals`` the relative
-    residual ||A v - lambda v|| / |lambda| it stopped at.
+    ``lambdas`` are the eigenvalues (the in-plane part of rho omega^2),
+    ``shifts`` the solved lambda_j / ((2j + 1) sqrt(k M_n)) - 1, and column
+    j of ``vectors`` eigenvector j's unit coefficients on the Hermite
+    functions of x / sigma, positive just right of the centre.  The work:
+    ``basis`` functions on ``nodes`` nodes, the ``agreement`` of the levels
+    of the leading ``basis // 2`` functions with them (largest relative
+    difference), and each level's ``outside_mass`` past the zero-thickness
+    point.
     """
 
-    x: np.ndarray
     lambdas: np.ndarray
+    shifts: np.ndarray
     vectors: np.ndarray
-    inverse_iterations: tuple[int, ...]
-    residuals: tuple[float, ...]
+    basis: int
+    nodes: int
+    agreement: float
+    outside_mass: np.ndarray
 
 
 def _shape_integrals(cases, rects, squared: bool) -> list[list[float]]:
@@ -217,192 +195,116 @@ def overlap_integral_oracle(
     return overlap_integral_oracles([(mode, alpha, beta, L_tilde)])[0]
 
 
+
+
 # ---------------------------------------------------------------------------
-# finite-difference eigensolver for the in-plane trap
+# Hermite-Galerkin solve of the in-plane trap
 # ---------------------------------------------------------------------------
 
-def _sturm_count(shifted: list[float], off2: float, pivmin: float, first: float) -> int:
-    # number of eigenvalues below the shift of the symmetric tridiagonal
-    # matrix whose shifted diagonal is given and whose squared off-diagonal
-    # is off2, but first * off2 between rows 0 and 1, by the sign count of
-    # its LDL^T pivots, a pivot within pivmin of 0 taken as -pivmin; first
-    # is 1 or 2, so dividing the first pivot by it is exact.  Python
-    # floats, as numpy scalars cost several times more per step
-    neg_pivmin = -pivmin
-    d = shifted[0]
-    if neg_pivmin < d < pivmin:
-        d = neg_pivmin
-    count = 1 if d < 0.0 else 0
-    d /= first
-    for a in itertools.islice(shifted, 1, None):
-        d = a - off2 / d
-        if d < pivmin:  # negative once a tiny pivot is replaced
-            if d > neg_pivmin:
-                d = neg_pivmin
-            count += 1
-    return count
+def _gauss_hermite(nodes: int, basis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Gauss-Hermite rule of weight e^{-x^2} (Golub-Welsch): the nodes are the
+    # eigenvalues of the Jacobi matrix, off-diagonal sqrt(k / 2), and the
+    # weights the Christoffel numbers 1 / sum_{k < nodes} p_k(x)^2 of the
+    # orthonormal polynomials p_k.  Returns the nodes, the weights and p_k
+    # at the nodes for k < basis, one row each
+    x = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1.0, nodes) / 2.0), -1))
+    p = np.empty((nodes, nodes))
+    p[0] = math.pi**-0.25
+    p[1] = math.sqrt(2.0) * x * p[0]
+    for k in range(1, nodes - 1):
+        p[k + 1] = math.sqrt(2.0 / (k + 1)) * x * p[k] - math.sqrt(k / (k + 1)) * p[k - 1]
+    return x, 1.0 / np.einsum("ki,ki->i", p, p), p[:basis]
 
 
-def _thomas_solve(diag: list[float], off: float, first: float, rhs: list[float]) -> np.ndarray:
-    # solution of the tridiagonal system with the given diagonal and
-    # constant off-diagonal, but first * off from row 0 to row 1, without
-    # pivoting (the shifted systems here are diagonally dominated away from
-    # exact eigenvalues): forward elimination, then back substitution
-    m = first * off / diag[0]
-    y = rhs[0] / diag[0]
-    mults, d = [m], [y]
-    for a, r in zip(itertools.islice(diag, 1, None), itertools.islice(rhs, 1, None)):
-        denom = a - off * m
-        m = off / denom
-        y = (r - off * y) / denom
-        mults.append(m)
-        d.append(y)
-    x = [y]
-    for ci, di in zip(reversed(mults[:-1]), reversed(d[:-1])):
-        y = di - ci * y
-        x.append(y)
-    x.reverse()
-    return np.array(x)
+def _profile_excess(xi: np.ndarray, epsilon: float, h0_over_R: float) -> tuple[np.ndarray, np.ndarray]:
+    # W(xi) = xi^4 / (1 + c)^2 ((epsilon / 2) (3 - 2u) / (1 - u)^2 + epsilon
+    # h0/R), c = sqrt(1 - epsilon (h0/R) xi^2) and u = epsilon xi^2 / (2 (1 +
+    # c)) the thinning over h0 (see cavity.trap_level_shifts), and the mask
+    # u < 1 short of the zero-thickness point, past which W is 0; |x| = R,
+    # where c would be imaginary, lies past it (u = R / (2 h0) there)
+    xi2 = xi * xi
+    c = np.sqrt(np.maximum(0.0, 1.0 - epsilon * h0_over_R * xi2))
+    u = epsilon * xi2 / (2.0 * (1.0 + c))
+    inside = u < 1.0
+    xi2, c, u = xi2[inside], c[inside], u[inside]
+    w = np.zeros_like(xi)
+    w[inside] = xi2 * xi2 / (1.0 + c) ** 2 * (0.5 * epsilon * (3.0 - 2.0 * u) / (1.0 - u) ** 2 + epsilon * h0_over_R)
+    return w, inside
 
 
-def _mirror(half: np.ndarray, parity: int) -> np.ndarray:
-    # the whole-grid vector of the given parity whose values from the centre
-    # on (even) or past it (odd, with a node at the centre) are half
-    if parity == 0:
-        return np.concatenate((half[:0:-1], half))
-    return np.concatenate((-half[::-1], [0.0], half))
+def _hermite_levels(epsilon: float, h0_over_R: float) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    # levels, vectors, agreement and outside mass of -u'' + (xi^2 + W) u: on
+    # the Hermite functions p_k e^{-xi^2/2}, -u'' + xi^2 u is the diagonal
+    # 2k + 1 and W's matrix its projection on the rule; W is even, so each
+    # parity is one block, and level j is the (j // 2)-th of block j % 2
+    x, weights, p = _gauss_hermite(_NODES, _BASIS)
+    w, inside = _profile_excess(x, epsilon, h0_over_R)
+    matrix = (p * (weights * w)) @ p.T
+    half = _BASIS // 2
+    order = np.arange(half)
+    blocks = np.stack([matrix[0::2, 0::2], matrix[1::2, 1::2]])
+    blocks[:, order, order] += 4.0 * order + np.array([[1.0], [3.0]])
+    values, block_vectors = np.linalg.eigh(blocks)
+    leading = np.linalg.eigvalsh(blocks[:, :half // 2, :half // 2])
+    levels = values[:, :2].T.ravel()
+    agreement = float(np.max(np.abs(leading[:, :2].T.ravel() / levels - 1.0)))
+    vectors = np.zeros((_BASIS, _LEVELS))
+    for j in range(_LEVELS):
+        vectors[j % 2::2, j] = block_vectors[j % 2, :, j // 2]
+    at_nodes = vectors.T @ p
+    # signed at the smallest positive node, the nodes ascending
+    vectors *= np.where(at_nodes[:, _NODES // 2] < 0.0, -1.0, 1.0)
+    return levels, vectors, agreement, (at_nodes * at_nodes) @ np.where(inside, 0.0, weights)
 
 
 def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEigenResult:
-    """Lowest eigenpairs of -M u'' + k x^2 u = lambda u on a symmetric grid.
+    """Lowest levels of -M_n u'' + V(x) u = lambda u for the exact plate profile.
 
-    The potential coefficient k = pi^2 n^2 c_hat_z / (8 R h0^3) comes from
-    the slowly varying thickness of the curved plate; eigenvalues of the
-    discretized operator form the in-plane harmonic ladder, and the ground
-    eigenvector reproduces the Gaussian envelope.  Eigenvalue j is the
-    in-plane part of the mode's frequency, rho omega^2 = (n pi / (2 h0))^2
-    c_hat_z + lambda_j, whose closed form is (2j + 1) q_x of
-    ``cavity.in_plane_quanta``.
+    V is the rise of the thickness resonance of the plano-convex plate
+    as it thins (``cavity.trap_level_shifts``), k x^2 to leading order, and
+    lambda_j the in-plane part of rho omega^2, (2j + 1) q_x (1 + delta_j) in
+    the closed forms.  In units of sigma = (M_n / k)^(1/4) and sqrt(k M_n)
+    the operator is -u'' + (xi^2 + W(xi)) u, with W a function of epsilon
+    (``cavity.trap_anharmonicity``) and h0/R alone, 0 past the
+    zero-thickness point.  It is solved on 32 Hermite functions, with W
+    projected on 64 Gauss-Hermite nodes, one symmetric eigensolve per
+    parity.
 
-    With x = sigma s, sigma = (M / k)^(1/4) the envelope width, the operator
-    is sqrt(k M) (-u'' + s^2 u), so the solve discretises -u'' + s^2 u alone,
-    the same matrix for every geometry, overtone and material, and returns
-    the grid sigma s and the eigenvalues times sqrt(k M); the vectors need no
-    scaling.  Second-order central differences with Dirichlet boundaries,
-    1601 points over s in +-8.  Eigenpair j is found at the stencil's own
-    level, (2j + 1) (1 - (2j^2 + 2j + 1) h^2 / (16 (2j + 1))) with h the
-    grid step: the Sturm counts at that level +-1e-8 relative confirm that
-    eigenvalue j alone lies there, and shifted inverse iteration from it
-    gives the eigenvector and, as its Rayleigh quotient, the eigenvalue.
-    The iteration starts from the harmonic eigenvector exp(-s^2/2) H_j(s)
-    and stops after one step at every geometry tried.
-
-    The grid and the potential are symmetric about the centre point, so
-    eigenpair j is solved on the half-grid block of its parity: the even
-    block, the centre and the 800 points right of it, whose centre row
-    couples to its neighbour with 2 off (the mirror image's coupling added
-    in), and the odd block, the 800 points right of the centre, whose node
-    the centre is.  The count at a bracket end is the whole grid's, the sum
-    of the two blocks' counts.  The solved half is mirrored onto the whole
-    grid by its parity.
-
-    Raises EigensolveConvergenceError when a bracket or the residual bound
-    is not reached, and OverflowError or FloatingPointError, naming R and
-    h0, when h0^3, 8 R h0^3, k, sqrt(k M_n) or a scaled eigenvalue leaves
-    the normal double range.
+    Raises ArithmeticError, naming n and epsilon, where epsilon exceeds 0.6,
+    or where the levels of 16 and 32 Hermite functions disagree, or a
+    level's mass past the zero-thickness point exceeds, the closed form's
+    remainder bound, criterion 9's tolerance; and OverflowError or
+    FloatingPointError, naming R and h0, where h0^3, 8 R h0^3, k,
+    sqrt(k M_n) or an eigenvalue is not a normal double.
     """
     _, c_hat = stiffened_constants(mat, n)
     m_n, _ = dispersion_parameters(mat, n)
     where = f"at R = {geo.R!r}, h0 = {geo.h0!r}"
     k_pot = _normal(math.pi**2 * n**2 * c_hat / _trap_denominator(geo), f"the trap stiffness k {where}")
-    # from the roots of k and M_n, so that no product or quotient of the two
-    # leaves the double range first; sigma is normal where sqrt(k M_n) is
-    root_k, root_m = math.sqrt(k_pot), math.sqrt(m_n)
-    quantum = _normal(root_k * root_m, f"the trap quantum sqrt(k M_n) {where}")
-    sigma = math.sqrt(root_m / root_k)
+    # from the roots, so that no product of k and M_n overflows first
+    quantum = _normal(math.sqrt(k_pot) * math.sqrt(m_n), f"the trap quantum sqrt(k M_n) {where}")
 
-    npts = _GRID_POINTS
-    if npts % 2 == 0:
-        raise ValueError(f"the trap grid has no centre point to split at: {npts} points, an even number")
-    centre = npts // 2
-    h = 2.0 * _DOMAIN_SIGMA / (npts + 1)
-    s = -_DOMAIN_SIGMA + h * np.arange(1, npts + 1)
-    off = -1.0 / (h * h)
-    diag = 2.0 / (h * h) + s * s
-    pivmin = 1e-14 * float(np.max(np.abs(diag)) + 2.0 * abs(off))
-
-    # parity p's block starts at the centre + p; the even block's centre
-    # row couples to its neighbour with 2 off.  The blocks take the right
-    # half's diagonal, which the left half's mirrors up to rounding in s
-    starts = (centre, centre + 1)
-    firsts = (2.0, 1.0)
-
-    def count(p: int, end: float) -> int:
-        return _sturm_count((diag[starts[p]:] - end).tolist(), off * off, pivmin, firsts[p])
-
-    vectors = np.empty((npts, _EIGENPAIRS))
-    lambdas, iterations, residuals = [], [], []
-    for j in range(_EIGENPAIRS):
-        p = j % 2
-        start = starts[p]
-        # the harmonic level 2j + 1 lowered by the stencil's leading error term
-        stencil = (2 * j + 1) * (1.0 - (2 * j * j + 2 * j + 1) * h * h / (16 * (2 * j + 1)))
-        counts = [count(0, end) + count(1, end) for end in (stencil * (1.0 - 1e-8), stencil * (1.0 + 1e-8))]
-        if counts != [j, j + 1]:
-            raise EigensolveConvergenceError(
-                f"eigenvalue {j} is not alone within 1e-8 of its stencil level"
-                f" (Sturm counts {counts[0]} and {counts[1]})",
-                math.inf,
-            )
-        shifted = (diag[start:] - stencil).tolist()
-        v = _mirror(hermite_gaussian_1d(j, 1.0, s[start:]), p)
-        residual = math.inf
-        for it in range(1, 61):
-            w = _mirror(_thomas_solve(shifted, off, firsts[p], v[start:].tolist()), p)
-            v = w / np.linalg.norm(w)
-            av = diag * v
-            av[:-1] += off * v[1:]
-            av[1:] += off * v[:-1]
-            rayleigh = float(v @ av)
-            residual = float(np.linalg.norm(av - rayleigh * v)) / abs(rayleigh)
-            if residual <= _RESIDUAL_TOL:
-                break
-        if residual > _RESIDUAL_TOL:
-            raise EigensolveConvergenceError(
-                f"eigenpair {j} stalled at relative residual {residual:.3e}", residual
-            )
-        # not signed at the centre: a node of each odd vector
-        if v[centre + 1] < 0:
-            v = -v
-        vectors[:, j] = v / np.max(np.abs(v))
-        lambdas.append(_normal(quantum * rayleigh, f"the trap eigenvalue lambda_{j} {where}"))
-        iterations.append(it)
-        residuals.append(residual)
-
+    epsilon = trap_anharmonicity(mat, geo, n)
+    h0_over_R = geo.h0 / geo.R
+    what = f"the trap of overtone n = {n} at epsilon = {epsilon!r}"
+    if not epsilon <= _MAX_EPSILON:
+        raise ArithmeticError(f"{what} is past the anharmonic closed form's checked range,"
+                              f" epsilon <= {_MAX_EPSILON}")
+    _, tolerance = trap_level_shifts(epsilon, h0_over_R)
+    levels, vectors, agreement, outside_mass = _hermite_levels(epsilon, h0_over_R)
+    if not max(agreement, float(np.max(outside_mass))) <= tolerance:
+        raise ArithmeticError(
+            f"{what} is not resolved to {tolerance:.3g}: the levels of {_BASIS // 2} and {_BASIS}"
+            f" Hermite functions differ by {agreement:.3g}, and {float(np.max(outside_mass)):.3g}"
+            " of a level's mass lies past the zero-thickness point"
+        )
     return TrapEigenResult(
-        x=sigma * s,
-        lambdas=np.array(lambdas),
+        lambdas=np.array([_normal(quantum * level, f"the trap eigenvalue lambda_{j} {where}")
+                          for j, level in enumerate(levels.tolist())]),
+        shifts=levels / (2.0 * np.arange(_LEVELS) + 1.0) - 1.0,
         vectors=vectors,
-        inverse_iterations=tuple(iterations),
-        residuals=tuple(residuals),
+        basis=_BASIS,
+        nodes=_NODES,
+        agreement=agreement,
+        outside_mass=outside_mass,
     )
-
-
-def fit_gaussian_curvature(x: np.ndarray, v: np.ndarray) -> float:
-    """Least-squares Gaussian curvature of a peak-normalized profile.
-
-    Fits ln v = c - g x^2 / 2 over samples above 1e-3 times the peak and
-    returns g; for the trap ground state g should equal n pi alpha.
-    The fit runs on x scaled by a power of two near the samples' span, an
-    exact scaling, so that the x^2 column keeps its weight beside the
-    constant one at any length scale.
-    """
-    v = np.abs(np.asarray(v, dtype=float))
-    peak = float(np.max(v))
-    mask = v > 1e-3 * peak
-    z = np.log(v[mask] / peak)
-    _, e = math.frexp(float(np.max(np.abs(x[mask]))))
-    q = np.ldexp(x[mask], -e) ** 2
-    design = np.stack([np.ones_like(q), -0.5 * q], axis=1)
-    coef, *_ = np.linalg.lstsq(design, z, rcond=None)
-    return math.ldexp(float(coef[1]), -2 * e)

@@ -219,49 +219,23 @@ def criterion_8(mat: MaterialParams, geo: CavityGeometry, n_sets: int = 20) -> C
     return CriterionResult(8, CRITERION_NAMES[8], rows)
 
 
-def _eigenvector_deviation(res: oracle.TrapEigenResult, alpha: float) -> float:
-    # max |v_j - u_j| over the solved eigenvectors, with u_j the mode
-    # shape's factor of in-plane number j along x (n = 1),
-    # exp(-g x^2/2) H_j(sqrt(g) x) at the expected ground curvature
-    # g = pi alpha, peak-normalised, with v_j's sign just right of the
-    # centre, as trap_eigensolve signs it.
-    k = len(res.x) // 2 + 1
-    worst = 0.0
-    for j in range(res.vectors.shape[1]):
-        v = res.vectors[:, j]
-        u = cavity.hermite_gaussian_1d(j, alpha * math.pi, res.x)
-        u = u / np.max(np.abs(u))
-        if (u[k] < 0.0) != (v[k] < 0.0):
-            u = -u
-        worst = max(worst, float(np.max(np.abs(v - u))))
-    return worst
-
-
 def criterion_9(mat: MaterialParams, geo: CavityGeometry) -> CriterionResult:
-    res = oracle.trap_eigensolve(mat, geo, 1)
-    lam = res.lambdas
-    ladder = (lam[2] - lam[1]) / (lam[1] - lam[0])
-    alpha, _ = cavity.envelope_curvatures(mat, geo, 1)
-    target = math.pi * alpha  # n = 1
-    gfit = oracle.fit_gaussian_curvature(res.x, res.vectors[:, 0])
-    vector_dev = _eigenvector_deviation(res, alpha)
-
-    # the solved ladder against in_plane_quanta's (2j + 1) q_x: the spacing
-    # lambda_2 - lambda_0 is 4 q_x, and each level's ratio checks the
-    # zero-point offset, which a spacing cannot see
-    q_x, _ = cavity.in_plane_quanta(mat, geo, 1)
-    level_dev = max(abs(lam[j] / ((2 * j + 1) * q_x) - 1.0) for j in range(len(lam)))
-    return CriterionResult(
-        9,
-        CRITERION_NAMES[9],
-        [
-            _row_abs("harmonic ladder ratio", ladder, 1.0, 1e-4),
-            _row_rel("ground curvature fit", gfit, target, 1e-3),
-            _row_rel("in-plane spacing lambda_2 - lambda_0", lam[2] - lam[0], 4.0 * q_x, 1e-3),
-            _row_abs("max |lambda_j / ((2j+1) q_x) - 1| (j = 0..3)", level_dev, 0.0, 1e-4),
-            _row_abs("max |v_j - u_j| (j = 0..3)", vector_dev, 0.0, 1e-4),
-        ],
-    )
+    """Solved levels of overtone 1 against (2j + 1) q_x (1 + delta_j), and the
+    solve's convergence, each at the closed form's remainder bound."""
+    n = 1
+    res = oracle.trap_eigensolve(mat, geo, n)
+    q_x, _ = cavity.in_plane_quanta(mat, geo, n)
+    shifts, tol = cavity.trap_level_shifts(cavity.trap_anharmonicity(mat, geo, n), geo.h0 / geo.R)
+    rows = [
+        _row_abs(f"lambda_j / ((2j+1) q_x (1 + delta_j)) - 1 (n = {n}, j = {j})",
+                 lam / ((2 * j + 1) * q_x * (1.0 + delta)) - 1.0, 0.0, tol)
+        for j, (lam, delta) in enumerate(zip(res.lambdas, shifts))
+    ]
+    rows.append(_row_abs(f"levels of {res.basis // 2} vs {res.basis} Hermite functions (n = {n})",
+                         res.agreement, 0.0, tol))
+    rows.append(_row_abs(f"level mass past the zero-thickness point (n = {n})",
+                         np.max(res.outside_mass), 0.0, tol))
+    return CriterionResult(9, CRITERION_NAMES[9], rows)
 
 
 def _by_overtone(draws) -> dict[int, np.ndarray]:

@@ -1,6 +1,8 @@
 """Readout figures: overlap, currents, electrode sizing, shunt impedance."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -182,6 +184,14 @@ class TestOptimalElectrode:
             optimal_electrode(GEO, 10.7, 3.5)
 
 
+def exact_closed_form(mat, geo, eta, mu_opt=MU_OPT_3SIGMA):
+    # Z_closed_form = 2 h0^2 eta^2 / (eps_z L^2) sqrt(rho / c_bar_z) erf(sqrt(mu))^2
+    # in exact rational arithmetic on the doubles given and the two roots
+    root = Fraction(math.sqrt(mat.rho / mat.c_bar_z))
+    return (2 * Fraction(geo.h0) ** 2 * Fraction(eta) ** 2 / (Fraction(mat.eps_z) * Fraction(geo.L) ** 2)
+            * root * Fraction(erf(math.sqrt(mu_opt))) ** 2)
+
+
 class TestShuntImpedance:
     def test_reference_values(self):
         c0, z_closed, z_derived = shunt_impedance(VARIANT, GEO, 10.7, 227)
@@ -210,11 +220,21 @@ class TestShuntImpedance:
             shunt_impedance(VARIANT, geo, 5.0, 7)
 
     def test_overflowing_closed_form_names_eta_and_n(self):
-        # every square and divisor is normal, but 2 h0^2 / (eps_z L^2), the
-        # closed form's first factor, overflows
-        geo = CavityGeometry(L=1e-100, h0=1e50, R=1e52)
-        with pytest.raises(OverflowError, match=r"shunt figures of overtone n = 1 at eta = 1e-100 "):
-            shunt_impedance(QUARTZ, geo, 1e-100, 1)
+        # C0, omega C0 and Z_derived = 1.2e307 are normal, but Z_closed_form,
+        # 5.0e308 in exact arithmetic, is past the double range
+        geo, eta = CavityGeometry(L=1e-100, h0=1e50, R=1e52), 9.5
+        assert exact_closed_form(QUARTZ, geo, eta) > sys.float_info.max
+        with pytest.raises(OverflowError, match=r"shunt figures of overtone n = 1 at eta = 9.5 "):
+            shunt_impedance(QUARTZ, geo, eta, 1)
+
+    def test_closed_form_of_a_normal_figure_does_not_overflow(self):
+        # 2 h0^2 / (eps_z L^2) alone is 4.9e310, but the figure, with the
+        # factor eta^2 = 1e-200, is a normal double: it is the exact closed
+        # form correctly rounded, to an ulp or two
+        geo, eta = CavityGeometry(L=1e-100, h0=1e50, R=1e52), 1e-100
+        _, z_closed, _ = shunt_impedance(QUARTZ, geo, eta, 1)
+        assert f"{z_closed:.8g}" == "5.5353574e+106"
+        assert z_closed == pytest.approx(float(exact_closed_form(QUARTZ, geo, eta)), rel=5e-16)
 
     def test_derived_consistent_with_capacitance(self):
         c0, _, z_derived = shunt_impedance(QUARTZ, GEO, 6.0, 7)

@@ -1,6 +1,7 @@
 """Brute-force validators against the closed forms they exist to check."""
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -16,14 +17,14 @@ from bawcav.cavity import (
     escape_probability,
     hermite_gaussian_1d,
     in_plane_quanta,
+    trap_anharmonicity,
+    trap_level_shifts,
 )
 from bawcav.detection import overlap_factor
 from bawcav.material import bundled_material_path, dispersion_parameters, load_material, stiffened_constants
 from bawcav.oracle import (
-    EigensolveConvergenceError,
     escape_and_mass_oracles,
     escape_integral_oracle,
-    fit_gaussian_curvature,
     mass_integral_oracle,
     overlap_integral_oracle,
     overlap_integral_oracles,
@@ -236,114 +237,19 @@ class TestOverlapOracle:
         assert numeric == pytest.approx(closed, rel=1e-8)
 
 
-class TestTrapEigensolve:
-    def test_harmonic_ladder_uniform(self):
-        res = trap_eigensolve(QUARTZ, GEO, 1)
-        lam = res.lambdas
-        ratio = (lam[2] - lam[1]) / (lam[1] - lam[0])
-        assert ratio == pytest.approx(1.0, abs=1e-4)
-
-    def test_ground_state_envelope_curvature(self):
-        res = trap_eigensolve(QUARTZ, GEO, 1)
-        alpha, _ = envelope_curvatures(QUARTZ, GEO, 1)
-        gfit = fit_gaussian_curvature(res.x, res.vectors[:, 0])
-        assert gfit == pytest.approx(math.pi * alpha, rel=1e-3)
-
-    def test_results_compare_and_hash_by_identity(self):
-        a, b = trap_eigensolve(QUARTZ, GEO, 1), trap_eigensolve(QUARTZ, GEO, 1)
-        assert (a == a) is True and (a == b) is False and (a != b) is True
-        assert len({a, b, a}) == 2
-
-    def test_higher_overtone_curvature(self):
-        res = trap_eigensolve(QUARTZ, GEO, 3)
-        alpha, _ = envelope_curvatures(QUARTZ, GEO, 3)
-        gfit = fit_gaussian_curvature(res.x, res.vectors[:, 0])
-        assert gfit == pytest.approx(3 * math.pi * alpha, rel=1e-3)
-
-    @pytest.mark.parametrize("R,h0", [pytest.param(R, GEO.h0, id=str(R)) for R in (GEO.R, 0.1, 1.0)]
-                             + [(1.0, 1e-30), (1e200, 1e-30), (1e-15, 1e-90)])
-    def test_mode_frequency_spacing_is_the_solved_spacing(self, R, h0):
-        # the solved lambda_2 - lambda_0 is in_plane_quanta's 4 q_x at every
-        # curvature radius, also where the thickness term of rho omega^2 is
-        # 1.4e15 (h0 = 1e-30, R = 1) or 1.4e115 (R = 1e200) times q_x, and a
-        # difference of two frequencies keeps none of the spacing's digits;
-        # at h0 = 1e-90, R = 1e-15 the SI operator's squared coupling
-        # (M / h^2)^2 would overflow, the solved one's is (1602 / 16)^4
-        geo = CavityGeometry(L=GEO.L, h0=h0, R=R)
-        res = trap_eigensolve(QUARTZ, geo, 1)
-        q_x, _ = in_plane_quanta(QUARTZ, geo, 1)
-        assert res.lambdas[2] - res.lambdas[0] == pytest.approx(4.0 * q_x, rel=1e-3)
-
-    @pytest.mark.parametrize("mode", [ModeIndex(1, 2, 0), ModeIndex(1, 0, 2)])
-    def test_in_plane_frequency_does_not_depend_on_L(self, mode):
-        geometries = [CavityGeometry(L=L, h0=GEO.h0, R=GEO.R) for L in (0.005, GEO.L, 0.05)]
-        quanta = [in_plane_quanta(QUARTZ, geo, mode.n) for geo in geometries]
-        assert len({(2 * mode.m + 1) * q_x + (2 * mode.p + 1) * q_y for q_x, q_y in quanta}) == 1
-
-    def test_second_order_convergence(self):
-        # in units of the envelope sigma the grid step is h = 16/1602 for
-        # every trap, and the 3-point stencil's -h^2 u^(4) / 12 error term
-        # puts lambda_j below its harmonic level (2j + 1) sqrt(k M) by
-        # (2j^2 + 2j + 1) h^2 / (16 (2j + 1)), to first order: the stencil
-        # level so lowered is off by the same 3.9e-11 ... 5.1e-10 on every
-        # trap, at least 19 times inside the +-1e-8 bracket the solve
-        # confirms around it
-        h = 16.0 / 1602.0
-        far = CavityGeometry(L=GEO.L, h0=1e-6, R=1e3)
-        for geo, n in itertools.product(SOLVER_GEOMETRIES + [far], (1, 3, 227)):
-            _, c_hat = stiffened_constants(QUARTZ, n)
-            m_n, _ = dispersion_parameters(QUARTZ, n)
-            level = math.sqrt(math.pi**2 * n**2 * c_hat / (8.0 * geo.R * geo.h0**3) * m_n)
-            res = trap_eigensolve(QUARTZ, geo, n)
-            for j, lam in enumerate(res.lambdas):
-                stencil = (2 * j + 1) * level * (1.0 - (2 * j * j + 2 * j + 1) * h * h / (16.0 * (2 * j + 1)))
-                assert abs(lam / stencil - 1.0) < 5.2e-10
-
-    def test_eigenvectors_orthogonal(self):
-        res = trap_eigensolve(QUARTZ, GEO, 1)
-        v0 = res.vectors[:, 0] / np.linalg.norm(res.vectors[:, 0])
-        v1 = res.vectors[:, 1] / np.linalg.norm(res.vectors[:, 1])
-        assert abs(float(v0 @ v1)) < 1e-8
-
-    def test_unreachable_tolerance_raises_with_residual(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_RESIDUAL_TOL", 1e-18)
-        with pytest.raises(EigensolveConvergenceError, match="eigenpair 0 stalled") as err:
-            trap_eigensolve(QUARTZ, GEO, 1)
-        assert 1e-18 < err.value.residual < math.inf
-        assert "R =" not in str(err.value)
-
-    def test_unconfirmed_bracket_raises(self, monkeypatch):
-        # on 201 points the stencil's higher-order error puts lambda_0 1.5e-7
-        # below its stencil level, outside the +-1e-8 bracket
-        monkeypatch.setattr(oracle, "_GRID_POINTS", 201)
-        with pytest.raises(EigensolveConvergenceError, match="eigenvalue 0 is not alone") as err:
-            trap_eigensolve(QUARTZ, GEO, 1)
-        assert err.value.residual == math.inf
-        assert "R =" not in str(err.value)
-
-    @pytest.mark.parametrize("h0,R,what", [
-        (1e-110, 1.0, "8 R h0^3"),
-        (1e-100, 1e-3, "the trap stiffness k"),
-    ])
-    def test_unrepresentable_trap_names_R_and_h0(self, h0, R, what):
-        geo = CavityGeometry(L=GEO.L, h0=h0, R=R)
-        with pytest.raises((OverflowError, FloatingPointError)) as err:
-            trap_eigensolve(QUARTZ, geo, 1)
-        assert str(err.value) == f"{what} at R = {R!r}, h0 = {h0!r} is outside the normal double range"
-
-    @pytest.mark.parametrize("change,h0,R,what", [
-        # M_n = M + a_x cot(kappa_x pi / 2) = inf: sqrt(k M_n) overflows
-        (dict(a_x=1e308, kappa_x=0.01), GEO.h0, GEO.R, "the trap quantum sqrt(k M_n)"),
-        # sqrt(k M_n) = 4.7e307 and lambda_1 are normal, lambda_2 is not
-        (dict(M=1.7e308), 1e-100, 1e4, "the trap eigenvalue lambda_2"),
-    ], ids=["quantum", "eigenvalue"])
-    def test_unrepresentable_scaling_names_R_and_h0(self, change, h0, R, what):
-        # no geometry of the bundled quartz reaches these: with M_n = 2.6e11
-        # and k normal, sqrt(k M_n) lies within 3.9e-143 ... 6.9e159
-        mat = dataclasses.replace(QUARTZ, **change)
-        with pytest.raises(OverflowError) as err:
-            trap_eigensolve(mat, CavityGeometry(L=GEO.L, h0=h0, R=R), 1)
-        assert str(err.value) == f"{what} at R = {R!r}, h0 = {h0!r} is outside the normal double range"
+def fit_gaussian_curvature(x, v):
+    # least-squares curvature g of ln v = c - g x^2 / 2 over the samples
+    # above 1e-3 of the peak, fitted on x scaled by a power of two near the
+    # samples' span, an exact scaling that keeps the x^2 column's weight
+    v = np.abs(np.asarray(v, dtype=float))
+    peak = float(np.max(v))
+    mask = v > 1e-3 * peak
+    z = np.log(v[mask] / peak)
+    _, e = math.frexp(float(np.max(np.abs(x[mask]))))
+    q = np.ldexp(x[mask], -e) ** 2
+    design = np.stack([np.ones_like(q), -0.5 * q], axis=1)
+    coef, *_ = np.linalg.lstsq(design, z, rcond=None)
+    return math.ldexp(float(coef[1]), -2 * e)
 
 
 @pytest.mark.parametrize("k", [-80, 0, 80])
@@ -357,10 +263,14 @@ def test_gaussian_curvature_fit_is_scale_free(k):
     assert fit_gaussian_curvature(np.ldexp(x, k), v) == pytest.approx(math.ldexp(g, -2 * k), rel=1e-12)
 
 
-def solver_grid(mat, geo, n):
-    # trap_eigensolve's whole grid, written out: the operator's diagonal and
+def solver_grid(mat, geo, n, exact=False):
+    # a finite-difference grid of the trap in SI units, 1601 points over
+    # +-8 envelope widths sigma: the grid, the operator's diagonal and
     # off-diagonal, the scale its Sturm counts take pivmin from, and the
-    # harmonic level sqrt(k M)
+    # harmonic level sqrt(k M).  The potential is k x^2, or, with exact,
+    # the plano-convex profile's (n pi / 2)^2 c_hat (1/h^2 - 1/h0^2) for
+    # h = h0 - (R - sqrt(R^2 - x^2)) / 2, which the Hermite solve keeps at
+    # k x^2 from the zero-thickness point on
     _, c_hat = stiffened_constants(mat, n)
     m_n, _ = dispersion_parameters(mat, n)
     k_pot = math.pi**2 * n**2 * c_hat / (8.0 * geo.R * geo.h0**3)
@@ -370,9 +280,14 @@ def solver_grid(mat, geo, n):
     h = 2.0 * half_width / (npts + 1)
     x = -half_width + h * np.arange(1, npts + 1)
     off = -m_n / (h * h)
-    diag = 2.0 * m_n / (h * h) + k_pot * x * x
+    potential = k_pot * x * x
+    if exact:
+        thickness = geo.h0 - (geo.R - np.sqrt(np.maximum(geo.R**2 - x * x, 0.0))) / 2.0
+        plate = thickness > 0.0
+        potential[plate] = (n * math.pi / 2.0) ** 2 * c_hat * (1.0 / thickness[plate] ** 2 - 1.0 / geo.h0**2)
+    diag = 2.0 * m_n / (h * h) + potential
     scale = float(np.max(np.abs(diag)) + 2.0 * abs(off))
-    return diag, off, scale, math.sqrt(k_pot * m_n)
+    return x, diag, off, scale, math.sqrt(k_pot * m_n)
 
 
 def reference_sturm_count(shifted, off2, pivmin, first=1.0):
@@ -387,12 +302,14 @@ def reference_sturm_count(shifted, off2, pivmin, first=1.0):
     return count
 
 
-def reference_eigensolve(mat, geo, n):
-    # independent reference for trap_eigensolve: each eigenvalue bisected
-    # to 1e-14 from the whole spectrum's bounds, one Sturm count per step,
-    # inverse iteration shifted just above it, and the Thomas sweep on
-    # numpy arrays element by element, all on the whole grid
-    diag, off, scale, _ = solver_grid(mat, geo, n)
+def reference_eigensolve(mat, geo, n, exact=False):
+    # independent finite-difference solve of the trap: each eigenvalue
+    # bisected to 1e-14 from the whole spectrum's bounds, one Sturm count
+    # per step, inverse iteration shifted just above it from a random
+    # vector, and the Thomas sweep on numpy arrays element by element.
+    # Returns the grid, the eigenvalues j = 0..3 and the eigenvectors, peak-
+    # normalised and positive at the grid point just right of the centre
+    x, diag, off, scale, _ = solver_grid(mat, geo, n, exact)
     npts = len(diag)
     pivmin = 1e-14 * scale
 
@@ -436,167 +353,319 @@ def reference_eigensolve(mat, geo, n):
             v = -v
         vectors[:, j] = v / np.max(np.abs(v))
         lambdas.append(rayleigh)
-    return np.array(lambdas), vectors
+    return x, np.array(lambdas), vectors
+
+
+@functools.cache
+def reference(geo, n, exact=False):
+    return reference_eigensolve(QUARTZ, geo, n, exact)
+
+
+def hermite_functions(count, xi):
+    # the orthonormal Hermite functions psi_0 .. psi_{count - 1} at xi, one row each
+    psi = np.empty((count, len(xi)))
+    psi[0] = math.pi**-0.25 * np.exp(-0.5 * xi * xi)
+    psi[1] = math.sqrt(2.0) * xi * psi[0]
+    for k in range(1, count - 1):
+        psi[k + 1] = math.sqrt(2.0 / (k + 1)) * xi * psi[k] - math.sqrt(k / (k + 1)) * psi[k - 1]
+    return psi
+
+
+def envelope_sigma(geo, n):
+    _, c_hat = stiffened_constants(QUARTZ, n)
+    m_n, _ = dispersion_parameters(QUARTZ, n)
+    return (m_n * 8.0 * geo.R * geo.h0**3 / (math.pi**2 * n**2 * c_hat)) ** 0.25
+
+
+class TestTrapEigensolve:
+    """The in-plane trap: the harmonic trap's finite-difference reference
+    against the harmonic closed forms, and the exact profile's Hermite solve
+    against the anharmonic ones."""
+
+    def test_harmonic_ladder_uniform(self):
+        _, lam, _ = reference(GEO, 1)
+        ratio = (lam[2] - lam[1]) / (lam[1] - lam[0])
+        assert ratio == pytest.approx(1.0, abs=1e-4)
+
+    def test_ground_state_envelope_curvature(self):
+        x, _, vectors = reference(GEO, 1)
+        alpha, _ = envelope_curvatures(QUARTZ, GEO, 1)
+        assert fit_gaussian_curvature(x, vectors[:, 0]) == pytest.approx(math.pi * alpha, rel=1e-3)
+
+    def test_higher_overtone_curvature(self):
+        x, _, vectors = reference(GEO, 3)
+        alpha, _ = envelope_curvatures(QUARTZ, GEO, 3)
+        assert fit_gaussian_curvature(x, vectors[:, 0]) == pytest.approx(3 * math.pi * alpha, rel=1e-3)
+
+    @pytest.mark.parametrize("geo", SOLVER_GEOMETRIES)
+    def test_reference_levels_are_in_plane_quanta(self, geo):
+        # each harmonic level against (2j + 1) q_x, which checks the
+        # zero-point offset a spacing cannot see, and the spacing
+        # lambda_2 - lambda_0 against 4 q_x
+        _, lam, _ = reference(geo, 1)
+        q_x, _ = in_plane_quanta(QUARTZ, geo, 1)
+        assert max(abs(lam[j] / ((2 * j + 1) * q_x) - 1.0) for j in range(4)) <= 1e-4
+        assert lam[2] - lam[0] == pytest.approx(4.0 * q_x, rel=1e-3)
+
+    def test_eigenvectors_are_the_hermite_gaussians(self):
+        # the harmonic eigenvectors j = 0..3 against the mode shape of
+        # (1, j, 0) at the curvature pi alpha: the O(h^2) finite-difference
+        # error, under 1e-4, whatever sign each shape is given; a trap 1%
+        # too strong or weak shows
+        x, _, vectors = reference(GEO, 1)
+        alpha, _ = envelope_curvatures(QUARTZ, GEO, 1)
+        centre = len(x) // 2 + 1
+
+        def deviation(g):
+            worst = 0.0
+            for j in range(4):
+                u = hermite_gaussian_1d(j, g, x)
+                u = u / np.max(np.abs(u)) * np.sign(u[centre])
+                worst = max(worst, float(np.max(np.abs(vectors[:, j] - u))))
+            return worst
+
+        assert 1e-6 < deviation(math.pi * alpha) < 1e-4
+        for scale in (0.99, 1.01):
+            assert deviation(scale * math.pi * alpha) > 1e-3
+
+    def test_results_compare_and_hash_by_identity(self):
+        a, b = trap_eigensolve(QUARTZ, GEO, 1), trap_eigensolve(QUARTZ, GEO, 1)
+        assert (a == a) is True and (a == b) is False and (a != b) is True
+        assert len({a, b, a}) == 2
+
+    @pytest.mark.parametrize("R,h0", [pytest.param(R, GEO.h0, id=str(R)) for R in (GEO.R, 0.1, 1.0)]
+                             + [(1.0, 1e-30), (1e200, 1e-30), (1e-15, 1e-90)])
+    def test_mode_frequency_spacing_is_the_solved_spacing(self, R, h0):
+        # the solved lambda_2 - lambda_0 is the closed forms' q_x (5 (1 +
+        # delta_2) - (1 + delta_0)) at every curvature radius, also where the
+        # thickness term of rho omega^2 is 1.4e15 (h0 = 1e-30, R = 1) or
+        # 1.4e115 (R = 1e200) times q_x, and a difference of two
+        # frequencies keeps none of the spacing's digits, and at h0 = 1e-90,
+        # R = 1e-15, where an SI-unit grid's squared coupling would overflow
+        geo = CavityGeometry(L=GEO.L, h0=h0, R=R)
+        res = trap_eigensolve(QUARTZ, geo, 1)
+        q_x, _ = in_plane_quanta(QUARTZ, geo, 1)
+        delta, _ = trap_level_shifts(trap_anharmonicity(QUARTZ, geo, 1), h0 / R)
+        spacing = q_x * (5.0 * (1.0 + delta[2]) - (1.0 + delta[0]))
+        assert res.lambdas[2] - res.lambdas[0] == pytest.approx(spacing, rel=1e-3)
+
+    @pytest.mark.parametrize("mode", [ModeIndex(1, 2, 0), ModeIndex(1, 0, 2)])
+    def test_in_plane_frequency_does_not_depend_on_L(self, mode):
+        geometries = [CavityGeometry(L=L, h0=GEO.h0, R=GEO.R) for L in (0.005, GEO.L, 0.05)]
+        quanta = [in_plane_quanta(QUARTZ, geo, mode.n) for geo in geometries]
+        assert len({(2 * mode.m + 1) * q_x + (2 * mode.p + 1) * q_y for q_x, q_y in quanta}) == 1
+
+    def test_second_order_convergence(self):
+        # the solved shifts against the closed form to second order, over
+        # epsilon from 1e-3 to 0.3165 (the thickest plate at n = 1) and
+        # h0/R from 0 to 0.0497: the remainder stays within half the bound
+        # criterion 9 takes as its tolerance, and at epsilon = 1e-3, h0/R =
+        # 0 its epsilon^3 part is the third-order coefficient
+        # (111, -135, -3387, -15165) / 32768 / (2j + 1)
+        ladder = 2.0 * np.arange(4) + 1.0
+        for epsilon, h0_over_R in itertools.product(np.geomspace(1e-3, 0.3165, 12), (0.0, 1 / 600, 0.0497)):
+            levels, *_ = oracle._hermite_levels(epsilon, h0_over_R)
+            delta, bound = trap_level_shifts(epsilon, h0_over_R)
+            remainder = levels / ladder - 1.0 - delta
+            assert np.max(np.abs(remainder)) <= 0.5 * bound, (epsilon, h0_over_R)
+        levels, *_ = oracle._hermite_levels(1e-3, 0.0)
+        delta, _ = trap_level_shifts(1e-3, 0.0)
+        third = np.array([111.0, -135.0, -3387.0, -15165.0]) / 32768.0 / ladder
+        np.testing.assert_allclose((levels / ladder - 1.0 - delta) / 1e-9, third, rtol=2e-2)
+
+    def test_closed_form_coefficients(self):
+        # the second-order coefficients c_j the docstring derives, and the
+        # first-order ones, (9/32)(2j^2 + 2j + 1)/(2j + 1) at h0/R = 0
+        j = np.arange(4)
+        first = (9 / 32) * (2 * j * j + 2 * j + 1) / (2 * j + 1)
+        delta, _ = trap_level_shifts(1.0, 0.0)
+        np.testing.assert_allclose(delta - first, [51 / 1024, 195 / 3072, 465 / 5120, 945 / 7168], rtol=1e-15)
+        np.testing.assert_allclose(delta - first, [0.04980, 0.06348, 0.09082, 0.13184], atol=5e-6)
+
+    def test_gauss_hermite_rule_is_hermgauss(self):
+        # Golub-Welsch nodes and Christoffel weights against numpy's rule,
+        # which the library does not import
+        from numpy.polynomial.hermite import hermgauss
+
+        x, w, p = oracle._gauss_hermite(64, 32)
+        nodes, weights = hermgauss(64)
+        np.testing.assert_allclose(x, nodes, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(w, weights, rtol=5e-13, atol=0.0)
+        # the basis rows are orthonormal under the rule
+        np.testing.assert_allclose((p * w) @ p.T, np.eye(32), rtol=0.0, atol=1e-13)
+
+    def test_eigenvectors_orthogonal(self):
+        res = trap_eigensolve(QUARTZ, GEO, 1)
+        np.testing.assert_allclose(res.vectors.T @ res.vectors, np.eye(4), rtol=0.0, atol=1e-14)
+
+    def test_unreachable_tolerance_raises_with_residual(self, monkeypatch):
+        # with a bound of 1e-18 the leading 16 Hermite functions' levels,
+        # 1.5e-10 from all 32's, do not agree to it: the error names n,
+        # epsilon and the agreement reached
+        agreement = trap_eigensolve(QUARTZ, GEO, 1).agreement
+        monkeypatch.setattr(oracle, "trap_level_shifts", lambda epsilon, h0_over_R: (None, 1e-18))
+        epsilon = trap_anharmonicity(QUARTZ, GEO, 1)
+        with pytest.raises(ArithmeticError) as err:
+            trap_eigensolve(QUARTZ, GEO, 1)
+        assert str(err.value).startswith(f"the trap of overtone n = 1 at epsilon = {epsilon!r} is not resolved to 1e-18:")
+        assert f"differ by {agreement:.3g}," in str(err.value)
+        assert "R =" not in str(err.value)
+
+    def test_epsilon_past_the_checked_range_raises(self):
+        # M four times quartz's doubles epsilon, to 0.63 at n = 1 of the
+        # thickest plate; past 0.6 the solve raises, naming n and epsilon
+        mat = dataclasses.replace(QUARTZ, M=4.0 * QUARTZ.M)
+        geo = CavityGeometry(L=GEO.L, h0=0.0149, R=0.3)
+        epsilon = trap_anharmonicity(mat, geo, 1)
+        assert 0.6 < epsilon < 0.7
+        with pytest.raises(ArithmeticError, match=rf"^the trap of overtone n = 1 at epsilon = {epsilon!r} is past"):
+            trap_eigensolve(mat, geo, 1)
+
+    @pytest.mark.parametrize("h0,R,what", [
+        (1e-110, 1.0, "8 R h0^3"),
+        (1e-100, 1e-3, "the trap stiffness k"),
+    ])
+    def test_unrepresentable_trap_names_R_and_h0(self, h0, R, what):
+        geo = CavityGeometry(L=GEO.L, h0=h0, R=R)
+        with pytest.raises((OverflowError, FloatingPointError)) as err:
+            trap_eigensolve(QUARTZ, geo, 1)
+        assert str(err.value) == f"{what} at R = {R!r}, h0 = {h0!r} is outside the normal double range"
+
+    @pytest.mark.parametrize("change,h0,R,what", [
+        # M_n = M + a_x cot(kappa_x pi / 2) = inf: sqrt(k M_n) overflows
+        (dict(a_x=1e308, kappa_x=0.01), GEO.h0, GEO.R, "the trap quantum sqrt(k M_n)"),
+        # sqrt(k M_n) = 4.1e307 and lambda_1 are normal, lambda_2 is not, at
+        # epsilon = 0.037
+        (dict(M=1.7e308, c_bar_z=1e307), 0.1, 1e3, "the trap eigenvalue lambda_2"),
+    ], ids=["quantum", "eigenvalue"])
+    def test_unrepresentable_scaling_names_R_and_h0(self, change, h0, R, what):
+        # no geometry of the bundled quartz reaches these: with M_n = 2.6e11
+        # and k normal, sqrt(k M_n) lies within 3.9e-143 ... 6.9e159
+        mat = dataclasses.replace(QUARTZ, **change)
+        with pytest.raises(OverflowError) as err:
+            trap_eigensolve(mat, CavityGeometry(L=GEO.L, h0=h0, R=R), 1)
+        assert str(err.value) == f"{what} at R = {R!r}, h0 = {h0!r} is outside the normal double range"
 
 
 class TestEigensolveWork:
     @pytest.mark.parametrize("geo", SOLVER_GEOMETRIES)
     def test_same_eigenpairs_as_the_reference_solver(self, geo):
-        # the solve shifts by the stencil level, within 5.1e-10 of each
-        # eigenvalue, and starts from the harmonic eigenvector, where the
-        # reference shifts just above the bisected eigenvalue and starts
-        # from a random vector: they differ by at most 1.5e-13 (lambda,
-        # relative) and 3.3e-13 (peak-normalised vectors)
+        # the Hermite solve of the exact profile against the finite-
+        # difference reference on the same potential: the reference's
+        # O(h^2) error, at most 3.8e-5 in the levels (relative) and 8e-5 in
+        # the peak-normalised vectors; at R = L the zero-thickness point
+        # lies on the grid, at 3.9 sigma
+        x, lambdas, vectors = reference(geo, 1, exact=True)
         res = trap_eigensolve(QUARTZ, geo, 1)
-        lambdas, vectors = reference_eigensolve(QUARTZ, geo, 1)
-        assert np.max(np.abs(res.lambdas / lambdas - 1.0)) <= 5e-13
-        assert np.max(np.abs(res.vectors - vectors)) <= 1e-12
+        assert np.max(np.abs(res.lambdas / lambdas - 1.0)) <= 1e-4
+        shapes = res.vectors.T @ hermite_functions(oracle._BASIS, x / envelope_sigma(geo, 1))
+        shapes /= np.max(np.abs(shapes), axis=1, keepdims=True)
+        assert np.max(np.abs(shapes.T - vectors)) <= 1e-4
 
     @pytest.mark.parametrize("n", [1, 3, 227])
     @pytest.mark.parametrize("geo", SOLVER_GEOMETRIES)
     def test_same_parity_vectors_are_orthogonal(self, geo, n):
-        # each pair's shift isolates its eigenvalue, and the other parity's
-        # lie in the other block, so no vector is deflated against another:
-        # as unit vectors, |u0 . u2| and |u1 . u3| stay below 5e-14
+        # the levels of one parity come from one symmetric eigensolve
         res = trap_eigensolve(QUARTZ, geo, n)
-        u = res.vectors / np.linalg.norm(res.vectors, axis=0)
-        assert abs(u[:, 0] @ u[:, 2]) <= 1e-13
-        assert abs(u[:, 1] @ u[:, 3]) <= 1e-13
+        assert abs(res.vectors[:, 0] @ res.vectors[:, 2]) <= 1e-13
+        assert abs(res.vectors[:, 1] @ res.vectors[:, 3]) <= 1e-13
 
     @pytest.mark.parametrize("geo", SOLVER_GEOMETRIES)
     def test_vectors_are_positive_right_of_the_centre(self, geo):
-        # the centre is a node of each odd vector, so its sign is read a
-        # grid point to the right, for every vector alike
+        # each eigenfunction is signed at the smallest positive node, 0.138
+        # sigma, and keeps that sign down to the centre, also the odd ones,
+        # which vanish there
         res = trap_eigensolve(QUARTZ, geo, 1)
-        assert res.vectors.shape[1] == 4
-        assert np.all(res.vectors[len(res.x) // 2 + 1] > 0.0)
+        assert res.vectors.shape == (oracle._BASIS, 4)
+        xi = np.array([1e-3, 0.07, 0.138])
+        assert np.all(res.vectors.T @ hermite_functions(oracle._BASIS, xi) > 0.0)
 
     @pytest.mark.parametrize("geo", SOLVER_GEOMETRIES)
-    def test_work_is_reported_per_eigenpair(self, geo, monkeypatch):
-        calls = []
-        sturm_count = oracle._sturm_count
-
-        def counting(shifted, off2, pivmin, first):
-            calls.append((len(shifted), first))
-            return sturm_count(shifted, off2, pivmin, first)
-
-        monkeypatch.setattr(oracle, "_sturm_count", counting)
+    def test_work_is_reported_per_eigenpair(self, geo):
+        # the basis and the nodes, the agreement of the leading half of the
+        # basis, and each level's mass past the zero-thickness point, both
+        # within the bound the solve checks them against
         res = trap_eigensolve(QUARTZ, geo, 1)
-        k = oracle._EIGENPAIRS
-        assert all(len(s) == k for s in (res.inverse_iterations, res.residuals))
-        # the four half-grid counts that confirm each eigenvalue's bracket,
-        # no others: both blocks' at both ends
-        assert len(calls) == 4 * k
-        assert calls.count((801, 2.0)) == calls.count((800, 1.0)) == 2 * k
-        assert all(1 <= i <= 60 for i in res.inverse_iterations)
-        assert all(0.0 < r <= oracle._RESIDUAL_TOL for r in res.residuals)
+        _, bound = trap_level_shifts(trap_anharmonicity(QUARTZ, geo, 1), geo.h0 / geo.R)
+        assert (res.basis, res.nodes) == (32, 64)
+        assert res.outside_mass.shape == res.lambdas.shape == res.shifts.shape == (4,)
+        assert 0.0 <= res.agreement <= bound
+        assert np.all((0.0 <= res.outside_mass) & (res.outside_mass <= bound))
 
     @pytest.mark.parametrize("geo", SOLVER_GEOMETRIES)
     def test_vectors_have_the_parity_of_their_block(self, geo):
-        # each vector is mirrored from its half-grid block: even ones
-        # bitwise mirror-symmetric, odd ones bitwise antisymmetric with an
-        # exact 0 at the centre
+        # each vector is solved in the Hermite functions of its parity: its
+        # coefficients on the other parity's are exactly 0
         res = trap_eigensolve(QUARTZ, geo, 1)
-        c = len(res.x) // 2
-        for j in range(res.vectors.shape[1]):
-            v = res.vectors[:, j]
-            left = v[:c][::-1].tobytes()
-            if j % 2 == 0:
-                assert left == v[c + 1:].tobytes()
-            else:
-                assert left == (-v[c + 1:]).tobytes()
-                assert v[c] == 0.0
+        for j in range(4):
+            assert not np.any(res.vectors[1 - j % 2::2, j])
+            assert np.all(res.vectors[j % 2::2, j] != 0.0)
 
     @pytest.mark.parametrize("geo", SOLVER_GEOMETRIES)
     def test_block_counts_add_up_to_the_whole_grid_count(self, geo):
-        # the even block (the centre on, its first coupling doubled) and the
-        # odd one (past the centre) split the whole grid's spectrum: their
-        # counts add up to the whole grid's at seeded shifts over the four
-        # solved levels, each kept 1e-6 away from every stencil level, and
-        # at every bracket end the solve confirms
-        diag, off, scale, level = solver_grid(QUARTZ, geo, 1)
-        pivmin = 1e-14 * scale
-        c = len(diag) // 2
-        h = 16.0 / 1602.0
-        stencils = [(2 * j + 1) * level * (1.0 - (2 * j * j + 2 * j + 1) * h * h / (16.0 * (2 * j + 1)))
-                    for j in range(4)]
-        rng = np.random.default_rng(21)
-        shifts = [s for s in rng.uniform(0.0, 8.0 * level, 40)
-                  if all(abs(s / t - 1.0) >= 1e-6 for t in stencils)][:16]
-        assert len(shifts) == 16
-        ends = [t * (1.0 + e) for t in stencils for e in (-1e-8, 1e-8)]
-        for shift in shifts + ends:
-            halves = (oracle._sturm_count((diag[c:] - shift).tolist(), off * off, pivmin, 2.0)
-                      + oracle._sturm_count((diag[c + 1:] - shift).tolist(), off * off, pivmin, 1.0))
-            assert halves == reference_sturm_count(diag - shift, off * off, pivmin)
-
-    def test_eigenvalue_between_brackets_is_counted_at_the_next_one(self, monkeypatch):
-        # the even block is given a copy of each odd eigenvalue 1.5 sqrt(k M)
-        # lower, so lambda_1's copy lies between pair 0's bracket and pair
-        # 1's: the whole-grid count at pair 1's lower end is then 2, not 1,
-        # and the solve rejects that bracket
-        sturm_count = oracle._sturm_count
-
-        def with_copies(shifted, off2, pivmin, first):
-            count = sturm_count(shifted, off2, pivmin, first)
-            if first == 2.0:
-                drop = 1.5 * math.sqrt(off2) * (16.0 / 1602.0) ** 2
-                count += sturm_count([a - drop for a in shifted[1:]], off2, pivmin, 1.0)
-            return count
-
-        monkeypatch.setattr(oracle, "_sturm_count", with_copies)
-        with pytest.raises(EigensolveConvergenceError, match=r"eigenvalue 1 is not alone.*\(Sturm counts 2 and 3\)"):
-            trap_eigensolve(QUARTZ, GEO, 1)
-
-    def test_even_grid_raises(self, monkeypatch):
-        # an even grid has no centre point to split the blocks at
-        monkeypatch.setattr(oracle, "_GRID_POINTS", 1600)
-        with pytest.raises(ValueError, match="no centre point"):
-            trap_eigensolve(QUARTZ, GEO, 1)
+        # the even and the odd block split the spectrum of the whole
+        # projected matrix: W is even and the nodes are symmetric, so the
+        # couplings between parities vanish to rounding, the counts of the
+        # two blocks' levels add up to the whole matrix's at seeded shifts,
+        # and the solved levels are its lowest four, to the rounding of an
+        # eigensolve, a few ulps of the matrix's norm (7e3 at R = L)
+        epsilon, h0_over_R = trap_anharmonicity(QUARTZ, geo, 1), geo.h0 / geo.R
+        x, w, p = oracle._gauss_hermite(oracle._NODES, oracle._BASIS)
+        excess, _ = oracle._profile_excess(x, epsilon, h0_over_R)
+        whole = (p * (w * excess)) @ p.T + np.diag(2.0 * np.arange(oracle._BASIS) + 1.0)
+        assert np.max(np.abs(whole[0::2, 1::2])) <= 1e-13 * np.max(np.abs(whole))
+        spectrum = np.linalg.eigvalsh(whole)
+        blocks = [np.linalg.eigvalsh(whole[q::2, q::2]) for q in (0, 1)]
+        for shift in np.random.default_rng(21).uniform(0.0, 40.0, 16):
+            assert np.sum(spectrum < shift) == sum(np.sum(b < shift) for b in blocks)
+        levels, *_ = oracle._hermite_levels(epsilon, h0_over_R)
+        np.testing.assert_allclose(levels, spectrum[:4], rtol=0.0, atol=1e-15 * np.linalg.norm(whole, 2))
 
     @pytest.mark.parametrize("R,h0", [(GEO.R, GEO.h0), (GEO.L, GEO.h0), (1e3, 1e-6), (1.0, 1e-30), (1e200, 1e-30)])
     @pytest.mark.parametrize("n", [1, 3, 227])
     def test_harmonic_start_converges_in_one_iteration(self, R, h0, n):
-        # the start vector is the harmonic eigenvector, whose part off the
-        # solved one is under 5e-5 of its norm, and the shift lies
-        # within 5.1e-10 of the eigenvalue: one inverse iteration reaches
-        # the residual bound, at the geometries the oracle command is run at
-        res = trap_eigensolve(QUARTZ, CavityGeometry(L=GEO.L, h0=h0, R=R), n)
-        assert res.inverse_iterations == (1, 1, 1, 1)
-        assert all(r <= 1e-9 for r in res.residuals)
+        # the basis starts from the harmonic trap's eigenfunctions, each
+        # solved vector is led by its own harmonic function, and one solve,
+        # without a larger basis, resolves the levels to the closed form's
+        # bound at the geometries the oracle command is run at
+        geo = CavityGeometry(L=GEO.L, h0=h0, R=R)
+        res = trap_eigensolve(QUARTZ, geo, n)
+        epsilon = trap_anharmonicity(QUARTZ, geo, n)
+        delta, bound = trap_level_shifts(epsilon, h0 / R)
+        assert np.all(1.0 - np.abs(np.diag(res.vectors[:4])) <= epsilon + 1e-15)
+        assert max(res.agreement, float(np.max(res.outside_mass))) <= bound
+        assert np.max(np.abs(res.shifts - delta)) <= bound
 
-    def test_unit_solve_is_the_same_at_every_trap(self):
-        # geometry and overtone enter only as sigma and sqrt(k M): the
-        # vectors and the work are the default trap's bit for bit, and the
-        # eigenvalues and the grid in units of sqrt(k M) and sigma are its
-        # to rounding, also where an SI-unit operator's squared grid
-        # coupling would overflow (h0 = 1e-90, R = 1e-15)
-        def unit(geo, n):
-            res = trap_eigensolve(QUARTZ, geo, n)
-            _, c_hat = stiffened_constants(QUARTZ, n)
-            m_n, _ = dispersion_parameters(QUARTZ, n)
-            k_pot = math.pi**2 * n**2 * c_hat / (8.0 * geo.R * geo.h0**3)
-            work = res.vectors.tobytes(), res.inverse_iterations, res.residuals
-            return work, res.lambdas / (math.sqrt(k_pot) * math.sqrt(m_n)), res.x * (k_pot / m_n) ** 0.25
-
-        work, lambdas, s = unit(GEO, 1)
-        for (R, h0), n in itertools.product([(GEO.L, GEO.h0), (1e3, 1e-6), (1e200, 1e-30), (1e-15, 1e-90)],
-                                            (1, 3, 227)):
-            other = unit(CavityGeometry(L=GEO.L, h0=h0, R=R), n)
-            assert other[0] == work, (R, h0, n)
-            np.testing.assert_allclose(other[1], lambdas, rtol=1e-14, atol=0.0)
-            np.testing.assert_allclose(other[2], s, rtol=1e-14, atol=1e-14)
+    def test_equal_epsilon_and_h0_over_R_give_the_same_shifts(self):
+        # geometry enters the solve only through epsilon and h0/R: a plate
+        # with h0 and R scaled by one power of two has both, bit for bit, and
+        # so the same shifts and vectors, and its eigenvalues scale with
+        # sqrt(k M_n), as 1/scale^2
+        for n, scale in itertools.product((1, 3, 227), (2.0**-40, 2.0**40)):
+            other = CavityGeometry(L=GEO.L, h0=GEO.h0 * scale, R=GEO.R * scale)
+            assert trap_anharmonicity(QUARTZ, other, n) == trap_anharmonicity(QUARTZ, GEO, n)
+            a, b = trap_eigensolve(QUARTZ, GEO, n), trap_eigensolve(QUARTZ, other, n)
+            assert a.shifts.tobytes() == b.shifts.tobytes(), (n, scale)
+            assert a.vectors.tobytes() == b.vectors.tobytes(), (n, scale)
+            np.testing.assert_allclose(b.lambdas * scale**2, a.lambdas, rtol=1e-15, atol=0.0)
 
     def test_sturm_count_takes_tiny_pivots_as_minus_pivmin(self):
+        # the reference's count: with off2 = 0 each pivot is its diagonal
+        # entry, so it counts the entries below pivmin, those within pivmin
+        # of 0 taken as -pivmin; first = 2 doubles the coupling of rows 0
+        # and 1.  With couplings and entries clear of pivmin, the count is
+        # that of the eigenvalues below 0 of the symmetric tridiagonal matrix
         pivmin = 1e-3
-        # with off2 = 0 each pivot is its diagonal entry, so the entries
-        # below hit the pivmin boundary exactly; first = 2 is the even
-        # block's doubled coupling of rows 0 and 1
         values = [-2.0, -pivmin, -0.5 * pivmin, -0.0, 0.0, 0.5 * pivmin, pivmin, 2.0]
         rng = np.random.default_rng(3)
-        for off2, first in itertools.product((0.0, 0.5, 3.0), (1.0, 2.0)):
+        for first in (1.0, 2.0):
             for _ in range(200):
                 shifted = rng.choice(values, 12).tolist()
-                assert oracle._sturm_count(shifted, off2, pivmin, first) == reference_sturm_count(
-                    shifted, off2, pivmin, first
-                )
+                assert reference_sturm_count(shifted, 0.0, pivmin, first) == sum(a < pivmin for a in shifted)
+            for _ in range(200):
+                shifted = rng.uniform(-3.0, 3.0, 12)
+                off = np.full(11, 0.7)
+                off[0] *= math.sqrt(first)
+                matrix = np.diag(shifted) + np.diag(off, 1) + np.diag(off, -1)
+                expected = int(np.sum(np.linalg.eigvalsh(matrix) < 0.0))
+                assert reference_sturm_count(shifted.tolist(), 0.49, 1e-14, first) == expected
