@@ -146,25 +146,21 @@ def _power(x: float, k: int) -> float:
         return math.inf
 
 
-def _normal(value: float, what: str) -> float:
-    # value when it is a positive normal double, else an error naming what
-    if not _is_normal(value):
-        error = OverflowError if value == math.inf else FloatingPointError
-        raise error(f"{what} is outside the normal double range")
+def _normal(value, what):
+    # value, a float or an array, when each element is a positive normal
+    # double, else an error naming what, or what(k) for the first element k
+    # that is not one: OverflowError where that element is +inf, and
+    # FloatingPointError where it is below the range (or NaN)
+    ok = _is_normal(value)
+    if ok is not True:  # a float in range builds no part of the error
+        _require(ok, lambda k: OverflowError if _at(value, k) == math.inf else FloatingPointError,
+                 lambda k: f"{what if isinstance(what, str) else what(k)} is outside the normal double range")
     return value
 
 
 def _square_of_L(geo: CavityGeometry) -> float:
     # L^2 as a normal double, or an error that names L
     return _normal(_power(geo.L, 2), f"L^2 at L = {geo.L!r}")
-
-
-def _trap_denominator(geo: CavityGeometry) -> float:
-    # 8 R h0^3 as a normal double, or an error naming R and h0; h0^3 must be
-    # one too, as 8 R can lift a subnormal h0^3, digits lost, back into range
-    what = f"8 R h0^3 at R = {geo.R!r}, h0 = {geo.h0!r}"
-    h0_cubed = _normal(_power(geo.h0, 3), what)
-    return _normal(8.0 * geo.R * h0_cubed, what)
 
 
 def envelope_curvatures(mat: MaterialParams, geo: CavityGeometry, n: int) -> tuple[float, float]:
@@ -177,12 +173,13 @@ def envelope_curvatures(mat: MaterialParams, geo: CavityGeometry, n: int) -> tup
     """
     _, c_hat = stiffened_constants(mat, n)
     m_n, p_n = dispersion_parameters(mat, n)
-    denom = _trap_denominator(geo)
-    curvatures = []
-    for name, q in (("M_n", denom * m_n), ("P_n", denom * p_n)):
-        _normal(q, f"8 R h0^3 {name} at R = {geo.R!r}, h0 = {geo.h0!r}")
-        curvatures.append(math.sqrt(c_hat / q))
-    return tuple(curvatures)
+    # h0^3 must be a normal double too, as 8 R can lift a subnormal h0^3,
+    # digits lost, back into range
+    where = f"at R = {geo.R!r}, h0 = {geo.h0!r}"
+    what = f"8 R h0^3 {where}"
+    denom = _normal(8.0 * geo.R * _normal(_power(geo.h0, 3), what), what)
+    return tuple(math.sqrt(c_hat / _normal(denom * q, f"8 R h0^3 {name} {where}"))
+                 for name, q in (("M_n", m_n), ("P_n", p_n)))
 
 
 def trapping_parameters(alpha: float, beta: float, L: float) -> tuple[float, float]:
@@ -408,19 +405,14 @@ def mode_frequency(mat: MaterialParams, geo: CavityGeometry, mode: ModeIndex) ->
 
     omega^2 = (n pi / (2 h0))^2 c_hat_z / rho, exactly proportional to n
     and the same for every (m, p); ``in_plane_quanta`` gives the in-plane
-    part of rho omega^2.  Raises OverflowError, naming n and h0, when
-    omega^2 exceeds the double range, and FloatingPointError, naming them
-    too, when (n pi / (2 h0))^2 or omega^2 is below the normal range.
+    part of rho omega^2.  Raises OverflowError or FloatingPointError,
+    naming n and h0, when (n pi / (2 h0))^2 or omega^2 is outside the
+    normal double range.
     """
     _, c_hat = stiffened_constants(mat, mode.n)
-    square = _power(mode.n * math.pi / (2.0 * geo.h0), 2)
-    lead = square * c_hat / mat.rho
     where = f"the frequency of overtone n = {mode.n} at h0 = {geo.h0!r}"
-    if lead == math.inf:
-        raise OverflowError(f"{where} exceeds the double range")
-    if not (_is_normal(square) and _is_normal(lead)):
-        raise FloatingPointError(f"{where} is below the normal double range")
-    return math.sqrt(lead)
+    square = _normal(_power(mode.n * math.pi / (2.0 * geo.h0), 2), where)
+    return math.sqrt(_normal(square * c_hat / mat.rho, where))
 
 
 def in_plane_quanta(mat: MaterialParams, geo: CavityGeometry, n: int) -> tuple[float, float]:
@@ -431,26 +423,33 @@ def in_plane_quanta(mat: MaterialParams, geo: CavityGeometry, n: int) -> tuple[f
     of rho omega^2 of mode (n, m, p) is (2m+1) q_x + (2p+1) q_y, the
     harmonic ladder of the plano-convex plate (Stevens and Tiersten, J.
     Acoust. Soc. Am. 79, 1811, 1986), taken without a difference of
-    frequencies.  Raises where ``envelope_curvatures`` does.
+    frequencies.  Raises where ``envelope_curvatures`` does, and
+    OverflowError or FloatingPointError, naming n, R and h0, where q_x or
+    q_y is outside the normal double range.
     """
     alpha, beta = envelope_curvatures(mat, geo, n)
     m_n, p_n = dispersion_parameters(mat, n)
-    return math.pi * n * alpha * m_n, math.pi * n * beta * p_n
+    what = f"an in-plane quantum of overtone n = {n} at R = {geo.R!r}, h0 = {geo.h0!r}"
+    return _normal(math.pi * n * alpha * m_n, what), _normal(math.pi * n * beta * p_n, what)
 
 
 def trap_anharmonicity(mat: MaterialParams, geo: CavityGeometry, n: int) -> float:
     """Anharmonicity epsilon = sigma^2 / (R h0) = sqrt(8 M_n h0 / (pi^2 n^2 c_hat_z R)).
 
     sigma = (M_n / k)^(1/4) is the envelope width; epsilon falls as 1/n.
-    Raises OverflowError, naming n, R and h0, where it is not finite.
+    Raises OverflowError or FloatingPointError, naming n, R and h0, where
+    it is outside the normal double range.
     """
     _, c_hat = stiffened_constants(mat, n)
     m_n, _ = dispersion_parameters(mat, n)
-    epsilon = math.sqrt(8.0 * (geo.h0 / geo.R)) * math.sqrt(m_n / c_hat) / (math.pi * n)
-    if not epsilon < math.inf:
-        raise OverflowError(f"the trap anharmonicity epsilon of overtone n = {n} at R = {geo.R!r},"
-                            f" h0 = {geo.h0!r} is outside the double range")
-    return epsilon
+    # sqrt(8 h0 / R) of h0 / R = (m_h / m_R) 2^e, whose square root takes an
+    # even power of two: no quotient underflows, and where h0 / R is a
+    # normal double the bits are those of math.sqrt(8.0 * (h0 / R))
+    (m_h, e_h), (m_r, e_r) = math.frexp(geo.h0), math.frexp(geo.R)
+    e = e_h - e_r
+    root = math.ldexp(math.sqrt(8.0 * math.ldexp(m_h / m_r, e % 2)), e // 2)
+    return _normal(root * math.sqrt(m_n / c_hat) / (math.pi * n),
+                   f"the trap anharmonicity epsilon of overtone n = {n} at R = {geo.R!r}, h0 = {geo.h0!r}")
 
 
 def trap_level_shifts(epsilon: float, h0_over_R: float) -> tuple[np.ndarray, float]:
@@ -505,10 +504,10 @@ def effective_mass(mat: MaterialParams, geo: CavityGeometry, mode: ModeIndex, et
     H_m(z) along each axis, not normalised, so I_m -> 2^m m! sqrt(pi) for
     strong trapping and xi falls by 2^m m! 2^p p!; xi(1, 60, 0) ~ 2.7e-99
     at eta = 1 by design.  Raises OverflowError when that mass integral is
-    not representable as a double, and FloatingPointError, naming eta and
-    (m, p), when xi or the product of the on-plate energy fractions leaves
-    the normal double range (naming h0 and L when m_flat does).  Takes
-    floats or arrays of eta; m_flat stays a float.
+    not representable as a double, and OverflowError or FloatingPointError,
+    naming eta and (m, p), when xi or the product of the on-plate energy
+    fractions leaves the normal double range (naming h0 and L when m_flat
+    does).  Takes floats or arrays of eta; m_flat stays a float.
     """
     ex, ey, scalar = _trapping(eta_x, eta_y)
     _require((ex > 0) & (ey > 0), ValueError,
@@ -528,13 +527,10 @@ def effective_mass(mat: MaterialParams, geo: CavityGeometry, mode: ModeIndex, et
             f"the flat-plate mass at h0 = {geo.h0!r}, L = {geo.L!r}",
         )
         # a subnormal fx * fy would cost xi digits without a sign
-        fxy = fx * fy
-        _require(fxy >= _DBL_MIN, FloatingPointError,
-                 lambda k: f"the on-plate energy fractions of {_mode_at(mode, ex, ey, k)}"
-                 " are below the normal double range")
-        xi = (4.0 / math.pi) * ex * ey * n / (fxy * float(norm))
-        _require(_is_normal(xi), FloatingPointError,
-                 lambda k: f"xi of {_mode_at(mode, ex, ey, k)} is outside the normal double range")
+        fxy = _normal(fx * fy, lambda k: f"the product of the on-plate energy fractions of"
+                      f" {_mode_at(mode, ex, ey, k)}")
+        xi = _normal((4.0 / math.pi) * ex * ey * n / (fxy * float(norm)),
+                     lambda k: f"xi of {_mode_at(mode, ex, ey, k)}")
         m_eff = m_flat / xi
     return _figure(m_eff, scalar), m_flat, _figure(xi, scalar)
 
@@ -544,10 +540,8 @@ def _spreads(omega: float, mass, mode: ModeIndex, ex, ey):
     mass = np.asarray(mass)
     x_sq = HBAR / (2.0 * omega * mass)
     p_sq = HBAR * omega * mass / 2.0
-    _require((x_sq >= _DBL_MIN) & (p_sq >= _DBL_MIN), FloatingPointError,
-             lambda k: f"a squared zero-point spread of {_mode_at(mode, ex, ey, k)}"
-             " is below the normal double range")
-    return np.sqrt(x_sq), np.sqrt(p_sq)
+    what = lambda k: f"a squared zero-point spread of {_mode_at(mode, ex, ey, k)}"
+    return np.sqrt(_normal(x_sq, what)), np.sqrt(_normal(p_sq, what))
 
 
 def _zero_point(mat, geo, mode, ex, ey):
@@ -556,9 +550,7 @@ def _zero_point(mat, geo, mode, ex, ey):
     m_eff, m_flat, xi = effective_mass(mat, geo, mode, ex, ey)
     omega = mode_frequency(mat, geo, mode)
     with np.errstate(all="ignore"):
-        _require(_is_normal(m_eff), OverflowError,
-                 lambda k: f"the effective mass of overtone n = {mode.n},"
-                 f" {_mode_at(mode, ex, ey, k)}, is outside the normal double range")
+        _normal(m_eff, lambda k: f"the effective mass of overtone n = {mode.n}, {_mode_at(mode, ex, ey, k)},")
         x, p = _spreads(omega, m_eff, mode, ex, ey)
     return omega, m_eff, m_flat, xi, x, p
 

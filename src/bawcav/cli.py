@@ -284,9 +284,7 @@ COMMANDS = {
     ]),
     "membrane": (cmd_membrane, "side-by-side comparison with a stressed membrane", [
         *_COMMON, _R, _ETA, _TEMP,
-        ("--n", dict(type=int, default=227)),
-        ("--m", dict(type=int, default=0)),
-        ("--p", dict(type=int, default=0)),
+        ("--n", dict(type=int, default=227)), *_M_P,
         ("--a", dict(type=float, default=0.03, help="membrane side a (m)")),
         ("--b", dict(type=float, default=0.03, help="membrane side b (m)")),
         ("--mem-h", dict(type=float, default=5e-4, help="membrane thickness (m)")),

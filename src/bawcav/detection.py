@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cavity import (CavityGeometry, ModeIndex, _is_normal, _normal, _power, _square_of_L,
-                     effective_mass)
+from .cavity import CavityGeometry, ModeIndex, _normal, _power, _square_of_L, effective_mass
 from .constants import HBAR
 from .material import MaterialParams, _require_odd_overtone
 from .specfun import erf, erf_inv, hermite
@@ -159,19 +158,15 @@ def shunt_impedance(
     since C0 is proportional to 1/n this is exactly overtone-independent.
     Z_closed_form evaluates the published closed-form impedance expression
     verbatim; the two conventions disagree by an O(1) factor and are both
-    reported.  Raises OverflowError, naming eta and n, when a figure, or a
-    square or divisor it is made from, is not a normal double.
+    reported.  Raises OverflowError or FloatingPointError, naming eta and
+    n, when a figure, or a square or divisor it is made from, is outside
+    the normal double range.
     """
     lt = optimal_electrode(geo, eta, n, mu_opt)
-    side_sq = _power(2.0 * lt, 2)
-    c0 = mat.eps_z * side_sq / (2.0 * geo.h0)
-    omega_c0 = _omega_ref(mat, geo, n) * c0
-    what = (f"the shunt figures of overtone n = {n} at eta = {eta!r} are outside the normal"
-            " double range")
+    what = f"a shunt figure of overtone n = {n} at eta = {eta!r}"
     # every square and divisor a normal double first: none divides by zero or costs digits
-    if not all(_is_normal(v) for v in (side_sq, c0, omega_c0)):
-        raise OverflowError(what)
-    z_derived = 1.0 / omega_c0
+    c0 = _normal(mat.eps_z * _normal(_power(2.0 * lt, 2), what) / (2.0 * geo.h0), what)
+    z_derived = 1.0 / _normal(_omega_ref(mat, geo, n) * c0, what)
     # 2 (h0 eta / L)^2 / eps_z sqrt(rho / c_bar_z) erf(sqrt(mu))^2, h0 eta / L
     # from mantissas and a power of two: no product of lengths leaves the range
     (m_h0, e_h0), (m_eta, e_eta), (m_L, e_L) = (math.frexp(v) for v in (geo.h0, eta, geo.L))
@@ -181,9 +176,7 @@ def shunt_impedance(
         z_closed = math.ldexp(scale * ratio * ratio, 2 * (e_h0 + e_eta - e_L))
     except OverflowError:
         z_closed = math.inf
-    if not (_is_normal(z_closed) and _is_normal(z_derived)):
-        raise OverflowError(what)
-    return c0, z_closed, z_derived
+    return c0, _normal(z_closed, what), _normal(z_derived, what)
 
 
 def design_electrode(
@@ -195,20 +188,17 @@ def design_electrode(
 ) -> ElectrodeDesign:
     """Size the electrode for mode (n, 0, 0) and collect its figures.
 
-    Raises OverflowError, naming eta and n, when the envelope curvature or a
-    shunt figure leaves the double range, and an ArithmeticError naming L
-    when L^2 does.
+    Raises OverflowError or FloatingPointError, naming eta and n, when the
+    envelope curvature or a shunt figure is outside the normal double
+    range, and naming L when L^2 is.
     """
     lt = optimal_electrode(geo, eta, n, mu_opt)
     if lt >= geo.L:
         raise ValueError(
             f"optimal electrode half-width {lt:.4g} m does not fit the plate (L={geo.L:.4g} m)"
         )
-    alpha = _power(eta, 2) / (math.pi * _square_of_L(geo))
-    if alpha == math.inf:
-        raise OverflowError(
-            f"the envelope curvature of overtone n = {n} at eta = {eta!r} exceeds the double range"
-        )
+    alpha = _normal(_power(eta, 2) / (math.pi * _square_of_L(geo)),
+                    f"the envelope curvature of overtone n = {n} at eta = {eta!r}")
     mu = overlap_factor(ModeIndex(n), alpha, alpha, lt)
     c0, z_closed, z_derived = shunt_impedance(mat, geo, eta, n, mu_opt)
     return ElectrodeDesign(

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cavity import ModeCharacterization, _is_normal, thermal_occupancy
+from .cavity import ModeCharacterization, _normal, thermal_occupancy
 from .constants import HBAR
 from .material import _require_positive_finite
 
@@ -55,8 +55,7 @@ def membrane_frequency(spec: MembraneSpec) -> float:
 
     Raises as ``compare`` does when tau / rho is not a normal double.
     """
-    c_squared = spec.tau / spec.rho
-    _require_normal(spec, c_squared)
+    c_squared = _normal(spec.tau / spec.rho, _named(spec))
     return math.pi * math.sqrt(c_squared) * math.hypot(spec.mode_m / spec.a, spec.mode_n / spec.b)
 
 
@@ -65,13 +64,9 @@ def membrane_effective_mass(spec: MembraneSpec) -> float:
     return spec.rho * spec.h * spec.a * spec.b / 4.0
 
 
-def _require_normal(spec: MembraneSpec, *figures: float):
-    # OverflowError naming the membrane unless every figure is a positive normal double
-    if not all(_is_normal(v) for v in figures):
-        raise OverflowError(
-            f"the figures of the {spec.a!r} m x {spec.b!r} m membrane"
-            " are outside the normal double range"
-        )
+def _named(spec: MembraneSpec) -> str:
+    # what a membrane figure outside the normal double range names
+    return f"a figure of the {spec.a!r} m x {spec.b!r} m membrane"
 
 
 def membrane_zpf(spec: MembraneSpec) -> tuple[float, float]:
@@ -85,14 +80,12 @@ def membrane_zpf(spec: MembraneSpec) -> tuple[float, float]:
     ``compare`` does when tau rho, a divisor or a variance is not a normal
     double.
     """
+    omega = membrane_frequency(spec)
+    what = _named(spec)
     s = math.hypot(spec.mode_m * spec.a, spec.mode_n * spec.b)
-    tau_rho = spec.tau * spec.rho
-    d_verbatim = math.pi * math.sqrt(tau_rho) * spec.h * s
-    d_osc = 2.0 * membrane_frequency(spec) * membrane_effective_mass(spec)
-    _require_normal(spec, tau_rho, d_verbatim, d_osc)
-    var_verbatim, var_osc = 4.0 * HBAR / d_verbatim, HBAR / d_osc
-    _require_normal(spec, var_verbatim, var_osc)
-    return math.sqrt(var_verbatim), math.sqrt(var_osc)
+    d_verbatim = _normal(math.pi * math.sqrt(_normal(spec.tau * spec.rho, what)) * spec.h * s, what)
+    d_osc = _normal(2.0 * omega * membrane_effective_mass(spec), what)
+    return math.sqrt(_normal(4.0 * HBAR / d_verbatim, what)), math.sqrt(_normal(HBAR / d_osc, what))
 
 
 def compare(
@@ -104,14 +97,15 @@ def compare(
     and n_thermal.  Highlights the opposing design pressures: the cavity's
     occupancy falls with the overtone number at constant displacement
     spread, while the membrane's displacement spread falls with its mode
-    numbers.  Raises OverflowError when a membrane figure leaves the normal
-    double range.
+    numbers.  Raises OverflowError or FloatingPointError, naming the
+    membrane's sides, when a membrane figure is outside the normal double
+    range.
     """
     omega_m = membrane_frequency(spec)
-    f_hz = omega_m / (2.0 * math.pi)
-    m_eff = membrane_effective_mass(spec)
     x_zpf, _ = membrane_zpf(spec)  # the square root of a normal variance is normal
-    _require_normal(spec, f_hz, m_eff)
+    what = _named(spec)
+    f_hz = _normal(omega_m / (2.0 * math.pi), what)
+    m_eff = _normal(membrane_effective_mass(spec), what)
     n_membrane = thermal_occupancy(omega_m, temperature)
     return [
         ("f_Hz", cavity_char.omega / (2.0 * math.pi), f_hz),

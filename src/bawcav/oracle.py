@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import (CavityGeometry, ModeIndex, _normal, _trap_denominator, hermite_gaussian_1d,
+from .cavity import (CavityGeometry, ModeIndex, _normal, hermite_gaussian_1d, in_plane_quanta,
                      trap_anharmonicity, trap_level_shifts)
-from .material import MaterialParams, dispersion_parameters, stiffened_constants
+from .material import MaterialParams
 from .specfun import QuadratureSpec, integrate_intervals
 
 __all__ = [
@@ -66,7 +66,7 @@ class TrapEigenResult:
     """Lowest levels j = 0..3 of the in-plane trap of the exact plate profile.
 
     ``lambdas`` are the eigenvalues (the in-plane part of rho omega^2),
-    ``shifts`` the solved lambda_j / ((2j + 1) sqrt(k M_n)) - 1, and column
+    ``shifts`` the solved lambda_j / ((2j + 1) q_x) - 1, and column
     j of ``vectors`` eigenvector j's unit coefficients on the Hermite
     functions of x / sigma, positive just right of the centre.  The work:
     ``basis`` functions on ``nodes`` nodes, the ``agreement`` of the levels
@@ -195,8 +195,6 @@ def overlap_integral_oracle(
     return overlap_integral_oracles([(mode, alpha, beta, L_tilde)])[0]
 
 
-
-
 # ---------------------------------------------------------------------------
 # Hermite-Galerkin solve of the in-plane trap
 # ---------------------------------------------------------------------------
@@ -263,27 +261,23 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
     V is the rise of the thickness resonance of the plano-convex plate
     as it thins (``cavity.trap_level_shifts``), k x^2 to leading order, and
     lambda_j the in-plane part of rho omega^2, (2j + 1) q_x (1 + delta_j) in
-    the closed forms.  In units of sigma = (M_n / k)^(1/4) and sqrt(k M_n)
-    the operator is -u'' + (xi^2 + W(xi)) u, with W a function of epsilon
+    the closed forms.  In units of sigma = (M_n / k)^(1/4) and the quantum
+    q_x = sqrt(k M_n) of ``cavity.in_plane_quanta`` the operator is -u'' +
+    (xi^2 + W(xi)) u, with W a function of epsilon
     (``cavity.trap_anharmonicity``) and h0/R alone, 0 past the
     zero-thickness point.  It is solved on 32 Hermite functions, with W
     projected on 64 Gauss-Hermite nodes, one symmetric eigensolve per
-    parity.
+    parity, and lambda_j is q_x times solved level j.
 
     Raises ArithmeticError, naming n and epsilon, where epsilon exceeds 0.6,
     or where the levels of 16 and 32 Hermite functions disagree, or a
     level's mass past the zero-thickness point exceeds, the closed form's
     remainder bound, criterion 9's tolerance; and OverflowError or
-    FloatingPointError, naming R and h0, where h0^3, 8 R h0^3, k,
-    sqrt(k M_n) or an eigenvalue is not a normal double.
+    FloatingPointError where ``in_plane_quanta`` or ``trap_anharmonicity``
+    raises, or where an eigenvalue is outside the normal double range,
+    naming R and h0.
     """
-    _, c_hat = stiffened_constants(mat, n)
-    m_n, _ = dispersion_parameters(mat, n)
-    where = f"at R = {geo.R!r}, h0 = {geo.h0!r}"
-    k_pot = _normal(math.pi**2 * n**2 * c_hat / _trap_denominator(geo), f"the trap stiffness k {where}")
-    # from the roots, so that no product of k and M_n overflows first
-    quantum = _normal(math.sqrt(k_pot) * math.sqrt(m_n), f"the trap quantum sqrt(k M_n) {where}")
-
+    q_x, _ = in_plane_quanta(mat, geo, n)
     epsilon = trap_anharmonicity(mat, geo, n)
     h0_over_R = geo.h0 / geo.R
     what = f"the trap of overtone n = {n} at epsilon = {epsilon!r}"
@@ -298,9 +292,10 @@ def trap_eigensolve(mat: MaterialParams, geo: CavityGeometry, n: int) -> TrapEig
             f" Hermite functions differ by {agreement:.3g}, and {float(np.max(outside_mass)):.3g}"
             " of a level's mass lies past the zero-thickness point"
         )
+    with np.errstate(over="ignore"):
+        lambdas = q_x * levels
     return TrapEigenResult(
-        lambdas=np.array([_normal(quantum * level, f"the trap eigenvalue lambda_{j} {where}")
-                          for j, level in enumerate(levels.tolist())]),
+        lambdas=_normal(lambdas, lambda j: f"the trap eigenvalue lambda_{j} at R = {geo.R!r}, h0 = {geo.h0!r}"),
         shifts=levels / (2.0 * np.arange(_LEVELS) + 1.0) - 1.0,
         vectors=vectors,
         basis=_BASIS,

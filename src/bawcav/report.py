@@ -221,7 +221,10 @@ def criterion_8(mat: MaterialParams, geo: CavityGeometry, n_sets: int = 20) -> C
 
 def criterion_9(mat: MaterialParams, geo: CavityGeometry) -> CriterionResult:
     """Solved levels of overtone 1 against (2j + 1) q_x (1 + delta_j), and the
-    solve's convergence, each at the closed form's remainder bound."""
+    solve's convergence, each at the closed form's remainder bound.
+
+    The solve takes q_x from ``cavity.in_plane_quanta`` too, so the level
+    rows check the solved levels against delta_j, not q_x itself."""
     n = 1
     res = oracle.trap_eigensolve(mat, geo, n)
     q_x, _ = cavity.in_plane_quanta(mat, geo, n)

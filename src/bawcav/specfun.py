@@ -138,11 +138,13 @@ def _at(x, k: int) -> float:
     return float(np.ravel(x)[k])
 
 
-def _require(ok, error: type, message: Callable[[int], str]):
+def _require(ok, error, message: Callable[[int], str]):
     # error(message(k)) for the first element k where the elementwise check
-    # ok fails; the message is only built then
+    # ok fails, error being an exception class or a function of k that
+    # gives one; the class and the message are only built then
     if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-        raise error(message(int(np.argmin(ok))))
+        k = int(np.argmin(ok))
+        raise (error if isinstance(error, type) else error(k))(message(k))
 
 
 def _reject(x, ok, message: str):

@@ -21,6 +21,7 @@ from bawcav.cavity import (
     in_plane_quanta,
     mode_frequency,
     thermal_occupancy,
+    trap_anharmonicity,
     trapping_over_radii,
     trapping_parameters,
     zpf,
@@ -282,8 +283,35 @@ class TestModeFrequency:
         # (n pi / (2 h0))^2 is subnormal at h0 = 1e160 and 0 at 1e200
         geo = CavityGeometry(L=0.015, h0=h0, R=100 * h0)
         with pytest.raises(FloatingPointError, match=re.escape(
-                f"the frequency of overtone n = 3 at h0 = {h0!r} is below the normal double range")):
+                f"the frequency of overtone n = 3 at h0 = {h0!r} is outside the normal double range")):
             mode_frequency(QUARTZ, geo, ModeIndex(3))
+
+    def test_overflowing_quanta_name_n_R_and_h0(self):
+        # 8 R h0^3 M_n = 8e-6 and the curvatures are normal doubles, but
+        # q_x = pi n alpha M_n is not
+        mat = dataclasses.replace(QUARTZ, M=1e300, P=1e300)
+        geo = CavityGeometry(L=0.015, h0=1e-102, R=1.0)
+        with pytest.raises(OverflowError, match=re.escape(
+                "an in-plane quantum of overtone n = 1 at R = 1.0, h0 = 1e-102 is outside the normal double range")):
+            in_plane_quanta(mat, geo, 1)
+
+    @pytest.mark.parametrize("h0, R", [(GEO.h0, GEO.R), (1e-30, 1e200), (1e-90, 1e-15), (3e-103, 1e205)])
+    def test_anharmonicity_has_the_bits_of_the_direct_formula(self, h0, R):
+        # wherever h0 / R is a normal double
+        _, c_hat = stiffened_constants(QUARTZ, 3)
+        m_n, _ = dispersion_parameters(QUARTZ, 3)
+        direct = math.sqrt(8.0 * (h0 / R)) * math.sqrt(m_n / c_hat) / (math.pi * 3)
+        assert trap_anharmonicity(QUARTZ, CavityGeometry(L=0.015, h0=h0, R=R), 3) == direct
+
+    @pytest.mark.parametrize("R", [1e220, 1e222])
+    def test_anharmonicity_of_a_subnormal_h0_over_R_keeps_its_digits(self, R):
+        # h0 / R is subnormal at R = 1e220 and rounds to 0 at 1e222, but
+        # epsilon, about sqrt(h0 / R), is a normal double
+        _, c_hat = stiffened_constants(QUARTZ, 1)
+        m_n, _ = dispersion_parameters(QUARTZ, 1)
+        exact = math.sqrt(8.0) * math.sqrt(3e-103) / math.sqrt(R) * math.sqrt(m_n / c_hat) / math.pi
+        epsilon = trap_anharmonicity(QUARTZ, CavityGeometry(L=0.015, h0=3e-103, R=R), 1)
+        assert epsilon == pytest.approx(exact, rel=1e-15, abs=0.0)
 
 
 class TestEffectiveMass:

@@ -500,7 +500,7 @@ class TestMembraneCmd:
         # its range check runs before the occupancy, whose hbar omega / kT is 0
         code, out, err = run_cli(capsys, "membrane", "--a", "1e300", "--b", "1e300")
         assert (code, out) == (3, "")
-        assert err == ("error: the figures of the 1e+300 m x 1e+300 m membrane are outside"
+        assert err == ("error: a figure of the 1e+300 m x 1e+300 m membrane is outside"
                        " the normal double range\n")
 
     def test_thick_membrane_exits_2(self, capsys):
@@ -511,43 +511,83 @@ class TestMembraneCmd:
 
 # each intermediate or figure outside the normal double range exits 3 with
 # one line that names its input: a subnormal h0^3 or (n pi / 2 h0)^2 cost
-# digits silently, and a zero omega C0 or membrane divisor divided by zero
+# digits silently, and a zero omega C0 or membrane divisor divided by zero.
+# The third column is the class the command raises: OverflowError exactly
+# where the failing value, named in the comment, is +inf
 UNREPRESENTABLE_ARGVS = [
+    # h0^3 = 1e-321 and 1e-315 are subnormal
     (["characterize", "--h0", "1e-107", "--R", "1e14"],
-     "8 R h0^3 at R = 100000000000000.0, h0 = 1e-107 is outside the normal double range"),
+     "8 R h0^3 at R = 100000000000000.0, h0 = 1e-107 is outside the normal double range", FloatingPointError),
     (["characterize", "--h0", "1e-105", "--R", "1e10"],
-     "8 R h0^3 at R = 10000000000.0, h0 = 1e-105 is outside the normal double range"),
+     "8 R h0^3 at R = 10000000000.0, h0 = 1e-105 is outside the normal double range", FloatingPointError),
     (["sweep", "--h0", "1e-107", "--R-range", "1e14:1e15:1e14"],
-     "8 R h0^3 at R = 100000000000000.0, h0 = 1e-107 is outside the normal double range"),
+     "8 R h0^3 at R = 100000000000000.0, h0 = 1e-107 is outside the normal double range", FloatingPointError),
     (["oracle", "--h0", "1e-107", "--R", "1e14"],
-     "8 R h0^3 at R = 100000000000000.0, h0 = 1e-107 is outside the normal double range"),
+     "8 R h0^3 at R = 100000000000000.0, h0 = 1e-107 is outside the normal double range", FloatingPointError),
+    # h0^3 = 0
+    (["oracle", "--sets", "1", "--h0", "1e-110", "--R", "1"],
+     "8 R h0^3 at R = 1.0, h0 = 1e-110 is outside the normal double range", FloatingPointError),
+    # 8 R h0^3 M_n = inf
+    (["oracle", "--sets", "1", "--h0", "1", "--R", "1e300", "--L", "10"],
+     "8 R h0^3 M_n at R = 1e+300, h0 = 1.0 is outside the normal double range", OverflowError),
+    # (n pi / (2 h0))^2 = inf, then subnormal and 0
     (["characterize", "--h0", "1e-300", "--eta", "1"],
-     "the frequency of overtone n = 1 at h0 = 1e-300 exceeds the double range"),
+     "the frequency of overtone n = 1 at h0 = 1e-300 is outside the normal double range", OverflowError),
     (["characterize", "--h0", "1e160", "--R", "1e162", "--eta", "1"],
-     "the frequency of overtone n = 1 at h0 = 1e+160 is below the normal double range"),
+     "the frequency of overtone n = 1 at h0 = 1e+160 is outside the normal double range", FloatingPointError),
     (["characterize", "--h0", "1e200", "--R", "1e202", "--eta", "1"],
-     "the frequency of overtone n = 1 at h0 = 1e+200 is below the normal double range"),
-    # m_flat = 4 rho h0 L^2 = 5.3e300 is normal, m_eff = m_flat / xi overflows
+     "the frequency of overtone n = 1 at h0 = 1e+200 is outside the normal double range", FloatingPointError),
+    # xi = inf
+    (["characterize", "--eta", "1e200"],
+     "xi of (m, p) = (0, 0) at eta = (1e+200, 1e+200) is outside the normal double range", OverflowError),
+    # m_flat = 4 rho h0 L^2 = 5.3e300 is normal, m_eff = m_flat / xi = inf
     (["characterize", "--m", "60", "--eta", "1", "--L", "1e150"],
      "the effective mass of overtone n = 1, (m, p) = (60, 0) at eta = (1.0, 1.0),"
-     " is outside the normal double range"),
+     " is outside the normal double range", OverflowError),
+    # the squared zero-point spread x_zpf^2 is subnormal
+    (["characterize", "--m", "150", "--eta", "60"],
+     "a squared zero-point spread of (m, p) = (150, 0) at eta = (60.0, 60.0) is outside the normal"
+     " double range", FloatingPointError),
+    # the envelope curvature eta^2 / (pi L^2) = inf, subnormal (2.1e-308,
+    # digits lost) and 0, which overlap_factor would reject as not positive
+    (["electrode", "--eta", "1e300", "--n", "7"],
+     "the envelope curvature of overtone n = 7 at eta = 1e+300 is outside the normal double range",
+     OverflowError),
+    (["electrode", "--L", "7e153", "--eta", "1.8", "--n", "5", "--h0", "0.01", "--R", "1"],
+     "the envelope curvature of overtone n = 5 at eta = 1.8 is outside the normal double range",
+     FloatingPointError),
+    (["electrode", "--L", "9.2e153", "--eta", "2", "--n", "3", "--h0", "0.01", "--R", "1"],
+     "the envelope curvature of overtone n = 3 at eta = 2.0 is outside the normal double range",
+     FloatingPointError),
+    # omega C0 = 0
     (["electrode", "--h0", "1e200", "--R", "1e202", "--eta", "5"],
-     "the shunt figures of overtone n = 7 at eta = 5.0 are outside the normal double range"),
+     "a shunt figure of overtone n = 7 at eta = 5.0 is outside the normal double range", FloatingPointError),
+    # the divisor pi sqrt(tau rho) h s = 0
     (["membrane", "--a", "1e-300", "--b", "1e-300", "--mem-h", "1e-320"],
-     "the figures of the 1e-300 m x 1e-300 m membrane are outside the normal double range"),
+     "a figure of the 1e-300 m x 1e-300 m membrane is outside the normal double range", FloatingPointError),
     # a subnormal tau / rho: f_Hz printed 4.59728511e-160 for 4.58474192e-160
     (["membrane", "--tau", "1e-318"],
-     "the figures of the 0.03 m x 0.03 m membrane are outside the normal double range"),
+     "a figure of the 0.03 m x 0.03 m membrane is outside the normal double range", FloatingPointError),
     # a subnormal variance: x_zpf printed 8.97675369e-161 for 8.97783303e-161
     (["membrane", "--a", "1e285", "--b", "2e-5", "--mem-h", "1e-6"],
-     "the figures of the 1e+285 m x 2e-05 m membrane are outside the normal double range"),
+     "a figure of the 1e+285 m x 2e-05 m membrane is outside the normal double range", FloatingPointError),
+    # the divisor 2 omega m_eff = inf
+    (["membrane", "--a", "1e300", "--b", "1e300"],
+     "a figure of the 1e+300 m x 1e+300 m membrane is outside the normal double range", OverflowError),
 ]
+UNREPRESENTABLE_IDS = [" ".join(argv) for argv, *_ in UNREPRESENTABLE_ARGVS]
 
 
-@pytest.mark.parametrize("argv, err", UNREPRESENTABLE_ARGVS,
-                         ids=[" ".join(argv) for argv, _ in UNREPRESENTABLE_ARGVS])
-def test_unrepresentable_intermediates_exit_3_naming_their_input(capsys, argv, err):
+@pytest.mark.parametrize("argv, err, error", UNREPRESENTABLE_ARGVS, ids=UNREPRESENTABLE_IDS)
+def test_unrepresentable_intermediates_exit_3_naming_their_input(capsys, argv, err, error):
     assert run_cli(capsys, *argv) == (3, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("argv, err, error", UNREPRESENTABLE_ARGVS, ids=UNREPRESENTABLE_IDS)
+def test_unrepresentable_intermediates_raise_overflow_exactly_at_inf(argv, err, error):
+    with pytest.raises(ArithmeticError) as exc:
+        cli.COMMANDS[argv[0]][0](cli._plain_args(argv))
+    assert (type(exc.value), str(exc.value)) == (error, err)
 
 
 class TestJsonDeterminism:
@@ -667,10 +707,10 @@ class TestOracleCmd:
         assert out == ""
         assert "at least one parameter set" in err
 
-    @pytest.mark.parametrize("h0,R", [("1e-110", "1"), ("1e-100", "1e-3")])
+    @pytest.mark.parametrize("h0,R", [("1e-110", "1")])
     def test_unrepresentable_trap_exits_3_naming_R_and_h0(self, capsys, h0, R):
-        # 8 R h0^3 and the trap stiffness each leave the double range: one
-        # error line, no numpy warning, no traceback
+        # 8 R h0^3 leaves the double range: one error line, no numpy
+        # warning, no traceback
         code, out, err = run_cli(capsys, "oracle", "--sets", "1", "--h0", h0, "--R", R)
         assert code == 3
         assert out == ""
@@ -681,6 +721,13 @@ class TestOracleCmd:
         # every figure of this trap is a normal double, though an operator
         # built in SI units would square a grid coupling M / h^2 of 6e158
         code, out, err = run_cli(capsys, "oracle", "--sets", "1", "--h0", "1e-90", "--R", "1e-15")
+        assert (code, err) == (0, "")
+        assert "FAIL" not in out and out.count(",PASS\n") == out.count("\n") - 1
+
+    def test_trap_whose_stiffness_would_overflow_passes_every_criterion(self, capsys):
+        # k = pi^2 n^2 c_hat_z / (8 R h0^3) would be 1.3e314, but the solve
+        # takes q_x = 5.8e162 and epsilon = 4.5e-49, both normal doubles
+        code, out, err = run_cli(capsys, "oracle", "--sets", "1", "--h0", "1e-100", "--R", "1e-3")
         assert (code, err) == (0, "")
         assert "FAIL" not in out and out.count(",PASS\n") == out.count("\n") - 1
 
@@ -834,12 +881,13 @@ def _flag_specs(parser):
 # SHA-256 of repr(_flag_specs(...)) of each command, recorded from the
 # flag-adder functions that cli.COMMANDS' flag lists replaced: each flag's
 # option strings, dest, default, type, choices, metavar and help, in order,
-# and the exclusive groups
+# and the exclusive groups; membrane's --m and --p have since taken the help
+# text the other commands give them
 FLAG_SPECS = {
     "characterize": "bad0196575909526cc46c45731e89287d2dbb2c94bded8df9fec875cf304dca0",
     "sweep": "fabd1f09a7aaea474a95ed75f76d8213b3301c51d08886752eb4e7f2cc61085a",
     "electrode": "8948ca645f0061034141945bd5cba957c39143b7c29abaa230d940ae3ba704d9",
-    "membrane": "35a92f81aa3a7f8670ba822933922de1a4ae76e105b92835c06d210080e12723",
+    "membrane": "742768b8e784fa050082a8c86414fcb9a7c4fecfc2d2644611cd70a5ef6811a3",
     "paper-report": "638a844f98b0347acd447259fe9eade66601f616b4718d0e282b30bec08d1c70",
     "oracle": "800c7893815adb4eeac0547a69460d8b6458bf69d35f0ad12a8369fd82457192",
 }

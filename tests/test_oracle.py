@@ -407,6 +407,17 @@ class TestTrapEigensolve:
         assert max(abs(lam[j] / ((2 * j + 1) * q_x) - 1.0) for j in range(4)) <= 1e-4
         assert lam[2] - lam[0] == pytest.approx(4.0 * q_x, rel=1e-3)
 
+    @pytest.mark.parametrize("n", [1, 3, 227])
+    @pytest.mark.parametrize("R,h0", [(GEO.R, GEO.h0), (0.1, GEO.h0), (GEO.L, GEO.h0), (1.0, 1e-30)])
+    def test_in_plane_quantum_is_sqrt_k_m(self, R, h0, n):
+        # trap_eigensolve scales its levels by the q_x of in_plane_quanta,
+        # so q_x is checked here against the grid's own sqrt(k M_n), k from
+        # the plate profile's curvature
+        geo = CavityGeometry(L=GEO.L, h0=h0, R=R)
+        *_, quantum = solver_grid(QUARTZ, geo, n)
+        q_x, _ = in_plane_quanta(QUARTZ, geo, n)
+        assert q_x == pytest.approx(quantum, rel=1e-14)
+
     def test_eigenvectors_are_the_hermite_gaussians(self):
         # the harmonic eigenvectors j = 0..3 against the mode shape of
         # (1, j, 0) at the curvature pi alpha: the O(h^2) finite-difference
@@ -434,14 +445,17 @@ class TestTrapEigensolve:
         assert len({a, b, a}) == 2
 
     @pytest.mark.parametrize("R,h0", [pytest.param(R, GEO.h0, id=str(R)) for R in (GEO.R, 0.1, 1.0)]
-                             + [(1.0, 1e-30), (1e200, 1e-30), (1e-15, 1e-90)])
+                             + [(1.0, 1e-30), (1e200, 1e-30), (1e-15, 1e-90),
+                                pytest.param(1e-3, 1e-100, id="1e-3-1e-100")])
     def test_mode_frequency_spacing_is_the_solved_spacing(self, R, h0):
         # the solved lambda_2 - lambda_0 is the closed forms' q_x (5 (1 +
         # delta_2) - (1 + delta_0)) at every curvature radius, also where the
         # thickness term of rho omega^2 is 1.4e15 (h0 = 1e-30, R = 1) or
         # 1.4e115 (R = 1e200) times q_x, and a difference of two
-        # frequencies keeps none of the spacing's digits, and at h0 = 1e-90,
-        # R = 1e-15, where an SI-unit grid's squared coupling would overflow
+        # frequencies keeps none of the spacing's digits, at h0 = 1e-90,
+        # R = 1e-15, where an SI-unit grid's squared coupling would overflow,
+        # and at h0 = 1e-100, R = 1e-3, where the trap stiffness k would
+        # (q_x = 5.8e162 and epsilon = 4.5e-49 are normal)
         geo = CavityGeometry(L=GEO.L, h0=h0, R=R)
         res = trap_eigensolve(QUARTZ, geo, 1)
         q_x, _ = in_plane_quanta(QUARTZ, geo, 1)
@@ -523,7 +537,6 @@ class TestTrapEigensolve:
 
     @pytest.mark.parametrize("h0,R,what", [
         (1e-110, 1.0, "8 R h0^3"),
-        (1e-100, 1e-3, "the trap stiffness k"),
     ])
     def test_unrepresentable_trap_names_R_and_h0(self, h0, R, what):
         geo = CavityGeometry(L=GEO.L, h0=h0, R=R)
@@ -532,15 +545,18 @@ class TestTrapEigensolve:
         assert str(err.value) == f"{what} at R = {R!r}, h0 = {h0!r} is outside the normal double range"
 
     @pytest.mark.parametrize("change,h0,R,what", [
-        # M_n = M + a_x cot(kappa_x pi / 2) = inf: sqrt(k M_n) overflows
-        (dict(a_x=1e308, kappa_x=0.01), GEO.h0, GEO.R, "the trap quantum sqrt(k M_n)"),
-        # sqrt(k M_n) = 4.1e307 and lambda_1 are normal, lambda_2 is not, at
-        # epsilon = 0.037
-        (dict(M=1.7e308, c_bar_z=1e307), 0.1, 1e3, "the trap eigenvalue lambda_2"),
-    ], ids=["quantum", "eigenvalue"])
+        # M_n = M + a_x cot(kappa_x pi / 2) = inf: 8 R h0^3 M_n overflows
+        # before any quantum is formed
+        (dict(a_x=1e308, kappa_x=0.01), GEO.h0, GEO.R, "8 R h0^3 M_n"),
+        # the envelope curvatures are normal, q_x = pi n alpha M_n is not
+        (dict(M=1e300, P=1e300), 1e-102, 1.0, "an in-plane quantum of overtone n = 1"),
+        # q_x = 6.76e307 and lambda_0 are normal, lambda_1 is not, at
+        # epsilon = 0.0049
+        (dict(M=1e307, P=1e307, c_bar_z=1e307), 0.03, 1e3, "the trap eigenvalue lambda_1"),
+    ], ids=["quantum", "in-plane-quantum", "eigenvalue"])
     def test_unrepresentable_scaling_names_R_and_h0(self, change, h0, R, what):
         # no geometry of the bundled quartz reaches these: with M_n = 2.6e11
-        # and k normal, sqrt(k M_n) lies within 3.9e-143 ... 6.9e159
+        # and 8 R h0^3 normal, q_x lies within 3.9e-143 ... 3.5e165
         mat = dataclasses.replace(QUARTZ, **change)
         with pytest.raises(OverflowError) as err:
             trap_eigensolve(mat, CavityGeometry(L=GEO.L, h0=h0, R=R), 1)
